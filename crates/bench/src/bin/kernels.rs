@@ -4,7 +4,7 @@
 //! (`BENCH_kernels.json` by default). CI runs this in release mode to
 //! track the kernel speed floor (DESIGN.md §16).
 //!
-//! Every fused/blocked variant is asserted **bit-identical** to its
+//! Every fused variant is asserted **bit-identical** to its
 //! straight-line reference before it is timed — a fast kernel that
 //! drifts from the reference fails the binary, not just the benchmark.
 //! The FP-reassociating variants behind the `reassoc-fast` feature are
@@ -28,8 +28,7 @@ use std::time::Duration;
 /// Timed repetitions per case; the minimum is reported.
 const RUNS: usize = 5;
 
-/// SpMV instance size — at [`CsrMatrix::SPMV_BLOCK_DISPATCH_DIM`] so the
-/// dispatch cost model (not just the size floor) decides the path.
+/// SpMV instance size: 2¹⁷ rows, so `x` (1 MiB) spills out of L2.
 const SPMV_DIM: usize = 1 << 17;
 
 /// Half-bandwidth of the SpMV band matrix (17 nonzeros per interior row).
@@ -74,8 +73,8 @@ fn band_matrix(n: usize, band: usize) -> CsrMatrix {
     b.into_csr()
 }
 
-/// Matrix with `per_row` uniformly scattered columns per row — the
-/// cache-hostile access pattern the blocked kernel exists for.
+/// Matrix with `per_row` uniformly scattered columns per row — a
+/// cache-hostile gather pattern.
 fn scatter_matrix(n: usize, per_row: usize) -> CsrMatrix {
     let mut b = TripletBuilder::new(n);
     let mut state = 0x5CA77E2u64;
@@ -107,67 +106,29 @@ fn main() {
         },
     );
 
-    // --- CSR SpMV: straight loop vs cache-blocked vs the dispatcher ---
-    // Netlist-like rows (~17 nnz) are far below the one-entry-per-block
-    // density the blocked kernel needs to amortize its cursor probes, so
-    // the cost model must keep both instances on the straight path.
+    // --- CSR SpMV: the straight row loop on netlist-like rows (~17 nnz),
+    // banded and scattered ---
     let x = rand_vec(1, SPMV_DIM);
     for (name, m) in [
         ("spmv_band", band_matrix(SPMV_DIM, SPMV_BAND)),
         ("spmv_scatter", scatter_matrix(SPMV_DIM, 16)),
     ] {
-        assert!(
-            !m.spmv_prefers_blocked(),
-            "{name}: cost model must reject blocking at ~17 nnz/row"
-        );
-        let mut reference = vec![0.0; SPMV_DIM];
-        m.apply_rows_unblocked(0, &x, &mut reference);
-        let mut out = vec![f64::NAN; SPMV_DIM];
-        m.apply_rows_blocked(0, &x, &mut out, CsrMatrix::SPMV_BLOCK_COLS);
-        assert!(
-            reference
-                .iter()
-                .zip(&out)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{name}: blocked SpMV is not bit-identical to the straight loop"
-        );
-        let (_, straight) = best_of(RUNS, || {
-            let mut out = vec![0.0; SPMV_DIM];
-            for _ in 0..SPMV_REPS {
-                m.apply_rows_unblocked(0, black_box(&x), &mut out);
-            }
-            black_box(out)
-        });
-        let (_, blocked) = best_of(RUNS, || {
-            let mut out = vec![0.0; SPMV_DIM];
-            for _ in 0..SPMV_REPS {
-                m.apply_rows_blocked(0, black_box(&x), &mut out, CsrMatrix::SPMV_BLOCK_COLS);
-            }
-            black_box(out)
-        });
-        let (_, dispatch) = best_of(RUNS, || {
+        let (_, wall) = best_of(RUNS, || {
             let mut out = vec![0.0; SPMV_DIM];
             for _ in 0..SPMV_REPS {
                 m.apply_rows(0, black_box(&x), &mut out);
             }
             black_box(out)
         });
-        let straight_ms = straight.as_secs_f64() * 1e3;
-        let blocked_ms = blocked.as_secs_f64() * 1e3;
-        let dispatch_ms = dispatch.as_secs_f64() * 1e3;
-        println!(
-            "{name:<16} n={SPMV_DIM:<8} straight {straight_ms:>9.3} ms  blocked \
-             {blocked_ms:>9.3} ms  dispatch {dispatch_ms:>9.3} ms"
-        );
+        let wall_ms = wall.as_secs_f64() * 1e3;
+        println!("{name:<16} n={SPMV_DIM:<8} wall {wall_ms:>9.3} ms");
         report.push(
             BenchEntry::new()
                 .str("name", name)
                 .int("n", SPMV_DIM)
                 .int("nnz", m.nnz())
-                .fixed("straight_ms", straight_ms)
-                .fixed("blocked_ms", blocked_ms)
-                .fixed("dispatch_ms", dispatch_ms)
-                .rate("matvecs_per_sec", SPMV_REPS, dispatch),
+                .fixed("wall_ms", wall_ms)
+                .rate("matvecs_per_sec", SPMV_REPS, wall),
         );
     }
 

@@ -43,6 +43,7 @@
 
 use np_netlist::generate::{mcnc_suite, Benchmark};
 use np_netlist::CutStats;
+use np_runner::escape_json;
 use std::time::{Duration, Instant};
 
 /// One comparison row: a circuit name plus the two contestants' stats.
@@ -143,35 +144,12 @@ pub fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
-/// Renders `value` as a JSON string literal, escaping quotes,
-/// backslashes and control characters. Benchmark names come from netlist
-/// generators today, but nothing stops a caller from passing a path or
-/// an error message through [`BenchEntry::str`], so the writer must not
-/// trust its input.
-pub fn json_str(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// One benchmark record of a [`BenchReport`]: an ordered list of
 /// key/value fields rendered as a JSON object.
 ///
 /// The build environment has no JSON crate, so values are rendered at
 /// insertion time by typed builder methods; string values pass through
-/// [`json_str`], while keys are expected to be plain identifiers (no
+/// [`escape_json`], while keys are expected to be plain identifiers (no
 /// escaping is performed).
 #[derive(Clone, Debug, Default)]
 pub struct BenchEntry {
@@ -187,7 +165,7 @@ impl BenchEntry {
     /// Adds a string field.
     #[must_use]
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields.push((key.into(), json_str(value)));
+        self.fields.push((key.into(), escape_json(value)));
         self
     }
 
@@ -266,7 +244,7 @@ impl BenchReport {
     /// Adds a top-level string field after `"schema"` (e.g. the kernel or
     /// algorithm the record tracks).
     pub fn meta(&mut self, key: &str, value: &str) {
-        self.meta.push((key.into(), json_str(value)));
+        self.meta.push((key.into(), escape_json(value)));
     }
 
     /// Appends one benchmark record.

@@ -1,23 +1,14 @@
-//! Balanced k-way partitioning with fixed modules, as engine stages.
+//! Balanced k-way partitioning with fixed modules.
 //!
-//! Two routes from the paper's bipartition engine to `k` blocks:
+//! The route from the paper's bipartition engine to `k` blocks is
+//! **recursive bisection** ([`kway_recursive_ctx`]): the existing
+//! IG-Match+FM hybrid pipeline splits the module set, each side receives
+//! a proportional share of the block count and of the area budget, and
+//! recursion continues until every range holds one block. This is the §1
+//! divide-and-conquer story run to depth `log k`.
 //!
-//! * [`kway_recursive_ctx`] / [`KwayRecursiveStage`] — **recursive
-//!   bisection**: the existing IG-Match+FM hybrid pipeline splits the
-//!   module set, each side receives a proportional share of the block
-//!   count and of the area budget, and recursion continues until every
-//!   range holds one block. This is the §1 divide-and-conquer story run
-//!   to depth `log k`.
-//! * [`kway_direct_ctx`] / [`KwayDirectStage`] — **direct multiway
-//!   spectral**: `d = min(k−1, 8)` successively-deflated eigenvectors of
-//!   the clique-model Laplacian (block Lanczos,
-//!   [`np_eigen::smallest_deflated_block_metered`]) embed the modules in
-//!   `R^d`, and a deterministic seeded k-means rounding assigns blocks —
-//!   the first-principles multiway generalization of EIG1's single
-//!   Fiedler vector.
-//!
-//! Both routes share one contract, enforced by a final repair +
-//! refinement phase over [`KwayCutTracker`]:
+//! A final repair + refinement phase over [`KwayCutTracker`] enforces
+//! the contract:
 //!
 //! * **balance** — every block's area stays within
 //!   [`balance_bound`]`(total, k, ε)` `= (1+ε)·total/k`, and no block is
@@ -25,9 +16,9 @@
 //!   [`PartitionError::InvalidInput`]);
 //! * **fixed modules** — a module pinned by [`FixedModules`] is placed on
 //!   its block before repair and is never moved by repair or refinement;
-//! * **k = 2 fast path** — with two blocks and no pins, both routes
-//!   delegate to the exact bipartition pipeline
-//!   (IG-Match + ratio-refine) and convert via
+//! * **k = 2 fast path** — with two blocks and no pins, the route
+//!   delegates to the exact bipartition pipeline
+//!   (IG-Match + ratio-refine) and converts via
 //!   [`KwayPartition::from_bipartition`], bit-identically in partition,
 //!   cut statistics and metered spend.
 //!
@@ -43,22 +34,20 @@
 //! # Ok::<(), np_core::PartitionError>(())
 //! ```
 
-mod direct;
 mod recursive;
 pub mod refine;
 
-pub use direct::{kway_direct_ctx, KwayDirectStage};
-pub use recursive::{kway_recursive_ctx, KwayRecursiveStage};
+pub use recursive::kway_recursive_ctx;
 
 use crate::engine::stages::{IgMatchStage, RatioRefineStage};
-use crate::engine::{Pipeline, RunContext, Stage, DEFAULT_SEED};
+use crate::engine::{Pipeline, RunContext, Stage};
 use crate::{IgMatchOptions, PartitionError};
 use np_netlist::areas::ModuleAreas;
 use np_netlist::{
     balance_bound, FixedModules, Hypergraph, KwayCutStats, KwayCutTracker, KwayPartition,
 };
 
-/// Options shared by both k-way routes.
+/// Options of the k-way route.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KwayOptions {
     /// Number of blocks (`k >= 1`).
@@ -76,10 +65,6 @@ pub struct KwayOptions {
     /// Upper bound on refinement passes (bipartition ratio-refine on the
     /// k = 2 fast path, k-way greedy refinement otherwise).
     pub max_refine_passes: usize,
-    /// Seed for the direct route's k-means rounding and eigensolve
-    /// starts. The k = 2 fast path does not consume it (the pipeline's
-    /// own option seeds stay authoritative).
-    pub seed: u64,
 }
 
 impl Default for KwayOptions {
@@ -91,18 +76,16 @@ impl Default for KwayOptions {
             fixed: None,
             ig_match: IgMatchOptions::default(),
             max_refine_passes: 20,
-            seed: DEFAULT_SEED,
         }
     }
 }
 
-/// Which k-way route to run.
+/// Which k-way route to run. Recursive bisection is the only route;
+/// the enum keeps the [`kway_partition_ctx`] signature stable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KwayMethod {
     /// Recursive bisection over the hybrid bipartition pipeline.
     Recursive,
-    /// Direct multiway spectral embedding + seeded k-means rounding.
-    Direct,
 }
 
 /// Outcome of a k-way partitioning run.
@@ -112,8 +95,7 @@ pub struct KwayResult {
     pub partition: KwayPartition,
     /// Cut statistics of `partition`, consistent by construction.
     pub stats: KwayCutStats,
-    /// Which route produced the result (`"kway-recursive"` /
-    /// `"kway-direct"`).
+    /// Which route produced the result (`"kway-recursive"`).
     pub algorithm: &'static str,
 }
 
@@ -126,26 +108,6 @@ impl KwayResult {
             algorithm,
         }
     }
-}
-
-/// A k-way analog of [`Partitioner`](crate::engine::Partitioner): a unit
-/// that produces a [`KwayResult`] from a hypergraph under a
-/// [`RunContext`].
-pub trait KwayPartitioner {
-    /// Stable display name of the route.
-    fn name(&self) -> &'static str;
-
-    /// Runs the route.
-    ///
-    /// # Errors
-    ///
-    /// Route-specific failures plus the shared validation errors of
-    /// [`kway_partition_ctx`].
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<KwayResult, PartitionError>;
 }
 
 /// Runs the chosen k-way route with no resource limits.
@@ -179,11 +141,10 @@ pub fn kway_partition_ctx(
 ) -> Result<KwayResult, PartitionError> {
     match method {
         KwayMethod::Recursive => kway_recursive_ctx(hg, opts, ctx),
-        KwayMethod::Direct => kway_direct_ctx(hg, opts, ctx),
     }
 }
 
-/// Validated, defaulted inputs shared by both routes.
+/// Validated, defaulted inputs of a k-way run.
 pub(crate) struct Prepared {
     pub(crate) areas: ModuleAreas,
     pub(crate) fixed: FixedModules,
@@ -264,7 +225,7 @@ pub(crate) fn prepare(hg: &Hypergraph, opts: &KwayOptions) -> Result<Prepared, P
     })
 }
 
-/// The exact bipartition pipeline both routes delegate to at `k = 2`:
+/// The exact bipartition pipeline the route delegates to at `k = 2`:
 /// IG-Match plus ratio-objective FM refinement, the same stage sequence
 /// as the workspace's hybrid flow.
 pub(crate) fn hybrid_pipeline(opts: &KwayOptions) -> Pipeline {
@@ -273,46 +234,41 @@ pub(crate) fn hybrid_pipeline(opts: &KwayOptions) -> Pipeline {
         .then(RatioRefineStage::new(opts.max_refine_passes, "IG-Match+FM"))
 }
 
+/// Name of the route, as reported in [`KwayResult::algorithm`].
+pub(crate) const ALGORITHM: &str = "kway-recursive";
+
 /// The `k = 1` trivial partition: everything in block 0, nothing cut.
-pub(crate) fn trivial(hg: &Hypergraph, algorithm: &'static str) -> KwayResult {
+pub(crate) fn trivial(hg: &Hypergraph) -> KwayResult {
     let partition = KwayPartition::with_num_blocks(vec![0u32; hg.num_modules()], 1);
-    KwayResult::evaluate(hg, partition, algorithm)
+    KwayResult::evaluate(hg, partition, ALGORITHM)
 }
 
 /// The `k = 2`, no-pins fast path: run the bipartition pipeline on the
 /// parent context (bit-identical partition, stats and metered spend),
-/// convert via the shim, and touch nothing further unless the balance
-/// bound is actually violated.
+/// convert via the shim, and touch nothing further — no tracker built,
+/// no meter charged — unless a pin or the balance bound is violated.
 pub(crate) fn bipartition_fast_path(
     hg: &Hypergraph,
     opts: &KwayOptions,
     prep: &Prepared,
     ctx: &RunContext<'_>,
-    algorithm: &'static str,
 ) -> Result<KwayResult, PartitionError> {
     let res = hybrid_pipeline(opts).run(hg, None, ctx)?;
     let partition = KwayPartition::from_bipartition(&res.partition);
-    finalize(hg, partition, opts, prep, ctx, algorithm, false)
+    if satisfies_contract(&partition, prep) {
+        return Ok(KwayResult::evaluate(hg, partition, ALGORITHM));
+    }
+    finalize(hg, partition, opts, prep, ctx)
 }
 
-/// Shared final phase: place pins, repair balance, refine, score.
-///
-/// With `polish = false` (the k = 2 fast path) the partition is returned
-/// untouched — no tracker built, no meter charged — unless a pin or the
-/// balance bound is violated, preserving bit-identity with the
-/// bipartition pipeline.
+/// The final phase: place pins, repair balance, refine, score.
 pub(crate) fn finalize(
     hg: &Hypergraph,
     partition: KwayPartition,
     opts: &KwayOptions,
     prep: &Prepared,
     ctx: &RunContext<'_>,
-    algorithm: &'static str,
-    polish: bool,
 ) -> Result<KwayResult, PartitionError> {
-    if !polish && satisfies_contract(&partition, prep) {
-        return Ok(KwayResult::evaluate(hg, partition, algorithm));
-    }
     let mut tracker = KwayCutTracker::new(hg, &partition);
     tracker.set_areas(&prep.areas);
     for (m, b) in prep.fixed.pins() {
@@ -326,7 +282,7 @@ pub(crate) fn finalize(
         opts.max_refine_passes,
         ctx.meter(),
     )?;
-    Ok(KwayResult::evaluate(hg, tracker.to_partition(), algorithm))
+    Ok(KwayResult::evaluate(hg, tracker.to_partition(), ALGORITHM))
 }
 
 fn satisfies_contract(partition: &KwayPartition, prep: &Prepared) -> bool {
@@ -357,12 +313,10 @@ mod tests {
             k: 0,
             ..Default::default()
         };
-        for method in [KwayMethod::Recursive, KwayMethod::Direct] {
-            assert!(matches!(
-                kway_partition(&hg, &opts, method),
-                Err(PartitionError::InvalidInput { .. })
-            ));
-        }
+        assert!(matches!(
+            kway_partition(&hg, &opts, KwayMethod::Recursive),
+            Err(PartitionError::InvalidInput { .. })
+        ));
     }
 
     #[test]
@@ -389,7 +343,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            kway_partition(&hg, &opts, KwayMethod::Direct),
+            kway_partition(&hg, &opts, KwayMethod::Recursive),
             Err(PartitionError::InvalidInput { .. })
         ));
     }
@@ -428,18 +382,38 @@ mod tests {
     }
 
     #[test]
-    fn k1_is_trivial_for_both_methods() {
+    fn k1_is_trivial() {
         let hg = circuit();
         let opts = KwayOptions {
             k: 1,
             ..Default::default()
         };
-        for method in [KwayMethod::Recursive, KwayMethod::Direct] {
-            let out = kway_partition(&hg, &opts, method).unwrap();
-            assert_eq!(out.partition.num_blocks(), 1);
-            assert_eq!(out.stats.cut_nets, 0);
-            assert_eq!(out.stats.block_sizes, vec![hg.num_modules()]);
-        }
+        let out = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
+        assert_eq!(out.partition.num_blocks(), 1);
+        assert_eq!(out.stats.cut_nets, 0);
+        assert_eq!(out.stats.block_sizes, vec![hg.num_modules()]);
+    }
+
+    #[test]
+    fn block_io_statistics_are_consistent() {
+        // crossing nets, the span histogram and per-block externals of a
+        // k-way result agree with each other and with the cut statistics
+        let hg = circuit();
+        let opts = KwayOptions {
+            k: 5,
+            epsilon: 0.5,
+            ..Default::default()
+        };
+        let out = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
+        let p = &out.partition;
+        let crossing = p.crossing_nets(&hg);
+        let hist = p.span_histogram(&hg);
+        assert_eq!(hist[2..].iter().sum::<usize>(), crossing);
+        assert_eq!(hist.iter().sum::<usize>(), hg.num_nets());
+        assert_eq!(crossing, out.stats.cut_nets);
+        let external = p.external_nets_per_block(&hg);
+        assert_eq!(external.len(), 5);
+        assert!(external.iter().all(|&e| e <= crossing));
     }
 
     #[test]

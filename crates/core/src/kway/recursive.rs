@@ -21,8 +21,8 @@
 
 use super::refine::area_cap;
 use super::{
-    bipartition_fast_path, finalize, hybrid_pipeline, prepare, trivial, KwayOptions,
-    KwayPartitioner, KwayResult, Prepared,
+    bipartition_fast_path, finalize, hybrid_pipeline, prepare, trivial, KwayOptions, KwayResult,
+    Prepared,
 };
 use crate::engine::{RunContext, Stage};
 use crate::{PartitionError, PartitionResult};
@@ -30,32 +30,6 @@ use np_netlist::areas::ModuleAreas;
 use np_netlist::induce::induced_subhypergraph;
 use np_netlist::partition::CutTracker;
 use np_netlist::{Bipartition, Hypergraph, KwayPartition, ModuleId, Side};
-
-/// The recursive-bisection route as a reusable unit.
-pub struct KwayRecursiveStage {
-    opts: KwayOptions,
-}
-
-impl KwayRecursiveStage {
-    /// Wraps the options into a stage.
-    pub fn new(opts: KwayOptions) -> Self {
-        KwayRecursiveStage { opts }
-    }
-}
-
-impl KwayPartitioner for KwayRecursiveStage {
-    fn name(&self) -> &'static str {
-        "kway-recursive"
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<KwayResult, PartitionError> {
-        kway_recursive_ctx(hg, &self.opts, ctx)
-    }
-}
 
 /// Runs recursive bisection to `opts.k` balanced blocks.
 ///
@@ -72,16 +46,16 @@ pub fn kway_recursive_ctx(
 ) -> Result<KwayResult, PartitionError> {
     let prep = prepare(hg, opts)?;
     if opts.k == 1 {
-        return Ok(trivial(hg, "kway-recursive"));
+        return Ok(trivial(hg));
     }
     if opts.k == 2 && prep.fixed.pinned_count() == 0 {
-        return bipartition_fast_path(hg, opts, &prep, ctx, "kway-recursive");
+        return bipartition_fast_path(hg, opts, &prep, ctx);
     }
     let mut block_of = vec![0u32; hg.num_modules()];
     let all: Vec<ModuleId> = hg.modules().collect();
     split(hg, &all, 0, opts.k, opts, &prep, ctx, &mut block_of, true)?;
     let partition = KwayPartition::with_num_blocks(block_of, opts.k);
-    finalize(hg, partition, opts, &prep, ctx, "kway-recursive", true)
+    finalize(hg, partition, opts, &prep, ctx)
 }
 
 /// One recursion node: assign blocks `lo .. lo + k_sub` to `modules`.

@@ -23,8 +23,7 @@
 //!   [`Pipeline`]s and [`FallbackChain`]s, sharing one [`RunContext`]
 //!   (budget meter, seed, instrumentation);
 //! * [`kway`] — balanced k-way partitioning with fixed modules, by
-//!   recursive bisection of the hybrid pipeline or by direct multiway
-//!   spectral embedding with seeded k-means rounding.
+//!   recursive bisection of the hybrid pipeline.
 //!
 //! # Quickstart
 //!
@@ -61,7 +60,6 @@ pub mod igmatch;
 pub mod igvote;
 pub mod kway;
 pub mod models;
-pub mod multiway;
 pub mod ordering;
 pub mod placement;
 pub mod robust;
@@ -73,9 +71,7 @@ pub use engine::{
 pub use error::{panic_error, PartitionError};
 pub use igmatch::{ig_match, ig_match_ctx, IgMatchOptions, IgMatchOutcome};
 pub use igvote::{ig_vote, ig_vote_ctx, IgVoteOptions};
-pub use kway::{
-    kway_partition, kway_partition_ctx, KwayMethod, KwayOptions, KwayPartitioner, KwayResult,
-};
+pub use kway::{kway_partition, kway_partition_ctx, KwayMethod, KwayOptions, KwayResult};
 pub use models::IgWeighting;
 pub use result::PartitionResult;
 pub use robust::{

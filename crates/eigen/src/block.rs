@@ -77,8 +77,8 @@ pub fn smallest_deflated_block(
 
 /// [`smallest_deflated_block`] with cooperative budget enforcement: every
 /// operator application charges one matvec to `meter`, so a caller
-/// computing several deflated eigenvectors (the direct multiway spectral
-/// embedding) spends against the same allowance as the rest of its run.
+/// computing several deflated eigenvectors spends against the same
+/// allowance as the rest of its run.
 ///
 /// # Errors
 ///

@@ -444,7 +444,6 @@ pub fn multilevel_kway_ctx(
         fixed: Some(coarse_fixed),
         ig_match: mopts.ig_match,
         max_refine_passes: kopts.max_refine_passes,
-        seed: kopts.seed,
     };
     let coarse = kway_partition_ctx(coarsest_hg, &coarse_opts, KwayMethod::Recursive, ctx)?;
     let coarse_cut = coarse.stats.cut_nets;

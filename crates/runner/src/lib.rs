@@ -72,15 +72,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod kway;
 pub mod presets;
 mod report;
 pub mod trace;
 
-pub use kway::{
-    run_kway_portfolio, KwayAttemptReport, KwayPortfolio, KwayPortfolioError, KwayPortfolioOutcome,
-};
-pub use report::{AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
+pub use report::{escape_json, AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
 pub use trace::{record_attempt_spans, SpanFanIn};
 
 use np_baselines::{fm_bisect_metered, FmOptions};

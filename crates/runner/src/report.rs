@@ -2,7 +2,7 @@
 //!
 //! The JSON writer is hand-rolled (this workspace carries no external
 //! dependencies): the schema is flat, every string passes through
-//! [`json_string`], and non-finite floats serialize as `null`.
+//! [`escape_json`], and non-finite floats serialize as `null`.
 
 use crate::{PortfolioOptions, Slot};
 use std::fmt;
@@ -114,7 +114,7 @@ impl PortfolioReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256 + 192 * self.attempts.len());
         out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_string(REPORT_SCHEMA)));
+        out.push_str(&format!("  \"schema\": {},\n", escape_json(REPORT_SCHEMA)));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!(
@@ -138,8 +138,8 @@ impl PortfolioReport {
             }
             out.push_str("\n    {");
             out.push_str(&format!("\"index\": {}, ", a.index));
-            out.push_str(&format!("\"label\": {}, ", json_string(&a.label)));
-            out.push_str(&format!("\"status\": {}, ", json_string(a.status.as_str())));
+            out.push_str(&format!("\"label\": {}, ", escape_json(&a.label)));
+            out.push_str(&format!("\"status\": {}, ", escape_json(a.status.as_str())));
             out.push_str(&format!(
                 "\"algorithm\": {}, ",
                 json_opt_string(a.algorithm.as_deref())
@@ -209,7 +209,11 @@ pub(crate) fn assemble(
 
 /// JSON string literal with minimal escaping (quotes, backslashes,
 /// control characters).
-fn json_string(s: &str) -> String {
+/// Renders `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters. This is the workspace's
+/// one JSON string escaper: the portfolio report, the `np-serve` wire
+/// frames and the bench records all write strings through it.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -229,7 +233,7 @@ fn json_string(s: &str) -> String {
 
 fn json_opt_string(s: Option<&str>) -> String {
     match s {
-        Some(s) => json_string(s),
+        Some(s) => escape_json(s),
         None => "null".to_string(),
     }
 }
@@ -315,24 +319,13 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"weird \\\"label\\\"\\n\""));
-    }
-
-    #[test]
-    fn json_escapes_adversarial_labels_and_errors() {
         // labels and error strings are caller- (or panic-payload-)
-        // controlled: quotes, backslashes, raw control characters and
-        // path-like backslash runs must all serialize to valid JSON
+        // controlled; the report must stay valid JSON whatever they hold
         let mut r = sample_report();
-        r.attempts[0].label = "evil\"},{\"x\u{0}\u{1f}\\path\tend".into();
         r.attempts[0].status = AttemptStatus::Panicked;
         r.attempts[0].error = Some("panicked at 'boom\nline two'\r\u{7}".into());
         let json = r.to_json();
-        assert!(
-            json.contains("\"evil\\\"},{\\\"x\\u0000\\u001f\\\\path\\tend\""),
-            "{json}"
-        );
+        assert!(json.contains("\"weird \\\"label\\\"\\n\""), "{json}");
         assert!(
             json.contains("\"panicked at 'boom\\nline two'\\r\\u0007\""),
             "{json}"
@@ -340,12 +333,37 @@ mod tests {
         assert!(json.contains("\"status\": \"panicked\""));
         // no raw control character may survive into the output
         assert!(json.chars().all(|c| c == '\n' || (c as u32) >= 0x20));
-        // and the escaping must round-trip: unescape the two strings and
-        // compare against the originals
-        assert_eq!(
-            unescape(r#"evil\"},{\"x\u0000\u001f\\path\tend"#),
-            "evil\"},{\"x\u{0}\u{1f}\\path\tend"
-        );
+    }
+
+    #[test]
+    fn escape_json_table() {
+        // (raw, escaped): quotes, backslashes, raw control characters and
+        // path-like backslash runs are escaped; non-ASCII passes through
+        let table = [
+            ("", r#""""#),
+            ("weird \"label\"\n", r#""weird \"label\"\n""#),
+            (
+                "evil\"},{\"x\u{0}\u{1f}\\path\tend",
+                r#""evil\"},{\"x\u0000\u001f\\path\tend""#,
+            ),
+            (
+                "panicked at 'boom\nline two'\r\u{7}",
+                r#""panicked at 'boom\nline two'\r\u0007""#,
+            ),
+            (
+                "line1\nline2\t\"quoted\" \\ \u{1} caf\u{e9} \u{1F600}",
+                "\"line1\\nline2\\t\\\"quoted\\\" \\\\ \\u0001 caf\u{e9} \u{1F600}\"",
+            ),
+            ("ci\\runner \"eu-1\"", r#""ci\\runner \"eu-1\"""#),
+            ("bm\n\u{1}end", r#""bm\n\u0001end""#),
+        ];
+        for (raw, escaped) in table {
+            let got = escape_json(raw);
+            assert_eq!(got, escaped, "{raw:?}");
+            assert!(got.chars().all(|c| (c as u32) >= 0x20), "{got}");
+            // the escaping round-trips
+            assert_eq!(unescape(&got[1..got.len() - 1]), raw);
+        }
     }
 
     /// Minimal JSON string unescaper for the round-trip assertion (the

@@ -334,25 +334,10 @@ impl Parser<'_> {
     }
 }
 
-/// Renders `value` as a JSON string literal (quotes included), escaping
-/// quotes, backslashes and control characters.
-pub fn escape(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// Renders a string as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters. The workspace's one
+/// escaper, shared with the portfolio report.
+pub use np_runner::escape_json as escape;
 
 /// An incrementally built single-line JSON object (the response frame
 /// shape). Values added through the typed methods are escaped/rendered

@@ -115,7 +115,7 @@ pub struct Request {
     pub target_ratio: Option<f64>,
     /// Number of blocks; `None` or `Some(2)` is the classic bipartition
     /// path (identical frames to older clients). `k > 2` switches the
-    /// request onto the k-way portfolio and the result frame carries a
+    /// request onto the k-way route and the result frame carries a
     /// `blocks` array instead of the `partition` digit string.
     pub k: Option<usize>,
     /// Balance slack ε for k-way requests: every block must hold at most

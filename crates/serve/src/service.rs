@@ -52,15 +52,15 @@ use np_core::engine::trace::{SpanKind, SpanRing};
 use np_core::engine::RunContext;
 use np_core::engine::{BoxedStage, StageEvent, DEFAULT_SEED};
 use np_core::{
-    Eig1Options, IgMatchOptions, IgVoteOptions, KwayOptions, PartitionError, PartitionResult,
+    kway_partition_ctx, Eig1Options, IgMatchOptions, IgVoteOptions, KwayMethod, KwayOptions,
+    PartitionError, PartitionResult,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
 use np_netlist::Side;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
-    run_kway_portfolio, run_portfolio_cached, KwayPortfolio, Portfolio, PortfolioEvent,
-    PortfolioOptions, RandomStartFmStage,
+    run_portfolio_cached, Portfolio, PortfolioEvent, PortfolioOptions, RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -444,8 +444,8 @@ impl Service {
         let compute_start = Instant::now();
         let mut retries_done = 0u64;
 
-        // ---- k > 2: the k-way portfolio route (its own tiers do not
-        // apply — the recursive attempt is already the insurance) ----
+        // ---- k > 2: the k-way route (the bipartition tiers do not
+        // apply) ----
         if let Some(k) = request.k.filter(|&k| k > 2) {
             return self.execute_kway(
                 request,
@@ -700,11 +700,10 @@ impl Service {
         }
     }
 
-    /// Runs a `k > 2` request through the k-way method race (recursive
-    /// bisection + seed-jittered direct spectral attempts) and renders
-    /// its terminal frame. The race already contains its own fallback
-    /// diversity, so the bipartition tier ladder does not apply; the
-    /// deadline and budget still bound the shared meter.
+    /// Runs a `k > 2` request through recursive bisection under the
+    /// request's wall-clock meter and renders its terminal frame. The
+    /// route is seed-independent, so `restarts` does not apply; the outer
+    /// `catch_unwind` in [`Service::handle_line`] isolates panics.
     #[allow(clippy::too_many_arguments)]
     fn execute_kway(
         &self,
@@ -732,30 +731,21 @@ impl Service {
         let Some(wall) = self.remaining_wall(request, deadline, compute_start) else {
             return proto::error_frame(
                 &request.id,
-                "deadline expired before the k-way portfolio could start",
+                "deadline expired before the k-way route could start",
             );
         };
-        let seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
         let mut opts = KwayOptions {
             k,
-            seed,
             ..Default::default()
         };
         if let Some(eps) = request.epsilon {
             opts.epsilon = eps;
         }
-        let portfolio = KwayPortfolio::methods(&opts, restarts.saturating_sub(1));
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
-        let popts = PortfolioOptions {
-            threads: 1,
-            seed,
-            target_ratio: request.target_ratio,
-        };
-        match run_kway_portfolio(&cached.hypergraph, &portfolio, &popts, &meter) {
+        let ctx = RunContext::with_meter(&meter).with_seed(request.seed.unwrap_or(DEFAULT_SEED));
+        match kway_partition_ctx(&cached.hypergraph, &opts, KwayMethod::Recursive, &ctx) {
             Ok(out) => {
                 let blocks: Vec<String> = out
-                    .best
                     .partition
                     .labels()
                     .iter()
@@ -765,11 +755,11 @@ impl Service {
                     .str("id", &request.id)
                     .str("frame", "result")
                     .bool("degraded", false)
-                    .str("tier", "kway-race")
-                    .str("algorithm", out.best.algorithm)
+                    .str("tier", "kway")
+                    .str("algorithm", out.algorithm)
                     .int("k", k as u64)
-                    .int("cut", out.best.stats.cut_nets as u64)
-                    .num("ratio", out.best.stats.ratio())
+                    .int("cut", out.stats.cut_nets as u64)
+                    .num("ratio", out.stats.ratio())
                     .raw("blocks", format!("[{}]", blocks.join(",")))
                     .bool("cache_hit", cache_hit)
                     .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
@@ -863,7 +853,6 @@ impl Service {
         let seed = request.seed.unwrap_or(DEFAULT_SEED);
         let mut kopts = KwayOptions {
             k,
-            seed,
             ..Default::default()
         };
         if let Some(eps) = request.epsilon {
@@ -1251,28 +1240,44 @@ mod tests {
 
     #[test]
     fn kway_request_returns_a_blocks_array() {
-        let svc = Service::new(ServeConfig::default());
-        let frames = collect(
-            &svc,
-            &request_line("k4", r#","k":4,"epsilon":0.5,"restarts":2"#),
-        );
-        assert_eq!(frames.len(), 1, "{frames:?}");
-        let doc = crate::json::parse(&frames[0]).unwrap();
-        assert_eq!(doc.get("frame").and_then(|v| v.as_str()), Some("result"));
-        assert_eq!(doc.get("degraded").and_then(|v| v.as_bool()), Some(false));
-        assert_eq!(doc.get("k").and_then(|v| v.as_u64()), Some(4));
-        let blocks = match doc.get("blocks") {
-            Some(crate::json::Value::Array(items)) => items.clone(),
-            other => panic!("expected blocks array, got {other:?}"),
+        // the served blocks and cut are the library route's on the same
+        // parsed netlist, whatever `restarts` asks for
+        let hg = np_netlist::io::parse_hgr(&small_hgr()).unwrap();
+        let opts = KwayOptions {
+            k: 4,
+            epsilon: 0.5,
+            ..Default::default()
         };
-        assert_eq!(blocks.len(), 48, "one label per module");
-        let labels: Vec<u64> = blocks.iter().map(|v| v.as_u64().unwrap()).collect();
-        assert!(labels.iter().all(|&b| b < 4));
-        for b in 0..4 {
-            assert!(labels.contains(&b), "block {b} must be non-empty");
+        let expected =
+            kway_partition_ctx(&hg, &opts, KwayMethod::Recursive, &RunContext::unlimited())
+                .unwrap();
+        for restarts in [1, 3] {
+            let svc = Service::new(ServeConfig::default());
+            let extra = format!(r#","k":4,"epsilon":0.5,"restarts":{restarts}"#);
+            let frames = collect(&svc, &request_line("k4", &extra));
+            assert_eq!(frames.len(), 1, "{frames:?}");
+            let doc = crate::json::parse(&frames[0]).unwrap();
+            assert_eq!(doc.get("frame").and_then(|v| v.as_str()), Some("result"));
+            assert_eq!(doc.get("degraded").and_then(|v| v.as_bool()), Some(false));
+            assert_eq!(doc.get("tier").and_then(|v| v.as_str()), Some("kway"));
+            assert_eq!(doc.get("k").and_then(|v| v.as_u64()), Some(4));
+            let blocks = match doc.get("blocks") {
+                Some(crate::json::Value::Array(items)) => items.clone(),
+                other => panic!("expected blocks array, got {other:?}"),
+            };
+            assert_eq!(blocks.len(), 48, "one label per module");
+            let labels: Vec<u32> = blocks.iter().map(|v| v.as_u64().unwrap() as u32).collect();
+            assert_eq!(labels, expected.partition.labels(), "restarts={restarts}");
+            assert_eq!(
+                doc.get("cut").and_then(|v| v.as_u64()),
+                Some(expected.stats.cut_nets as u64)
+            );
+            for b in 0..4 {
+                assert!(labels.contains(&b), "block {b} must be non-empty");
+            }
+            assert!(doc.get("partition").is_none(), "k-way frames carry blocks");
+            assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
         }
-        assert!(doc.get("partition").is_none(), "k-way frames carry blocks");
-        assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -3,43 +3,44 @@
 //! (layout synthesis, hardware simulation and test all consume multi-block
 //! decompositions).
 //!
-//! Uses [`np_core::multiway`] to split a suite circuit into blocks and
-//! reports the block structure, the number of nets multiplexed between
-//! blocks, and the per-block external-net counts driving test-vector
-//! cost.
+//! Uses the balanced k-way route ([`ig_match_repro::core::kway`]) to split
+//! a suite circuit into `k` blocks and reports the block structure, the
+//! number of nets multiplexed between blocks, and the per-block
+//! external-net counts driving test-vector cost.
 //!
 //! ```text
-//! cargo run --release --example multiway [benchmark-name] [max-block-size]
+//! cargo run --release --example multiway [benchmark-name] [k]
 //! ```
 
-use ig_match_repro::core::multiway::{recursive_ig_match, MultiwayOptions};
+use ig_match_repro::core::kway::{kway_partition, KwayMethod, KwayOptions};
 use ig_match_repro::netlist::generate::mcnc_benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "Test02".into());
-    let max_block: usize = std::env::args()
-        .nth(2)
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(256);
     let b = mcnc_benchmark(&name)
         .ok_or_else(|| format!("unknown benchmark '{name}' (try Prim2, Test05, ...)"))?;
     let hg = &b.hypergraph;
+    // default: blocks of about 200 modules
+    let k: usize = std::env::args()
+        .nth(2)
+        .map(|s| s.parse())
+        .transpose()?
+        .unwrap_or_else(|| hg.num_modules().div_ceil(200));
 
-    let mw = recursive_ig_match(
-        hg,
-        &MultiwayOptions {
-            max_block_size: max_block,
-            ..Default::default()
-        },
-    )?;
+    let opts = KwayOptions {
+        k,
+        ..Default::default()
+    };
+    let out = kway_partition(hg, &opts, KwayMethod::Recursive)?;
+    let mw = &out.partition;
 
     println!(
-        "{}: {} modules, {} nets -> {} blocks (max size {max_block})",
+        "{}: {} modules, {} nets -> {} blocks ({})",
         b.name,
         hg.num_modules(),
         hg.num_nets(),
-        mw.num_blocks()
+        mw.num_blocks(),
+        out.stats
     );
     let mut sizes = mw.block_sizes();
     sizes.sort_unstable_by(|a, b| b.cmp(a));

@@ -12,7 +12,6 @@
 //!                   [--restarts N] [--threads T] [--seed S]
 //!                   [--target-ratio X] [--report-json FILE]
 //!                   [--k K] [--epsilon E] [--fixed FIX_FILE]
-//!                   [--kway-method recursive|direct|race]
 //!                   [--output PART_FILE] [--table]
 //! ```
 //!
@@ -20,20 +19,20 @@
 //! V-cycle instead of a flat algorithm: coarsen to `--coarsen-target`
 //! modules (default 3000) over at most `--max-levels` levels, partition
 //! the coarsest level with the hybrid IG-Match pipeline, then project
-//! and refine back up. It composes with every mode: single-run,
-//! portfolio (`--restarts`, each attempt reseeding the coarsest
-//! eigensolve) and k-way (`--k K`, carrying `--fixed` pins through the
-//! contraction). With `--coarsen-target` at or above the module count
-//! the V-cycle is bit-identical to `--algorithm hybrid`.
+//! and refine back up. It composes with each of the three modes:
+//! single-run, portfolio (`--restarts`, each attempt reseeding the
+//! coarsest eigensolve) and k-way (`--k K`, carrying `--fixed` pins
+//! through the contraction). With `--coarsen-target` at or above the
+//! module count the V-cycle is bit-identical to `--algorithm hybrid`.
 //!
 //! `--k K` (with `K != 2`) or `--fixed FILE` switches to **k-way mode**:
 //! the netlist is split into `K` blocks, each within `(1+ε)·total/K` of
 //! the average area (`--epsilon E`, default 0.1), honouring the hMETIS
 //! `.fix`-format pre-assignments in `FIX_FILE` (one line per module:
-//! a block id, or `-1` for free). `--kway-method` picks recursive
-//! bisection (default), the direct spectral embedding, or a `race` of
-//! both over the portfolio pool; `--output` then writes one block id per
-//! module line.
+//! a block id, or `-1` for free), by recursive bisection; `--output`
+//! then writes one block id per module line. K-way mode is a single run
+//! and takes no portfolio flag: `--restarts`, `--target-ratio` and
+//! `--report-json` are rejected together with it.
 //!
 //! Every algorithm is an engine [`Stage`](ig_match_repro::Stage) assembled from the CLI flags
 //! and run against one shared [`RunContext`], so `--budget-ms` (a
@@ -70,17 +69,14 @@ use ig_match_repro::core::engine::stages::{
     Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage, RobustStage,
 };
 use ig_match_repro::core::engine::DEFAULT_SEED;
-use ig_match_repro::core::kway::{
-    kway_partition_ctx, KwayDirectStage, KwayMethod, KwayOptions, KwayRecursiveStage,
-};
+use ig_match_repro::core::kway::{kway_partition_ctx, KwayMethod, KwayOptions};
 use ig_match_repro::hybrid::{hybrid_pipeline, HybridOptions};
 use ig_match_repro::netlist::io::read_hgr;
 use ig_match_repro::netlist::rng::derive_seed;
 use ig_match_repro::netlist::stats::{CutBySize, NetlistSummary};
 use ig_match_repro::netlist::{FixedModules, KwayPartition};
 use ig_match_repro::runner::{
-    run_kway_portfolio, run_portfolio, KwayPortfolio, Portfolio, PortfolioEvent, PortfolioOptions,
-    RandomStartFmStage,
+    run_portfolio, Portfolio, PortfolioEvent, PortfolioOptions, RandomStartFmStage,
 };
 use ig_match_repro::sparse::{Budget, BudgetMeter};
 use ig_match_repro::{
@@ -110,7 +106,6 @@ struct Args {
     k: usize,
     epsilon: f64,
     fixed: Option<String>,
-    kway_method: String,
     multilevel: bool,
     coarsen_target: Option<usize>,
     max_levels: Option<usize>,
@@ -139,7 +134,6 @@ const USAGE: &str =
                      [--restarts N] [--threads T] [--seed S] \
                      [--target-ratio X] [--report-json FILE] \
                      [--k K] [--epsilon E] [--fixed FIX_FILE] \
-                     [--kway-method recursive|direct|race] \
                      [--output FILE] [--table]";
 
 fn parse_args<I>(args: I) -> Result<Args, String>
@@ -162,7 +156,6 @@ where
     let mut k = 2usize;
     let mut epsilon = 0.1f64;
     let mut fixed = None;
-    let mut kway_method = "recursive".to_string();
     let mut multilevel = false;
     let mut coarsen_target = None;
     let mut max_levels = None;
@@ -248,13 +241,6 @@ where
             "--fixed" => {
                 fixed = Some(iter.next().ok_or("--fixed needs a value")?);
             }
-            "--kway-method" => {
-                let v = iter.next().ok_or("--kway-method needs a value")?;
-                if !["recursive", "direct", "race"].contains(&v.as_str()) {
-                    return Err(format!("unknown k-way method '{v}'\n{USAGE}"));
-                }
-                kway_method = v;
-            }
             "--multilevel" => multilevel = true,
             "--coarsen-target" => {
                 let v = iter.next().ok_or("--coarsen-target needs a value")?;
@@ -280,7 +266,7 @@ where
             other => return Err(format!("unexpected argument '{other}'\n{USAGE}")),
         }
     }
-    Ok(Args {
+    let args = Args {
         input: input.ok_or(USAGE)?,
         algorithm,
         weighting,
@@ -297,11 +283,24 @@ where
         k,
         epsilon,
         fixed,
-        kway_method,
         multilevel,
         coarsen_target,
         max_levels,
-    })
+    };
+    if args.kway_mode() {
+        for (flag, set) in [
+            ("--restarts", args.restarts.is_some()),
+            ("--target-ratio", args.target_ratio.is_some()),
+            ("--report-json", args.report_json.is_some()),
+        ] {
+            if set {
+                return Err(format!(
+                    "{flag} does not combine with k-way mode (--k K != 2 or --fixed)"
+                ));
+            }
+        }
+    }
+    Ok(args)
 }
 
 /// Resolves `--budget-ms` into a [`Budget`]; `None` means unlimited.
@@ -535,7 +534,6 @@ fn kway_options_for(args: &Args, num_modules: usize) -> Result<KwayOptions, Stri
             refine_free_modules: args.refine,
             ..Default::default()
         },
-        seed: args.seed,
         ..Default::default()
     })
 }
@@ -548,10 +546,10 @@ fn run_kway_mode(
     meter: &BudgetMeter,
 ) -> Result<(), String> {
     let opts = kway_options_for(args, hg.num_modules())?;
-    let (label, result): (String, _) = if args.multilevel {
-        let ctx = RunContext::with_meter(meter)
-            .with_seed(args.seed)
-            .with_threads(args.threads.unwrap_or(1));
+    let ctx = RunContext::with_meter(meter)
+        .with_seed(args.seed)
+        .with_threads(args.threads.unwrap_or(1));
+    let (label, result) = if args.multilevel {
         let mopts = multilevel_options_for(args);
         let out = multilevel_kway_ctx(hg, &opts, &mopts, &ctx).map_err(|e| e.to_string())?;
         eprintln!(
@@ -565,46 +563,11 @@ fn run_kway_mode(
                 ""
             }
         );
-        (out.result.algorithm.to_string(), out.result)
-    } else if args.kway_method == "race" || args.portfolio_mode() {
-        let portfolio = match args.kway_method.as_str() {
-            "race" => KwayPortfolio::methods(&opts, args.restarts.unwrap_or(2)),
-            "direct" => {
-                let mut p = KwayPortfolio::new();
-                for i in 0..args.restarts.unwrap_or(1) {
-                    let mut o = opts.clone();
-                    o.seed = derive_seed(args.seed, i as u64);
-                    p = p.attempt(format!("direct#{i}"), KwayDirectStage::new(o));
-                }
-                p
-            }
-            _ => KwayPortfolio::new().attempt("recursive", KwayRecursiveStage::new(opts.clone())),
-        };
-        let popts = PortfolioOptions {
-            threads: args.threads.unwrap_or(0),
-            seed: args.seed,
-            target_ratio: None,
-        };
-        let out = run_kway_portfolio(hg, &portfolio, &popts, meter).map_err(|e| e.to_string())?;
-        for a in &out.attempts {
-            match (&a.ratio, &a.error) {
-                (Some(r), _) => eprintln!("  {}: kratio {r:.3e}", a.label),
-                (None, Some(e)) => eprintln!("  {}: failed: {e}", a.label),
-                (None, None) => eprintln!("  {}: skipped", a.label),
-            }
-        }
-        (format!("kway-race[{}]", out.best.algorithm), out.best)
+        (out.result.algorithm, out.result)
     } else {
-        let method = if args.kway_method == "direct" {
-            KwayMethod::Direct
-        } else {
-            KwayMethod::Recursive
-        };
-        let ctx = RunContext::with_meter(meter)
-            .with_seed(args.seed)
-            .with_threads(args.threads.unwrap_or(1));
-        let out = kway_partition_ctx(hg, &opts, method, &ctx).map_err(|e| e.to_string())?;
-        (out.algorithm.to_string(), out)
+        let out = kway_partition_ctx(hg, &opts, KwayMethod::Recursive, &ctx)
+            .map_err(|e| e.to_string())?;
+        (out.algorithm, out)
     };
     println!("{label}: {}", result.stats);
     if let Some(path) = &args.output {
@@ -881,14 +844,11 @@ mod tests {
             "0.25",
             "--fixed",
             "pins.fix",
-            "--kway-method",
-            "direct",
         ])
         .unwrap();
         assert_eq!(a.k, 4);
         assert_eq!(a.epsilon, 0.25);
         assert_eq!(a.fixed.as_deref(), Some("pins.fix"));
-        assert_eq!(a.kway_method, "direct");
         assert!(a.kway_mode());
     }
 
@@ -909,9 +869,30 @@ mod tests {
             .contains("at least 1"));
         assert!(parse(&["x.hgr", "--epsilon", "-0.1"]).is_err());
         assert!(parse(&["x.hgr", "--epsilon", "nan"]).is_err());
-        assert!(parse(&["x.hgr", "--kway-method", "magic"])
-            .unwrap_err()
-            .contains("unknown k-way method"));
+    }
+
+    #[test]
+    fn portfolio_flags_rejected_in_kway_mode() {
+        for flag in [
+            &["--restarts", "4"][..],
+            &["--target-ratio", "0.5"][..],
+            &["--report-json", "r.json"][..],
+        ] {
+            for mode in [&["--k", "4"][..], &["--fixed", "p.fix"][..]] {
+                // either order: the check runs after every flag is read
+                for args in [[flag, mode].concat(), [mode, flag].concat()] {
+                    let argv: Vec<&str> = std::iter::once("x.hgr").chain(args).collect();
+                    let err = parse(&argv).unwrap_err();
+                    assert!(err.contains(flag[0]), "{argv:?}: {err}");
+                    assert!(err.contains("k-way"), "{argv:?}: {err}");
+                    assert!(!err.contains('\n'), "one-line error: {err}");
+                }
+            }
+        }
+        // --k 2 without --fixed is bipartition mode, where they belong
+        assert!(parse(&["x.hgr", "--k", "2", "--restarts", "4"])
+            .unwrap()
+            .portfolio_mode());
     }
 
     #[test]

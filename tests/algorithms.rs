@@ -5,7 +5,6 @@
 use ig_match_repro::core::bounds::ratio_cut_lower_bound;
 use ig_match_repro::core::cluster::{clustered_ig_match, ClusterOptions};
 use ig_match_repro::core::eig1::spectral_bisect;
-use ig_match_repro::core::multiway::{recursive_ig_match, MultiwayOptions};
 use ig_match_repro::core::placement::module_placement;
 use ig_match_repro::hybrid::{ig_match_refined, HybridOptions};
 use ig_match_repro::netlist::areas::{area_cut_stats, ModuleAreas};
@@ -99,26 +98,6 @@ fn bisection_is_balanced() {
         let hg = arb_circuit(g);
         let r = spectral_bisect(&hg, 0.0, &Eig1Options::default()).unwrap();
         assert!(r.stats.left.abs_diff(r.stats.right) <= 3);
-    });
-}
-
-#[test]
-fn multiway_blocks_cover_and_fit() {
-    check_cases(24, 0xA105, |g| {
-        let hg = arb_circuit(g);
-        let budget = (hg.num_modules() / 3).max(8);
-        let mw = recursive_ig_match(
-            &hg,
-            &MultiwayOptions {
-                max_block_size: budget,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let sizes = mw.block_sizes();
-        assert_eq!(sizes.iter().sum::<usize>(), hg.num_modules());
-        assert!(sizes.iter().all(|&s| s <= budget));
-        assert!(mw.crossing_nets(&hg) <= hg.num_nets());
     });
 }
 

@@ -1,13 +1,13 @@
 //! Property suite for the balanced k-way engine (DESIGN.md §13).
 //!
-//! Four invariants, checked over random small instances and both k-way
-//! routes (recursive bisection and direct multiway spectral):
+//! Four invariants, checked over random small instances on the
+//! recursive-bisection route:
 //!
 //! * **balance** — every block's area stays within
 //!   `(1+ε)·total/k` and no block is empty;
 //! * **fixed modules** — a pinned module is on its block in every
 //!   returned partition;
-//! * **k = 2 bit-identity** — both routes at `k = 2` with no pins match
+//! * **k = 2 bit-identity** — the route at `k = 2` with no pins matches
 //!   the bipartition hybrid pipeline exactly: same labels, same cut
 //!   statistics, same metered spend, at 1, 2 and 8 threads;
 //! * **oracle agreement** — the reported cut and per-block external
@@ -15,8 +15,8 @@
 //!   no code with the incremental trackers.
 
 use ig_match_repro::core::engine::stages::{IgMatchStage, RatioRefineStage};
-use ig_match_repro::core::engine::{Pipeline, RunContext, Stage};
-use ig_match_repro::core::kway::{kway_partition, KwayMethod, KwayOptions};
+use ig_match_repro::core::engine::{Pipeline, RunContext, Stage, DEFAULT_SEED};
+use ig_match_repro::core::kway::{kway_partition, kway_partition_ctx, KwayMethod, KwayOptions};
 use ig_match_repro::core::{IgMatchOptions, PartitionError};
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::netlist::{balance_bound, KwayPartition};
@@ -24,8 +24,6 @@ use ig_match_repro::{Budget, BudgetMeter};
 use np_testkit::{
     check_cases, kway_reference_cut, kway_reference_externals, pinned_instance, small_hypergraph,
 };
-
-const METHODS: [KwayMethod; 2] = [KwayMethod::Recursive, KwayMethod::Direct];
 
 /// Errors a random small instance may legitimately raise: the draw can
 /// be too small, too degenerate or genuinely infeasible for the asked
@@ -53,23 +51,21 @@ fn every_block_stays_within_the_balance_bound() {
             ..Default::default()
         };
         let bound = balance_bound(n as f64, k, epsilon);
-        for method in METHODS {
-            match kway_partition(&hg, &opts, method) {
-                Ok(out) => {
-                    assert_eq!(out.partition.num_blocks(), k);
-                    let sizes = out.partition.block_sizes();
-                    assert_eq!(sizes.len(), k);
-                    for (b, &size) in sizes.iter().enumerate() {
-                        assert!(size >= 1, "block {b} is empty ({method:?})");
-                        assert!(
-                            size as f64 <= bound * (1.0 + 1e-9) + 1e-9,
-                            "block {b} holds {size} > bound {bound} ({method:?})"
-                        );
-                    }
+        match kway_partition(&hg, &opts, KwayMethod::Recursive) {
+            Ok(out) => {
+                assert_eq!(out.partition.num_blocks(), k);
+                let sizes = out.partition.block_sizes();
+                assert_eq!(sizes.len(), k);
+                for (b, &size) in sizes.iter().enumerate() {
+                    assert!(size >= 1, "block {b} is empty");
+                    assert!(
+                        size as f64 <= bound * (1.0 + 1e-9) + 1e-9,
+                        "block {b} holds {size} > bound {bound}"
+                    );
                 }
-                Err(e) if acceptable(&e) => {}
-                Err(e) => panic!("unexpected error from {method:?}: {e}"),
             }
+            Err(e) if acceptable(&e) => {}
+            Err(e) => panic!("unexpected error: {e}"),
         }
     });
 }
@@ -85,20 +81,18 @@ fn pinned_modules_never_move() {
             fixed: Some(fixed.clone()),
             ..Default::default()
         };
-        for method in METHODS {
-            match kway_partition(&hg, &opts, method) {
-                Ok(out) => {
-                    for (m, b) in fixed.pins() {
-                        assert_eq!(
-                            out.partition.block_of(m),
-                            b,
-                            "pinned module {m:?} moved off block {b} ({method:?})"
-                        );
-                    }
+        match kway_partition(&hg, &opts, KwayMethod::Recursive) {
+            Ok(out) => {
+                for (m, b) in fixed.pins() {
+                    assert_eq!(
+                        out.partition.block_of(m),
+                        b,
+                        "pinned module {m:?} moved off block {b}"
+                    );
                 }
-                Err(e) if acceptable(&e) => {}
-                Err(e) => panic!("unexpected error from {method:?}: {e}"),
             }
+            Err(e) if acceptable(&e) => {}
+            Err(e) => panic!("unexpected error: {e}"),
         }
     });
 }
@@ -114,24 +108,22 @@ fn reported_cut_matches_the_brute_force_oracle() {
             epsilon: 1.0,
             ..Default::default()
         };
-        for method in METHODS {
-            match kway_partition(&hg, &opts, method) {
-                Ok(out) => {
-                    let labels = out.partition.labels();
-                    assert_eq!(
-                        out.stats.cut_nets,
-                        kway_reference_cut(&hg, labels),
-                        "reported cut diverges from the oracle ({method:?})"
-                    );
-                    let (_, external) = kway_reference_externals(&hg, labels, k);
-                    assert_eq!(
-                        out.stats.external, external,
-                        "per-block external counts diverge ({method:?})"
-                    );
-                }
-                Err(e) if acceptable(&e) => {}
-                Err(e) => panic!("unexpected error from {method:?}: {e}"),
+        match kway_partition(&hg, &opts, KwayMethod::Recursive) {
+            Ok(out) => {
+                let labels = out.partition.labels();
+                assert_eq!(
+                    out.stats.cut_nets,
+                    kway_reference_cut(&hg, labels),
+                    "reported cut diverges from the oracle"
+                );
+                let (_, external) = kway_reference_externals(&hg, labels, k);
+                assert_eq!(
+                    out.stats.external, external,
+                    "per-block external counts diverge"
+                );
             }
+            Err(e) if acceptable(&e) => {}
+            Err(e) => panic!("unexpected error: {e}"),
         }
     });
 }
@@ -150,7 +142,7 @@ fn k2_paths_are_bit_identical_to_the_bipartition_pipeline() {
         // the reference: the bipartition hybrid pipeline, run directly
         let reference_meter = BudgetMeter::new(&Budget::default());
         let ctx = RunContext::with_meter(&reference_meter)
-            .with_seed(opts.seed)
+            .with_seed(DEFAULT_SEED)
             .with_threads(threads);
         let reference = Pipeline::named("IG-Match+FM")
             .then(IgMatchStage::new(IgMatchOptions::default()))
@@ -160,41 +152,43 @@ fn k2_paths_are_bit_identical_to_the_bipartition_pipeline() {
         let expected = KwayPartition::from_bipartition(&reference.partition);
         let expected_spend = reference_meter.matvecs_used();
 
-        for method in METHODS {
-            let meter = BudgetMeter::new(&Budget::default());
-            let ctx = RunContext::with_meter(&meter)
-                .with_seed(opts.seed)
-                .with_threads(threads);
-            let out = ig_match_repro::core::kway::kway_partition_ctx(&hg, &opts, method, &ctx)
-                .expect("k-way route partitions the instance");
-            assert_eq!(
-                out.partition.labels(),
-                expected.labels(),
-                "{method:?} diverged from the bipartition pipeline at {threads} threads"
-            );
-            assert_eq!(out.stats.cut_nets, reference.stats.cut_nets);
-            assert_eq!(
-                meter.matvecs_used(),
-                expected_spend,
-                "{method:?} metered spend diverged at {threads} threads"
-            );
-        }
+        let meter = BudgetMeter::new(&Budget::default());
+        let ctx = RunContext::with_meter(&meter)
+            .with_seed(DEFAULT_SEED)
+            .with_threads(threads);
+        let out = kway_partition_ctx(&hg, &opts, KwayMethod::Recursive, &ctx)
+            .expect("k-way route partitions the instance");
+        assert_eq!(
+            out.partition.labels(),
+            expected.labels(),
+            "diverged from the bipartition pipeline at {threads} threads"
+        );
+        assert_eq!(out.stats.cut_nets, reference.stats.cut_nets);
+        assert_eq!(
+            meter.matvecs_used(),
+            expected_spend,
+            "metered spend diverged at {threads} threads"
+        );
     }
 }
 
 #[test]
-fn both_methods_are_deterministic() {
+fn the_route_is_deterministic() {
     let hg = generate(&GeneratorConfig::new(150, 160, 0xD17));
     let opts = KwayOptions {
         k: 4,
         epsilon: 0.5,
         ..Default::default()
     };
-    for method in METHODS {
-        let a = kway_partition(&hg, &opts, method).unwrap();
-        let b = kway_partition(&hg, &opts, method).unwrap();
-        assert_eq!(a.partition, b.partition, "{method:?} is nondeterministic");
-        assert_eq!(a.stats, b.stats);
+    let a = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
+    let b = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
+    assert_eq!(a.partition, b.partition, "the route is nondeterministic");
+    assert_eq!(a.stats, b.stats);
+    for threads in [1usize, 2, 8] {
+        let meter = BudgetMeter::new(&Budget::default());
+        let ctx = RunContext::with_meter(&meter).with_threads(threads);
+        let c = kway_partition_ctx(&hg, &opts, KwayMethod::Recursive, &ctx).unwrap();
+        assert_eq!(a.partition, c.partition, "diverged at {threads} threads");
     }
 }
 

@@ -23,9 +23,7 @@ use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_
 use ig_match_repro::core::IgWeighting;
 use ig_match_repro::eigen::{fiedler, LanczosOptions};
 use ig_match_repro::netlist::generate::mcnc_benchmark;
-use ig_match_repro::sparse::{
-    shard_ranges, vecops, BudgetMeter, CsrMatrix, Laplacian, LinearOperator as _,
-};
+use ig_match_repro::sparse::{shard_ranges, vecops, BudgetMeter, Laplacian, LinearOperator as _};
 use np_testkit::{check_cases, degenerate_hypergraph};
 use std::sync::Arc;
 
@@ -130,45 +128,27 @@ fn rand_vec(seed: u64, n: usize) -> Vec<f64> {
 }
 
 #[test]
-fn blocked_spmv_bit_identical_to_reference_across_thread_counts() {
+fn sharded_spmv_bit_identical_to_reference_across_thread_counts() {
     let hg = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
     let a = clique_adjacency(&hg);
     let n = a.dim();
     let x = rand_vec(0xB10C, n);
     let mut reference = vec![0.0; n];
-    a.apply_rows_unblocked(0, &x, &mut reference);
-    // The cache-blocked kernel must agree bit-for-bit at every block
-    // width, including widths far below the dispatch threshold.
-    for block in [1, 7, 64, 1000, CsrMatrix::SPMV_BLOCK_COLS] {
+    a.apply(&x, &mut reference);
+    // Row-sharded application (the threaded operators' shape) agrees
+    // with the whole-range product at every thread count.
+    for threads in THREAD_COUNTS {
         let mut out = vec![f64::NAN; n];
-        a.apply_rows_blocked(0, &x, &mut out, block);
+        for (lo, hi) in shard_ranges(n, threads) {
+            a.apply_rows(lo, &x, &mut out[lo..hi]);
+        }
         assert!(
             reference
                 .iter()
                 .zip(&out)
                 .all(|(p, q)| p.to_bits() == q.to_bits()),
-            "blocked SpMV differs from the straight loop at block width {block}"
+            "sharded SpMV differs at {threads} threads"
         );
-    }
-    // Row-sharded application (the threaded operators' shape) agrees at
-    // every thread count, blocked or not.
-    for threads in THREAD_COUNTS {
-        for block in [None, Some(64), Some(CsrMatrix::SPMV_BLOCK_COLS)] {
-            let mut out = vec![f64::NAN; n];
-            for (lo, hi) in shard_ranges(n, threads) {
-                match block {
-                    None => a.apply_rows(lo, &x, &mut out[lo..hi]),
-                    Some(b) => a.apply_rows_blocked(lo, &x, &mut out[lo..hi], b),
-                }
-            }
-            assert!(
-                reference
-                    .iter()
-                    .zip(&out)
-                    .all(|(p, q)| p.to_bits() == q.to_bits()),
-                "sharded SpMV differs at {threads} threads (block {block:?})"
-            );
-        }
     }
 }
 
