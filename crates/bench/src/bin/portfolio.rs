@@ -9,9 +9,8 @@
 //! ```
 
 use bench::{suite, BenchEntry, BenchReport};
-use np_baselines::FmOptions;
-use np_runner::presets::fm_restarts;
-use np_runner::{run_portfolio, PortfolioOptions};
+use np_core::IgMatchOptions;
+use np_runner::{run_portfolio, Algorithm, PortfolioOptions};
 use np_sparse::BudgetMeter;
 
 /// Restart count tracked by the benchmark (ISSUE PR 3, satellite 5).
@@ -25,7 +24,7 @@ fn main() {
     report.meta("algorithm", "FM-restart");
     for b in suite() {
         let hg = &b.hypergraph;
-        let portfolio = fm_restarts(RESTARTS, &FmOptions::default());
+        let portfolio = Algorithm::Fm.portfolio(IgMatchOptions::default(), RESTARTS, 0);
         let opts = PortfolioOptions::default();
         let out = run_portfolio(hg, &portfolio, &opts, &BudgetMeter::unlimited(), None)
             .unwrap_or_else(|e| panic!("portfolio failed on {}: {e}", b.name));

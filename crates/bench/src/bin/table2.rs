@@ -14,8 +14,7 @@
 use bench::{print_comparison, suite, timed, ComparisonRow};
 use np_baselines::RcutOptions;
 use np_core::{ig_match, IgMatchOptions};
-use np_runner::presets::rcut_restarts;
-use np_runner::{run_portfolio, PortfolioOptions};
+use np_runner::{run_portfolio, Algorithm, PortfolioOptions};
 use np_sparse::BudgetMeter;
 
 /// Paper-faithful restart count for the RCut1.0 baseline.
@@ -27,7 +26,8 @@ fn main() {
     let portfolio_opts = PortfolioOptions::default().with_seed(rcut_opts.seed);
     for b in suite() {
         let hg = &b.hypergraph;
-        let portfolio = rcut_restarts(RCUT_RESTARTS, rcut_opts.seed, &rcut_opts);
+        let portfolio =
+            Algorithm::Rcut.portfolio(IgMatchOptions::default(), RCUT_RESTARTS, rcut_opts.seed);
         let (rc, t_rcut) = timed(|| {
             run_portfolio(
                 hg,

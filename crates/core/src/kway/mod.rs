@@ -39,8 +39,8 @@ pub mod refine;
 
 pub use recursive::kway_recursive_ctx;
 
-use crate::engine::stages::{IgMatchStage, RatioRefineStage};
-use crate::engine::{Pipeline, RunContext, Stage};
+use crate::engine::{RunContext, Stage};
+use crate::hybrid::{hybrid_pipeline, HybridOptions};
 use crate::{IgMatchOptions, PartitionError};
 use np_netlist::areas::ModuleAreas;
 use np_netlist::{
@@ -76,6 +76,18 @@ impl Default for KwayOptions {
             fixed: None,
             ig_match: IgMatchOptions::default(),
             max_refine_passes: 20,
+        }
+    }
+}
+
+impl KwayOptions {
+    /// The bipartition pipeline's options: each bisection (and the
+    /// `k = 2` fast path) runs the shared hybrid pipeline with the route's
+    /// IG-Match options and refinement cap.
+    pub(crate) fn hybrid(&self) -> HybridOptions {
+        HybridOptions {
+            ig_match: self.ig_match,
+            max_refine_passes: self.max_refine_passes,
         }
     }
 }
@@ -225,15 +237,6 @@ pub(crate) fn prepare(hg: &Hypergraph, opts: &KwayOptions) -> Result<Prepared, P
     })
 }
 
-/// The exact bipartition pipeline the route delegates to at `k = 2`:
-/// IG-Match plus ratio-objective FM refinement, the same stage sequence
-/// as the workspace's hybrid flow.
-pub(crate) fn hybrid_pipeline(opts: &KwayOptions) -> Pipeline {
-    Pipeline::named("IG-Match+FM")
-        .then(IgMatchStage::new(opts.ig_match))
-        .then(RatioRefineStage::new(opts.max_refine_passes, "IG-Match+FM"))
-}
-
 /// Name of the route, as reported in [`KwayResult::algorithm`].
 pub(crate) const ALGORITHM: &str = "kway-recursive";
 
@@ -253,7 +256,7 @@ pub(crate) fn bipartition_fast_path(
     prep: &Prepared,
     ctx: &RunContext<'_>,
 ) -> Result<KwayResult, PartitionError> {
-    let res = hybrid_pipeline(opts).run(hg, None, ctx)?;
+    let res = hybrid_pipeline(&opts.hybrid()).run(hg, None, ctx)?;
     let partition = KwayPartition::from_bipartition(&res.partition);
     if satisfies_contract(&partition, prep) {
         return Ok(KwayResult::evaluate(hg, partition, ALGORITHM));

@@ -20,11 +20,9 @@
 //! painting itself into a corner.
 
 use super::refine::area_cap;
-use super::{
-    bipartition_fast_path, finalize, hybrid_pipeline, prepare, trivial, KwayOptions, KwayResult,
-    Prepared,
-};
+use super::{bipartition_fast_path, finalize, prepare, trivial, KwayOptions, KwayResult, Prepared};
 use crate::engine::{RunContext, Stage};
+use crate::hybrid::hybrid_pipeline;
 use crate::{PartitionError, PartitionResult};
 use np_netlist::areas::ModuleAreas;
 use np_netlist::induce::induced_subhypergraph;
@@ -85,15 +83,16 @@ fn split(
     // Run the bipartition pipeline — on the original hypergraph under the
     // caller's context at the top, on an induced sub-instance under a
     // derived context (fresh operator cache) deeper down.
+    let pipeline = hybrid_pipeline(&opts.hybrid());
     let storage;
     let (local_hg, run_result): (&Hypergraph, Result<PartitionResult, PartitionError>) = if top {
-        (hg, hybrid_pipeline(opts).run(hg, None, ctx))
+        (hg, pipeline.run(hg, None, ctx))
     } else {
         storage = induced_subhypergraph(hg, modules);
         let child = RunContext::with_meter(ctx.meter())
             .with_seed(ctx.seed())
             .with_threads(ctx.threads());
-        let r = hybrid_pipeline(opts).run(&storage.hypergraph, None, &child);
+        let r = pipeline.run(&storage.hypergraph, None, &child);
         (&storage.hypergraph, r)
     };
     let local_part = match run_result {

@@ -22,6 +22,8 @@
 //!   the baselines) as a uniform [`Stage`], glued together by
 //!   [`Pipeline`]s and [`FallbackChain`]s, sharing one [`RunContext`]
 //!   (budget meter, seed, instrumentation);
+//! * [`hybrid`] — the IG-Match+FM pipeline: IG-Match polished by
+//!   ratio-objective FM passes (the paper's §5 suggestion);
 //! * [`kway`] — balanced k-way partitioning with fixed modules, by
 //!   recursive bisection of the hybrid pipeline.
 //!
@@ -56,6 +58,7 @@ pub mod bounds;
 pub mod cluster;
 pub mod eig1;
 pub mod engine;
+pub mod hybrid;
 pub mod igmatch;
 pub mod igvote;
 pub mod kway;

@@ -6,7 +6,7 @@
 //! module makes partitioning *total*: [`robust_partition`] runs a chain
 //! of progressively more conservative strategies and returns either a
 //! [`PartitionResult`] or a structured [`RobustFailure`] — never a panic,
-//! and (given a wall-clock [`Budget`]) never a hang. The chain is
+//! and (given a wall-clock [`Budget`](np_sparse::Budget)) never a hang. The chain is
 //!
 //! 1. **IG-Match** on the intersection model — the paper's algorithm,
 //!    best quality (§3);
@@ -44,7 +44,7 @@ use np_baselines::FmOptions;
 use np_eigen::{smallest_deflated_metered, EigenError, EigenPair, LanczosOptions};
 use np_netlist::rng::derive_seed;
 use np_netlist::{Hypergraph, ModuleId, NetId};
-use np_sparse::{Budget, BudgetExceeded, BudgetMeter, BudgetResource, Laplacian, LinearOperator};
+use np_sparse::{BudgetExceeded, BudgetMeter, BudgetResource, Laplacian, LinearOperator};
 use std::fmt;
 use std::time::Duration;
 
@@ -135,9 +135,6 @@ pub struct RobustOptions {
     /// Options for the primary IG-Match stages (weighting, eigensolver,
     /// free-module refinement).
     pub ig_match: IgMatchOptions,
-    /// Resource budget for the *whole* chain (all stages share one
-    /// meter). Unlimited by default.
-    pub budget: Budget,
     /// Number of reseeded-Lanczos retries before escalating to the dense
     /// eigensolve.
     pub reseed_attempts: usize,
@@ -152,7 +149,6 @@ impl Default for RobustOptions {
     fn default() -> Self {
         RobustOptions {
             ig_match: IgMatchOptions::default(),
-            budget: Budget::UNLIMITED,
             reseed_attempts: 2,
             fm: FmOptions::default(),
             #[cfg(feature = "fault-inject")]
@@ -242,10 +238,8 @@ impl std::error::Error for RobustFailure {
 /// Runs the fallback chain until a stage produces a partition.
 ///
 /// The stages and escalation policy are described in the
-/// [module docs](self). All stages share one [`BudgetMeter`] derived from
-/// `opts.budget`; charging is cooperative at per-iteration granularity,
-/// so a tripped budget surfaces within one iteration's work of the
-/// requested limits.
+/// [module docs](self). Runs unlimited; [`robust_partition_ctx`] meters
+/// the chain.
 ///
 /// # Errors
 ///
@@ -273,15 +267,15 @@ pub fn robust_partition(
     hg: &Hypergraph,
     opts: &RobustOptions,
 ) -> Result<RobustOutcome, RobustFailure> {
-    let meter = BudgetMeter::new(&opts.budget);
-    robust_partition_ctx(hg, opts, &RunContext::with_meter(&meter))
+    robust_partition_ctx(hg, opts, &RunContext::unlimited())
 }
 
 /// [`robust_partition`] against an execution context — the single
-/// implementation behind every entry point. The context's meter governs
-/// the whole chain; `opts.budget` is *not* consulted here (the plain
-/// entry point builds its context from it), so a caller-supplied context
-/// can share one allowance across several runs.
+/// implementation behind every entry point. All stages share the
+/// context's [`BudgetMeter`]; charging is cooperative at per-iteration
+/// granularity, so a tripped budget surfaces within one iteration's work
+/// of the requested limits, and a caller-supplied context can share one
+/// allowance across several runs.
 ///
 /// An event sink on the context sees every link of the chain as
 /// `Started`/`Finished` stage events.
@@ -558,6 +552,7 @@ impl Partitioner for FmLink {
 mod tests {
     use super::*;
     use np_netlist::hypergraph_from_nets;
+    use np_sparse::Budget;
 
     fn two_triangles() -> Hypergraph {
         hypergraph_from_nets(
@@ -586,11 +581,13 @@ mod tests {
 
     #[test]
     fn zero_wall_clock_budget_aborts_with_budget_error() {
-        let opts = RobustOptions {
-            budget: Budget::default().with_wall_clock(Duration::ZERO),
-            ..Default::default()
-        };
-        let fail = robust_partition(&two_triangles(), &opts).unwrap_err();
+        let meter = BudgetMeter::new(&Budget::default().with_wall_clock(Duration::ZERO));
+        let fail = robust_partition_ctx(
+            &two_triangles(),
+            &RobustOptions::default(),
+            &RunContext::with_meter(&meter),
+        )
+        .unwrap_err();
         assert!(matches!(fail.error, PartitionError::Budget(_)));
         // budget exhaustion aborts: later stages are never attempted
         assert_eq!(fail.diagnostics.attempts.len(), 1);

@@ -34,8 +34,9 @@
 
 use crate::coarsen::{coarsen_level, CoarsenConfig, Level};
 use np_baselines::rcut::refine_ratio_cut_metered;
-use np_core::engine::stages::{FmStage, IgMatchStage, RatioRefineStage};
-use np_core::engine::{FallbackChain, Pipeline, RunContext, StageEvent};
+use np_core::engine::stages::FmStage;
+use np_core::engine::{FallbackChain, RunContext, StageEvent};
+use np_core::hybrid::{hybrid_pipeline, HybridOptions};
 use np_core::kway::refine::{area_cap, enforce_balance, kway_refine};
 use np_core::{
     kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
@@ -341,12 +342,10 @@ fn initial_partition(
         .with_fatal(|e| matches!(e, PartitionError::Budget(_)))
         .link(
             "hybrid",
-            Pipeline::named("IG-Match+FM")
-                .then(IgMatchStage::new(opts.ig_match))
-                .then(RatioRefineStage::new(
-                    opts.flat_refine_passes,
-                    "IG-Match+FM",
-                )),
+            hybrid_pipeline(&HybridOptions {
+                ig_match: opts.ig_match,
+                max_refine_passes: opts.flat_refine_passes,
+            }),
         )
         .link("fm", FmStage::default());
     chain

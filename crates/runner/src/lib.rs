@@ -7,7 +7,8 @@
 //! way — yet a plain engine run executes one attempt on one thread. This
 //! crate runs a whole *portfolio* of attempts concurrently over a scoped
 //! worker pool and reduces them to the best
-//! [`PartitionResult`] by ratio cut.
+//! [`PartitionResult`] by ratio cut. The [`algorithm`] table builds the
+//! stages: one name, a single run or attempt `i` of a portfolio.
 //!
 //! # Determinism contract
 //!
@@ -72,10 +73,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod presets;
+pub mod algorithm;
 mod report;
 pub mod trace;
 
+pub use algorithm::Algorithm;
 pub use report::{escape_json, AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
 pub use trace::{record_attempt_spans, SpanFanIn};
 

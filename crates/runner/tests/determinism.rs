@@ -10,14 +10,14 @@
 //!   attempts stop at their next budget check and the whole portfolio
 //!   returns promptly with every attempt's fate recorded.
 
-use np_baselines::{FmOptions, RcutOptions};
+use np_baselines::RcutOptions;
 use np_core::engine::stages::{IgMatchStage, RcutStage};
-use np_core::{PartitionError, PartitionResult, Partitioner, RunContext};
+use np_core::{IgMatchOptions, PartitionError, PartitionResult, Partitioner, RunContext};
 use np_netlist::rng::derive_seed;
 use np_netlist::{Hypergraph, Side};
-use np_runner::presets::fm_restarts;
 use np_runner::{
-    run_portfolio, AttemptStatus, Portfolio, PortfolioOptions, PortfolioOutcome, RandomStartFmStage,
+    run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions, PortfolioOutcome,
+    RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter};
 use np_testkit::{check_cases, small_hypergraph, Gen};
@@ -97,7 +97,7 @@ fn fm_restart_portfolio_is_thread_invariant() {
         if hg.num_modules() < 4 {
             return;
         }
-        let portfolio = fm_restarts(6, &FmOptions::default());
+        let portfolio = Algorithm::Fm.portfolio(IgMatchOptions::default(), 6, 11);
         let mut prints = Vec::new();
         for threads in [1usize, 2, 8] {
             let opts = PortfolioOptions::default()
@@ -130,7 +130,7 @@ fn attempt_seeds_follow_the_derive_seed_streams() {
         }
     };
     let base = 0x1234_5678_9ABC_DEF0u64;
-    let portfolio = fm_restarts(4, &FmOptions::default());
+    let portfolio = Algorithm::Fm.portfolio(IgMatchOptions::default(), 4, base);
     let out = run_portfolio(
         &hg,
         &portfolio,

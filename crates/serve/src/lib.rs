@@ -80,6 +80,6 @@ pub mod soak;
 pub use admit::{Admission, Enrollment, Priority};
 pub use cache::{CacheStats, NetlistCache};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics};
-pub use proto::{Algo, FaultSpec, Request};
+pub use proto::{FaultSpec, Request};
 pub use service::{ServeConfig, Service};
 pub use soak::{run_soak, SoakOptions, SoakReport};

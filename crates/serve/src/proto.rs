@@ -16,6 +16,7 @@
 
 use crate::admit::Priority;
 use crate::json::{self, Obj, Value};
+use np_runner::Algorithm;
 
 /// Upper bound on the requested portfolio width. The portfolio builder
 /// boxes one stage per restart, so an unchecked `"restarts": 1e15` would
@@ -27,51 +28,35 @@ pub const MAX_RESTARTS: usize = 4096;
 /// state is allocated per block before the netlist is even parsed.
 pub const MAX_K: usize = 4096;
 
-/// The algorithms a request may ask for. `Auto` is IG-Match with the
-/// paper's weighting — the service's recommended default.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algo {
-    /// IG-Match (the default).
-    Auto,
-    /// IG-Match, explicitly.
-    IgMatch,
-    /// IG-Vote.
-    IgVote,
-    /// EIG1.
-    Eig1,
-    /// Ratio-cut FM (RCut1.0).
-    Rcut,
-    /// Plain FM from random starts.
-    Fm,
-    /// Kernighan–Lin.
-    Kl,
+/// Wire name of the default algorithm: IG-Match with the paper's
+/// weighting, which large netlists may take through the V-cycle tier.
+pub(crate) const AUTO: &str = "auto";
+
+/// The table entries a request may name besides [`AUTO`]. `robust` stays
+/// off the wire because its dense-eigensolve link lifts the dense cutoff
+/// entirely: an O(m²)-memory solve on a request of any size. `hybrid`
+/// stays off it so the wire set is unchanged.
+pub(crate) const WIRE_ALGORITHMS: [Algorithm; 6] = [
+    Algorithm::IgMatch,
+    Algorithm::IgVote,
+    Algorithm::Eig1,
+    Algorithm::Rcut,
+    Algorithm::Fm,
+    Algorithm::Kl,
+];
+
+/// Wire name of a request's algorithm; `None` is [`AUTO`].
+pub(crate) fn algo_name(algo: Option<Algorithm>) -> &'static str {
+    algo.map_or(AUTO, Algorithm::name)
 }
 
-impl Algo {
-    /// Wire name of the algorithm.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Auto => "auto",
-            Algo::IgMatch => "igmatch",
-            Algo::IgVote => "igvote",
-            Algo::Eig1 => "eig1",
-            Algo::Rcut => "rcut",
-            Algo::Fm => "fm",
-            Algo::Kl => "kl",
-        }
+fn parse_algo(name: &str) -> Result<Option<Algorithm>, String> {
+    if name == AUTO {
+        return Ok(None);
     }
-
-    fn from_name(name: &str) -> Option<Algo> {
-        Some(match name {
-            "auto" => Algo::Auto,
-            "igmatch" => Algo::IgMatch,
-            "igvote" => Algo::IgVote,
-            "eig1" => Algo::Eig1,
-            "rcut" => Algo::Rcut,
-            "fm" => Algo::Fm,
-            "kl" => Algo::Kl,
-            _ => return None,
-        })
+    match Algorithm::from_name(name) {
+        Some(a) if WIRE_ALGORITHMS.contains(&a) => Ok(Some(a)),
+        _ => Err(format!("unknown algo '{name}'")),
     }
 }
 
@@ -99,8 +84,8 @@ pub struct Request {
     pub id: String,
     /// The netlist, in hMETIS `.hgr` text format.
     pub hgr: String,
-    /// Algorithm to run.
-    pub algo: Algo,
+    /// Algorithm to run; `None` is `auto`.
+    pub algo: Option<Algorithm>,
     /// Portfolio width (attempt count); `None` = server default.
     pub restarts: Option<usize>,
     /// Base seed; `None` = the workspace default seed.
@@ -183,23 +168,8 @@ impl Request {
             .ok_or("missing string field 'hgr'")?
             .to_string();
         let algo = match doc.get("algo") {
-            None => Algo::Auto,
-            Some(v) => {
-                let name = v.as_str().ok_or("'algo' must be a string")?;
-                Algo::from_name(name).ok_or_else(|| format!("unknown algo '{name}'"))?
-            }
-        };
-        let restarts = match doc.get("restarts") {
             None => None,
-            Some(v) => {
-                let n = v
-                    .as_u64()
-                    .ok_or("'restarts' must be a non-negative integer")?;
-                if n == 0 {
-                    return Err("'restarts' must be at least 1".into());
-                }
-                Some(bounded_usize(n, "restarts", MAX_RESTARTS)?)
-            }
+            Some(v) => parse_algo(v.as_str().ok_or("'algo' must be a string")?)?,
         };
         let uint = |key: &'static str| -> Result<Option<u64>, String> {
             match doc.get(key) {
@@ -210,47 +180,38 @@ impl Request {
                     .ok_or_else(|| format!("'{key}' must be a non-negative integer")),
             }
         };
+        // a count in `min..=max`
+        let count = |key: &'static str, min: u64, max: usize| -> Result<Option<usize>, String> {
+            match uint(key)? {
+                Some(n) if n < min => Err(format!("'{key}' must be at least {min}")),
+                Some(n) => bounded_usize(n, key, max).map(Some),
+                None => Ok(None),
+            }
+        };
+        let non_negative = |key: &'static str| -> Result<Option<f64>, String> {
+            let Some(v) = doc.get(key) else {
+                return Ok(None);
+            };
+            match v.as_f64() {
+                Some(x) if x.is_finite() && x >= 0.0 => Ok(Some(x)),
+                Some(_) => Err(format!("'{key}' must be finite and >= 0")),
+                None => Err(format!("'{key}' must be a number")),
+            }
+        };
+        let flag = |key: &'static str| -> Result<Option<bool>, String> {
+            doc.get(key)
+                .map(|v| v.as_bool().ok_or(format!("'{key}' must be a boolean")))
+                .transpose()
+        };
+        let restarts = count("restarts", 1, MAX_RESTARTS)?;
         let seed = uint("seed")?;
         let budget_ms = uint("budget_ms")?;
         let deadline_ms = uint("deadline_ms")?;
-        let target_ratio = match doc.get("target_ratio") {
-            None => None,
-            Some(v) => {
-                let x = v.as_f64().ok_or("'target_ratio' must be a number")?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err("'target_ratio' must be finite and >= 0".into());
-                }
-                Some(x)
-            }
-        };
-        let k = match doc.get("k") {
-            None => None,
-            Some(v) => {
-                let n = v.as_u64().ok_or("'k' must be a non-negative integer")?;
-                if n < 2 {
-                    return Err("'k' must be at least 2".into());
-                }
-                Some(bounded_usize(n, "k", MAX_K)?)
-            }
-        };
-        let epsilon = match doc.get("epsilon") {
-            None => None,
-            Some(v) => {
-                let x = v.as_f64().ok_or("'epsilon' must be a number")?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err("'epsilon' must be finite and >= 0".into());
-                }
-                Some(x)
-            }
-        };
-        let multilevel = match doc.get("multilevel") {
-            None => None,
-            Some(v) => Some(v.as_bool().ok_or("'multilevel' must be a boolean")?),
-        };
-        let progress = match doc.get("progress") {
-            None => false,
-            Some(v) => v.as_bool().ok_or("'progress' must be a boolean")?,
-        };
+        let target_ratio = non_negative("target_ratio")?;
+        let k = count("k", 2, MAX_K)?;
+        let epsilon = non_negative("epsilon")?;
+        let multilevel = flag("multilevel")?;
+        let progress = flag("progress")?.unwrap_or(false);
         let priority = match doc.get("priority") {
             None => Priority::Normal,
             Some(v) => {
@@ -376,7 +337,7 @@ mod tests {
         let r = Request::parse(r#"{"id":"a","hgr":"1 2\n1 2\n"}"#).unwrap();
         assert_eq!(r.id, "a");
         assert_eq!(r.hgr, "1 2\n1 2\n");
-        assert_eq!(r.algo, Algo::Auto);
+        assert_eq!(r.algo, None);
         assert_eq!(r.restarts, None);
         assert!(!r.progress);
         assert_eq!(r.fault, None);
@@ -390,7 +351,7 @@ mod tests {
                "fault":{"kind":"slow","ms":20}}"#,
         )
         .unwrap();
-        assert_eq!(r.algo, Algo::Fm);
+        assert_eq!(r.algo, Some(Algorithm::Fm));
         assert_eq!(r.restarts, Some(8));
         assert_eq!(r.seed, Some(7));
         assert_eq!(r.budget_ms, Some(100));
@@ -422,18 +383,15 @@ mod tests {
 
     #[test]
     fn every_algo_name_round_trips() {
-        for algo in [
-            Algo::Auto,
-            Algo::IgMatch,
-            Algo::IgVote,
-            Algo::Eig1,
-            Algo::Rcut,
-            Algo::Fm,
-            Algo::Kl,
-        ] {
-            assert_eq!(Algo::from_name(algo.name()), Some(algo));
+        let wire = std::iter::once(None).chain(WIRE_ALGORITHMS.map(Some));
+        for algo in wire {
+            assert_eq!(parse_algo(algo_name(algo)), Ok(algo));
         }
-        assert_eq!(Algo::from_name("hybrid"), None);
+        assert_eq!(parse_algo("igmatch"), Ok(Some(Algorithm::IgMatch)));
+        // table entries that stay off the wire
+        for name in ["hybrid", "robust"] {
+            assert!(parse_algo(name).unwrap_err().contains("unknown algo"));
+        }
     }
 
     #[test]

@@ -45,22 +45,21 @@ use crate::admit::{Admission, Enrollment, Priority, PRIORITY_CLASSES};
 use crate::cache::{CachedNetlist, NetlistCache};
 use crate::json::Obj;
 use crate::metrics::{Metrics, TIER_NAMES};
-use crate::proto::{self, Algo, Degradation, Request};
-use np_baselines::{FmOptions, KlOptions, RcutOptions};
-use np_core::engine::stages::{Eig1Stage, IgMatchStage, IgVoteStage, KlStage, RcutStage};
+use crate::proto::{self, Degradation, Request};
 use np_core::engine::trace::{SpanKind, SpanRing};
 use np_core::engine::RunContext;
 use np_core::engine::{BoxedStage, StageEvent, DEFAULT_SEED};
 use np_core::{
-    kway_partition_ctx, Eig1Options, IgMatchOptions, IgVoteOptions, KwayMethod, KwayOptions,
-    PartitionError, PartitionResult,
+    kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
+    PartitionResult,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
 use np_netlist::Side;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
-    run_portfolio_cached, Portfolio, PortfolioEvent, PortfolioOptions, RandomStartFmStage,
+    run_portfolio_cached, Algorithm, Portfolio, PortfolioError, PortfolioEvent, PortfolioOptions,
+    PortfolioOutcome, PortfolioSink,
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -438,37 +437,32 @@ impl Service {
             Ok(c) => c,
             Err(reason) => return proto::error_frame(&request.id, &reason),
         };
-        let cache_hit = self.cache.stats().hits > cache_stats_before.hits;
+        let job = Job {
+            request,
+            cached: &cached,
+            deadline,
+            queue_wait,
+            compute_start: Instant::now(),
+            cache_hit: self.cache.stats().hits > cache_stats_before.hits,
+        };
         let seed = request.seed.unwrap_or(DEFAULT_SEED);
         let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
-        let compute_start = Instant::now();
         let mut retries_done = 0u64;
 
         // ---- k > 2: the k-way route (the bipartition tiers do not
         // apply) ----
         if let Some(k) = request.k.filter(|&k| k > 2) {
-            return self.execute_kway(
-                request,
-                k,
-                &cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            );
+            return self.execute_kway(&job, k);
         }
 
         // ---- expired while queued: only the insurance slice runs ----
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return match self.insurance(&cached, seed) {
-                Some(best) => self.result_frame(
-                    request,
+                Some(best) => self.candidate_frame(
+                    &job,
                     &best,
                     Some(Degradation::ExpiredInQueue),
-                    queue_wait,
-                    compute_start.elapsed(),
                     retries_done,
-                    cache_hit,
                 ),
                 None => proto::error_frame(
                     &request.id,
@@ -482,14 +476,7 @@ impl Service {
         // `multilevel:false`). A declined or failed V-cycle falls
         // through to the ordinary tier ladder below. ----
         if self.wants_multilevel(request, &cached) {
-            if let Some(frame) = self.try_multilevel(
-                request,
-                &cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            ) {
+            if let Some(frame) = self.try_multilevel(&job) {
                 return frame;
             }
         }
@@ -503,16 +490,12 @@ impl Service {
         let mut deadline_fired = false;
         let mut drop_to_fm = false;
         for retry in 0..=self.cfg.retries {
-            let Some(wall) = self.remaining_wall(request, deadline, compute_start) else {
+            let Some(wall) = self.remaining_wall(&job) else {
                 deadline_fired = deadline.is_some();
                 break;
             };
             let attempt_seed = derive_seed(seed, retry as u64);
-            let portfolio = match self.build_portfolio(request, restarts, attempt_seed) {
-                Ok(p) => p,
-                Err(reason) => return proto::error_frame(&request.id, &reason),
-            };
-            let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
+            let portfolio = self.build_portfolio(request, restarts, attempt_seed);
             let opts = PortfolioOptions {
                 threads: 1,
                 seed: attempt_seed,
@@ -542,15 +525,8 @@ impl Service {
                     ));
                 };
                 let fan_in = SpanFanIn::new(&self.spans, seq).forwarding(&sink);
-                run_portfolio_cached(
-                    &cached.hypergraph,
-                    &portfolio,
-                    &opts,
-                    &meter,
-                    Some(&fan_in),
-                    &|r: &PartitionResult| r.ratio(),
-                    &cached.operators,
-                )
+                let budget = Budget::default().with_wall_clock(wall);
+                run_tier(&cached, &portfolio, &opts, &budget, Some(&fan_in))
             };
             match outcome {
                 Ok(out) => {
@@ -569,105 +545,73 @@ impl Service {
                     offer(&mut best, out.best, "portfolio");
                     // deadline (not the client's compute budget) binding
                     // and attempts left unfinished ⇒ best-so-far answer
-                    if incomplete && self.deadline_was_binding(request, deadline, compute_start) {
+                    if incomplete && self.deadline_was_binding(&job) {
                         deadline_fired = true;
                     }
-                    return self.result_frame(
-                        request,
+                    return self.candidate_frame(
+                        &job,
                         best.as_ref().expect("offer filled best"),
                         deadline_fired.then_some(Degradation::DeadlineBestSoFar),
-                        queue_wait,
-                        compute_start.elapsed(),
                         retries_done,
-                        cache_hit,
                     );
                 }
                 Err(err) => {
                     let error = err.error;
-                    match &error {
-                        // the whole wall ran out: whatever we hold is the answer
-                        PartitionError::Budget(b)
-                            if matches!(
-                                b.resource,
-                                BudgetResource::WallClock | BudgetResource::Cancelled
-                            ) =>
-                        {
-                            deadline_fired =
-                                self.deadline_was_binding(request, deadline, compute_start);
-                            last_error = Some(error);
-                            break;
-                        }
-                        // transient spectral failures: reseed and back off
-                        PartitionError::Eigen(_)
-                        | PartitionError::Panicked { .. }
-                        | PartitionError::Budget(_) => {
-                            if matches!(error, PartitionError::Panicked { .. }) {
-                                self.metrics.bump(&self.metrics.panics_contained);
-                            }
-                            last_error = Some(error);
-                            if retry == self.cfg.retries {
-                                drop_to_fm = true;
-                            } else {
-                                retries_done += 1;
-                                self.metrics.bump(&self.metrics.retries);
-                                self.cooperative_backoff(retry, deadline);
-                            }
-                        }
-                        // permanent: the instance itself is unpartitionable
-                        // by the spectral tier; FM may still manage
-                        PartitionError::TooSmall { .. }
-                        | PartitionError::Degenerate
-                        | PartitionError::InvalidInput { .. } => {
-                            last_error = Some(error);
-                            drop_to_fm = true;
-                        }
-                        _ => {
-                            last_error = Some(error);
-                            drop_to_fm = true;
-                        }
+                    if matches!(error, PartitionError::Panicked { .. }) {
+                        self.metrics.bump(&self.metrics.panics_contained);
                     }
-                    if drop_to_fm {
+                    // the whole wall ran out: whatever we hold is the answer
+                    let wall_spent = matches!(&error, PartitionError::Budget(b)
+                        if matches!(b.resource, BudgetResource::WallClock | BudgetResource::Cancelled));
+                    // transient spectral failures reseed and back off; any
+                    // other error is permanent for the spectral tier (the
+                    // instance itself is unpartitionable), but FM may manage
+                    let transient = matches!(
+                        error,
+                        PartitionError::Eigen(_)
+                            | PartitionError::Panicked { .. }
+                            | PartitionError::Budget(_)
+                    );
+                    last_error = Some(error);
+                    if wall_spent {
+                        deadline_fired = self.deadline_was_binding(&job);
                         break;
                     }
+                    if !transient || retry == self.cfg.retries {
+                        drop_to_fm = true;
+                        break;
+                    }
+                    retries_done += 1;
+                    self.metrics.bump(&self.metrics.retries);
+                    self.cooperative_backoff(retry, deadline);
                 }
             }
         }
 
         // ---- tier 2: FM-restarts-only (spectral tier gave up) ----
-        if drop_to_fm && !matches!(request.algo, Algo::Fm) {
-            if let Some(wall) = self.remaining_wall(request, deadline, compute_start) {
+        if drop_to_fm && request.algo != Some(Algorithm::Fm) {
+            if let Some(wall) = self.remaining_wall(&job) {
                 self.metrics.bump(&self.metrics.fm_fallbacks);
-                let mut portfolio = Portfolio::new();
-                for i in 0..restarts {
-                    portfolio = portfolio.attempt_boxed(
-                        format!("fm-fallback#{i}"),
-                        Box::new(RandomStartFmStage::default()),
-                    );
-                }
-                let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
+                let fallback_seed = derive_seed(seed, 0xFA11_BACC);
+                let portfolio = Portfolio::new().restarts("fm-fallback", restarts, |i| {
+                    Algorithm::Fm.attempt(
+                        IgMatchOptions::default(),
+                        derive_seed(fallback_seed, i as u64),
+                    )
+                });
                 let opts = PortfolioOptions {
                     threads: 1,
-                    seed: derive_seed(seed, 0xFA11_BACC),
+                    seed: fallback_seed,
                     target_ratio: request.target_ratio,
                 };
-                if let Ok(out) = run_portfolio_cached(
-                    &cached.hypergraph,
-                    &portfolio,
-                    &opts,
-                    &meter,
-                    None,
-                    &|r: &PartitionResult| r.ratio(),
-                    &cached.operators,
-                ) {
+                let budget = Budget::default().with_wall_clock(wall);
+                if let Ok(out) = run_tier(&cached, &portfolio, &opts, &budget, None) {
                     offer(&mut best, out.best, "fm-fallback");
-                    return self.result_frame(
-                        request,
+                    return self.candidate_frame(
+                        &job,
                         best.as_ref().expect("offer filled best"),
                         Some(Degradation::FmFallback),
-                        queue_wait,
-                        compute_start.elapsed(),
                         retries_done,
-                        cache_hit,
                     );
                 }
             }
@@ -681,15 +625,7 @@ impl Service {
                 } else {
                     Degradation::FmFallback
                 };
-                self.result_frame(
-                    request,
-                    candidate,
-                    Some(reason),
-                    queue_wait,
-                    compute_start.elapsed(),
-                    retries_done,
-                    cache_hit,
-                )
+                self.candidate_frame(&job, candidate, Some(reason), retries_done)
             }
             None => {
                 let reason = last_error
@@ -704,68 +640,32 @@ impl Service {
     /// request's wall-clock meter and renders its terminal frame. The
     /// route is seed-independent, so `restarts` does not apply; the outer
     /// `catch_unwind` in [`Service::handle_line`] isolates panics.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_kway(
-        &self,
-        request: &Request,
-        k: usize,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> String {
-        if self.wants_multilevel(request, cached) {
-            if let Some(frame) = self.try_multilevel_kway(
-                request,
-                k,
-                cached,
-                deadline,
-                queue_wait,
-                compute_start,
-                cache_hit,
-            ) {
+    fn execute_kway(&self, job: &Job<'_>, k: usize) -> String {
+        let request = job.request;
+        if self.wants_multilevel(request, job.cached) {
+            if let Some(frame) = self.try_multilevel_kway(job, k) {
                 return frame;
             }
         }
-        let Some(wall) = self.remaining_wall(request, deadline, compute_start) else {
+        let Some(wall) = self.remaining_wall(job) else {
             return proto::error_frame(
                 &request.id,
                 "deadline expired before the k-way route could start",
             );
         };
-        let mut opts = KwayOptions {
-            k,
-            ..Default::default()
-        };
-        if let Some(eps) = request.epsilon {
-            opts.epsilon = eps;
-        }
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter).with_seed(request.seed.unwrap_or(DEFAULT_SEED));
-        match kway_partition_ctx(&cached.hypergraph, &opts, KwayMethod::Recursive, &ctx) {
-            Ok(out) => {
-                let blocks: Vec<String> = out
-                    .partition
-                    .labels()
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect();
-                Obj::new()
-                    .str("id", &request.id)
-                    .str("frame", "result")
-                    .bool("degraded", false)
-                    .str("tier", "kway")
-                    .str("algorithm", out.algorithm)
-                    .int("k", k as u64)
-                    .int("cut", out.stats.cut_nets as u64)
-                    .num("ratio", out.stats.ratio())
-                    .raw("blocks", format!("[{}]", blocks.join(",")))
-                    .bool("cache_hit", cache_hit)
-                    .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                    .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                    .render()
-            }
+        let opts = kway_options(request, k);
+        match kway_partition_ctx(&job.cached.hypergraph, &opts, KwayMethod::Recursive, &ctx) {
+            Ok(out) => result_frame(
+                job,
+                "kway",
+                Answer::Kway(&out),
+                Extras {
+                    k: Some(k),
+                    ..Extras::default()
+                },
+            ),
             Err(err) => proto::error_frame(&request.id, &format!("request failed: {err}")),
         }
     }
@@ -776,7 +676,7 @@ impl Service {
     /// algorithm is never silently rerouted).
     fn wants_multilevel(&self, request: &Request, cached: &CachedNetlist) -> bool {
         request.multilevel.unwrap_or_else(|| {
-            matches!(request.algo, Algo::Auto)
+            request.algo.is_none()
                 && cached.hypergraph.num_modules() >= self.cfg.multilevel_threshold
         })
     }
@@ -784,118 +684,51 @@ impl Service {
     /// The multilevel V-cycle tier for bipartition requests.
     /// `Some(frame)` is terminal; `None` means no wall remained or the
     /// V-cycle failed, and the ordinary ladder should run instead.
-    fn try_multilevel(
-        &self,
-        request: &Request,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> Option<String> {
-        let wall = self.remaining_wall(request, deadline, compute_start)?;
-        let mut opts = MultilevelOptions::default();
-        opts.ig_match.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let budget = Budget::default().with_wall_clock(wall);
-        let meter = BudgetMeter::new(&budget);
+    fn try_multilevel(&self, job: &Job<'_>) -> Option<String> {
+        let wall = self.remaining_wall(job)?;
+        let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
-        let out = multilevel_ctx(&cached.hypergraph, &opts, &ctx).ok()?;
+        let opts = multilevel_options(job.request);
+        let out = multilevel_ctx(&job.cached.hypergraph, &opts, &ctx).ok()?;
         self.metrics.bump(&self.metrics.multilevel);
-        let result = &out.result;
-        let partition: String = result
-            .partition
-            .sides()
-            .iter()
-            .map(|s| if *s == Side::Left { '0' } else { '1' })
-            .collect();
-        let degradation = out
-            .budget_degraded
-            .then_some(Degradation::ProjectionFallback);
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        Some(
-            obj.str("tier", "multilevel")
-                .str("algorithm", result.algorithm)
-                .int("levels", out.levels as u64)
-                .int("coarsest_modules", out.coarsest_modules as u64)
-                .int("cut", result.stats.cut_nets as u64)
-                .int("left", result.stats.left as u64)
-                .int("right", result.stats.right as u64)
-                .num("ratio", result.ratio())
-                .str("partition", &partition)
-                .bool("cache_hit", cache_hit)
-                .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                .render(),
-        )
+        Some(result_frame(
+            job,
+            "multilevel",
+            Answer::Bipartition(&out.result),
+            Extras {
+                reason: out
+                    .budget_degraded
+                    .then_some(Degradation::ProjectionFallback),
+                levels: Some((out.levels, out.coarsest_modules)),
+                ..Extras::default()
+            },
+        ))
     }
 
     /// The multilevel V-cycle tier for `k > 2` requests; same contract
     /// as [`try_multilevel`](Self::try_multilevel) but the frame carries
     /// the k-way `blocks` array.
-    #[allow(clippy::too_many_arguments)]
-    fn try_multilevel_kway(
-        &self,
-        request: &Request,
-        k: usize,
-        cached: &CachedNetlist,
-        deadline: Option<Instant>,
-        queue_wait: Duration,
-        compute_start: Instant,
-        cache_hit: bool,
-    ) -> Option<String> {
-        let wall = self.remaining_wall(request, deadline, compute_start)?;
-        let seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let mut kopts = KwayOptions {
-            k,
-            ..Default::default()
-        };
-        if let Some(eps) = request.epsilon {
-            kopts.epsilon = eps;
-        }
-        let mut mopts = MultilevelOptions::default();
-        mopts.ig_match.lanczos.seed = seed;
-        let budget = Budget::default().with_wall_clock(wall);
-        let meter = BudgetMeter::new(&budget);
+    fn try_multilevel_kway(&self, job: &Job<'_>, k: usize) -> Option<String> {
+        let wall = self.remaining_wall(job)?;
+        let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
-        let out = multilevel_kway_ctx(&cached.hypergraph, &kopts, &mopts, &ctx).ok()?;
+        let kopts = kway_options(job.request, k);
+        let mopts = multilevel_options(job.request);
+        let out = multilevel_kway_ctx(&job.cached.hypergraph, &kopts, &mopts, &ctx).ok()?;
         self.metrics.bump(&self.metrics.multilevel);
-        let blocks: Vec<String> = out
-            .result
-            .partition
-            .labels()
-            .iter()
-            .map(|b| b.to_string())
-            .collect();
-        let degradation = out
-            .budget_degraded
-            .then_some(Degradation::ProjectionFallback);
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        Some(
-            obj.str("tier", "multilevel-kway")
-                .str("algorithm", out.result.algorithm)
-                .int("k", k as u64)
-                .int("levels", out.levels as u64)
-                .int("coarsest_modules", out.coarsest_modules as u64)
-                .int("cut", out.result.stats.cut_nets as u64)
-                .num("ratio", out.result.stats.ratio())
-                .raw("blocks", format!("[{}]", blocks.join(",")))
-                .bool("cache_hit", cache_hit)
-                .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-                .num("compute_ms", compute_start.elapsed().as_secs_f64() * 1e3)
-                .render(),
-        )
+        Some(result_frame(
+            job,
+            "multilevel-kway",
+            Answer::Kway(&out.result),
+            Extras {
+                reason: out
+                    .budget_degraded
+                    .then_some(Degradation::ProjectionFallback),
+                k: Some(k),
+                levels: Some((out.levels, out.coarsest_modules)),
+                ..Extras::default()
+            },
+        ))
     }
 
     /// Tier 0: a one-attempt FM portfolio under a tiny private budget.
@@ -906,46 +739,34 @@ impl Service {
         let budget = Budget::default()
             .with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall))
             .with_matvecs(self.cfg.insurance_matvecs);
-        let meter = BudgetMeter::new(&budget);
-        let portfolio =
-            Portfolio::new().attempt_boxed("insurance", Box::new(RandomStartFmStage::default()));
         let opts = PortfolioOptions {
             threads: 1,
             seed: derive_seed(seed, 0x1A5E_CE00),
             target_ratio: None,
         };
-        run_portfolio_cached(
-            &cached.hypergraph,
-            &portfolio,
-            &opts,
-            &meter,
-            None,
-            &|r: &PartitionResult| r.ratio(),
-            &cached.operators,
-        )
-        .ok()
-        .map(|out| Candidate {
-            result: out.best,
-            tier: "insurance",
-        })
+        let portfolio = Portfolio::new().attempt_boxed(
+            "insurance",
+            Algorithm::Fm.attempt(IgMatchOptions::default(), derive_seed(opts.seed, 0)),
+        );
+        run_tier(cached, &portfolio, &opts, &budget, None)
+            .ok()
+            .map(|out| Candidate {
+                result: out.best,
+                tier: "insurance",
+            })
     }
 
     /// Wall-clock room left for main-tier work:
     /// `min(budget_ms, deadline − now, max_wall)`, or `None` when no
     /// time remains.
-    fn remaining_wall(
-        &self,
-        request: &Request,
-        deadline: Option<Instant>,
-        compute_start: Instant,
-    ) -> Option<Duration> {
+    fn remaining_wall(&self, job: &Job<'_>) -> Option<Duration> {
         let mut wall = self.cfg.max_wall;
-        if let Some(ms) = request.budget_ms {
+        if let Some(ms) = job.request.budget_ms {
             let budget = Duration::from_millis(ms);
-            let spent = compute_start.elapsed();
+            let spent = job.compute_start.elapsed();
             wall = wall.min(budget.checked_sub(spent)?);
         }
-        if let Some(d) = deadline {
+        if let Some(d) = job.deadline {
             wall = wall.min(d.checked_duration_since(Instant::now())?);
         }
         (wall > Duration::ZERO).then_some(wall)
@@ -953,21 +774,17 @@ impl Service {
 
     /// Whether the *deadline* (rather than the client's compute budget or
     /// the server cap) is the limit that has run out.
-    fn deadline_was_binding(
-        &self,
-        request: &Request,
-        deadline: Option<Instant>,
-        compute_start: Instant,
-    ) -> bool {
-        let Some(d) = deadline else { return false };
+    fn deadline_was_binding(&self, job: &Job<'_>) -> bool {
+        let Some(d) = job.deadline else { return false };
         if Instant::now() >= d {
             return true;
         }
         // the deadline is binding if it expires before the budget would
         let deadline_left = d.saturating_duration_since(Instant::now());
-        let budget_left = request
+        let budget_left = job
+            .request
             .budget_ms
-            .map(|ms| Duration::from_millis(ms).saturating_sub(compute_start.elapsed()))
+            .map(|ms| Duration::from_millis(ms).saturating_sub(job.compute_start.elapsed()))
             .unwrap_or(self.cfg.max_wall);
         deadline_left < budget_left
     }
@@ -991,22 +808,15 @@ impl Service {
     }
 
     /// Builds the main-tier portfolio: `restarts` attempts of the
-    /// requested algorithm, each on a decorrelated seed stream, with the
-    /// request's fault decorator applied when the feature is on.
-    fn build_portfolio(
-        &self,
-        request: &Request,
-        restarts: usize,
-        seed: u64,
-    ) -> Result<Portfolio, String> {
-        let mut portfolio = Portfolio::new();
-        for i in 0..restarts {
-            let stream = derive_seed(seed, i as u64);
-            let stage = attempt_stage(request.algo, stream);
-            let stage = self.decorate(request, i, stage);
-            portfolio = portfolio.attempt_boxed(format!("{}#{i}", request.algo.name()), stage);
-        }
-        Ok(portfolio)
+    /// requested algorithm from the shared table (`auto` is IG-Match),
+    /// labelled with the wire name, each on a decorrelated seed stream,
+    /// with the request's fault decorator applied when the feature is on.
+    fn build_portfolio(&self, request: &Request, restarts: usize, seed: u64) -> Portfolio {
+        let algorithm = request.algo.unwrap_or(Algorithm::IgMatch);
+        Portfolio::new().restarts(proto::algo_name(request.algo), restarts, |i| {
+            let stage = algorithm.attempt(IgMatchOptions::default(), derive_seed(seed, i as u64));
+            self.decorate(request, i, stage)
+        })
     }
 
     /// Applies the request's fault to the attempt stage (fault-inject
@@ -1028,45 +838,156 @@ impl Service {
         stage
     }
 
-    /// Renders the terminal `result` frame.
-    #[allow(clippy::too_many_arguments)]
-    fn result_frame(
+    /// Renders the terminal frame of a bipartition tier ladder answer:
+    /// the candidate's tier, plus the retry count.
+    fn candidate_frame(
         &self,
-        request: &Request,
+        job: &Job<'_>,
         candidate: &Candidate,
-        degradation: Option<Degradation>,
-        queue_wait: Duration,
-        compute: Duration,
+        reason: Option<Degradation>,
         retries: u64,
-        cache_hit: bool,
     ) -> String {
-        let result = &candidate.result;
-        let partition: String = result
-            .partition
-            .sides()
-            .iter()
-            .map(|s| if *s == Side::Left { '0' } else { '1' })
-            .collect();
-        let mut obj = Obj::new()
-            .str("id", &request.id)
-            .str("frame", "result")
-            .bool("degraded", degradation.is_some());
-        if let Some(reason) = degradation {
-            obj = obj.str("reason", reason.name());
-        }
-        obj.str("tier", candidate.tier)
-            .str("algorithm", result.algorithm)
-            .int("cut", result.stats.cut_nets as u64)
-            .int("left", result.stats.left as u64)
-            .int("right", result.stats.right as u64)
-            .num("ratio", result.ratio())
-            .str("partition", &partition)
-            .int("retries", retries)
-            .bool("cache_hit", cache_hit)
-            .num("queue_ms", queue_wait.as_secs_f64() * 1e3)
-            .num("compute_ms", compute.as_secs_f64() * 1e3)
-            .render()
+        result_frame(
+            job,
+            candidate.tier,
+            Answer::Bipartition(&candidate.result),
+            Extras {
+                reason,
+                retries: Some(retries),
+                ..Extras::default()
+            },
+        )
     }
+}
+
+/// An admitted request as the tiers see it: the parsed netlist and the
+/// clocks every tier's wall and every result frame are measured from.
+struct Job<'a> {
+    request: &'a Request,
+    cached: &'a CachedNetlist,
+    deadline: Option<Instant>,
+    queue_wait: Duration,
+    compute_start: Instant,
+    cache_hit: bool,
+}
+
+/// The partition a `result` frame carries.
+enum Answer<'a> {
+    /// A bipartition: `left`/`right` counts and a `partition` digit string.
+    Bipartition(&'a PartitionResult),
+    /// A k-way partition: a `blocks` array.
+    Kway(&'a KwayResult),
+}
+
+/// The optional keys of a `result` frame; each tier sets its own.
+#[derive(Default)]
+struct Extras {
+    /// Degradation reason (`degraded` is true iff set).
+    reason: Option<Degradation>,
+    /// Requested block count.
+    k: Option<usize>,
+    /// V-cycle `levels` and `coarsest_modules`.
+    levels: Option<(usize, usize)>,
+    /// Main-tier retries spent.
+    retries: Option<u64>,
+}
+
+/// Renders the terminal `result` frame of every tier. Keys come in one
+/// fixed order; a tier's frame holds exactly the keys its answer and
+/// extras call for.
+fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -> String {
+    let mut obj = Obj::new()
+        .str("id", &job.request.id)
+        .str("frame", "result")
+        .bool("degraded", extras.reason.is_some());
+    if let Some(reason) = extras.reason {
+        obj = obj.str("reason", reason.name());
+    }
+    let algorithm = match &answer {
+        Answer::Bipartition(r) => r.algorithm,
+        Answer::Kway(r) => r.algorithm,
+    };
+    obj = obj.str("tier", tier).str("algorithm", algorithm);
+    if let Some(k) = extras.k {
+        obj = obj.int("k", k as u64);
+    }
+    if let Some((levels, coarsest)) = extras.levels {
+        obj = obj
+            .int("levels", levels as u64)
+            .int("coarsest_modules", coarsest as u64);
+    }
+    obj = match answer {
+        Answer::Bipartition(r) => {
+            let partition: String = r
+                .partition
+                .sides()
+                .iter()
+                .map(|s| if *s == Side::Left { '0' } else { '1' })
+                .collect();
+            obj.int("cut", r.stats.cut_nets as u64)
+                .int("left", r.stats.left as u64)
+                .int("right", r.stats.right as u64)
+                .num("ratio", r.ratio())
+                .str("partition", &partition)
+        }
+        Answer::Kway(r) => {
+            let blocks: Vec<String> = r.partition.labels().iter().map(|b| b.to_string()).collect();
+            obj.int("cut", r.stats.cut_nets as u64)
+                .num("ratio", r.stats.ratio())
+                .raw("blocks", format!("[{}]", blocks.join(",")))
+        }
+    };
+    if let Some(retries) = extras.retries {
+        obj = obj.int("retries", retries);
+    }
+    obj.bool("cache_hit", job.cache_hit)
+        .num("queue_ms", job.queue_wait.as_secs_f64() * 1e3)
+        .num(
+            "compute_ms",
+            job.compute_start.elapsed().as_secs_f64() * 1e3,
+        )
+        .render()
+}
+
+/// The k-way route's options: `k` blocks, the request's `epsilon` over
+/// the default slack.
+fn kway_options(request: &Request, k: usize) -> KwayOptions {
+    let mut opts = KwayOptions {
+        k,
+        ..Default::default()
+    };
+    if let Some(eps) = request.epsilon {
+        opts.epsilon = eps;
+    }
+    opts
+}
+
+/// The V-cycle's options: defaults, with the coarsest eigensolve on the
+/// request's seed.
+fn multilevel_options(request: &Request) -> MultilevelOptions {
+    let mut opts = MultilevelOptions::default();
+    opts.ig_match.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
+    opts
+}
+
+/// Runs one tier's portfolio against the netlist's shared operator
+/// cache, scored by ratio cut, under a fresh meter for `budget`.
+fn run_tier(
+    cached: &CachedNetlist,
+    portfolio: &Portfolio,
+    opts: &PortfolioOptions,
+    budget: &Budget,
+    sink: Option<&dyn PortfolioSink>,
+) -> Result<PortfolioOutcome, PortfolioError> {
+    run_portfolio_cached(
+        &cached.hypergraph,
+        portfolio,
+        opts,
+        &BudgetMeter::new(budget),
+        sink,
+        &|r: &PartitionResult| r.ratio(),
+        &cached.operators,
+    )
 }
 
 /// Keeps the better (lower-ratio) of the held candidate and the offered
@@ -1078,47 +999,6 @@ fn offer(best: &mut Option<Candidate>, result: PartitionResult, tier: &'static s
     };
     if better {
         *best = Some(Candidate { result, tier });
-    }
-}
-
-/// One portfolio attempt of `algo` with every internal seed moved onto
-/// `stream` and internal restart loops collapsed to one run (the
-/// portfolio is the restart loop) — the same mapping the `np-part` CLI
-/// uses.
-fn attempt_stage(algo: Algo, stream: u64) -> BoxedStage {
-    match algo {
-        Algo::Auto | Algo::IgMatch => {
-            let mut o = IgMatchOptions::default();
-            o.lanczos.seed = stream;
-            Box::new(IgMatchStage::new(o))
-        }
-        Algo::IgVote => {
-            let mut o = IgVoteOptions::default();
-            o.lanczos.seed = stream;
-            Box::new(IgVoteStage::new(o))
-        }
-        Algo::Eig1 => {
-            let mut o = Eig1Options::default();
-            o.lanczos.seed = stream;
-            Box::new(Eig1Stage { opts: o })
-        }
-        Algo::Rcut => Box::new(RcutStage {
-            opts: RcutOptions {
-                runs: 1,
-                seed: stream,
-                ..Default::default()
-            },
-        }),
-        Algo::Fm => Box::new(RandomStartFmStage {
-            opts: FmOptions::default(),
-        }),
-        Algo::Kl => Box::new(KlStage {
-            opts: KlOptions {
-                runs: 1,
-                seed: stream,
-                ..Default::default()
-            },
-        }),
     }
 }
 
@@ -1144,6 +1024,16 @@ mod tests {
         format!(r#"{{"id":"{id}","hgr":{hgr}{extra}}}"#)
     }
 
+    /// Asserts a `result` frame's keys in order: `head` (space-separated),
+    /// then the timing tail every result frame ends with.
+    fn assert_keys(doc: &crate::json::Value, head: &str) {
+        let expected: Vec<&str> = head
+            .split(' ')
+            .chain(["cache_hit", "queue_ms", "compute_ms"])
+            .collect();
+        assert_eq!(doc.keys().unwrap(), expected);
+    }
+
     #[test]
     fn clean_request_gets_one_result_frame() {
         let svc = Service::new(ServeConfig::default());
@@ -1157,6 +1047,10 @@ mod tests {
         assert_eq!(partition.len(), 48, "one side digit per module");
         assert!(partition.contains('0') && partition.contains('1'));
         assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
+        assert_keys(
+            &doc,
+            "id frame degraded tier algorithm cut left right ratio partition retries",
+        );
     }
 
     #[test]
@@ -1191,6 +1085,10 @@ mod tests {
             Some("expired-in-queue")
         );
         assert_eq!(svc.metrics().degraded.load(Ordering::Relaxed), 1);
+        assert_keys(
+            &doc,
+            "id frame degraded reason tier algorithm cut left right ratio partition retries",
+        );
     }
 
     #[test]
@@ -1277,6 +1175,7 @@ mod tests {
             }
             assert!(doc.get("partition").is_none(), "k-way frames carry blocks");
             assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
+            assert_keys(&doc, "id frame degraded tier algorithm k cut ratio blocks");
         }
     }
 
@@ -1292,18 +1191,49 @@ mod tests {
     }
 
     #[test]
-    fn every_algo_serves() {
-        let svc = Service::new(ServeConfig::default());
-        for algo in ["auto", "igmatch", "igvote", "eig1", "rcut", "fm", "kl"] {
-            let frames = collect(
-                &svc,
-                &request_line(algo, &format!(r#","algo":"{algo}","restarts":2"#)),
-            );
-            assert_eq!(frames.len(), 1, "{algo}: {frames:?}");
-            assert!(
-                frames[0].contains("\"frame\":\"result\""),
-                "{algo}: {frames:?}"
-            );
+    fn served_portfolio_matches_the_library_portfolio() {
+        // every wire name serves, and since the service and np-part build
+        // their attempts from one table, a request's main tier is the
+        // library portfolio on the same seed
+        let hg = np_netlist::io::parse_hgr(&small_hgr()).unwrap();
+        let seed = derive_seed(7, 0);
+        let opts = PortfolioOptions {
+            threads: 1,
+            seed,
+            target_ratio: None,
+        };
+        for name in ["auto", "igmatch", "igvote", "eig1", "rcut", "fm", "kl"] {
+            let algorithm = Algorithm::from_name(name).unwrap_or(Algorithm::IgMatch);
+            let portfolio = algorithm.portfolio(IgMatchOptions::default(), 3, seed);
+            let library =
+                np_runner::run_portfolio(&hg, &portfolio, &opts, &BudgetMeter::unlimited(), None)
+                    .unwrap()
+                    .best;
+            let svc = Service::new(ServeConfig::default());
+            let extra = format!(r#","algo":"{name}","restarts":3,"seed":7"#);
+            let frames = collect(&svc, &request_line(name, &extra));
+            assert_eq!(frames.len(), 1, "{name}: {frames:?}");
+            let doc = crate::json::parse(&frames[0]).unwrap();
+            match doc.get("tier").and_then(|v| v.as_str()) {
+                Some("portfolio") => {
+                    let digits: String = library
+                        .partition
+                        .sides()
+                        .iter()
+                        .map(|s| if *s == Side::Left { '0' } else { '1' })
+                        .collect();
+                    let served = doc.get("partition").and_then(|v| v.as_str());
+                    assert_eq!(served, Some(digits.as_str()), "{name}");
+                    let cut = doc.get("cut").and_then(|v| v.as_u64());
+                    assert_eq!(cut, Some(library.stats.cut_nets as u64), "{name}");
+                }
+                // the insurance answer only wins by beating the portfolio
+                Some("insurance") => {
+                    let ratio = doc.get("ratio").and_then(|v| v.as_f64()).unwrap();
+                    assert!(ratio <= library.ratio(), "{name}: {ratio} vs {library:?}");
+                }
+                other => panic!("{name}: unexpected tier {other:?} in {frames:?}"),
+            }
         }
     }
 
@@ -1322,6 +1252,10 @@ mod tests {
         let partition = doc.get("partition").and_then(|v| v.as_str()).unwrap();
         assert_eq!(partition.len(), 48);
         assert_eq!(svc.metrics().multilevel.load(Ordering::Relaxed), 1);
+        assert_keys(
+            &doc,
+            "id frame degraded tier algorithm levels coarsest_modules cut left right ratio partition",
+        );
     }
 
     #[test]
@@ -1346,6 +1280,10 @@ mod tests {
         };
         assert_eq!(blocks.len(), 48, "one label per module");
         assert!(blocks.iter().all(|v| v.as_u64().unwrap() < 4));
+        assert_keys(
+            &doc,
+            "id frame degraded tier algorithm k levels coarsest_modules cut ratio blocks",
+        );
     }
 
     #[test]

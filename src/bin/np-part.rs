@@ -22,7 +22,8 @@
 //! and refine back up. It composes with each of the three modes:
 //! single-run, portfolio (`--restarts`, each attempt reseeding the
 //! coarsest eigensolve) and k-way (`--k K`, carrying `--fixed` pins
-//! through the contraction). With `--coarsen-target` at or above the
+//! through the contraction). It takes precedence over `--algorithm` and
+//! `--fallback` in every mode. With `--coarsen-target` at or above the
 //! module count the V-cycle is bit-identical to `--algorithm hybrid`.
 //!
 //! `--k K` (with `K != 2`) or `--fixed FILE` switches to **k-way mode**:
@@ -34,8 +35,9 @@
 //! and takes no portfolio flag: `--restarts`, `--target-ratio` and
 //! `--report-json` are rejected together with it.
 //!
-//! Every algorithm is an engine [`Stage`](ig_match_repro::Stage) assembled from the CLI flags
-//! and run against one shared [`RunContext`], so `--budget-ms` (a
+//! Every algorithm is an engine [`Stage`](ig_match_repro::Stage) built
+//! by the shared [`Algorithm`] table (the one `np-serve` uses too) and
+//! run against one shared [`RunContext`], so `--budget-ms` (a
 //! wall-clock cap on the whole run) applies uniformly and `--trace`
 //! streams the stage graph — including the links of the robust fallback
 //! chain and the stages of the hybrid pipeline — to stderr as it
@@ -65,24 +67,19 @@
 //! so attempts keep their kernels serial.
 
 use ig_match_repro::core::engine::run_stage;
-use ig_match_repro::core::engine::stages::{
-    Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage, RobustStage,
-};
 use ig_match_repro::core::engine::DEFAULT_SEED;
 use ig_match_repro::core::kway::{kway_partition_ctx, KwayMethod, KwayOptions};
-use ig_match_repro::hybrid::{hybrid_pipeline, HybridOptions};
 use ig_match_repro::netlist::io::read_hgr;
 use ig_match_repro::netlist::rng::derive_seed;
 use ig_match_repro::netlist::stats::{CutBySize, NetlistSummary};
-use ig_match_repro::netlist::{FixedModules, KwayPartition};
+use ig_match_repro::netlist::FixedModules;
 use ig_match_repro::runner::{
-    run_portfolio, Portfolio, PortfolioEvent, PortfolioOptions, RandomStartFmStage,
+    run_portfolio, Algorithm, Portfolio, PortfolioEvent, PortfolioOptions,
 };
 use ig_match_repro::sparse::{Budget, BudgetMeter};
 use ig_match_repro::{
-    multilevel_kway_ctx, robust_partition_ctx, Bipartition, BoxedStage, Eig1Options,
-    IgMatchOptions, IgVoteOptions, IgWeighting, KlOptions, MultilevelOptions, MultilevelStage,
-    RcutOptions, RobustOptions, RunContext, Side, StageEvent,
+    multilevel_kway_ctx, robust_partition_ctx, Bipartition, BoxedStage, IgMatchOptions,
+    IgWeighting, MultilevelOptions, MultilevelStage, RobustOptions, RunContext, Side, StageEvent,
 };
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
@@ -91,7 +88,7 @@ use std::time::Duration;
 #[derive(Debug)]
 struct Args {
     input: String,
-    algorithm: String,
+    algorithm: Algorithm,
     weighting: IgWeighting,
     refine: bool,
     budget_ms: Option<u64>,
@@ -136,129 +133,105 @@ const USAGE: &str =
                      [--k K] [--epsilon E] [--fixed FIX_FILE] \
                      [--output FILE] [--table]";
 
+/// The value following `flag`.
+fn value(iter: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    iter.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The value following `flag`, parsed; `what` names the expected form.
+fn parsed<T: std::str::FromStr>(
+    iter: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let v = value(iter, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} expects {what}, got '{v}'"))
+}
+
+/// The value following `flag` as a finite, non-negative number.
+fn non_negative(iter: &mut impl Iterator<Item = String>, flag: &str) -> Result<f64, String> {
+    let v = value(iter, flag)?;
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        Ok(_) => Err(format!("{flag} must be finite and >= 0, got '{v}'")),
+        Err(_) => Err(format!("{flag} expects a number, got '{v}'")),
+    }
+}
+
+/// The value following `flag` as a count of at least 1.
+fn positive(
+    iter: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<usize, String> {
+    match parsed(iter, flag, what)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
 fn parse_args<I>(args: I) -> Result<Args, String>
 where
     I: IntoIterator<Item = String>,
 {
     let mut input = None;
-    let mut algorithm = "igmatch".to_string();
-    let mut weighting = IgWeighting::Paper;
-    let mut refine = false;
-    let mut budget_ms = None;
-    let mut trace = false;
-    let mut output = None;
-    let mut table = false;
-    let mut restarts = None;
-    let mut threads = None;
-    let mut seed = DEFAULT_SEED;
-    let mut target_ratio = None;
-    let mut report_json = None;
-    let mut k = 2usize;
-    let mut epsilon = 0.1f64;
-    let mut fixed = None;
-    let mut multilevel = false;
-    let mut coarsen_target = None;
-    let mut max_levels = None;
+    let mut a = Args {
+        input: String::new(),
+        algorithm: Algorithm::IgMatch,
+        weighting: IgWeighting::Paper,
+        refine: false,
+        budget_ms: None,
+        trace: false,
+        output: None,
+        table: false,
+        restarts: None,
+        threads: None,
+        seed: DEFAULT_SEED,
+        target_ratio: None,
+        report_json: None,
+        k: 2,
+        epsilon: 0.1,
+        fixed: None,
+        multilevel: false,
+        coarsen_target: None,
+        max_levels: None,
+    };
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
+        let it = &mut iter;
         match arg.as_str() {
             "--algorithm" | "--algo" => {
-                algorithm = iter.next().ok_or("--algorithm needs a value")?;
+                let name = value(it, "--algorithm")?;
+                a.algorithm = Algorithm::from_name(&name)
+                    .ok_or_else(|| format!("unknown algorithm '{name}'\n{USAGE}"))?;
             }
             "--weighting" => {
-                let w = iter.next().ok_or("--weighting needs a value")?;
-                weighting = IgWeighting::ALL
+                let w = value(it, "--weighting")?;
+                a.weighting = IgWeighting::ALL
                     .into_iter()
                     .find(|x| x.name() == w)
                     .ok_or_else(|| format!("unknown weighting '{w}'"))?;
             }
-            "--refine" => refine = true,
-            "--fallback" => algorithm = "robust".to_string(),
-            "--budget-ms" => {
-                let v = iter.next().ok_or("--budget-ms needs a value")?;
-                budget_ms = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--budget-ms expects milliseconds, got '{v}'"))?,
-                );
-            }
-            "--trace" => trace = true,
-            "--table" => table = true,
-            "--output" => output = Some(iter.next().ok_or("--output needs a value")?),
-            "--restarts" => {
-                let v = iter.next().ok_or("--restarts needs a value")?;
-                let n = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--restarts expects a count, got '{v}'"))?;
-                if n == 0 {
-                    return Err("--restarts must be at least 1".into());
-                }
-                restarts = Some(n);
-            }
-            "--threads" => {
-                let v = iter.next().ok_or("--threads needs a value")?;
-                threads = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--threads expects a count (0 = auto), got '{v}'"))?,
-                );
-            }
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs a value")?;
-                seed = v
-                    .parse::<u64>()
-                    .map_err(|_| format!("--seed expects an unsigned integer, got '{v}'"))?;
-            }
-            "--target-ratio" => {
-                let v = iter.next().ok_or("--target-ratio needs a value")?;
-                let x = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--target-ratio expects a number, got '{v}'"))?;
-                if !x.is_finite() || x < 0.0 {
-                    return Err(format!("--target-ratio must be finite and >= 0, got '{v}'"));
-                }
-                target_ratio = Some(x);
-            }
-            "--report-json" => {
-                report_json = Some(iter.next().ok_or("--report-json needs a value")?);
-            }
-            "--k" => {
-                let v = iter.next().ok_or("--k needs a value")?;
-                k = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--k expects a block count, got '{v}'"))?;
-                if k == 0 {
-                    return Err("--k must be at least 1".into());
-                }
-            }
-            "--epsilon" => {
-                let v = iter.next().ok_or("--epsilon needs a value")?;
-                epsilon = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("--epsilon expects a number, got '{v}'"))?;
-                if !epsilon.is_finite() || epsilon < 0.0 {
-                    return Err(format!("--epsilon must be finite and >= 0, got '{v}'"));
-                }
-            }
-            "--fixed" => {
-                fixed = Some(iter.next().ok_or("--fixed needs a value")?);
-            }
-            "--multilevel" => multilevel = true,
+            "--refine" => a.refine = true,
+            "--fallback" => a.algorithm = Algorithm::Robust,
+            "--budget-ms" => a.budget_ms = Some(parsed(it, "--budget-ms", "milliseconds")?),
+            "--trace" => a.trace = true,
+            "--table" => a.table = true,
+            "--output" => a.output = Some(value(it, "--output")?),
+            "--restarts" => a.restarts = Some(positive(it, "--restarts", "a count")?),
+            "--threads" => a.threads = Some(parsed(it, "--threads", "a count (0 = auto)")?),
+            "--seed" => a.seed = parsed(it, "--seed", "an unsigned integer")?,
+            "--target-ratio" => a.target_ratio = Some(non_negative(it, "--target-ratio")?),
+            "--report-json" => a.report_json = Some(value(it, "--report-json")?),
+            "--k" => a.k = positive(it, "--k", "a block count")?,
+            "--epsilon" => a.epsilon = non_negative(it, "--epsilon")?,
+            "--fixed" => a.fixed = Some(value(it, "--fixed")?),
+            "--multilevel" => a.multilevel = true,
             "--coarsen-target" => {
-                let v = iter.next().ok_or("--coarsen-target needs a value")?;
-                let t = v
-                    .parse::<usize>()
-                    .map_err(|_| format!("--coarsen-target expects a module count, got '{v}'"))?;
-                if t == 0 {
-                    return Err("--coarsen-target must be at least 1".into());
-                }
-                coarsen_target = Some(t);
+                a.coarsen_target = Some(positive(it, "--coarsen-target", "a module count")?)
             }
-            "--max-levels" => {
-                let v = iter.next().ok_or("--max-levels needs a value")?;
-                max_levels = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--max-levels expects a count, got '{v}'"))?,
-                );
-            }
+            "--max-levels" => a.max_levels = Some(parsed(it, "--max-levels", "a count")?),
             "--help" | "-h" => return Err(USAGE.into()),
             other if input.is_none() && !other.starts_with('-') => {
                 input = Some(other.to_string());
@@ -266,32 +239,12 @@ where
             other => return Err(format!("unexpected argument '{other}'\n{USAGE}")),
         }
     }
-    let args = Args {
-        input: input.ok_or(USAGE)?,
-        algorithm,
-        weighting,
-        refine,
-        budget_ms,
-        trace,
-        output,
-        table,
-        restarts,
-        threads,
-        seed,
-        target_ratio,
-        report_json,
-        k,
-        epsilon,
-        fixed,
-        multilevel,
-        coarsen_target,
-        max_levels,
-    };
-    if args.kway_mode() {
+    a.input = input.ok_or(USAGE)?;
+    if a.kway_mode() {
         for (flag, set) in [
-            ("--restarts", args.restarts.is_some()),
-            ("--target-ratio", args.target_ratio.is_some()),
-            ("--report-json", args.report_json.is_some()),
+            ("--restarts", a.restarts.is_some()),
+            ("--target-ratio", a.target_ratio.is_some()),
+            ("--report-json", a.report_json.is_some()),
         ] {
             if set {
                 return Err(format!(
@@ -300,7 +253,7 @@ where
             }
         }
     }
-    Ok(args)
+    Ok(a)
 }
 
 /// Resolves `--budget-ms` into a [`Budget`]; `None` means unlimited.
@@ -308,6 +261,16 @@ fn budget_of(args: &Args) -> Budget {
     match args.budget_ms {
         Some(ms) => Budget::UNLIMITED.with_wall_clock(Duration::from_millis(ms)),
         None => Budget::UNLIMITED,
+    }
+}
+
+/// The spectral choice the CLI flags describe: `--weighting` and
+/// `--refine`, every other IG-Match option at its default.
+fn ig_match_options_for(args: &Args) -> IgMatchOptions {
+    IgMatchOptions {
+        weighting: args.weighting,
+        refine_free_modules: args.refine,
+        ..Default::default()
     }
 }
 
@@ -319,111 +282,45 @@ fn multilevel_options_for(args: &Args) -> MultilevelOptions {
     MultilevelOptions {
         coarsen_target: args.coarsen_target.unwrap_or(base.coarsen_target),
         max_levels: args.max_levels.unwrap_or(base.max_levels),
-        ig_match: IgMatchOptions {
-            weighting: args.weighting,
-            refine_free_modules: args.refine,
-            ..Default::default()
-        },
+        ig_match: ig_match_options_for(args),
         ..base
     }
 }
 
-/// Builds the engine stage the CLI flags describe. `robust` is handled
-/// separately (its chain reports structured diagnostics), and
-/// `--multilevel` takes precedence over `--algorithm` (the V-cycle runs
-/// the hybrid pipeline on the coarsest level itself).
-fn stage_for(args: &Args) -> Result<BoxedStage, String> {
-    if args.multilevel {
-        return Ok(Box::new(MultilevelStage::new(multilevel_options_for(args))));
-    }
-    let ig_match = IgMatchOptions {
-        weighting: args.weighting,
-        refine_free_modules: args.refine,
-        ..Default::default()
-    };
-    Ok(match args.algorithm.as_str() {
-        "igmatch" => Box::new(IgMatchStage::new(ig_match)),
-        "igvote" => Box::new(IgVoteStage::new(IgVoteOptions {
-            weighting: args.weighting,
-            ..Default::default()
-        })),
-        "eig1" => Box::new(Eig1Stage::default()),
-        "rcut" => Box::new(RcutStage::default()),
-        "fm" => Box::new(FmStage::default()),
-        "kl" => Box::new(KlStage::default()),
-        "hybrid" => Box::new(hybrid_pipeline(&HybridOptions {
-            ig_match,
-            ..Default::default()
-        })),
-        other => return Err(format!("unknown algorithm '{other}'\n{USAGE}")),
-    })
+/// What a bipartition run executes.
+#[derive(Debug, PartialEq)]
+enum Route {
+    /// The V-cycle, which runs the hybrid pipeline on its coarsest level
+    /// itself.
+    Multilevel(MultilevelOptions),
+    /// An entry of the algorithm table.
+    Table(Algorithm),
 }
 
-/// Builds the stage portfolio attempt `idx` runs: the CLI's algorithm
-/// with every internal seed moved onto the attempt's `derive_seed`
-/// stream, and internal restart loops collapsed to a single run (the
-/// portfolio *is* the restart loop).
-fn attempt_stage_for(args: &Args, idx: usize) -> Result<BoxedStage, String> {
-    let stream = derive_seed(args.seed, idx as u64);
+/// Picks the route for single-run and portfolio mode alike.
+/// `--multilevel` is checked first, so it overrides `--algorithm` and
+/// `--fallback`.
+fn route(args: &Args) -> Route {
     if args.multilevel {
-        // the coarsest-level eigensolve is the V-cycle's only stochastic
-        // point, so reseeding it is what diversifies the attempts
-        let mut opts = multilevel_options_for(args);
-        opts.ig_match.lanczos.seed = stream;
-        return Ok(Box::new(MultilevelStage::new(opts)));
+        Route::Multilevel(multilevel_options_for(args))
+    } else {
+        Route::Table(args.algorithm)
     }
-    let ig_match = {
-        let mut o = IgMatchOptions {
-            weighting: args.weighting,
-            refine_free_modules: args.refine,
-            ..Default::default()
-        };
-        o.lanczos.seed = stream;
-        o
-    };
-    Ok(match args.algorithm.as_str() {
-        "igmatch" => Box::new(IgMatchStage::new(ig_match)),
-        "igvote" => {
-            let mut o = IgVoteOptions {
-                weighting: args.weighting,
-                ..Default::default()
-            };
-            o.lanczos.seed = stream;
-            Box::new(IgVoteStage::new(o))
-        }
-        "eig1" => {
-            let mut o = Eig1Options::default();
-            o.lanczos.seed = stream;
-            Box::new(Eig1Stage { opts: o })
-        }
-        "rcut" => Box::new(RcutStage {
-            opts: RcutOptions {
-                runs: 1,
-                seed: stream,
-                ..Default::default()
-            },
-        }),
-        // FM draws its random start from the attempt context's seed
-        "fm" => Box::new(RandomStartFmStage::default()),
-        "kl" => Box::new(KlStage {
-            opts: KlOptions {
-                runs: 1,
-                seed: stream,
-                ..Default::default()
-            },
-        }),
-        "hybrid" => Box::new(hybrid_pipeline(&HybridOptions {
-            ig_match,
-            ..Default::default()
-        })),
-        "robust" => Box::new(RobustStage {
-            opts: RobustOptions {
-                ig_match,
-                ..Default::default()
-            },
-        }),
-        other => return Err(format!("unknown algorithm '{other}'\n{USAGE}")),
-    })
+}
+
+/// Prints one stage event to stderr behind `tag`: details (e.g.
+/// IG-Match's matching bound) always, the per-stage start/finish stream
+/// only with `--trace`.
+fn print_event(tag: &str, trace: bool, e: &StageEvent<'_>) {
+    match e {
+        StageEvent::Detail { stage, message } => eprintln!("{tag}{stage}: {message}"),
+        StageEvent::Started { stage } if trace => eprintln!("{tag}-> {stage}"),
+        StageEvent::Finished { stage, outcome } if trace => match outcome {
+            Ok(r) => eprintln!("{tag}<- {stage}: ratio {:.3e}", r.ratio()),
+            Err(err) => eprintln!("{tag}<- {stage}: failed: {err}"),
+        },
+        _ => {}
+    }
 }
 
 /// Portfolio mode: `--restarts` attempts of the chosen algorithm over
@@ -436,40 +333,31 @@ fn run_portfolio_mode(
     use ig_match_repro::runner::AttemptStatus;
 
     let restarts = args.restarts.unwrap_or(1);
-    let family = if args.multilevel {
-        "multilevel"
-    } else {
-        args.algorithm.as_str()
+    let portfolio = match route(args) {
+        // the coarsest-level eigensolve is the V-cycle's only stochastic
+        // point, so reseeding it is what diversifies the attempts
+        Route::Multilevel(opts) => Portfolio::new().restarts("multilevel", restarts, |i| {
+            let mut opts = opts;
+            opts.ig_match.lanczos.seed = derive_seed(args.seed, i as u64);
+            Box::new(MultilevelStage::new(opts))
+        }),
+        Route::Table(algorithm) => {
+            algorithm.portfolio(ig_match_options_for(args), restarts, args.seed)
+        }
     };
-    let mut portfolio = Portfolio::new();
-    for i in 0..restarts {
-        portfolio = portfolio.attempt_boxed(format!("{family}#{i}"), attempt_stage_for(args, i)?);
-    }
     let opts = PortfolioOptions {
         threads: args.threads.unwrap_or(0),
         seed: args.seed,
         target_ratio: args.target_ratio,
     };
-    let trace = args.trace;
-    // same policy as the single-run sink, with an `[attempt:label]` tag
-    // so interleaved streams from concurrent attempts stay attributable
-    let sink = move |e: &PortfolioEvent<'_>| match e.event {
-        StageEvent::Detail { stage, message } => {
-            eprintln!("[{}:{}] {stage}: {message}", e.attempt, e.label)
-        }
-        StageEvent::Started { stage } if trace => {
-            eprintln!("[{}:{}] -> {stage}", e.attempt, e.label)
-        }
-        StageEvent::Finished { stage, outcome } if trace => match outcome {
-            Ok(r) => eprintln!(
-                "[{}:{}] <- {stage}: ratio {:.3e}",
-                e.attempt,
-                e.label,
-                r.ratio()
-            ),
-            Err(err) => eprintln!("[{}:{}] <- {stage}: failed: {err}", e.attempt, e.label),
-        },
-        _ => {}
+    // an `[attempt:label]` tag keeps interleaved streams from concurrent
+    // attempts attributable
+    let sink = |e: &PortfolioEvent<'_>| {
+        print_event(
+            &format!("[{}:{}] ", e.attempt, e.label),
+            args.trace,
+            e.event,
+        )
     };
     let outcome = run_portfolio(hg, &portfolio, &opts, meter, Some(&sink));
     {
@@ -507,6 +395,35 @@ fn run_portfolio_mode(
     }
 }
 
+/// Single-run mode: one stage of the route against the shared context.
+/// The robust chain runs through its own entry point, whose diagnostics
+/// say which link produced the answer.
+fn run_single(
+    args: &Args,
+    hg: &ig_match_repro::Hypergraph,
+    ctx: &RunContext<'_>,
+) -> Result<(String, Bipartition), String> {
+    let stage: BoxedStage = match route(args) {
+        Route::Multilevel(opts) => Box::new(MultilevelStage::new(opts)),
+        Route::Table(Algorithm::Robust) => {
+            let opts = RobustOptions {
+                ig_match: ig_match_options_for(args),
+                ..Default::default()
+            };
+            let outcome = robust_partition_ctx(hg, &opts, ctx).map_err(|failure| {
+                eprintln!("{}", failure.diagnostics);
+                failure.to_string()
+            })?;
+            eprintln!("{}", outcome.diagnostics);
+            let label = format!("robust[{}]", outcome.result.algorithm);
+            return Ok((label, outcome.result.partition));
+        }
+        Route::Table(algorithm) => algorithm.stage(ig_match_options_for(args)),
+    };
+    let r = run_stage(stage.as_ref(), hg, None, ctx).map_err(|e| e.to_string())?;
+    Ok((r.algorithm.to_string(), r.partition))
+}
+
 /// Builds the [`KwayOptions`] the CLI flags describe, loading the
 /// `.fix` pre-assignment file when given.
 fn kway_options_for(args: &Args, num_modules: usize) -> Result<KwayOptions, String> {
@@ -529,11 +446,7 @@ fn kway_options_for(args: &Args, num_modules: usize) -> Result<KwayOptions, Stri
         k: args.k,
         epsilon: args.epsilon,
         fixed,
-        ig_match: IgMatchOptions {
-            weighting: args.weighting,
-            refine_free_modules: args.refine,
-            ..Default::default()
-        },
+        ig_match: ig_match_options_for(args),
         ..Default::default()
     })
 }
@@ -571,17 +484,18 @@ fn run_kway_mode(
     };
     println!("{label}: {}", result.stats);
     if let Some(path) = &args.output {
-        write_kway_partition(path, &result.partition)?;
-        eprintln!("partition written to {path}");
+        write_labels(path, result.partition.labels().iter().copied())?;
     }
     Ok(())
 }
 
-fn write_kway_partition(path: &str, partition: &KwayPartition) -> Result<(), String> {
+/// Writes one label per module line (a side `0`/`1`, or a block id).
+fn write_labels(path: &str, labels: impl Iterator<Item = u32>) -> Result<(), String> {
     let mut out = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-    for &b in partition.labels() {
+    for b in labels {
         writeln!(out, "{b}").map_err(|e| format!("write failed: {e}"))?;
     }
+    eprintln!("partition written to {path}");
     Ok(())
 }
 
@@ -597,18 +511,7 @@ fn run() -> Result<(), String> {
     if args.kway_mode() {
         return run_kway_mode(&args, &hg, &meter);
     }
-    let trace = args.trace;
-    // details (e.g. IG-Match's matching bound) always go to stderr; the
-    // per-stage start/finish stream only with --trace
-    let sink = move |e: &StageEvent<'_>| match e {
-        StageEvent::Detail { stage, message } => eprintln!("{stage}: {message}"),
-        StageEvent::Started { stage } if trace => eprintln!("-> {stage}"),
-        StageEvent::Finished { stage, outcome } if trace => match outcome {
-            Ok(r) => eprintln!("<- {stage}: ratio {:.3e}", r.ratio()),
-            Err(e) => eprintln!("<- {stage}: failed: {e}"),
-        },
-        _ => {}
-    };
+    let sink = |e: &StageEvent<'_>| print_event("", args.trace, e);
     let ctx = RunContext::with_meter(&meter)
         .with_seed(args.seed)
         .with_threads(args.threads.unwrap_or(1))
@@ -616,32 +519,8 @@ fn run() -> Result<(), String> {
 
     let (label, partition): (String, Bipartition) = if args.portfolio_mode() {
         run_portfolio_mode(&args, &hg, &meter)?
-    } else if args.algorithm == "robust" {
-        let opts = RobustOptions {
-            ig_match: IgMatchOptions {
-                weighting: args.weighting,
-                refine_free_modules: args.refine,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        match robust_partition_ctx(&hg, &opts, &ctx) {
-            Ok(outcome) => {
-                eprintln!("{}", outcome.diagnostics);
-                (
-                    format!("robust[{}]", outcome.result.algorithm),
-                    outcome.result.partition,
-                )
-            }
-            Err(failure) => {
-                eprintln!("{}", failure.diagnostics);
-                return Err(failure.to_string());
-            }
-        }
     } else {
-        let stage = stage_for(&args)?;
-        let r = run_stage(stage.as_ref(), &hg, None, &ctx).map_err(|e| e.to_string())?;
-        (r.algorithm.to_string(), r.partition)
+        run_single(&args, &hg, &ctx)?
     };
 
     let stats = partition.cut_stats(&hg);
@@ -654,14 +533,11 @@ fn run() -> Result<(), String> {
     if args.table {
         print!("{}", CutBySize::compute(&hg, &partition));
     }
-    if let Some(path) = args.output {
-        let mut out =
-            std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        for side in partition.sides() {
-            writeln!(out, "{}", if *side == Side::Left { 0 } else { 1 })
-                .map_err(|e| format!("write failed: {e}"))?;
-        }
-        eprintln!("partition written to {path}");
+    if let Some(path) = &args.output {
+        write_labels(
+            path,
+            partition.sides().iter().map(|s| (*s == Side::Right) as u32),
+        )?;
     }
     Ok(())
 }
@@ -688,7 +564,7 @@ mod tests {
     fn defaults() {
         let a = parse(&["x.hgr"]).unwrap();
         assert_eq!(a.input, "x.hgr");
-        assert_eq!(a.algorithm, "igmatch");
+        assert_eq!(a.algorithm, Algorithm::IgMatch);
         assert_eq!(a.weighting, IgWeighting::Paper);
         assert!(!a.refine && !a.table && !a.trace && a.output.is_none());
         assert_eq!(a.seed, DEFAULT_SEED);
@@ -710,7 +586,7 @@ mod tests {
             "out.part",
         ])
         .unwrap();
-        assert_eq!(a.algorithm, "rcut");
+        assert_eq!(a.algorithm, Algorithm::Rcut);
         assert_eq!(a.weighting, IgWeighting::Uniform);
         assert!(a.refine && a.table && a.trace);
         assert_eq!(a.output.as_deref(), Some("out.part"));
@@ -744,7 +620,7 @@ mod tests {
     #[test]
     fn fallback_selects_robust_algorithm() {
         let a = parse(&["x.hgr", "--fallback"]).unwrap();
-        assert_eq!(a.algorithm, "robust");
+        assert_eq!(a.algorithm, Algorithm::Robust);
     }
 
     #[test]
@@ -762,16 +638,15 @@ mod tests {
 
     #[test]
     fn every_engine_algorithm_resolves_to_a_stage() {
-        for algo in ["igmatch", "igvote", "eig1", "rcut", "fm", "kl", "hybrid"] {
-            let a = parse(&["x.hgr", "--algorithm", algo]).unwrap();
-            let stage = stage_for(&a).unwrap();
-            assert!(!stage.name().is_empty(), "{algo}");
+        for algo in Algorithm::ALL {
+            let a = parse(&["x.hgr", "--algorithm", algo.name()]).unwrap();
+            assert_eq!(route(&a), Route::Table(algo));
+            let stage = algo.stage(ig_match_options_for(&a));
+            assert!(!stage.name().is_empty(), "{algo:?}");
         }
-        let bad = parse(&["x.hgr", "--algorithm", "magic"]).unwrap();
-        let err = stage_for(&bad)
-            .err()
-            .expect("unknown algorithm must be rejected");
-        assert!(err.contains("unknown algorithm"), "{err}");
+        // an unknown name fails at parse time, before any input is read
+        let err = parse(&["x.hgr", "--algorithm", "magic"]).unwrap_err();
+        assert!(err.contains("unknown algorithm 'magic'"), "{err}");
     }
 
     #[test]
@@ -792,7 +667,7 @@ mod tests {
             "report.json",
         ])
         .unwrap();
-        assert_eq!(a.algorithm, "fm");
+        assert_eq!(a.algorithm, Algorithm::Fm);
         assert_eq!(a.restarts, Some(16));
         assert_eq!(a.threads, Some(8));
         assert_eq!(a.seed, 42);
@@ -932,8 +807,7 @@ mod tests {
     #[test]
     fn multilevel_overrides_the_algorithm_stage() {
         let a = parse(&["x.hgr", "--multilevel", "--algorithm", "rcut"]).unwrap();
-        assert_eq!(stage_for(&a).unwrap().name(), "multilevel");
-        assert_eq!(attempt_stage_for(&a, 0).unwrap().name(), "multilevel");
+        assert_eq!(route(&a), Route::Multilevel(multilevel_options_for(&a)));
         // --weighting/--refine reach the coarsest-level pipeline
         let b = parse(&[
             "x.hgr",
@@ -950,16 +824,43 @@ mod tests {
 
     #[test]
     fn every_algorithm_resolves_to_an_attempt_stage() {
-        for algo in [
-            "igmatch", "igvote", "eig1", "rcut", "fm", "kl", "hybrid", "robust",
-        ] {
-            let a = parse(&["x.hgr", "--algorithm", algo, "--restarts", "2"]).unwrap();
-            let s0 = attempt_stage_for(&a, 0).unwrap();
-            let s1 = attempt_stage_for(&a, 1).unwrap();
-            assert!(!s0.name().is_empty(), "{algo}");
-            assert_eq!(s0.name(), s1.name(), "{algo}");
+        for algo in Algorithm::ALL {
+            let a = parse(&["x.hgr", "--algorithm", algo.name(), "--restarts", "2"]).unwrap();
+            assert_eq!(route(&a), Route::Table(algo));
+            let p = algo.portfolio(ig_match_options_for(&a), 2, a.seed);
+            let [s0, s1] = p.attempts() else {
+                panic!("{algo:?}: two attempts expected")
+            };
+            assert_eq!(s0.label(), format!("{}#0", algo.name()));
+            assert_eq!(s1.label(), format!("{}#1", algo.name()));
         }
-        let bad = parse(&["x.hgr", "--algorithm", "magic", "--restarts", "2"]).unwrap();
-        assert!(attempt_stage_for(&bad, 0).is_err());
+        let bad = parse(&["x.hgr", "--algorithm", "magic", "--restarts", "2"]);
+        assert!(bad.unwrap_err().contains("unknown algorithm"));
+    }
+
+    #[test]
+    fn fallback_with_multilevel_runs_the_vcycle_in_every_mode() {
+        // --multilevel wins over --fallback / --algorithm robust in both
+        // orders, in single-run mode as in portfolio mode
+        for argv in [
+            &["x.hgr", "--fallback", "--multilevel"][..],
+            &["x.hgr", "--multilevel", "--fallback"][..],
+            &["x.hgr", "--multilevel", "--algorithm", "robust"][..],
+            &[
+                "x.hgr",
+                "--multilevel",
+                "--algorithm",
+                "robust",
+                "--restarts",
+                "2",
+            ][..],
+        ] {
+            let a = parse(argv).unwrap();
+            assert_eq!(a.algorithm, Algorithm::Robust, "{argv:?}");
+            assert!(
+                matches!(route(&a), Route::Multilevel(_)),
+                "{argv:?} must resolve to the V-cycle"
+            );
+        }
     }
 }

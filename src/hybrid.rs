@@ -1,53 +1,11 @@
 //! Hybrid pipelines combining the spectral partitioners with iterative
-//! post-improvement — the §5 suggestion that "the ratio cuts so obtained
-//! may optionally be improved by using standard iterative techniques".
+//! post-improvement — [`np_core::hybrid`], re-exported. That module holds
+//! the one definition of the IG-Match+FM flow.
 
-use np_core::engine::stages::{IgMatchStage, RatioRefineStage};
-use np_core::engine::{Pipeline, RunContext, Stage};
-use np_core::{IgMatchOptions, PartitionError, PartitionResult};
-use np_netlist::Hypergraph;
-use np_sparse::{Budget, BudgetMeter};
+pub use np_core::hybrid::{hybrid_pipeline, ig_match_refined_ctx, HybridOptions};
 
-/// Options for [`ig_match_refined`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HybridOptions {
-    /// Options for the spectral IG-Match stage.
-    pub ig_match: IgMatchOptions,
-    /// Upper bound on ratio-objective FM passes in the refinement stage.
-    pub max_refine_passes: usize,
-    /// Cooperative resource budget covering both pipeline stages: the
-    /// eigensolve and split sweep check it inside IG-Match, and each
-    /// refinement pass charges one unit. Defaults to
-    /// [`Budget::UNLIMITED`].
-    pub budget: Budget,
-}
-
-impl Default for HybridOptions {
-    fn default() -> Self {
-        HybridOptions {
-            ig_match: IgMatchOptions::default(),
-            max_refine_passes: 20,
-            budget: Budget::UNLIMITED,
-        }
-    }
-}
-
-/// Runs IG-Match, then polishes the result with ratio-objective
-/// Fiduccia–Mattheyses shifting passes. The refinement can only improve
-/// the ratio cut, so the result is never worse than plain IG-Match — and
-/// the pipeline stays fully deterministic (no random restarts anywhere).
-///
-/// Both stages share the single [`HybridOptions::budget`]; a budget that
-/// trips during refinement aborts the whole run rather than returning the
-/// unrefined partition, so callers see budget exhaustion uniformly (use
-/// [`np_core::robust_partition`] when a best-effort answer is wanted).
-///
-/// # Errors
-///
-/// Propagates IG-Match failures
-/// ([`PartitionError::TooSmall`] / [`Eigen`](PartitionError::Eigen) /
-/// [`Degenerate`](PartitionError::Degenerate)) and surfaces budget
-/// exhaustion from either stage as [`PartitionError::Budget`].
+/// Runs IG-Match, then polishes the result with ratio-objective FM
+/// passes; never worse than plain IG-Match.
 ///
 /// # Example
 ///
@@ -62,46 +20,15 @@ impl Default for HybridOptions {
 /// assert!(hybrid.ratio() <= plain.result.ratio() + 1e-12);
 /// # Ok::<(), ig_match_repro::PartitionError>(())
 /// ```
-pub fn ig_match_refined(
-    hg: &Hypergraph,
-    opts: &HybridOptions,
-) -> Result<PartitionResult, PartitionError> {
-    let meter = BudgetMeter::new(&opts.budget);
-    ig_match_refined_ctx(hg, opts, &RunContext::with_meter(&meter))
-}
-
-/// [`ig_match_refined`] against an execution context — the single
-/// implementation behind every entry point. The context's meter governs
-/// both pipeline stages; [`HybridOptions::budget`] is *not* consulted
-/// here (the plain entry point builds its context from it). An event
-/// sink on the context sees both stages as `Started`/`Finished` events.
-///
-/// # Errors
-///
-/// Same as [`ig_match_refined`].
-pub fn ig_match_refined_ctx(
-    hg: &Hypergraph,
-    opts: &HybridOptions,
-    ctx: &RunContext<'_>,
-) -> Result<PartitionResult, PartitionError> {
-    hybrid_pipeline(opts).run(hg, None, ctx)
-}
-
-/// The hybrid flow as declarative engine data: an IG-Match producer
-/// feeding a ratio-refinement transformer. Exposed so callers can extend
-/// the pipeline with further stages or embed it in a
-/// [`FallbackChain`](np_core::engine::FallbackChain).
-pub fn hybrid_pipeline(opts: &HybridOptions) -> Pipeline {
-    Pipeline::named("IG-Match+FM")
-        .then(IgMatchStage::new(opts.ig_match))
-        .then(RatioRefineStage::new(opts.max_refine_passes, "IG-Match+FM"))
-}
+pub use np_core::hybrid::ig_match_refined;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_core::ig_match;
+    use np_core::engine::{RunContext, Stage};
+    use np_core::{ig_match, IgMatchOptions, PartitionError};
     use np_netlist::generate::{generate, GeneratorConfig};
+    use np_sparse::{Budget, BudgetMeter};
     use std::time::Duration;
 
     #[test]
@@ -140,12 +67,11 @@ mod tests {
     #[test]
     fn exhausted_budget_surfaces_as_budget_error() {
         let hg = generate(&GeneratorConfig::new(150, 170, 3));
-        let err = ig_match_refined(
+        let meter = BudgetMeter::new(&Budget::UNLIMITED.with_wall_clock(Duration::ZERO));
+        let err = ig_match_refined_ctx(
             &hg,
-            &HybridOptions {
-                budget: Budget::UNLIMITED.with_wall_clock(Duration::ZERO),
-                ..Default::default()
-            },
+            &HybridOptions::default(),
+            &RunContext::with_meter(&meter),
         )
         .unwrap_err();
         assert!(matches!(err, PartitionError::Budget(_)), "{err}");
@@ -166,12 +92,11 @@ mod tests {
     fn generous_budget_matches_unlimited() {
         let hg = generate(&GeneratorConfig::new(150, 170, 3));
         let unlimited = ig_match_refined(&hg, &HybridOptions::default()).unwrap();
-        let budgeted = ig_match_refined(
+        let meter = BudgetMeter::new(&Budget::UNLIMITED.with_wall_clock(Duration::from_secs(600)));
+        let budgeted = ig_match_refined_ctx(
             &hg,
-            &HybridOptions {
-                budget: Budget::UNLIMITED.with_wall_clock(Duration::from_secs(600)),
-                ..Default::default()
-            },
+            &HybridOptions::default(),
+            &RunContext::with_meter(&meter),
         )
         .unwrap();
         assert_eq!(unlimited.partition, budgeted.partition);

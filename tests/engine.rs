@@ -194,7 +194,7 @@ fn robust_ctx_matches_plain_and_is_deterministic() {
     check_cases(16, 0x20B5, |g| {
         let hg = small_hypergraph(g);
         let opts = RobustOptions::default();
-        let meter = BudgetMeter::new(&opts.budget);
+        let meter = BudgetMeter::unlimited();
         let via_ctx = robust_partition_ctx(&hg, &opts, &RunContext::with_meter(&meter));
         match (robust_partition(&hg, &opts), via_ctx) {
             (Ok(a), Ok(b)) => {

@@ -7,7 +7,8 @@
 use ig_match_repro::core::robust::{FaultKind, FaultPlan};
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::{
-    robust_partition, Budget, FallbackStage, Hypergraph, PartitionError, RobustOptions,
+    robust_partition, robust_partition_ctx, Budget, BudgetMeter, FallbackStage, Hypergraph,
+    PartitionError, RobustOptions, RunContext,
 };
 use std::time::{Duration, Instant};
 
@@ -164,12 +165,13 @@ fn budget_limited_run_returns_within_twice_the_limit() {
     // so in practice it is far tighter; the bound guards against hangs)
     let hg = generate(&GeneratorConfig::new(600, 650, 0xB1D).with_satellite(0.1, 4));
     let limit = Duration::from_millis(250);
-    let opts = RobustOptions {
-        budget: Budget::UNLIMITED.with_wall_clock(limit),
-        ..Default::default()
-    };
+    let meter = BudgetMeter::new(&Budget::UNLIMITED.with_wall_clock(limit));
     let started = Instant::now();
-    let outcome = robust_partition(&hg, &opts);
+    let outcome = robust_partition_ctx(
+        &hg,
+        &RobustOptions::default(),
+        &RunContext::with_meter(&meter),
+    );
     let took = started.elapsed();
     assert!(
         took < limit * 2,
