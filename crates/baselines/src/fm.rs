@@ -101,8 +101,8 @@ pub fn fm_bisect(hg: &Hypergraph, initial: &Bipartition, opts: &FmOptions) -> Fm
 /// # Errors
 ///
 /// [`BudgetExceeded`] when the meter reports a limit hit; the partition
-/// state reached so far is discarded (callers wanting partial progress
-/// should budget per-pass themselves).
+/// state reached so far is discarded (use [`fm_bisect_anytime`] to keep
+/// it).
 ///
 /// # Panics
 ///
@@ -113,6 +113,26 @@ pub fn fm_bisect_metered(
     opts: &FmOptions,
     meter: &BudgetMeter,
 ) -> Result<FmResult, BudgetExceeded> {
+    match fm_bisect_anytime(hg, initial, opts, meter) {
+        (result, None) => Ok(result),
+        (_, Some(tripped)) => Err(tripped),
+    }
+}
+
+/// [`fm_bisect_metered`] that keeps its progress: when `meter` trips, the
+/// best partition reached so far (at worst `initial`) is returned together
+/// with the trip. Every completed pass only keeps or lowers the cut, so
+/// the partition held at any pass boundary is the best seen.
+///
+/// # Panics
+///
+/// Same as [`fm_bisect`].
+pub fn fm_bisect_anytime(
+    hg: &Hypergraph,
+    initial: &Bipartition,
+    opts: &FmOptions,
+    meter: &BudgetMeter,
+) -> (FmResult, Option<BudgetExceeded>) {
     let n = hg.num_modules();
     assert_eq!(initial.len(), n, "partition size mismatch");
     let half = n as f64 / 2.0;
@@ -122,19 +142,24 @@ pub fn fm_bisect_metered(
 
     let mut tracker = CutTracker::from_partition(hg, initial);
     let mut passes = 0usize;
+    let mut tripped = None;
     while passes < opts.max_passes {
-        meter.charge(1)?;
+        if let Err(e) = meter.charge(1) {
+            tripped = Some(e);
+            break;
+        }
         passes += 1;
         let improved = run_pass(hg, &mut tracker, min_left, max_left, PrefixObjective::Cut);
         if !improved {
             break;
         }
     }
-    Ok(FmResult {
+    let result = FmResult {
         partition: tracker.to_partition(),
         cut_nets: tracker.cut_nets(),
         passes,
-    })
+    };
+    (result, tripped)
 }
 
 /// Doubly-linked gain bucket lists for one side of the partition.
@@ -484,6 +509,10 @@ mod tests {
         // zero wall clock: trips before the first pass
         let tight = BudgetMeter::new(&Budget::default().with_wall_clock(Duration::ZERO));
         assert!(fm_bisect_metered(&hg, &start, &FmOptions::default(), &tight).is_err());
+        // the anytime form keeps the start it never got to improve
+        let (kept, tripped) = fm_bisect_anytime(&hg, &start, &FmOptions::default(), &tight);
+        assert!(tripped.is_some());
+        assert_eq!((kept.partition, kept.passes), (start.clone(), 0));
         // unlimited meter: identical to the plain entry point
         let meter = BudgetMeter::unlimited();
         let metered = fm_bisect_metered(&hg, &start, &FmOptions::default(), &meter).unwrap();

@@ -27,6 +27,6 @@ pub mod kl;
 pub mod rcut;
 
 pub use anneal::{anneal, AnnealOptions, AnnealResult};
-pub use fm::{fm_bisect, fm_bisect_metered, FmOptions, FmResult};
+pub use fm::{fm_bisect, fm_bisect_anytime, fm_bisect_metered, FmOptions, FmResult};
 pub use kl::{kl_bisect, kl_bisect_metered, KlOptions, KlResult};
 pub use rcut::{rcut, rcut_metered, refine_ratio_cut_metered, RcutOptions, RcutResult};

@@ -7,13 +7,9 @@
 //! Every fused variant is asserted **bit-identical** to its
 //! straight-line reference before it is timed — a fast kernel that
 //! drifts from the reference fails the binary, not just the benchmark.
-//! The FP-reassociating variants behind the `reassoc-fast` feature are
-//! exempt from bit-identity by design and are compared under a relative
-//! tolerance instead.
 //!
 //! ```text
 //! cargo run --release -p bench --bin kernels [-- OUT.json]
-//! cargo run --release -p bench --features reassoc-fast --bin kernels
 //! ```
 
 use bench::{best_of, BenchEntry, BenchReport};
@@ -97,14 +93,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_kernels.json".to_string());
     let mut report = BenchReport::new("kernels");
     report.meta("kernel", "speed-floor");
-    report.meta(
-        "fp_mode",
-        if cfg!(feature = "reassoc-fast") {
-            "reassoc-fast"
-        } else {
-            "bit-exact"
-        },
-    );
+    report.meta("fp_mode", "bit-exact");
 
     // --- CSR SpMV: the straight row loop on netlist-like rows (~17 nnz),
     // banded and scattered ---
@@ -246,42 +235,6 @@ fn main() {
         seq,
         fused_orth,
     );
-
-    // --- reassoc-fast: tolerance-checked, never bit-compared ----------
-    #[cfg(feature = "reassoc-fast")]
-    {
-        use np_sparse::vecops::dot_reassoc;
-        let exact = dot(&u, &v);
-        let fast = dot_reassoc(&u, &v);
-        let scale = u.len() as f64 * f64::EPSILON * 64.0;
-        assert!(
-            (exact - fast).abs() <= scale * exact.abs().max(1.0),
-            "reassociated dot out of tolerance: {exact} vs {fast}"
-        );
-        let (_, exact_wall) = best_of(RUNS, || {
-            let mut acc = 0.0;
-            for _ in 0..VEC_REPS {
-                acc += dot(black_box(&u), black_box(&v));
-            }
-            black_box(acc)
-        });
-        let (_, fast_wall) = best_of(RUNS, || {
-            let mut acc = 0.0;
-            for _ in 0..VEC_REPS {
-                acc += dot_reassoc(black_box(&u), black_box(&v));
-            }
-            black_box(acc)
-        });
-        push_pair(
-            &mut report,
-            "dot_reassoc",
-            VEC_N,
-            "ops_per_sec",
-            VEC_REPS,
-            exact_wall,
-            fast_wall,
-        );
-    }
 
     // --- IG-Match sweep BFS: bitset + flattened adjacency -------------
     let sweep_hg = banded_hypergraph(17, 4_500, 3_000, 12);

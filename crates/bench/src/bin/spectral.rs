@@ -49,11 +49,11 @@ fn run_cached(
     let mut out = None;
     for _ in 0..ATTEMPTS {
         // One shared cache across attempts: the first attempt builds each
-        // operator (sharded over `threads`), the rest reuse the same Arc;
-        // every solve shards its matvecs over `threads`.
-        let q = cache.clique_laplacian(hg, threads);
+        // operator, the rest reuse the same Arc; every solve shards its
+        // matvecs over `threads`.
+        let q = cache.clique_laplacian(hg);
         let clique_pair = fiedler(&q.threaded(threads), opts).expect("cached clique solve");
-        let ig = cache.intersection_laplacian(hg, IgWeighting::Paper, threads);
+        let ig = cache.intersection_laplacian(hg, IgWeighting::Paper);
         let ig_pair = fiedler(&ig.threaded(threads), opts).expect("cached intersection solve");
         out = Some((clique_pair, ig_pair));
     }

@@ -17,7 +17,6 @@
 //! | `ablation_recursive` | §3 — free-module refinement extension |
 //! | `ablation_threshold` | §5 — input sparsification by thresholding |
 //! | `ablation_cluster` | §5 — clustering condensation hybrid |
-//! | `ablation_block` | §1.1 fn.1 — block vs single-vector Lanczos |
 //! | `ablation_areas` | §4 — area-oblivious spectral vs area-aware RCut |
 //! | `hybrid` | §5 — IG-Match + ratio-FM post-refinement |
 //! | `bounds` | Theorem 1 — per-instance optimality certificates |

@@ -1,7 +1,9 @@
 //! A build-once cache for the spectral operators of one hypergraph.
 
-use crate::models::clique::{bound_preserving_adjacency_threaded, clique_adjacency_threaded};
-use crate::models::{intersection_adjacency_threaded, intersection_neighbors, IgWeighting};
+use crate::models::clique::bound_preserving_laplacian;
+use crate::models::{
+    clique_laplacian, intersection_laplacian, intersection_neighbors, IgWeighting,
+};
 use np_netlist::Hypergraph;
 use np_sparse::Laplacian;
 use std::sync::{Arc, OnceLock};
@@ -15,15 +17,13 @@ use std::sync::{Arc, OnceLock};
 /// same matrices once per attempt unless something shares them; this
 /// cache is that something. `np-runner` puts one `Arc<OperatorCache>`
 /// into every attempt's [`RunContext`](crate::engine::RunContext), so the
-/// first attempt to need an operator builds it (with the context's
-/// thread count sharding the build) and every later attempt gets the
-/// same `Arc` back for free.
+/// first attempt to need an operator builds it and every later attempt
+/// gets the same `Arc` back for free.
 ///
 /// Each slot is a [`OnceLock`], so concurrent first requests are safe:
 /// losers of the initialization race simply receive the winner's
 /// operator. Results are unaffected by sharing because the builders are
-/// deterministic functions of the hypergraph (and bit-identical for
-/// every thread count).
+/// deterministic functions of the hypergraph.
 ///
 /// A cache describes **one** hypergraph. It does not store the
 /// hypergraph itself — callers pass it in — but the accessors
@@ -38,8 +38,8 @@ use std::sync::{Arc, OnceLock};
 ///
 /// let hg = hypergraph_from_nets(3, &[vec![0, 1], vec![1, 2]]);
 /// let cache = OperatorCache::new();
-/// let a = cache.clique_laplacian(&hg, 1);
-/// let b = cache.clique_laplacian(&hg, 8); // cache hit: same operator
+/// let a = cache.clique_laplacian(&hg);
+/// let b = cache.clique_laplacian(&hg); // cache hit: same operator
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
 /// ```
 #[derive(Debug, Default)]
@@ -63,16 +63,12 @@ impl OperatorCache {
         OperatorCache::default()
     }
 
-    /// The clique-model Laplacian of `hg`, built on first call (sharding
-    /// the build over `threads` threads) and shared thereafter.
-    pub fn clique_laplacian(&self, hg: &Hypergraph, threads: usize) -> Arc<Laplacian> {
+    /// The clique-model Laplacian of `hg`, built on first call and shared
+    /// thereafter.
+    pub fn clique_laplacian(&self, hg: &Hypergraph) -> Arc<Laplacian> {
         let q = self
             .clique
-            .get_or_init(|| {
-                Arc::new(Laplacian::from_adjacency(clique_adjacency_threaded(
-                    hg, threads,
-                )))
-            })
+            .get_or_init(|| Arc::new(clique_laplacian(hg)))
             .clone();
         debug_assert_eq!(
             np_sparse::LinearOperator::dim(&*q),
@@ -83,16 +79,12 @@ impl OperatorCache {
     }
 
     /// The bound-preserving clique Laplacian of `hg` (see
-    /// [`bound_preserving_laplacian`](crate::models::clique::bound_preserving_laplacian)),
+    /// [`bound_preserving_laplacian`]),
     /// built on first call and shared thereafter.
-    pub fn bound_preserving_laplacian(&self, hg: &Hypergraph, threads: usize) -> Arc<Laplacian> {
+    pub fn bound_preserving_laplacian(&self, hg: &Hypergraph) -> Arc<Laplacian> {
         let q = self
             .bound_preserving
-            .get_or_init(|| {
-                Arc::new(Laplacian::from_adjacency(
-                    bound_preserving_adjacency_threaded(hg, threads),
-                ))
-            })
+            .get_or_init(|| Arc::new(bound_preserving_laplacian(hg)))
             .clone();
         debug_assert_eq!(
             np_sparse::LinearOperator::dim(&*q),
@@ -109,14 +101,9 @@ impl OperatorCache {
         &self,
         hg: &Hypergraph,
         weighting: IgWeighting,
-        threads: usize,
     ) -> Arc<Laplacian> {
         let q = self.intersection[weighting_slot(weighting)]
-            .get_or_init(|| {
-                Arc::new(Laplacian::from_adjacency(intersection_adjacency_threaded(
-                    hg, weighting, threads,
-                )))
-            })
+            .get_or_init(|| Arc::new(intersection_laplacian(hg, weighting)))
             .clone();
         debug_assert_eq!(
             np_sparse::LinearOperator::dim(&*q),
@@ -147,7 +134,6 @@ impl OperatorCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{clique_laplacian, intersection_laplacian};
     use np_netlist::hypergraph_from_nets;
     use np_sparse::LinearOperator;
 
@@ -159,12 +145,12 @@ mod tests {
     fn cache_returns_same_arc() {
         let hg = hg();
         let cache = OperatorCache::new();
-        let a = cache.clique_laplacian(&hg, 1);
-        let b = cache.clique_laplacian(&hg, 4);
+        let a = cache.clique_laplacian(&hg);
+        let b = cache.clique_laplacian(&hg);
         assert!(Arc::ptr_eq(&a, &b));
         for w in IgWeighting::ALL {
-            let x = cache.intersection_laplacian(&hg, w, 2);
-            let y = cache.intersection_laplacian(&hg, w, 1);
+            let x = cache.intersection_laplacian(&hg, w);
+            let y = cache.intersection_laplacian(&hg, w);
             assert!(Arc::ptr_eq(&x, &y), "{w:?}");
         }
     }
@@ -173,13 +159,10 @@ mod tests {
     fn cached_operators_match_direct_builds() {
         let hg = hg();
         let cache = OperatorCache::new();
-        for threads in [1usize, 2, 8] {
-            let cache = OperatorCache::new();
-            let q = cache.clique_laplacian(&hg, threads);
-            assert_eq!(q.adjacency(), clique_laplacian(&hg).adjacency());
-        }
+        let q = cache.clique_laplacian(&hg);
+        assert_eq!(q.adjacency(), clique_laplacian(&hg).adjacency());
         for w in IgWeighting::ALL {
-            let q = cache.intersection_laplacian(&hg, w, 2);
+            let q = cache.intersection_laplacian(&hg, w);
             assert_eq!(q.adjacency(), intersection_laplacian(&hg, w).adjacency());
         }
     }
@@ -198,8 +181,8 @@ mod tests {
     fn weighting_slots_are_distinct() {
         let hg = hg();
         let cache = OperatorCache::new();
-        let paper = cache.intersection_laplacian(&hg, IgWeighting::Paper, 1);
-        let uniform = cache.intersection_laplacian(&hg, IgWeighting::Uniform, 1);
+        let paper = cache.intersection_laplacian(&hg, IgWeighting::Paper);
+        let uniform = cache.intersection_laplacian(&hg, IgWeighting::Uniform);
         assert!(!Arc::ptr_eq(&paper, &uniform));
         assert_eq!(paper.dim(), uniform.dim());
     }
@@ -210,7 +193,7 @@ mod tests {
         let cache = OperatorCache::new();
         let got: Vec<Arc<Laplacian>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
-                .map(|_| s.spawn(|| cache.clique_laplacian(&hg, 2)))
+                .map(|_| s.spawn(|| cache.clique_laplacian(&hg)))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

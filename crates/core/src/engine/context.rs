@@ -163,10 +163,10 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// Sets the thread count for sharded kernels (builder style): the
-    /// row-sharded SpMV inside the eigensolver and the sharded graph
-    /// builders. `0` means all available cores. Results are bit-identical
-    /// for every value — this knob trades wall-clock only.
+    /// Sets the thread count of the row-sharded SpMV inside the
+    /// eigensolver (builder style); operators are always built serially.
+    /// `0` means all available cores. Results are bit-identical for every
+    /// value — this knob trades wall-clock only.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -211,7 +211,7 @@ impl<'a> RunContext<'a> {
         Rng64::new(self.derived_seed(stream))
     }
 
-    /// Thread count for sharded kernels (`0` = all available cores,
+    /// Thread count of the sharded SpMV (`0` = all available cores,
     /// default `1`).
     pub fn threads(&self) -> usize {
         self.threads
@@ -224,11 +224,10 @@ impl<'a> RunContext<'a> {
     }
 
     /// The clique-model Laplacian of `hg` from this run's operator cache:
-    /// built on first request (sharding the build over
-    /// [`threads`](RunContext::threads)), shared by every later request —
-    /// including other contexts holding the same cache.
+    /// built on first request, shared by every later request — including
+    /// other contexts holding the same cache.
     pub fn clique_laplacian(&self, hg: &Hypergraph) -> Arc<Laplacian> {
-        self.operators.clique_laplacian(hg, self.threads)
+        self.operators.clique_laplacian(hg)
     }
 
     /// The intersection-graph Laplacian of `hg` under `weighting` from
@@ -239,8 +238,7 @@ impl<'a> RunContext<'a> {
         hg: &Hypergraph,
         weighting: IgWeighting,
     ) -> Arc<Laplacian> {
-        self.operators
-            .intersection_laplacian(hg, weighting, self.threads)
+        self.operators.intersection_laplacian(hg, weighting)
     }
 
     /// The unweighted intersection-graph adjacency lists of `hg` from

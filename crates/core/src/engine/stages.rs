@@ -12,7 +12,7 @@ use super::stage::{Partitioner, Stage};
 use crate::eig1::Eig1Options;
 use crate::igmatch::IgMatchOptions;
 use crate::igvote::IgVoteOptions;
-use crate::models::clique_adjacency_threaded;
+use crate::models::clique_adjacency;
 use crate::{PartitionError, PartitionResult};
 use np_baselines::{
     fm_bisect_metered, kl_bisect_metered, rcut_metered, FmOptions, KlOptions, RcutOptions,
@@ -256,7 +256,7 @@ impl Partitioner for KlStage {
                 nets: hg.num_nets(),
             });
         }
-        let graph = clique_adjacency_threaded(hg, ctx.threads());
+        let graph = clique_adjacency(hg);
         let r = kl_bisect_metered(&graph, &self.opts, ctx.meter())?;
         let sides = r
             .left

@@ -1,21 +1,16 @@
 //! The standard weighted clique net model.
 
-use np_netlist::{Hypergraph, NetId};
+use np_netlist::Hypergraph;
 use np_sparse::{CsrMatrix, Laplacian, TripletBuilder};
 
-/// Pushes the clique-model triplets of nets `lo..hi` into `b`, weighting
-/// each `k`-pin net's pairs by `weight(k)`. Nets with `k < 2` contribute
+/// Builds the module adjacency of the clique model, weighting each
+/// `k`-pin net's pairs by `weight(k)`. Nets with `k < 2` contribute
 /// nothing — a single-pin net spans no pair, and a `1/(k−1)`-style weight
 /// would be non-finite for it.
-fn clique_triplets(
-    hg: &Hypergraph,
-    lo: usize,
-    hi: usize,
-    weight: fn(usize) -> f64,
-    b: &mut TripletBuilder,
-) {
-    for net in lo..hi {
-        let pins = hg.pins(NetId(net as u32));
+fn clique_with_weight(hg: &Hypergraph, weight: fn(usize) -> f64) -> CsrMatrix {
+    let mut b = TripletBuilder::new(hg.num_modules());
+    for net in hg.nets() {
+        let pins = hg.pins(net);
         let k = pins.len();
         if k < 2 {
             continue;
@@ -27,6 +22,7 @@ fn clique_triplets(
             }
         }
     }
+    b.into_csr()
 }
 
 fn standard_weight(k: usize) -> f64 {
@@ -58,20 +54,7 @@ fn bound_preserving_weight(k: usize) -> f64 {
 /// assert!((a.get(0, 1) - 0.5).abs() < 1e-12); // 1/(3-1)
 /// ```
 pub fn clique_adjacency(hg: &Hypergraph) -> CsrMatrix {
-    clique_adjacency_threaded(hg, 1)
-}
-
-/// [`clique_adjacency`] with the net range sharded over `threads` OS
-/// threads (`0` = all available cores).
-///
-/// Each shard fills its own triplet builder over a contiguous net chunk
-/// and the chunks are merged in net order, so the result is
-/// **bit-identical** to the serial build for every thread count (the
-/// determinism contract of `models::build_sharded`).
-pub fn clique_adjacency_threaded(hg: &Hypergraph, threads: usize) -> CsrMatrix {
-    super::build_sharded(hg.num_modules(), hg.num_nets(), threads, |lo, hi, b| {
-        clique_triplets(hg, lo, hi, standard_weight, b)
-    })
+    clique_with_weight(hg, standard_weight)
 }
 
 /// The Laplacian `Q = D − A` of the clique-model graph; its Fiedler vector
@@ -101,16 +84,7 @@ pub fn clique_laplacian(hg: &Hypergraph) -> Laplacian {
 /// assert!((a.get(0, 1) - 0.25).abs() < 1e-12); // 1/(2·2)
 /// ```
 pub fn bound_preserving_adjacency(hg: &Hypergraph) -> CsrMatrix {
-    bound_preserving_adjacency_threaded(hg, 1)
-}
-
-/// [`bound_preserving_adjacency`] with the net range sharded over
-/// `threads` OS threads (`0` = all cores); bit-identical to the serial
-/// build for every thread count.
-pub fn bound_preserving_adjacency_threaded(hg: &Hypergraph, threads: usize) -> CsrMatrix {
-    super::build_sharded(hg.num_modules(), hg.num_nets(), threads, |lo, hi, b| {
-        clique_triplets(hg, lo, hi, bound_preserving_weight, b)
-    })
+    clique_with_weight(hg, bound_preserving_weight)
 }
 
 /// The Laplacian of the bound-preserving clique graph (see
@@ -189,27 +163,5 @@ mod tests {
         let q = clique_laplacian(&hg);
         assert!(q.degrees().iter().all(|d| d.is_finite()));
         assert!(q.quadratic_form(&[1.0, -2.0, 0.5]).is_finite());
-    }
-
-    #[test]
-    fn threaded_build_bit_identical() {
-        let hg = hypergraph_from_nets(
-            8,
-            &[
-                vec![0, 1, 2],
-                vec![2, 3],
-                vec![3],
-                vec![3, 4, 5, 6],
-                vec![6, 7],
-                vec![0, 7],
-                vec![1, 4, 6],
-            ],
-        );
-        let serial = clique_adjacency(&hg);
-        let serial_bp = bound_preserving_adjacency(&hg);
-        for threads in [1usize, 2, 8] {
-            assert_eq!(clique_adjacency_threaded(&hg, threads), serial);
-            assert_eq!(bound_preserving_adjacency_threaded(&hg, threads), serial_bp);
-        }
     }
 }

@@ -17,22 +17,16 @@
 //! similar, high-quality" results; [`IgWeighting`] exposes the variants so
 //! the claim can be tested (ablation experiment E10 in `DESIGN.md`).
 
-use np_netlist::{Hypergraph, ModuleId};
+use np_netlist::Hypergraph;
 use np_sparse::{CsrMatrix, Laplacian, TripletBuilder};
 
-/// Pushes, for every module in `lo..hi`, its `C(d,2)` net pairs into `b`
-/// under the Paper/SizeScaled weighting. Modules of degree `< 2` span no
-/// pair (and under [`IgWeighting::Paper`] a `1/(d−1)` factor would be
-/// non-finite for them), so they contribute nothing.
-fn weighted_pair_triplets(
-    hg: &Hypergraph,
-    lo: usize,
-    hi: usize,
-    weighting: IgWeighting,
-    b: &mut TripletBuilder,
-) {
-    for module in lo..hi {
-        let nets = hg.nets_of(ModuleId(module as u32));
+/// Pushes, for every module, its `C(d,2)` net pairs into `b` under the
+/// Paper/SizeScaled weighting. Modules of degree `< 2` span no pair (and
+/// under [`IgWeighting::Paper`] a `1/(d−1)` factor would be non-finite for
+/// them), so they contribute nothing.
+fn weighted_pair_triplets(hg: &Hypergraph, weighting: IgWeighting, b: &mut TripletBuilder) {
+    for module in hg.modules() {
+        let nets = hg.nets_of(module);
         let d = nets.len();
         if d < 2 {
             continue;
@@ -52,11 +46,11 @@ fn weighted_pair_triplets(
     }
 }
 
-/// Pushes a unit count for every net pair meeting at a module in
-/// `lo..hi` (the accumulation pass shared by Uniform and SharedCount).
-fn count_pair_triplets(hg: &Hypergraph, lo: usize, hi: usize, b: &mut TripletBuilder) {
-    for module in lo..hi {
-        let nets = hg.nets_of(ModuleId(module as u32));
+/// Pushes a unit count for every net pair meeting at a module (the
+/// accumulation pass shared by Uniform and SharedCount).
+fn count_pair_triplets(hg: &Hypergraph, b: &mut TripletBuilder) {
+    for module in hg.modules() {
+        let nets = hg.nets_of(module);
         for i in 0..nets.len() {
             for j in i + 1..nets.len() {
                 b.push_sym(nets[i].index(), nets[j].index(), 1.0);
@@ -142,51 +136,28 @@ impl IgWeighting {
 /// assert!((a.get(0, 1) - 1.0).abs() < 1e-12);
 /// ```
 pub fn intersection_adjacency(hg: &Hypergraph, weighting: IgWeighting) -> CsrMatrix {
-    intersection_adjacency_threaded(hg, weighting, 1)
-}
-
-/// [`intersection_adjacency`] with the module range sharded over
-/// `threads` OS threads (`0` = all available cores).
-///
-/// Each shard enumerates the net pairs of a contiguous module chunk into
-/// its own triplet builder; the chunks are merged in module order, so the
-/// accumulated weights are **bit-identical** to the serial build for
-/// every thread count (same entry order into the duplicate-summing CSR
-/// conversion — the determinism contract of `models::build_sharded`).
-pub fn intersection_adjacency_threaded(
-    hg: &Hypergraph,
-    weighting: IgWeighting,
-    threads: usize,
-) -> CsrMatrix {
-    let (m, modules) = (hg.num_nets(), hg.num_modules());
-    let a = match weighting {
+    let m = hg.num_nets();
+    let mut b = TripletBuilder::new(m);
+    match weighting {
         IgWeighting::Paper | IgWeighting::SizeScaled => {
-            super::build_sharded(m, modules, threads, |lo, hi, b| {
-                weighted_pair_triplets(hg, lo, hi, weighting, b)
-            })
+            weighted_pair_triplets(hg, weighting, &mut b)
         }
-        IgWeighting::Uniform | IgWeighting::SharedCount => {
-            // accumulate shared-module counts (sharded), then post-process
-            let counts = super::build_sharded(m, modules, threads, |lo, hi, b| {
-                count_pair_triplets(hg, lo, hi, b)
-            });
-            if weighting == IgWeighting::Uniform {
-                // collapse accumulated counts back to 1.0 per pair
-                let mut b2 = TripletBuilder::new(m);
-                for r in 0..m {
-                    let (cols, _) = counts.row(r);
-                    for &c in cols {
-                        if (c as usize) > r {
-                            b2.push_sym(r, c as usize, 1.0);
-                        }
-                    }
+        IgWeighting::Uniform | IgWeighting::SharedCount => count_pair_triplets(hg, &mut b),
+    }
+    let mut a = b.into_csr();
+    if weighting == IgWeighting::Uniform {
+        // collapse accumulated shared-module counts back to 1.0 per pair
+        let mut b2 = TripletBuilder::new(m);
+        for r in 0..m {
+            let (cols, _) = a.row(r);
+            for &c in cols {
+                if (c as usize) > r {
+                    b2.push_sym(r, c as usize, 1.0);
                 }
-                b2.into_csr()
-            } else {
-                counts
             }
         }
-    };
+        a = b2.into_csr();
+    }
     debug_assert_no_self_loops(&a, m);
     a
 }
@@ -348,33 +319,6 @@ mod tests {
             ig.nnz(),
             clique.nnz()
         );
-    }
-
-    #[test]
-    fn threaded_build_bit_identical_for_all_weightings() {
-        let hg = hypergraph_from_nets(
-            9,
-            &[
-                vec![0, 1, 2],
-                vec![2, 3],
-                vec![3, 4, 5],
-                vec![0, 5],
-                vec![6],
-                vec![6, 7, 8],
-                vec![1, 7],
-                vec![2, 8, 4],
-            ],
-        );
-        for w in IgWeighting::ALL {
-            let serial = intersection_adjacency(&hg, w);
-            for threads in [1usize, 2, 8] {
-                assert_eq!(
-                    intersection_adjacency_threaded(&hg, w, threads),
-                    serial,
-                    "weighting={w:?} threads={threads}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -17,58 +17,7 @@
 pub mod clique;
 pub mod intersection;
 
-pub use clique::{clique_adjacency, clique_adjacency_threaded, clique_laplacian};
+pub use clique::{clique_adjacency, clique_laplacian};
 pub use intersection::{
-    intersection_adjacency, intersection_adjacency_threaded, intersection_laplacian,
-    intersection_neighbors, IgWeighting,
+    intersection_adjacency, intersection_laplacian, intersection_neighbors, IgWeighting,
 };
-
-use np_sparse::{resolve_threads, shard_ranges, CsrMatrix, TripletBuilder};
-
-/// Assembles a CSR matrix by sharding a source-item range `0..items`
-/// (nets for the clique model, modules for the intersection graph) into
-/// contiguous chunks, filling one [`TripletBuilder`] per chunk — in
-/// parallel when `threads > 1` — and appending the per-chunk builders in
-/// chunk order.
-///
-/// Because `fill(lo, hi, b)` pushes triplets in the same order a serial
-/// pass over `lo..hi` would, and chunks are appended in range order, the
-/// merged triplet sequence is identical to one serial pass over
-/// `0..items` — so the resulting CSR is **bit-identical** to the serial
-/// build for every thread count (duplicate summing in
-/// [`TripletBuilder::into_csr`] happens in the same entry order).
-fn build_sharded<F>(dim: usize, items: usize, threads: usize, fill: F) -> CsrMatrix
-where
-    F: Fn(usize, usize, &mut TripletBuilder) + Sync,
-{
-    let ranges = shard_ranges(items, resolve_threads(threads));
-    if ranges.len() <= 1 {
-        let mut b = TripletBuilder::new(dim);
-        if let Some(&(lo, hi)) = ranges.first() {
-            fill(lo, hi, &mut b);
-        }
-        return b.into_csr();
-    }
-    let fill = &fill;
-    let parts: Vec<TripletBuilder> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                scope.spawn(move || {
-                    let mut b = TripletBuilder::new(dim);
-                    fill(lo, hi, &mut b);
-                    b
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("builder shard panicked"))
-            .collect()
-    });
-    let mut merged = TripletBuilder::new(dim);
-    for part in parts {
-        merged.append(part);
-    }
-    merged.into_csr()
-}

@@ -4,7 +4,8 @@
 //! second-smallest eigenvalue `λ₂` of a graph Laplacian `Q = D − A` and its
 //! eigenvector (the *Fiedler vector*), whose sorted entries give the linear
 //! ordering that drives every algorithm in the paper. The paper uses a
-//! block Lanczos code; this crate implements:
+//! block Lanczos code; this crate gets the same pair from a single-vector
+//! solver (`DESIGN.md` §4) and implements:
 //!
 //! * [`lanczos`] — single-vector Lanczos with full reorthogonalization and
 //!   explicit deflation of known eigenvectors (the all-ones nullvector of a
@@ -38,13 +39,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod block;
 pub mod dense;
 mod error;
 pub mod lanczos;
 pub mod tridiag;
 
-pub use block::{smallest_deflated_block, smallest_deflated_block_metered, BlockLanczosOptions};
 pub use error::EigenError;
 pub use lanczos::{smallest_deflated, smallest_deflated_metered, EigenPair, LanczosOptions};
 

@@ -4,7 +4,7 @@
 
 use np_eigen::dense::{jacobi_eigen, materialize};
 use np_eigen::tridiag::eigh_tridiagonal;
-use np_eigen::{fiedler, smallest_deflated_block, BlockLanczosOptions, LanczosOptions};
+use np_eigen::{fiedler, LanczosOptions};
 use np_sparse::{Laplacian, LinearOperator, TripletBuilder};
 use np_testkit::{check_cases, Gen};
 
@@ -46,18 +46,6 @@ fn fiedler_matches_dense_lambda2() {
             pair.value,
             dense.values[1]
         );
-    });
-}
-
-#[test]
-fn block_lanczos_agrees_with_classic() {
-    check_cases(48, 0xE102, |g| {
-        let q = arb_graph(g);
-        let n = q.dim();
-        let ones = vec![1.0; n];
-        let classic = fiedler(&q, &LanczosOptions::default()).unwrap();
-        let block = smallest_deflated_block(&q, &[ones], &BlockLanczosOptions::default()).unwrap();
-        assert!((classic.value - block.value).abs() < 1e-6);
     });
 }
 

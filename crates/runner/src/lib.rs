@@ -86,7 +86,7 @@ use np_core::engine::{
     run_stage, BoxedStage, EventSink, OperatorCache, RunContext, StageEvent, DEFAULT_SEED,
 };
 use np_core::{PartitionError, PartitionResult, Partitioner, Stage};
-use np_netlist::rng::derive_seed;
+use np_netlist::rng::{derive_seed, Rng64};
 use np_netlist::{Bipartition, Hypergraph, ModuleId};
 use np_sparse::{BudgetMeter, BudgetResource};
 use std::fmt;
@@ -662,6 +662,14 @@ impl RandomStartFmStage {
     pub fn new(opts: FmOptions) -> Self {
         RandomStartFmStage { opts }
     }
+
+    /// The random balanced start of an attempt seeded with `seed`: a
+    /// shuffle of the `n` modules, the first half on the left.
+    pub fn start(n: usize, seed: u64) -> Bipartition {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        Rng64::new(seed).shuffle(&mut order);
+        Bipartition::from_left_set(n, order[..n / 2].iter().copied().map(ModuleId))
+    }
 }
 
 impl Partitioner for RandomStartFmStage {
@@ -681,10 +689,7 @@ impl Partitioner for RandomStartFmStage {
                 nets: hg.num_nets(),
             });
         }
-        let mut rng = ctx.rng();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        rng.shuffle(&mut order);
-        let start = Bipartition::from_left_set(n, order[..n / 2].iter().copied().map(ModuleId));
+        let start = Self::start(n, ctx.seed());
         let improved = fm_bisect_metered(hg, &start, &self.opts, ctx.meter())?;
         let stats = improved.partition.cut_stats(hg);
         if stats.left == 0 || stats.right == 0 {

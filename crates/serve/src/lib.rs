@@ -20,8 +20,8 @@
 //!   "insurance" FM answer under a tiny private budget, so when the
 //!   deadline fires mid-portfolio the service returns the best-so-far
 //!   partition flagged `degraded: true` rather than an error; spectral
-//!   failures retry with fresh seeds and exponential backoff, then drop
-//!   to an FM-restarts-only tier.
+//!   failures retry with fresh seeds, then drop to an FM-restarts-only
+//!   tier.
 //! * **Panic isolation** — a panicking stage fails its portfolio attempt
 //!   (`np-runner`'s `catch_unwind` boundary), and a second boundary
 //!   around the whole request turns anything that still escapes into an

@@ -17,7 +17,7 @@
 //!                   │
 //!              main portfolio ──ok──▶ RESULT (degraded iff deadline fired)
 //!                   │
-//!            transient error ──retry×N (reseed + backoff)──▶ main portfolio
+//!            transient error ──retry×N (reseed)──▶ main portfolio
 //!                   │
 //!            retries exhausted ──▶ FM-restarts tier ──ok──▶ RESULT degraded
 //!                   │                                  │
@@ -33,8 +33,8 @@
 //!    into an `error` frame rather than unwinding through the server
 //!    loop.
 //! 2. **Bounded occupancy** — a request holds its worker permit for at
-//!    most the insurance slice plus `min(budget, deadline, max_wall)`
-//!    plus bounded backoff, so queued tickets always make progress and
+//!    most the insurance slice plus `min(budget, deadline, max_wall)`,
+//!    so queued tickets always make progress and
 //!    [`Admission`] never needs a watchdog.
 //! 3. **Deadline ⇒ degraded, not dead** — the deadline is propagated as
 //!    the wall-clock limit of every [`BudgetMeter`] the request creates,
@@ -44,8 +44,9 @@
 use crate::admit::{Admission, Enrollment, Priority, PRIORITY_CLASSES};
 use crate::cache::{CachedNetlist, NetlistCache};
 use crate::json::Obj;
-use crate::metrics::{Metrics, TIER_NAMES};
+use crate::metrics::{tier_index, Metrics, TIER_NAMES};
 use crate::proto::{self, Degradation, Request};
+use np_baselines::{fm_bisect_anytime, FmOptions};
 use np_core::engine::trace::{SpanKind, SpanRing};
 use np_core::engine::RunContext;
 use np_core::engine::{BoxedStage, StageEvent, DEFAULT_SEED};
@@ -59,7 +60,7 @@ use np_netlist::Side;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
     run_portfolio_cached, Algorithm, Portfolio, PortfolioError, PortfolioEvent, PortfolioOptions,
-    PortfolioOutcome, PortfolioSink,
+    PortfolioOutcome, PortfolioSink, RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,10 +83,8 @@ pub struct ServeConfig {
     pub insurance_wall: Duration,
     /// Matvec-equivalent cap of the insurance FM tier.
     pub insurance_matvecs: u64,
-    /// Retry budget for transient main-tier failures (reseed + backoff).
+    /// Retry budget for transient main-tier failures (each retry reseeds).
     pub retries: usize,
-    /// Base backoff; retry `i` sleeps `backoff << i` (cooperatively).
-    pub backoff: Duration,
     /// Netlist cache entry bound.
     pub cache_entries: usize,
     /// Netlist cache byte bound.
@@ -112,7 +111,6 @@ impl Default for ServeConfig {
             insurance_wall: Duration::from_millis(25),
             insurance_matvecs: 200_000,
             retries: 2,
-            backoff: Duration::from_millis(10),
             cache_entries: 32,
             cache_bytes: 64 << 20,
             multilevel_threshold: 20_000,
@@ -376,35 +374,22 @@ impl Service {
         }));
         drop(permit);
         let wall = exec_start.elapsed();
-        let frame = run.unwrap_or_else(|payload| {
+        let terminal = run.unwrap_or_else(|payload| {
             self.metrics.bump(&self.metrics.panics_contained);
             let err = np_core::panic_error(payload);
-            proto::error_frame(&request.id, &err.to_string())
+            Terminal::error(&request.id, &err.to_string())
         });
-        let doc = crate::json::parse(&frame).ok();
-        let kind = doc
-            .as_ref()
-            .and_then(|d| d.get("frame").and_then(|v| v.as_str()));
-        let ok = match kind {
-            Some("result") => {
-                let degraded = doc
-                    .as_ref()
-                    .and_then(|d| d.get("degraded").and_then(|v| v.as_bool()))
-                    .unwrap_or(false);
-                let tier = doc
-                    .as_ref()
-                    .and_then(|d| d.get("reason").and_then(|v| v.as_str()))
-                    .and_then(|r| TIER_NAMES.iter().position(|n| *n == r))
-                    .unwrap_or(0);
-                self.metrics.wall_by_tier[tier].observe(wall);
-                self.metrics.bump(if degraded {
+        let ok = match terminal.outcome {
+            Ok(degradation) => {
+                self.metrics.wall_by_tier[tier_index(degradation)].observe(wall);
+                self.metrics.bump(if degradation.is_some() {
                     &self.metrics.degraded
                 } else {
                     &self.metrics.results
                 });
                 true
             }
-            _ => {
+            Err(()) => {
                 self.metrics.bump(&self.metrics.errors);
                 false
             }
@@ -419,7 +404,7 @@ impl Service {
             arrival,
             Some(ok),
         );
-        emit(&frame);
+        emit(&terminal.frame);
     }
 
     /// Runs the admitted request and renders its terminal frame. `seq`
@@ -431,11 +416,11 @@ impl Service {
         deadline: Option<Instant>,
         queue_wait: Duration,
         emit: &(dyn Fn(&str) + Sync),
-    ) -> String {
+    ) -> Terminal {
         let cache_stats_before = self.cache.stats();
         let cached = match self.cache.get_or_parse(&request.hgr) {
             Ok(c) => c,
-            Err(reason) => return proto::error_frame(&request.id, &reason),
+            Err(reason) => return Terminal::error(&request.id, &reason),
         };
         let job = Job {
             request,
@@ -464,7 +449,7 @@ impl Service {
                     Some(Degradation::ExpiredInQueue),
                     retries_done,
                 ),
-                None => proto::error_frame(
+                None => Terminal::error(
                     &request.id,
                     "deadline expired while queued and the insurance tier found no partition",
                 ),
@@ -476,8 +461,8 @@ impl Service {
         // `multilevel:false`). A declined or failed V-cycle falls
         // through to the ordinary tier ladder below. ----
         if self.wants_multilevel(request, &cached) {
-            if let Some(frame) = self.try_multilevel(&job) {
-                return frame;
+            if let Some(terminal) = self.try_multilevel(&job) {
+                return terminal;
             }
         }
 
@@ -563,7 +548,7 @@ impl Service {
                     // the whole wall ran out: whatever we hold is the answer
                     let wall_spent = matches!(&error, PartitionError::Budget(b)
                         if matches!(b.resource, BudgetResource::WallClock | BudgetResource::Cancelled));
-                    // transient spectral failures reseed and back off; any
+                    // transient spectral failures reseed and retry; any
                     // other error is permanent for the spectral tier (the
                     // instance itself is unpartitionable), but FM may manage
                     let transient = matches!(
@@ -583,7 +568,6 @@ impl Service {
                     }
                     retries_done += 1;
                     self.metrics.bump(&self.metrics.retries);
-                    self.cooperative_backoff(retry, deadline);
                 }
             }
         }
@@ -631,7 +615,7 @@ impl Service {
                 let reason = last_error
                     .map(|e| e.to_string())
                     .unwrap_or_else(|| "no tier produced a partition".into());
-                proto::error_frame(&request.id, &format!("request failed: {reason}"))
+                Terminal::error(&request.id, &format!("request failed: {reason}"))
             }
         }
     }
@@ -640,15 +624,15 @@ impl Service {
     /// request's wall-clock meter and renders its terminal frame. The
     /// route is seed-independent, so `restarts` does not apply; the outer
     /// `catch_unwind` in [`Service::handle_line`] isolates panics.
-    fn execute_kway(&self, job: &Job<'_>, k: usize) -> String {
+    fn execute_kway(&self, job: &Job<'_>, k: usize) -> Terminal {
         let request = job.request;
         if self.wants_multilevel(request, job.cached) {
-            if let Some(frame) = self.try_multilevel_kway(job, k) {
-                return frame;
+            if let Some(terminal) = self.try_multilevel_kway(job, k) {
+                return terminal;
             }
         }
         let Some(wall) = self.remaining_wall(job) else {
-            return proto::error_frame(
+            return Terminal::error(
                 &request.id,
                 "deadline expired before the k-way route could start",
             );
@@ -666,7 +650,7 @@ impl Service {
                     ..Extras::default()
                 },
             ),
-            Err(err) => proto::error_frame(&request.id, &format!("request failed: {err}")),
+            Err(err) => Terminal::error(&request.id, &format!("request failed: {err}")),
         }
     }
 
@@ -684,7 +668,7 @@ impl Service {
     /// The multilevel V-cycle tier for bipartition requests.
     /// `Some(frame)` is terminal; `None` means no wall remained or the
     /// V-cycle failed, and the ordinary ladder should run instead.
-    fn try_multilevel(&self, job: &Job<'_>) -> Option<String> {
+    fn try_multilevel(&self, job: &Job<'_>) -> Option<Terminal> {
         let wall = self.remaining_wall(job)?;
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
@@ -708,7 +692,7 @@ impl Service {
     /// The multilevel V-cycle tier for `k > 2` requests; same contract
     /// as [`try_multilevel`](Self::try_multilevel) but the frame carries
     /// the k-way `blocks` array.
-    fn try_multilevel_kway(&self, job: &Job<'_>, k: usize) -> Option<String> {
+    fn try_multilevel_kway(&self, job: &Job<'_>, k: usize) -> Option<Terminal> {
         let wall = self.remaining_wall(job)?;
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
@@ -731,29 +715,30 @@ impl Service {
         ))
     }
 
-    /// Tier 0: a one-attempt FM portfolio under a tiny private budget.
+    /// Tier 0: one random-start FM run under a tiny private budget.
     /// Never counts against the main tier's wall (the slice is part of
     /// the occupancy bound instead) and never carries injected faults —
-    /// it exists precisely to survive them.
+    /// it exists precisely to survive them. A slice that runs out keeps
+    /// FM's best partition so far, at worst its seeded start, so only an
+    /// unpartitionable netlist comes back `None`.
     fn insurance(&self, cached: &CachedNetlist, seed: u64) -> Option<Candidate> {
-        let budget = Budget::default()
-            .with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall))
-            .with_matvecs(self.cfg.insurance_matvecs);
-        let opts = PortfolioOptions {
-            threads: 1,
-            seed: derive_seed(seed, 0x1A5E_CE00),
-            target_ratio: None,
-        };
-        let portfolio = Portfolio::new().attempt_boxed(
-            "insurance",
-            Algorithm::Fm.attempt(IgMatchOptions::default(), derive_seed(opts.seed, 0)),
+        let hg = &cached.hypergraph;
+        let n = hg.num_modules();
+        if n < 2 {
+            return None;
+        }
+        let meter = BudgetMeter::new(
+            &Budget::default()
+                .with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall))
+                .with_matvecs(self.cfg.insurance_matvecs),
         );
-        run_tier(cached, &portfolio, &opts, &budget, None)
-            .ok()
-            .map(|out| Candidate {
-                result: out.best,
-                tier: "insurance",
-            })
+        let start = RandomStartFmStage::start(n, derive_seed(seed, 0x1A5E_CE00));
+        let (fm, _) = fm_bisect_anytime(hg, &start, &FmOptions::default(), &meter);
+        let stats = fm.partition.cut_stats(hg);
+        (stats.left > 0 && stats.right > 0).then(|| Candidate {
+            result: PartitionResult::evaluate(hg, fm.partition, "FM-restart", None),
+            tier: "insurance",
+        })
     }
 
     /// Wall-clock room left for main-tier work:
@@ -787,24 +772,6 @@ impl Service {
             .map(|ms| Duration::from_millis(ms).saturating_sub(job.compute_start.elapsed()))
             .unwrap_or(self.cfg.max_wall);
         deadline_left < budget_left
-    }
-
-    /// Sleeps `backoff << retry`, in short slices, stopping early when
-    /// the deadline approaches.
-    fn cooperative_backoff(&self, retry: usize, deadline: Option<Instant>) {
-        let mut remaining = self
-            .cfg
-            .backoff
-            .saturating_mul(1u32 << retry.min(16) as u32);
-        let slice = Duration::from_millis(1);
-        while remaining > Duration::ZERO {
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return;
-            }
-            let nap = remaining.min(slice);
-            std::thread::sleep(nap);
-            remaining -= nap;
-        }
     }
 
     /// Builds the main-tier portfolio: `restarts` attempts of the
@@ -846,7 +813,7 @@ impl Service {
         candidate: &Candidate,
         reason: Option<Degradation>,
         retries: u64,
-    ) -> String {
+    ) -> Terminal {
         result_frame(
             job,
             candidate.tier,
@@ -892,10 +859,30 @@ struct Extras {
     retries: Option<u64>,
 }
 
+/// A rendered terminal frame together with what it reports, so
+/// [`Service::handle_line`] records metrics without re-parsing its own
+/// output.
+struct Terminal {
+    frame: String,
+    /// `Ok(degradation)` for a `result` frame (`None` = clean), `Err(())`
+    /// for an `error` frame.
+    outcome: Result<Option<Degradation>, ()>,
+}
+
+impl Terminal {
+    /// An `error` frame.
+    fn error(id: &str, reason: &str) -> Self {
+        Terminal {
+            frame: proto::error_frame(id, reason),
+            outcome: Err(()),
+        }
+    }
+}
+
 /// Renders the terminal `result` frame of every tier. Keys come in one
 /// fixed order; a tier's frame holds exactly the keys its answer and
 /// extras call for.
-fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -> String {
+fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -> Terminal {
     let mut obj = Obj::new()
         .str("id", &job.request.id)
         .str("frame", "result")
@@ -940,13 +927,18 @@ fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -
     if let Some(retries) = extras.retries {
         obj = obj.int("retries", retries);
     }
-    obj.bool("cache_hit", job.cache_hit)
+    let frame = obj
+        .bool("cache_hit", job.cache_hit)
         .num("queue_ms", job.queue_wait.as_secs_f64() * 1e3)
         .num(
             "compute_ms",
             job.compute_start.elapsed().as_secs_f64() * 1e3,
         )
-        .render()
+        .render();
+    Terminal {
+        frame,
+        outcome: Ok(extras.reason),
+    }
 }
 
 /// The k-way route's options: `k` blocks, the request's `epsilon` over

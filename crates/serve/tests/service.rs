@@ -172,6 +172,32 @@ fn zero_deadline_still_answers_with_a_partition() {
     );
 }
 
+/// An insurance slice too short for even one FM pass still leaves a
+/// best-so-far (FM's seeded start), so a request whose budget runs out
+/// before any main-tier attempt finishes degrades instead of erroring.
+#[test]
+fn exhausted_insurance_slice_still_backs_a_degraded_result() {
+    let svc = Service::new(ServeConfig {
+        workers: 1,
+        insurance_wall: Duration::ZERO,
+        ..ServeConfig::default()
+    });
+    let line = request_line("slice", 2000, r#","budget_ms":1,"restarts":4"#);
+    let frames = collect(&svc, &line);
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    let doc = json::parse(&frames[0]).unwrap();
+    assert_eq!(
+        doc.get("frame").and_then(Value::as_str),
+        Some("result"),
+        "{frames:?}"
+    );
+    assert_eq!(doc.get("degraded").and_then(Value::as_bool), Some(true));
+    assert_eq!(doc.get("tier").and_then(Value::as_str), Some("insurance"));
+    let p = doc.get("partition").and_then(Value::as_str).unwrap();
+    assert_eq!(p.len(), 2000);
+    assert!(p.contains('0') && p.contains('1'), "{p}");
+}
+
 /// Target-ratio early stop produces a clean (non-degraded) result.
 #[test]
 fn target_ratio_early_stop_is_clean() {
@@ -480,7 +506,6 @@ mod faults {
             workers: 1,
             max_wall: Duration::from_millis(200),
             retries: 1,
-            backoff: Duration::from_millis(2),
             ..ServeConfig::default()
         });
         let frames = collect(

@@ -140,29 +140,6 @@ impl TripletBuilder {
         }
     }
 
-    /// Appends every triplet of `other` to this builder, preserving
-    /// `other`'s push order.
-    ///
-    /// This is the merge step of the sharded parallel graph builders:
-    /// each shard accumulates its own builder over a contiguous slice of
-    /// the source items, and the shards are appended *in shard order*, so
-    /// the merged triplet sequence is identical to what a serial build
-    /// over the whole range would have pushed — and therefore
-    /// [`into_csr`](TripletBuilder::into_csr) is bit-identical too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two builders have different dimensions.
-    pub fn append(&mut self, other: TripletBuilder) {
-        assert_eq!(
-            self.n, other.n,
-            "cannot append builders of different dimensions"
-        );
-        self.rows.extend_from_slice(&other.rows);
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
-    }
-
     /// Converts to CSR, summing duplicates and dropping entries whose
     /// accumulated value is exactly zero.
     pub fn into_csr(self) -> CsrMatrix {

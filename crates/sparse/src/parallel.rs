@@ -52,8 +52,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Splits `0..n` into at most `shards` contiguous, non-empty, disjoint
 /// ranges covering the whole interval, as `(lo, hi)` pairs in order.
 ///
-/// Used both by the threaded matvec (row blocks) and by the sharded graph
-/// builders in `np-core` (net/module blocks). The first `n % shards`
+/// Used by the threaded matvec (row blocks). The first `n % shards`
 /// blocks get one extra element, so block sizes differ by at most one.
 pub fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.clamp(1, n.max(1));
@@ -245,39 +244,5 @@ mod tests {
         for threads in [2usize, 8] {
             assert_eq!(spend_with(threads), serial, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn append_merge_matches_serial_build() {
-        // the shard/merge determinism contract for graph builders: filling
-        // per-shard builders over contiguous chunks and appending them in
-        // chunk order yields the same CSR as one serial pass
-        let n = 50;
-        let pushes: Vec<(usize, usize, f64)> = (0..400)
-            .map(|k| ((k * 17) % n, (k * 29 + 3) % n, 0.5 + (k % 5) as f64))
-            .collect();
-        let mut serial = TripletBuilder::new(n);
-        for &(i, j, w) in &pushes {
-            serial.push_sym(i, j, w);
-        }
-        let serial = serial.into_csr();
-        for shards in [1usize, 2, 8] {
-            let mut merged = TripletBuilder::new(n);
-            for (lo, hi) in shard_ranges(pushes.len(), shards) {
-                let mut part = TripletBuilder::new(n);
-                for &(i, j, w) in &pushes[lo..hi] {
-                    part.push_sym(i, j, w);
-                }
-                merged.append(part);
-            }
-            assert_eq!(merged.into_csr(), serial, "shards={shards}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "different dimensions")]
-    fn append_dimension_mismatch_panics() {
-        let mut a = TripletBuilder::new(3);
-        a.append(TripletBuilder::new(4));
     }
 }

@@ -8,11 +8,8 @@
 //! two or more passes into one, **without changing the floating-point
 //! operation order**: every fused kernel is bit-identical to the sequence
 //! of naive kernels it replaces (the equivalence property tests in
-//! `tests/spectral.rs` pin this down). Reassociating variants that *do*
-//! change the reduction order ([`dot_reassoc`], [`norm2_reassoc`]) are
-//! always compiled (so they can be tested) but are only dispatched to by
-//! the hot-path entry points ([`dot_hot`], [`norm2_hot`]) when the
-//! `reassoc-fast` cargo feature is enabled.
+//! `tests/spectral.rs` pin this down). Every reduction sums sequentially,
+//! left to right, so no kernel changes the reduction order.
 
 /// Dot product `xᵀy`.
 ///
@@ -172,64 +169,6 @@ pub fn accumulate_scaled(coeffs: &[f64], vecs: &[Vec<f64>], y: &mut [f64]) {
     }
 }
 
-/// Dot product with a 4-lane reassociated reduction — the auto-vectorizable
-/// shape. **Not** bit-identical to [`dot`] in general (the partial sums are
-/// combined in a different order); agreement is only up to rounding.
-///
-/// Always compiled so the tolerance-mode equivalence tests can exercise it;
-/// the hot paths reach it only through [`dot_hot`] under the
-/// `reassoc-fast` feature.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_reassoc(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot length mismatch");
-    let mut acc = [0.0f64; 4];
-    for (a, b) in x.chunks_exact(4).zip(y.chunks_exact(4)) {
-        acc[0] += a[0] * b[0];
-        acc[1] += a[1] * b[1];
-        acc[2] += a[2] * b[2];
-        acc[3] += a[3] * b[3];
-    }
-    let mut tail = 0.0;
-    for (a, b) in x
-        .chunks_exact(4)
-        .remainder()
-        .iter()
-        .zip(y.chunks_exact(4).remainder())
-    {
-        tail += a * b;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Euclidean norm via [`dot_reassoc`]; same caveats.
-pub fn norm2_reassoc(x: &[f64]) -> f64 {
-    dot_reassoc(x, x).sqrt()
-}
-
-/// The dot product used on reduction hot paths (Lanczos `α`, `β`).
-///
-/// Sequential [`dot`] — bit-identical to the naive reference — by default;
-/// the 4-lane [`dot_reassoc`] under the `reassoc-fast` feature.
-pub fn dot_hot(x: &[f64], y: &[f64]) -> f64 {
-    #[cfg(feature = "reassoc-fast")]
-    {
-        dot_reassoc(x, y)
-    }
-    #[cfg(not(feature = "reassoc-fast"))]
-    {
-        dot(x, y)
-    }
-}
-
-/// The Euclidean norm used on reduction hot paths; dispatches like
-/// [`dot_hot`].
-pub fn norm2_hot(x: &[f64]) -> f64 {
-    dot_hot(x, x).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,39 +296,5 @@ mod tests {
             }
             assert_eq!(fused, plain, "m={m}");
         }
-    }
-
-    #[test]
-    fn dot_reassoc_agrees_within_tolerance() {
-        for n in [0usize, 1, 3, 4, 7, 128, 1001] {
-            let x = rand_vec(70, n);
-            let y = rand_vec(71, n);
-            let a = dot(&x, &y);
-            let b = dot_reassoc(&x, &y);
-            assert!(
-                (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
-                "n={n}: {a} vs {b}"
-            );
-        }
-        assert_eq!(norm2_reassoc(&[3.0, 4.0]), 5.0);
-    }
-
-    #[test]
-    fn hot_kernels_dispatch_per_feature() {
-        let x = rand_vec(80, 777);
-        let y = rand_vec(81, 777);
-        let want = if cfg!(feature = "reassoc-fast") {
-            dot_reassoc(&x, &y)
-        } else {
-            dot(&x, &y)
-        };
-        assert_eq!(dot_hot(&x, &y).to_bits(), want.to_bits());
-        // norm2_hot is sqrt of the self-dot under the same dispatch
-        let self_want = if cfg!(feature = "reassoc-fast") {
-            dot_reassoc(&x, &x).sqrt()
-        } else {
-            norm2(&x)
-        };
-        assert_eq!(norm2_hot(&x).to_bits(), self_want.to_bits());
     }
 }

@@ -60,8 +60,8 @@
 //! outcome record.
 //!
 //! In **single-run mode** (no portfolio flag), `--threads T` instead
-//! shards the spectral kernels — the Lanczos matvec and the net-model
-//! graph builds — over T OS threads (0 = one per CPU). Results are
+//! shards the Lanczos matvec over T OS threads (0 = one per CPU); the
+//! net-model operators are always built serially. Results are
 //! bit-identical for every thread count; the knob trades wall-clock
 //! only. In portfolio mode the workers already use the requested cores,
 //! so attempts keep their kernels serial.
@@ -111,7 +111,7 @@ struct Args {
 impl Args {
     /// Any portfolio flag switches the run onto the `np-runner` path.
     /// `--threads` alone does not: in single-run mode it shards the
-    /// spectral kernels (SpMV, graph builds) instead of running restarts.
+    /// Lanczos SpMV instead of running restarts.
     fn portfolio_mode(&self) -> bool {
         self.restarts.is_some() || self.target_ratio.is_some() || self.report_json.is_some()
     }
@@ -689,8 +689,8 @@ mod tests {
 
     #[test]
     fn threads_alone_stays_single_run() {
-        // --threads without a portfolio flag shards the spectral kernels
-        // of one run; it must not silently switch to restart mode
+        // --threads without a portfolio flag shards the SpMV of one run;
+        // it must not silently switch to restart mode
         let a = parse(&["x.hgr", "--threads", "2"]).unwrap();
         assert!(!a.portfolio_mode());
         assert_eq!(a.threads, Some(2));

@@ -1,7 +1,7 @@
 //! Serial-vs-parallel equivalence suite for the sharded spectral kernels.
 //!
 //! The determinism contract (`DESIGN.md` §10) promises that the
-//! `--threads` knob trades wall-clock only: graph builds, eigenpairs,
+//! `--threads` knob trades wall-clock only: operators, eigenpairs,
 //! orderings and metered spend are **bit-identical** for every thread
 //! count, and operators served from a shared [`OperatorCache`] are
 //! indistinguishable from fresh builds. This suite enforces the contract
@@ -12,13 +12,8 @@
 //! kernels' own thread pools are the only parallelism in play.
 
 use ig_match_repro::core::engine::{OperatorCache, RunContext};
-use ig_match_repro::core::models::clique::{
-    bound_preserving_adjacency, bound_preserving_adjacency_threaded,
-};
-use ig_match_repro::core::models::{
-    clique_adjacency, clique_adjacency_threaded, intersection_adjacency,
-    intersection_adjacency_threaded,
-};
+use ig_match_repro::core::models::clique::bound_preserving_adjacency;
+use ig_match_repro::core::models::{clique_adjacency, intersection_adjacency};
 use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_ordering_ctx};
 use ig_match_repro::core::IgWeighting;
 use ig_match_repro::eigen::{fiedler, LanczosOptions};
@@ -34,13 +29,18 @@ fn model_builders_bit_identical_across_thread_counts() {
     let hg = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
     let clique = clique_adjacency(&hg);
     let bound = bound_preserving_adjacency(&hg);
+    // A context at any thread count serves the serial builds.
     for threads in THREAD_COUNTS {
-        assert_eq!(clique, clique_adjacency_threaded(&hg, threads));
-        assert_eq!(bound, bound_preserving_adjacency_threaded(&hg, threads));
+        let ctx = RunContext::unlimited().with_threads(threads);
+        assert_eq!(&clique, ctx.clique_laplacian(&hg).adjacency());
+        assert_eq!(
+            &bound,
+            ctx.operators().bound_preserving_laplacian(&hg).adjacency()
+        );
         for weighting in IgWeighting::ALL {
             assert_eq!(
-                intersection_adjacency(&hg, weighting),
-                intersection_adjacency_threaded(&hg, weighting, threads),
+                &intersection_adjacency(&hg, weighting),
+                ctx.intersection_laplacian(&hg, weighting).adjacency(),
                 "intersection graph differs at {threads} threads ({weighting:?})"
             );
         }
@@ -108,9 +108,12 @@ fn shared_operator_cache_matches_fresh_builds() {
         );
     }
     // Every context above was served the same operator instance.
+    let ctx = RunContext::unlimited()
+        .with_operator_cache(Arc::clone(&cache))
+        .with_threads(8);
     assert!(Arc::ptr_eq(
-        &cache.clique_laplacian(&hg, 1),
-        &cache.clique_laplacian(&hg, 8),
+        &cache.clique_laplacian(&hg),
+        &ctx.clique_laplacian(&hg)
     ));
 }
 
@@ -207,20 +210,6 @@ fn fused_vecops_match_unfused_on_random_and_degenerate_vectors() {
                 .all(|(p, q)| p.to_bits() == q.to_bits()),
             "orthogonalize_fused at n={n}"
         );
-        // The hot-dot dispatch: bit-identical to `dot` by default; under
-        // `reassoc-fast` it reassociates, so the contract weakens to a
-        // relative tolerance (DESIGN.md §16).
-        let exact = vecops::dot(x, y);
-        let hot = vecops::dot_hot(x, y);
-        if cfg!(feature = "reassoc-fast") {
-            let tol = (n as f64).max(1.0) * f64::EPSILON * 64.0 * exact.abs().max(1.0);
-            assert!(
-                (exact - hot).abs() <= tol,
-                "dot_hot out of tolerance at n={n}: {exact} vs {hot}"
-            );
-        } else {
-            assert_eq!(exact.to_bits(), hot.to_bits(), "dot_hot bits at n={n}");
-        }
     }
 }
 
@@ -244,14 +233,6 @@ fn model_builders_finite_and_symmetric_on_degenerate_netlists() {
                     assert_ne!(c as usize, r, "{name} has a diagonal entry at {r}");
                 }
             }
-        }
-        // Threaded builds agree with serial even on degenerate inputs.
-        for threads in [2, 8] {
-            assert_eq!(graphs[0].1, clique_adjacency_threaded(&hg, threads));
-            assert_eq!(
-                intersection_adjacency(&hg, IgWeighting::Paper),
-                intersection_adjacency_threaded(&hg, IgWeighting::Paper, threads)
-            );
         }
     });
 }
