@@ -55,7 +55,6 @@ mod error;
 mod result;
 
 pub mod bounds;
-pub mod cluster;
 pub mod eig1;
 pub mod engine;
 pub mod hybrid;

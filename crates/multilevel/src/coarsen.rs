@@ -1,15 +1,17 @@
 //! One level of hypergraph contraction for the V-cycle.
 //!
-//! The matching rule generalizes `np_core::cluster::coarsen` — the seed
-//! heuristic of the workspace — from the plain clique model to the
+//! The rule is heavy-edge matching on the clique model, extended to the
 //! constrained setting the V-cycle needs: connectivity weights are
 //! accumulated directly from the nets (`1/(|e|−1)` per shared net, the
 //! standard clique-model weight) without materializing the adjacency
-//! matrix, oversized nets are excluded from the weights (they carry
+//! matrix, nets above 64 pins are excluded from the weights (they carry
 //! almost no locality signal and would make matching quadratic), merges
 //! that would exceed an area cap are refused, and two modules pinned to
 //! *different* blocks are never merged so `FixedModules` survive
-//! contraction intact.
+//! contraction intact. A module left without an unmatched partner is
+//! absorbed into the neighbor cluster it is most connected to, which
+//! keeps the per-level shrink factor near 2 where pair matching alone
+//! strands the leaves of matched hubs.
 //!
 //! Contraction keeps duplicate nets: the workspace's hypergraph model is
 //! unweighted, so collapsing parallel coarse nets into one would make the
@@ -27,38 +29,10 @@ pub const DROPPED_NET: u32 = u32::MAX;
 
 const UNMATCHED: u32 = u32::MAX;
 
-/// Tuning knobs for one contraction step.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoarsenConfig {
-    /// Merges producing a cluster heavier than this are refused
-    /// (`f64::INFINITY` disables the cap). Singleton modules heavier than
-    /// the cap simply stay unmerged; the cap never splits anything.
-    pub max_cluster_area: f64,
-    /// Nets with more pins than this contribute no matching weight (they
-    /// are still contracted). Keeps the weight accumulation linear in the
-    /// pin count even in the presence of power/ground-style mega-nets.
-    pub max_matching_net_size: usize,
-    /// When `true`, a module whose eligible neighbors are all clustered
-    /// already may still be *absorbed* into the neighbor cluster it is
-    /// most connected to (subject to the same pin and area constraints)
-    /// instead of staying a singleton. Strict pair matching (`false`)
-    /// reproduces `np_core::cluster::coarsen` exactly but degrades
-    /// geometrically on instances whose matching strands many leaves
-    /// next to matched hubs; absorption keeps the per-level shrink
-    /// factor near 2. Bound `max_cluster_area` when enabling this, or
-    /// star-shaped netlists collapse into one mega-cluster.
-    pub absorb_unmatched: bool,
-}
-
-impl Default for CoarsenConfig {
-    fn default() -> Self {
-        CoarsenConfig {
-            max_cluster_area: f64::INFINITY,
-            max_matching_net_size: 64,
-            absorb_unmatched: false,
-        }
-    }
-}
+/// Nets with more pins than this contribute no matching weight (they are
+/// still contracted). Keeps the weight accumulation linear in the pin
+/// count even in the presence of power/ground-style mega-nets.
+const MAX_MATCHING_NET_SIZE: usize = 64;
 
 /// One contraction step: the coarse hypergraph plus everything needed to
 /// project partitions down (`map`) and to keep refining on the coarse
@@ -81,19 +55,19 @@ pub struct Level {
     /// Number of fine nets dropped as cluster-internal.
     pub dropped_nets: usize,
     /// Number of merges performed (`fine modules − clusters`; the level
-    /// shrinks by this much). Under strict matching this equals the
-    /// number of matched pairs; with absorption a cluster may account
-    /// for several merges.
+    /// shrinks by this much). A matched pair accounts for one merge; a
+    /// cluster that absorbed modules accounts for several.
     pub merges: usize,
 }
 
-/// Contracts `hg` by one level of connectivity-weighted matching (plus
-/// cluster absorption when [`CoarsenConfig::absorb_unmatched`] is set).
-/// Deterministic: modules are visited in index order, ties break toward
-/// the smaller neighbor/cluster index, and cluster ids are assigned in
-/// founding order — on unconstrained instances (uniform areas, no pins,
-/// no caps binding, absorption off) the clustering coincides with the
-/// heavy-edge rule of `np_core::cluster::coarsen`.
+/// Contracts `hg` by one level of connectivity-weighted matching plus
+/// cluster absorption. Merges producing a cluster heavier than
+/// `max_cluster_area` are refused (`f64::INFINITY` disables the cap;
+/// singleton modules heavier than the cap simply stay unmerged). Bound
+/// the cap, or absorption collapses star-shaped netlists into one
+/// mega-cluster. Deterministic: modules are visited in index order,
+/// ties break toward the smaller neighbor/cluster index, and cluster ids
+/// are assigned in founding order.
 ///
 /// # Panics
 ///
@@ -103,7 +77,7 @@ pub fn coarsen_level(
     hg: &Hypergraph,
     areas: &ModuleAreas,
     fixed: &FixedModules,
-    cfg: &CoarsenConfig,
+    max_cluster_area: f64,
 ) -> Level {
     let n = hg.num_modules();
     assert!(n > 0, "cannot coarsen an empty hypergraph");
@@ -112,11 +86,8 @@ pub fn coarsen_level(
 
     // Eager clustering: visit modules in index order; each unclustered
     // module either founds a cluster (alone or with its best unmatched
-    // neighbor) or — in absorb mode — joins the neighbor cluster it is
-    // most connected to. Cluster ids are founded in index order, which
-    // under strict matching reproduces the two-phase id assignment of
-    // `np_core::cluster::coarsen` (an eligible pair is always formed at
-    // its smaller endpoint's visit, so partners always lie ahead).
+    // neighbor) or joins the neighbor cluster it is most connected to.
+    // Cluster ids are founded in index order.
     let mut map = vec![UNMATCHED; n];
     let mut cluster_area: Vec<f64> = Vec::new();
     let mut cluster_pin: Vec<Option<usize>> = Vec::new();
@@ -125,8 +96,8 @@ pub fn coarsen_level(
     let mut cweight = vec![0.0f64; n];
     let mut ctouched: Vec<u32> = Vec::new();
     // running collector for modules with no (weight-eligible) nets: no
-    // partition's cut depends on where they go, so in absorb mode they
-    // pack together up to the area cap instead of stalling the shrink
+    // partition's cut depends on where they go, so they pack together
+    // up to the area cap instead of stalling the shrink
     let mut iso_cluster: Option<u32> = None;
     for v in 0..n {
         if map[v] != UNMATCHED {
@@ -137,7 +108,7 @@ pub fn coarsen_level(
         let pin_v = fixed.block_of(mv);
         for &net in hg.nets_of(mv) {
             let pins = hg.pins(net);
-            if pins.len() < 2 || pins.len() > cfg.max_matching_net_size {
+            if pins.len() < 2 || pins.len() > MAX_MATCHING_NET_SIZE {
                 continue;
             }
             let w = 1.0 / (pins.len() - 1) as f64;
@@ -152,11 +123,11 @@ pub fn coarsen_level(
                 weight[ui] += w;
             }
         }
-        if cfg.absorb_unmatched && touched.is_empty() {
+        if touched.is_empty() {
             if let Some(c) = iso_cluster {
                 let ci = c as usize;
                 let pin_ok = !matches!((pin_v, cluster_pin[ci]), (Some(a), Some(b)) if a != b);
-                if pin_ok && cluster_area[ci] + area_v <= cfg.max_cluster_area {
+                if pin_ok && cluster_area[ci] + area_v <= max_cluster_area {
                     map[v] = c;
                     cluster_area[ci] += area_v;
                     if cluster_pin[ci].is_none() {
@@ -172,20 +143,18 @@ pub fn coarsen_level(
             iso_cluster = Some(id);
             continue;
         }
-        // best unmatched partner; in absorb mode, also fold clustered
-        // neighbors' weights into per-cluster totals
+        // best unmatched partner; also fold clustered neighbors' weights
+        // into per-cluster totals
         let mut best: Option<(u32, f64)> = None;
         for &u in &touched {
             let ui = u as usize;
             let w = weight[ui];
             if map[ui] != UNMATCHED {
-                if cfg.absorb_unmatched {
-                    let c = map[ui];
-                    if cweight[c as usize] == 0.0 {
-                        ctouched.push(c);
-                    }
-                    cweight[c as usize] += w;
+                let c = map[ui];
+                if cweight[c as usize] == 0.0 {
+                    ctouched.push(c);
                 }
+                cweight[c as usize] += w;
                 continue;
             }
             // pinned-to-different-blocks pairs must stay separable
@@ -194,7 +163,7 @@ pub fn coarsen_level(
                     continue;
                 }
             }
-            if area_v + areas.area(ModuleId(u)) > cfg.max_cluster_area {
+            if area_v + areas.area(ModuleId(u)) > max_cluster_area {
                 continue;
             }
             let better = match best {
@@ -216,7 +185,7 @@ pub fn coarsen_level(
                     continue;
                 }
             }
-            if cluster_area[ci] + area_v > cfg.max_cluster_area {
+            if cluster_area[ci] + area_v > max_cluster_area {
                 continue;
             }
             let better = match join {
@@ -236,7 +205,7 @@ pub fn coarsen_level(
         }
         ctouched.clear();
         // a fresh pair wins weight ties over absorption: it keeps
-        // clusters small, and it is the strict rule whenever both apply
+        // clusters small
         match (best, join) {
             (Some((u, bw)), j) if j.is_none_or(|(_, jw)| bw >= jw) => {
                 let id = cluster_area.len() as u32;
@@ -329,7 +298,7 @@ mod tests {
             &[vec![0, 1], vec![1, 2], vec![2, 3], vec![3, 4], vec![4, 5]],
         );
         let (areas, fixed) = free_uniform(&hg);
-        let level = coarsen_level(&hg, &areas, &fixed, &CoarsenConfig::default());
+        let level = coarsen_level(&hg, &areas, &fixed, f64::INFINITY);
         assert_eq!(level.coarse.num_modules(), 3);
         assert_eq!(level.merges, 3);
         assert!((level.areas.total() - areas.total()).abs() < 1e-12);
@@ -341,57 +310,18 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_core_cluster_on_unconstrained_instances() {
-        // same heavy-edge rule, so the cluster maps must coincide when no
-        // area cap, pin or net-size constraint binds
-        for (n, nets) in [
-            (
-                6usize,
-                vec![
-                    vec![0u32, 1],
-                    vec![1, 2],
-                    vec![2, 3],
-                    vec![3, 4],
-                    vec![4, 5],
-                ],
-            ),
-            (
-                8,
-                vec![
-                    vec![0, 1, 2],
-                    vec![2, 3],
-                    vec![3, 4, 5],
-                    vec![5, 6],
-                    vec![6, 7],
-                    vec![0, 7],
-                ],
-            ),
-        ] {
-            let hg = hypergraph_from_nets(n, &nets);
-            let (areas, fixed) = free_uniform(&hg);
-            let cfg = CoarsenConfig {
-                max_cluster_area: f64::INFINITY,
-                max_matching_net_size: usize::MAX,
-                absorb_unmatched: false,
-            };
-            let level = coarsen_level(&hg, &areas, &fixed, &cfg);
-            let seed = np_core::cluster::coarsen(&hg);
-            assert_eq!(level.map, seed.cluster_of);
-        }
-    }
-
-    #[test]
     fn duplicates_survive_and_internal_nets_drop() {
-        // 0—1 and 2—3 merge; the parallel {0,1} nets and {2,3} drop as
-        // cluster-internal, while BOTH parallel {1,2} nets survive — the
-        // coarse cut of any partition separating the two clusters stays 2,
-        // exactly the flat cut
+        // 0—1 and 2—3 merge (the cap keeps 2 from joining {0,1}); the
+        // parallel {0,1} nets and {2,3} drop as cluster-internal, while
+        // BOTH parallel {1,2} nets survive — the coarse cut of any
+        // partition separating the two clusters stays 2, exactly the
+        // flat cut
         let hg = hypergraph_from_nets(
             4,
             &[vec![0, 1], vec![0, 1], vec![1, 2], vec![1, 2], vec![2, 3]],
         );
         let (areas, fixed) = free_uniform(&hg);
-        let level = coarsen_level(&hg, &areas, &fixed, &CoarsenConfig::default());
+        let level = coarsen_level(&hg, &areas, &fixed, 2.0);
         assert_eq!(level.map, vec![0, 0, 1, 1]);
         assert_eq!(level.dropped_nets, 3);
         assert_eq!(level.net_map[0], DROPPED_NET);
@@ -408,7 +338,7 @@ mod tests {
         let mut fixed = FixedModules::free(4);
         fixed.pin(ModuleId(0), 0);
         fixed.pin(ModuleId(1), 1);
-        let level = coarsen_level(&hg, &areas, &fixed, &CoarsenConfig::default());
+        let level = coarsen_level(&hg, &areas, &fixed, f64::INFINITY);
         assert_ne!(level.map[0], level.map[1]);
         assert_eq!(level.fixed.block_of(ModuleId(level.map[0])), Some(0));
         assert_eq!(level.fixed.block_of(ModuleId(level.map[1])), Some(1));
@@ -419,46 +349,22 @@ mod tests {
         let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![2, 3]]);
         let areas = ModuleAreas::new(vec![3.0, 3.0, 1.0, 1.0]);
         let fixed = FixedModules::free(4);
-        let cfg = CoarsenConfig {
-            max_cluster_area: 4.0,
-            ..Default::default()
-        };
-        let level = coarsen_level(&hg, &areas, &fixed, &cfg);
+        let level = coarsen_level(&hg, &areas, &fixed, 4.0);
         assert_ne!(level.map[0], level.map[1], "3+3 exceeds the cap");
         assert_eq!(level.map[2], level.map[3], "1+1 fits");
     }
 
     #[test]
     fn absorption_rescues_stranded_leaves() {
-        // star: strict matching pairs {0,1} and strands 2, 3, 4 (their
+        // star: pair matching alone forms {0,1} and strands 2, 3, 4 (their
         // only neighbor is matched); absorption folds them into the hub
         // cluster until the area cap refuses
         let hg = hypergraph_from_nets(5, &[vec![0, 1], vec![0, 2], vec![0, 3], vec![0, 4]]);
         let (areas, fixed) = free_uniform(&hg);
-        let strict = coarsen_level(&hg, &areas, &fixed, &CoarsenConfig::default());
-        assert_eq!(strict.coarse.num_modules(), 4);
-        assert_eq!(strict.merges, 1);
-        let absorb = coarsen_level(
-            &hg,
-            &areas,
-            &fixed,
-            &CoarsenConfig {
-                absorb_unmatched: true,
-                ..Default::default()
-            },
-        );
+        let absorb = coarsen_level(&hg, &areas, &fixed, f64::INFINITY);
         assert_eq!(absorb.coarse.num_modules(), 1, "uncapped star collapses");
         assert_eq!(absorb.merges, 4);
-        let capped = coarsen_level(
-            &hg,
-            &areas,
-            &fixed,
-            &CoarsenConfig {
-                absorb_unmatched: true,
-                max_cluster_area: 3.0,
-                ..Default::default()
-            },
-        );
+        let capped = coarsen_level(&hg, &areas, &fixed, 3.0);
         // {0,1} absorbs 2, then the cap refuses 3 and 4 (no other nets
         // connect them)
         assert_eq!(capped.coarse.num_modules(), 3);
@@ -468,22 +374,11 @@ mod tests {
 
     #[test]
     fn isolated_modules_pack_under_absorption() {
-        // modules 2..6 touch no net: strict coarsening can never merge
-        // them, absorption packs them up to the area cap
+        // modules 2..6 touch no net: pair matching can never merge them,
+        // absorption packs them up to the area cap
         let hg = hypergraph_from_nets(6, &[vec![0, 1]]);
         let (areas, fixed) = free_uniform(&hg);
-        let strict = coarsen_level(&hg, &areas, &fixed, &CoarsenConfig::default());
-        assert_eq!(strict.coarse.num_modules(), 5);
-        let absorb = coarsen_level(
-            &hg,
-            &areas,
-            &fixed,
-            &CoarsenConfig {
-                absorb_unmatched: true,
-                max_cluster_area: 3.0,
-                ..Default::default()
-            },
-        );
+        let absorb = coarsen_level(&hg, &areas, &fixed, 3.0);
         // {0,1} pair; {2,3,4} fill one collector; {5} starts the next
         assert_eq!(absorb.coarse.num_modules(), 3);
         assert_eq!(absorb.map[2], absorb.map[3]);
@@ -501,15 +396,7 @@ mod tests {
         let mut fixed = FixedModules::free(3);
         fixed.pin(ModuleId(0), 0);
         fixed.pin(ModuleId(2), 1);
-        let level = coarsen_level(
-            &hg,
-            &areas,
-            &fixed,
-            &CoarsenConfig {
-                absorb_unmatched: true,
-                ..Default::default()
-            },
-        );
+        let level = coarsen_level(&hg, &areas, &fixed, f64::INFINITY);
         assert_eq!(level.map[0], level.map[1]);
         assert_ne!(level.map[2], level.map[0]);
         assert_eq!(level.fixed.block_of(ModuleId(level.map[0])), Some(0));
@@ -518,21 +405,29 @@ mod tests {
 
     #[test]
     fn oversized_nets_carry_no_weight_but_still_contract() {
-        // the 5-pin net is over the matching cutoff, so only {3,4} pairs;
-        // the big net must still appear (contracted) in the coarse graph
-        let hg = hypergraph_from_nets(5, &[vec![0, 1, 2, 3, 4], vec![3, 4]]);
-        let (areas, fixed) = free_uniform(&hg);
-        let cfg = CoarsenConfig {
-            max_matching_net_size: 4,
-            ..Default::default()
-        };
-        let level = coarsen_level(&hg, &areas, &fixed, &cfg);
-        assert_eq!(level.merges, 1);
-        assert_eq!(level.map[3], level.map[4]);
-        assert_eq!(
-            level.coarse.num_nets(),
-            1,
-            "{{3,4}} collapses, big net stays"
-        );
+        // module 0 sits on one big net over 0 and 2.., module 1 on no net,
+        // and {65,66} is an ordinary 2-pin net; the cap allows pairs only
+        let big_net =
+            |pins: usize| -> Vec<u32> { std::iter::once(0).chain(2..pins as u32 + 1).collect() };
+        let areas = ModuleAreas::uniform(67);
+        let fixed = FixedModules::free(67);
+
+        // one pin over the cutoff: module 0 has no weighted neighbor, so
+        // it packs with the net-less module 1 like any isolated module
+        let over = big_net(MAX_MATCHING_NET_SIZE + 1);
+        assert_eq!(over.len(), 65);
+        let hg = hypergraph_from_nets(67, &[over, vec![65, 66]]);
+        let level = coarsen_level(&hg, &areas, &fixed, 2.0);
+        assert_eq!(level.map[0], level.map[1]);
+        assert_eq!(level.map[65], level.map[66]);
+        assert_eq!(level.net_map[1], DROPPED_NET, "{{65,66}} collapses");
+        assert_eq!(level.coarse.num_nets(), 1, "the big net stays");
+
+        // at the cutoff the net carries weight: 0 pairs with neighbor 2
+        let at = big_net(MAX_MATCHING_NET_SIZE);
+        let hg = hypergraph_from_nets(67, &[at, vec![65, 66]]);
+        let level = coarsen_level(&hg, &areas, &fixed, 2.0);
+        assert_eq!(level.map[0], level.map[2]);
+        assert_ne!(level.map[0], level.map[1]);
     }
 }

@@ -5,10 +5,11 @@
 //! Lanczos on the full intersection Laplacian. This crate goes around it
 //! with the classic multilevel scheme:
 //!
-//! 1. **coarsen** ([`coarsen`] module) — connectivity-weighted matching
-//!    (the heavy-edge rule of `np_core::cluster`, extended with area
-//!    caps and `FixedModules` awareness) contracts the hypergraph level
-//!    by level until it fits [`MultilevelOptions::coarsen_target`];
+//! 1. **coarsen** ([`coarsen`] module) — one contraction, repeated
+//!    level by level until the hypergraph fits
+//!    [`MultilevelOptions::coarsen_target`]: heavy-edge matching on
+//!    clique-model weights, with unmatched modules absorbed into their
+//!    best neighbor cluster, area caps and `FixedModules` awareness;
 //! 2. **initial partition** — the existing hybrid IG-Match pipeline
 //!    (or the recursive k-way route) runs on the coarsest level, where
 //!    the eigensolve is cheap;
@@ -46,7 +47,7 @@
 pub mod coarsen;
 pub mod vcycle;
 
-pub use coarsen::{coarsen_level, CoarsenConfig, Level, DROPPED_NET};
+pub use coarsen::{coarsen_level, Level, DROPPED_NET};
 pub use vcycle::{
     build_hierarchy, multilevel, multilevel_ctx, multilevel_kway_ctx, Hierarchy,
     MultilevelKwayOutcome, MultilevelOptions, MultilevelOutcome, MultilevelStage,

@@ -32,7 +32,7 @@
 //! — exact, just unrefined — and the best-so-far partition is returned
 //! as a success with [`MultilevelOutcome::budget_degraded`] set.
 
-use crate::coarsen::{coarsen_level, CoarsenConfig, Level};
+use crate::coarsen::{coarsen_level, Level};
 use np_baselines::rcut::refine_ratio_cut_metered;
 use np_core::engine::stages::FmStage;
 use np_core::engine::{FallbackChain, RunContext, StageEvent};
@@ -57,13 +57,6 @@ pub struct MultilevelOptions {
     pub coarsen_target: usize,
     /// Hard cap on the number of coarsening levels.
     pub max_levels: usize,
-    /// Stall guard: a level must shrink the module count below
-    /// `min_shrink` times the previous count or coarsening stops (a
-    /// matching that finds almost no pairs will never reach the target).
-    pub min_shrink: f64,
-    /// Nets with more pins than this are excluded from matching weights
-    /// (they are still contracted); see [`CoarsenConfig`].
-    pub max_matching_net_size: usize,
     /// Refinement passes per uncoarsening level.
     pub refine_passes: usize,
     /// Refinement passes of the *flat* hybrid pipeline used for the
@@ -81,14 +74,17 @@ impl Default for MultilevelOptions {
         MultilevelOptions {
             coarsen_target: 3000,
             max_levels: 24,
-            min_shrink: 0.95,
-            max_matching_net_size: 64,
             refine_passes: 4,
             flat_refine_passes: 20,
             ig_match: IgMatchOptions::default(),
         }
     }
 }
+
+/// Stall guard: a level must shrink the module count below this fraction
+/// of the previous count or coarsening stops (a matching that finds
+/// almost no pairs will never reach the target).
+const MIN_SHRINK: f64 = 0.95;
 
 /// A coarsening hierarchy. `levels[0]` contracts the input hypergraph;
 /// `levels[i]` contracts `levels[i-1].coarse`.
@@ -117,7 +113,7 @@ impl Hierarchy {
 /// Builds the coarsening hierarchy for `hg`, carrying `areas` and
 /// `fixed` pins through every contraction. Charges `meter` one unit per
 /// level. Stops at `opts.coarsen_target` modules, at `opts.max_levels`
-/// levels, or when a level shrinks by less than `opts.min_shrink`.
+/// levels, or when a level keeps more than 95% of its modules.
 ///
 /// # Errors
 ///
@@ -131,17 +127,11 @@ pub fn build_hierarchy(
     meter: &BudgetMeter,
 ) -> Result<Hierarchy, PartitionError> {
     let target = opts.coarsen_target.max(4);
-    // Absorption keeps the shrink factor near 2 where strict matching
-    // strands leaves next to matched hubs, but needs an area cap or
-    // star netlists collapse into one mega-cluster: 4x the average
-    // cluster area *at the target size* leaves at least target/4
-    // clusters while barely constraining the earlier (finer) levels.
-    let absorb_cap = 4.0 * areas.total() / target as f64;
-    let cfg = CoarsenConfig {
-        max_cluster_area: max_cluster_area.min(absorb_cap),
-        max_matching_net_size: opts.max_matching_net_size.max(2),
-        absorb_unmatched: true,
-    };
+    // Absorption needs an area cap or star netlists collapse into one
+    // mega-cluster: 4x the average cluster area *at the target size*
+    // leaves at least target/4 clusters while barely constraining the
+    // earlier (finer) levels.
+    let max_cluster_area = max_cluster_area.min(4.0 * areas.total() / target as f64);
     let mut levels: Vec<Level> = Vec::new();
     let mut flat_maps: Vec<Vec<u32>> = Vec::new();
     let mut cur_areas = areas.clone();
@@ -153,9 +143,9 @@ pub fn build_hierarchy(
             break;
         }
         meter.charge(1)?;
-        let level = coarsen_level(cur_hg, &cur_areas, &cur_fixed, &cfg);
+        let level = coarsen_level(cur_hg, &cur_areas, &cur_fixed, max_cluster_area);
         let coarse_n = level.coarse.num_modules();
-        if coarse_n < 2 || (coarse_n as f64) > opts.min_shrink * n as f64 {
+        if coarse_n < 2 || (coarse_n as f64) > MIN_SHRINK * n as f64 {
             break; // stalled (or would become unpartitionable): keep what we have
         }
         cur_areas = level.areas.clone();

@@ -94,12 +94,10 @@ pub struct ServeConfig {
     /// algorithm and does not say `"multilevel": false`. An explicit
     /// `"multilevel": true` takes the tier at any size.
     pub multilevel_threshold: usize,
-    /// Smooth-WRR admission weights per priority class, indexed by
-    /// [`Priority::index`] (high, normal, low). Each clamps to ≥ 1.
-    pub priority_weights: [u32; PRIORITY_CLASSES],
-    /// Capacity of the tracing span ring buffer.
-    pub span_capacity: usize,
 }
+
+/// Capacity of the tracing span ring buffer.
+const SPAN_CAPACITY: usize = 1024;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -114,8 +112,6 @@ impl Default for ServeConfig {
             cache_entries: 32,
             cache_bytes: 64 << 20,
             multilevel_threshold: 20_000,
-            priority_weights: crate::admit::DEFAULT_WEIGHTS,
-            span_capacity: 1024,
         }
     }
 }
@@ -144,10 +140,10 @@ impl Service {
     /// A service with the given configuration.
     pub fn new(cfg: ServeConfig) -> Self {
         Service {
-            admission: Admission::weighted(cfg.workers, cfg.queue, cfg.priority_weights),
+            admission: Admission::new(cfg.workers, cfg.queue),
             cache: NetlistCache::new(cfg.cache_entries, cfg.cache_bytes),
             metrics: Metrics::default(),
-            spans: SpanRing::new(cfg.span_capacity),
+            spans: SpanRing::new(SPAN_CAPACITY),
             seq: AtomicU64::new(0),
             cfg,
         }

@@ -3,10 +3,10 @@
 //! output, and the documented dominance/never-worse relations must hold.
 
 use ig_match_repro::core::bounds::ratio_cut_lower_bound;
-use ig_match_repro::core::cluster::{clustered_ig_match, ClusterOptions};
 use ig_match_repro::core::eig1::spectral_bisect;
 use ig_match_repro::core::placement::module_placement;
 use ig_match_repro::hybrid::{ig_match_refined, HybridOptions};
+use ig_match_repro::multilevel::{multilevel, MultilevelOptions};
 use ig_match_repro::netlist::areas::{area_cut_stats, ModuleAreas};
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::netlist::named::NamedNetlist;
@@ -101,13 +101,31 @@ fn bisection_is_balanced() {
     });
 }
 
+/// The §5 clustering flow of E14 (`ablation_cluster`): condense one or
+/// two levels, run IG-Match on the condensed netlist, project back with
+/// refinement off — the answer is exactly the pure projection.
 #[test]
 fn clustered_partition_valid() {
     check_cases(24, 0xA106, |g| {
         let hg = arb_circuit(g);
-        let r = clustered_ig_match(&hg, &ClusterOptions::default()).unwrap();
-        assert_eq!(r.stats, r.partition.cut_stats(&hg));
-        assert!(r.stats.left > 0 && r.stats.right > 0);
+        for max_levels in [1, 2] {
+            let opts = MultilevelOptions {
+                coarsen_target: 64,
+                max_levels,
+                refine_passes: 0,
+                flat_refine_passes: 0,
+                ..Default::default()
+            };
+            let out = multilevel(&hg, &opts).unwrap();
+            let r = &out.result;
+            assert!(out.levels <= max_levels);
+            if hg.num_modules() > 64 {
+                assert!(out.levels >= 1, "above the target the netlist condenses");
+            }
+            assert_eq!(r.stats, r.partition.cut_stats(&hg));
+            assert!(r.stats.left > 0 && r.stats.right > 0);
+            assert_eq!(r.ratio(), out.projected_ratio);
+        }
     });
 }
 

@@ -29,8 +29,7 @@ use ig_match_repro::core::engine::stages::{IgMatchStage, RatioRefineStage};
 use ig_match_repro::core::engine::{Pipeline, RunContext, Stage};
 use ig_match_repro::core::{IgMatchOptions, KwayOptions, PartitionError};
 use ig_match_repro::multilevel::{
-    coarsen_level, multilevel_ctx, multilevel_kway_ctx, CoarsenConfig, MultilevelOptions,
-    DROPPED_NET,
+    coarsen_level, multilevel_ctx, multilevel_kway_ctx, MultilevelOptions, DROPPED_NET,
 };
 use ig_match_repro::netlist::areas::ModuleAreas;
 use ig_match_repro::netlist::FixedModules;
@@ -60,67 +59,55 @@ fn side_labels(sides: &[Side]) -> Vec<u32> {
 
 #[test]
 fn contraction_preserves_area_and_net_accounting() {
-    for absorb in [false, true] {
-        check_cases(32, 0xC0A2_5E11 + absorb as u64, |g| {
-            let hg = small_hypergraph(g);
-            let n = hg.num_modules();
-            let areas = ModuleAreas::new(g.vec_with(n, n, |g| g.f64_in(0.5, 2.0)));
-            let fixed = FixedModules::free(n);
-            let cfg = CoarsenConfig {
-                // bind the cap sometimes so refused merges are exercised
-                max_cluster_area: if absorb {
-                    areas.total() / 2.0
-                } else {
-                    f64::INFINITY
-                },
-                absorb_unmatched: absorb,
-                ..Default::default()
-            };
-            let level = coarsen_level(&hg, &areas, &fixed, &cfg);
-            let coarse_n = level.coarse.num_modules();
-            assert_eq!(level.merges, n - coarse_n, "merges count the shrink");
+    check_cases(32, 0xC0A2_5E12, |g| {
+        let hg = small_hypergraph(g);
+        let n = hg.num_modules();
+        let areas = ModuleAreas::new(g.vec_with(n, n, |g| g.f64_in(0.5, 2.0)));
+        let fixed = FixedModules::free(n);
+        // bind the cap sometimes so refused merges are exercised
+        let level = coarsen_level(&hg, &areas, &fixed, areas.total() / 2.0);
+        let coarse_n = level.coarse.num_modules();
+        assert_eq!(level.merges, n - coarse_n, "merges count the shrink");
 
-            // cluster area = sum of member areas, total preserved
-            let mut sums = vec![0.0f64; coarse_n];
-            for v in 0..n {
-                sums[level.map[v] as usize] += areas.area(ModuleId(v as u32));
-            }
-            for (c, &expect) in sums.iter().enumerate() {
-                let got = level.areas.area(ModuleId(c as u32));
-                assert!(
-                    (got - expect).abs() <= 1e-9 * expect.max(1.0),
-                    "cluster {c}: area {got} != member sum {expect}"
-                );
-            }
-            assert!((level.areas.total() - areas.total()).abs() <= 1e-6 * areas.total().max(1.0));
+        // cluster area = sum of member areas, total preserved
+        let mut sums = vec![0.0f64; coarse_n];
+        for v in 0..n {
+            sums[level.map[v] as usize] += areas.area(ModuleId(v as u32));
+        }
+        for (c, &expect) in sums.iter().enumerate() {
+            let got = level.areas.area(ModuleId(c as u32));
+            assert!(
+                (got - expect).abs() <= 1e-9 * expect.max(1.0),
+                "cluster {c}: area {got} != member sum {expect}"
+            );
+        }
+        assert!((level.areas.total() - areas.total()).abs() <= 1e-6 * areas.total().max(1.0));
 
-            // net accounting: dropped iff the cluster image is a single
-            // module, otherwise the coarse net *is* that image
-            assert_eq!(level.net_map.len(), hg.num_nets());
-            let mut dropped = 0usize;
-            for net in hg.nets() {
-                let mut image: Vec<u32> =
-                    hg.pins(net).iter().map(|m| level.map[m.index()]).collect();
-                image.sort_unstable();
-                image.dedup();
-                let mapped = level.net_map[net.index()];
-                if image.len() == 1 {
-                    assert_eq!(mapped, DROPPED_NET, "internal net must be dropped");
-                    dropped += 1;
-                } else {
-                    let mut coarse_pins: Vec<u32> = level
-                        .coarse
-                        .pins(ig_match_repro::NetId(mapped))
-                        .iter()
-                        .map(|m| m.0)
-                        .collect();
-                    coarse_pins.sort_unstable();
-                    assert_eq!(coarse_pins, image, "coarse net must be the cluster image");
-                }
+        // net accounting: dropped iff the cluster image is a single
+        // module, otherwise the coarse net *is* that image
+        assert_eq!(level.net_map.len(), hg.num_nets());
+        let mut dropped = 0usize;
+        for net in hg.nets() {
+            let mut image: Vec<u32> = hg.pins(net).iter().map(|m| level.map[m.index()]).collect();
+            image.sort_unstable();
+            image.dedup();
+            let mapped = level.net_map[net.index()];
+            if image.len() == 1 {
+                assert_eq!(mapped, DROPPED_NET, "internal net must be dropped");
+                dropped += 1;
+            } else {
+                let mut coarse_pins: Vec<u32> = level
+                    .coarse
+                    .pins(ig_match_repro::NetId(mapped))
+                    .iter()
+                    .map(|m| m.0)
+                    .collect();
+                coarse_pins.sort_unstable();
+                assert_eq!(coarse_pins, image, "coarse net must be the cluster image");
             }
-            assert_eq!(level.dropped_nets, dropped);
-        });
-    }
+        }
+        assert_eq!(level.dropped_nets, dropped);
+    });
 }
 
 #[test]
