@@ -1,5 +1,4 @@
-//! Shared machinery for the table-regeneration binaries and timing
-//! benches.
+//! Shared machinery for the table-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation (§4) has a binary in
 //! `src/bin/` that regenerates it against the synthetic MCNC stand-in
@@ -20,16 +19,20 @@
 //! | `ablation_areas` | §4 — area-oblivious spectral vs area-aware RCut |
 //! | `hybrid` | §5 — IG-Match + ratio-FM post-refinement |
 //! | `bounds` | Theorem 1 — per-instance optimality certificates |
-//! | `portfolio` | best-of-16 portfolio tracking (`BENCH_portfolio.json`) |
-//! | `spectral` | operator cache + sharded SpMV vs serial rebuilds (`BENCH_spectral.json`) |
-//! | `sweep` | incremental vs from-scratch IG-Match sweep (`BENCH_sweep.json`) |
 //! | `suite_explore` | developer harness for calibrating the suite |
 //!
-//! The CI-tracked binaries (`portfolio`, `spectral`, `sweep`) emit their
-//! JSON records through the shared [`BenchReport`] harness and take their
-//! noise-robust point estimates from [`best_of`], so every record carries
-//! the same `{"schema": "bench/<name>/v1", ..., "benchmarks": [...]}`
-//! envelope.
+//! Three more binaries gate what the end-to-end benchmark in
+//! `benchmark/` cannot:
+//!
+//! | binary | gate |
+//! |---|---|
+//! | `sweep` | incremental vs from-scratch IG-Match sweep, bit-identical winners (`BENCH_sweep.json`) |
+//! | `multilevel` | V-cycle vs flat cut on the band ladder (`BENCH_multilevel.json`) |
+//! | `soak` | np-serve endurance run: no leaked permits, threads or cache bytes |
+//!
+//! `sweep` and `multilevel` emit their JSON records through the shared
+//! [`BenchReport`] harness, so every record carries the same
+//! `{"schema": "bench/<name>/v1", ..., "benchmarks": [...]}` envelope.
 //!
 //! The best-of-N baselines (`table2`'s RCut1.0, `ablation_areas`'
 //! area-aware RCut) run their restart loops as `np-runner` portfolios:
@@ -129,8 +132,8 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 }
 
 /// Runs `f` `iters` times and returns the last result together with the
-/// **minimum** elapsed wall-clock time — the standard noise-robust point
-/// estimate all CI-tracked benchmark binaries report.
+/// **minimum** elapsed wall-clock time — the noise-robust point estimate
+/// `sweep` reports.
 pub fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     let (mut out, mut best) = timed(&mut f);
     for _ in 1..iters.max(1) {
@@ -274,26 +277,6 @@ impl BenchReport {
         std::fs::write(path, self.to_json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("written to {path}");
     }
-}
-
-/// Minimal micro-benchmark runner for the `benches/` targets: one warmup
-/// run, then `iters` timed runs, printing the minimum and mean
-/// per-iteration wall-clock time. (The build environment has no external
-/// benchmarking framework; `cargo bench` drives these harness-free
-/// binaries directly.)
-pub fn bench_case<T>(label: &str, iters: usize, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f());
-    let mut best = Duration::MAX;
-    let mut total = Duration::ZERO;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        let dt = start.elapsed();
-        best = best.min(dt);
-        total += dt;
-    }
-    let mean = total / iters.max(1) as u32;
-    println!("{label:<44} min {best:>12.3?}  mean {mean:>12.3?}");
 }
 
 #[cfg(test)]

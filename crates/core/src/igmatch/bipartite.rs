@@ -313,12 +313,6 @@ impl SplitMatcher {
         self.side.side_of(v)
     }
 
-    /// Current partner of net `v`, if matched.
-    pub fn mate_of(&self, v: u32) -> Option<u32> {
-        let m = self.mate[v as usize];
-        (m != NONE).then_some(m)
-    }
-
     /// Moves net `v` from `L` to `R`, repairing the matching, and returns
     /// the [`MoveDelta`] describing what changed. Use
     /// [`move_to_r_into`](Self::move_to_r_into) in hot loops to reuse the

@@ -157,16 +157,25 @@ pub fn kway_partition_ctx(
 }
 
 /// Validated, defaulted inputs of a k-way run.
-pub(crate) struct Prepared {
-    pub(crate) areas: ModuleAreas,
-    pub(crate) fixed: FixedModules,
+pub struct Prepared {
+    /// Module areas (`opts.areas`, or uniform).
+    pub areas: ModuleAreas,
+    /// Module pins (`opts.fixed`, or all free).
+    pub fixed: FixedModules,
     /// The per-block area capacity `(1+ε)·total/k`.
-    pub(crate) bound: f64,
+    pub bound: f64,
     /// `free[i]` iff module `i` is not pinned.
-    pub(crate) free: Vec<bool>,
+    pub free: Vec<bool>,
 }
 
-pub(crate) fn prepare(hg: &Hypergraph, opts: &KwayOptions) -> Result<Prepared, PartitionError> {
+/// The one input check of every k-way route: validates `opts` against
+/// `hg` and fills in the defaults.
+///
+/// # Errors
+///
+/// [`PartitionError::InvalidInput`] for every case listed on
+/// [`kway_partition_ctx`].
+pub fn prepare(hg: &Hypergraph, opts: &KwayOptions) -> Result<Prepared, PartitionError> {
     let n = hg.num_modules();
     if opts.k == 0 {
         return Err(PartitionError::InvalidInput {

@@ -38,13 +38,14 @@ use np_core::engine::stages::FmStage;
 use np_core::engine::{FallbackChain, RunContext, StageEvent};
 use np_core::hybrid::{hybrid_pipeline, HybridOptions};
 use np_core::kway::refine::{area_cap, enforce_balance, kway_refine};
+use np_core::kway::{prepare, Prepared};
 use np_core::{
     kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
     PartitionResult, Partitioner,
 };
 use np_netlist::{
-    areas::ModuleAreas, balance_bound, Bipartition, FixedModules, Hypergraph, KwayCutTracker,
-    KwayPartition, ModuleId, Side,
+    areas::ModuleAreas, Bipartition, FixedModules, Hypergraph, KwayCutTracker, KwayPartition,
+    ModuleId, Side,
 };
 use np_sparse::BudgetMeter;
 
@@ -370,9 +371,8 @@ pub struct MultilevelKwayOutcome {
 ///
 /// # Errors
 ///
-/// * [`PartitionError::InvalidInput`] for `k < 2`, mismatched
-///   `areas`/`fixed` lengths or pins outside `0..k`;
-/// * [`PartitionError::TooSmall`] for fewer than `k` modules;
+/// * [`PartitionError::InvalidInput`] for the inputs the flat route
+///   rejects ([`prepare`]);
 /// * any error of the coarsest-level k-way route;
 /// * [`PartitionError::Budget`] when the meter trips before a partition
 ///   exists (later trips degrade to projection).
@@ -382,40 +382,25 @@ pub fn multilevel_kway_ctx(
     mopts: &MultilevelOptions,
     ctx: &RunContext<'_>,
 ) -> Result<MultilevelKwayOutcome, PartitionError> {
-    let n = hg.num_modules();
+    let Prepared {
+        areas,
+        fixed,
+        bound,
+        ..
+    } = prepare(hg, kopts)?;
     let k = kopts.k;
-    if k < 2 {
-        return Err(PartitionError::InvalidInput {
-            reason: "multilevel k-way needs k >= 2",
+    if k == 1 {
+        // one block holds everything: nothing to coarsen
+        let result = kway_partition_ctx(hg, kopts, KwayMethod::Recursive, ctx)?;
+        return Ok(MultilevelKwayOutcome {
+            coarsest_modules: hg.num_modules(),
+            coarse_cut: result.stats.cut_nets,
+            result,
+            levels: 0,
+            refined_levels: 0,
+            budget_degraded: false,
         });
     }
-    if n < k {
-        return Err(PartitionError::TooSmall {
-            modules: n,
-            nets: hg.num_nets(),
-        });
-    }
-    let areas = kopts
-        .areas
-        .clone()
-        .unwrap_or_else(|| ModuleAreas::uniform(n));
-    if areas.len() != n {
-        return Err(PartitionError::InvalidInput {
-            reason: "areas length must match the module count",
-        });
-    }
-    let fixed = kopts.fixed.clone().unwrap_or_else(|| FixedModules::free(n));
-    if fixed.len() != n {
-        return Err(PartitionError::InvalidInput {
-            reason: "fixed length must match the module count",
-        });
-    }
-    if !fixed.fits_k(k) {
-        return Err(PartitionError::InvalidInput {
-            reason: "a fixed pin names a block outside 0..k",
-        });
-    }
-    let bound = balance_bound(areas.total(), k, kopts.epsilon);
 
     let mut opts = *mopts;
     opts.coarsen_target = mopts.coarsen_target.max(8 * k);

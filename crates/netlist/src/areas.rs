@@ -8,7 +8,6 @@
 //! claim can be tested: assign areas, partition with the (area-oblivious)
 //! spectral methods, and score both ways.
 
-use crate::kway::KwayPartition;
 use crate::{Bipartition, Hypergraph, ModuleId, Side};
 use std::fmt;
 
@@ -143,74 +142,6 @@ pub fn area_cut_stats(
     }
 }
 
-/// Cut statistics of a k-way partition under module areas.
-#[derive(Clone, Debug, PartialEq)]
-pub struct KwayAreaCutStats {
-    /// Number of nets spanning more than one block.
-    pub cut_nets: usize,
-    /// Total area of each block, indexed by label.
-    pub block_areas: Vec<f64>,
-    /// Per-block external-net counts.
-    pub external: Vec<usize>,
-}
-
-impl KwayAreaCutStats {
-    /// The area-weighted k-way ratio cut `Σ_b external(b) / area(b)`, or
-    /// `+∞` when any block has zero area (including the 0-block empty
-    /// partition).
-    pub fn ratio(&self) -> f64 {
-        if self.block_areas.is_empty() {
-            return f64::INFINITY;
-        }
-        let mut r = 0.0f64;
-        for (&e, &a) in self.external.iter().zip(&self.block_areas) {
-            if a <= 0.0 {
-                return f64::INFINITY;
-            }
-            r += e as f64 / a;
-        }
-        r
-    }
-
-    /// The largest block area (0.0 for the empty partition).
-    pub fn max_block_area(&self) -> f64 {
-        self.block_areas.iter().copied().fold(0.0, f64::max)
-    }
-}
-
-impl fmt::Display for KwayAreaCutStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cut={} k={} max_area={:.0} kratio={:.3e}",
-            self.cut_nets,
-            self.block_areas.len(),
-            self.max_block_area(),
-            self.ratio()
-        )
-    }
-}
-
-/// Scores a k-way `partition` against `hg` under module areas in
-/// `O(pins + nets·k)`.
-///
-/// # Panics
-///
-/// Panics if the sizes of `hg`, `partition` and `areas` disagree.
-pub fn kway_area_cut_stats(
-    hg: &Hypergraph,
-    partition: &KwayPartition,
-    areas: &ModuleAreas,
-) -> KwayAreaCutStats {
-    assert_eq!(partition.len(), hg.num_modules(), "partition size mismatch");
-    assert_eq!(areas.len(), hg.num_modules(), "area vector size mismatch");
-    KwayAreaCutStats {
-        cut_nets: partition.crossing_nets(hg),
-        block_areas: partition.block_areas(areas),
-        external: partition.external_nets_per_block(hg),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,37 +195,5 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn rejects_nan_area() {
         ModuleAreas::new(vec![f64::NAN]);
-    }
-
-    #[test]
-    fn kway_area_stats_match_uniform_counts() {
-        let hg = hypergraph_from_nets(6, &[vec![0, 1], vec![2, 3], vec![4, 5], vec![1, 2]]);
-        let p = KwayPartition::from_labels(vec![0, 0, 1, 1, 2, 2]);
-        let a = kway_area_cut_stats(&hg, &p, &ModuleAreas::uniform(6));
-        let s = p.cut_stats(&hg);
-        assert_eq!(a.cut_nets, s.cut_nets);
-        assert_eq!(a.external, s.external);
-        assert!((a.ratio() - s.ratio()).abs() < 1e-12);
-        assert_eq!(a.max_block_area(), 2.0);
-    }
-
-    #[test]
-    fn kway_heavy_block_lowers_its_term() {
-        let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
-        let p = KwayPartition::from_labels(vec![0, 0, 1, 1]);
-        let heavy = kway_area_cut_stats(&hg, &p, &ModuleAreas::new(vec![10.0, 10.0, 1.0, 1.0]));
-        // block 0 has area 20, block 1 area 2: 1/20 + 1/2
-        assert!((heavy.ratio() - (0.05 + 0.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kway_empty_partition_ratio_infinite() {
-        let stats = KwayAreaCutStats {
-            cut_nets: 0,
-            block_areas: vec![],
-            external: vec![],
-        };
-        assert_eq!(stats.ratio(), f64::INFINITY);
-        assert_eq!(stats.max_block_area(), 0.0);
     }
 }

@@ -146,20 +146,6 @@ impl KwayPartition {
         }
     }
 
-    /// Converts back to a [`Bipartition`] when this partition has exactly
-    /// two blocks (block 0 → `Left`, block 1 → `Right`); `None` otherwise.
-    pub fn to_bipartition(&self) -> Option<Bipartition> {
-        if self.num_blocks != 2 {
-            return None;
-        }
-        let sides = self
-            .block_of
-            .iter()
-            .map(|&b| if b == 0 { Side::Left } else { Side::Right })
-            .collect();
-        Some(Bipartition::from_sides(sides))
-    }
-
     /// Number of modules covered by this partition.
     pub fn len(&self) -> usize {
         self.block_of.len()
@@ -764,7 +750,6 @@ mod tests {
         assert_eq!(p.num_blocks(), 0);
         assert_eq!(p.block_sizes(), Vec::<usize>::new());
         assert_eq!(p.labels(), &[] as &[u32]);
-        assert_eq!(p.to_bipartition(), None);
         let stats = KwayCutStats {
             cut_nets: 0,
             block_sizes: vec![],
@@ -795,12 +780,11 @@ mod tests {
     }
 
     #[test]
-    fn bipartition_round_trip() {
+    fn from_bipartition_puts_left_in_block_0() {
         let p = Bipartition::from_left_set(4, [ModuleId(1), ModuleId(2)]);
         let k = KwayPartition::from_bipartition(&p);
         assert_eq!(k.num_blocks(), 2);
         assert_eq!(k.labels(), &[1, 0, 0, 1]);
-        assert_eq!(k.to_bipartition().unwrap(), p);
     }
 
     #[test]

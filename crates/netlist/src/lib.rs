@@ -17,7 +17,6 @@
 //! * [`areas`] — module areas and the area-weighted ratio cut;
 //! * [`kway`] — balanced k-way partitions, fixed modules and the k-block
 //!   [`kway::KwayCutTracker`];
-//! * [`named`] — netlists with module/net names and their text format;
 //! * [`induce`] — induced sub-hypergraphs for recursive partitioning;
 //! * [`components`] — hypergraph connectivity;
 //! * [`rng`] — a tiny, fully deterministic PRNG used by the generator and by
@@ -54,7 +53,6 @@ pub mod generate;
 pub mod induce;
 pub mod io;
 pub mod kway;
-pub mod named;
 pub mod partition;
 pub mod rng;
 pub mod stats;

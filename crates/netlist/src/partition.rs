@@ -148,13 +148,6 @@ impl Bipartition {
         self.sides.iter().filter(|&&s| s == side).count()
     }
 
-    /// Swaps the two blocks (every module flips side).
-    pub fn flip_all(&mut self) {
-        for s in &mut self.sides {
-            *s = s.flip();
-        }
-    }
-
     /// Computes exact cut statistics against `hg` from scratch in
     /// `O(pins)`.
     ///
@@ -582,17 +575,6 @@ mod tests {
         t.move_module(ModuleId(2), Side::Right);
         assert_eq!(t.cut_nets(), 0);
         assert_eq!(t.stats().left, 0);
-    }
-
-    #[test]
-    fn flip_all_preserves_cut() {
-        let hg = chain();
-        let mut p = Bipartition::from_left_set(4, [ModuleId(0), ModuleId(2)]);
-        let before = p.cut_stats(&hg);
-        p.flip_all();
-        let after = p.cut_stats(&hg);
-        assert_eq!(before.cut_nets, after.cut_nets);
-        assert_eq!(before.left, after.right);
     }
 
     #[test]

@@ -152,22 +152,14 @@ fn sample_distinct_always_distinct() {
     });
 }
 
-// The text parsers must never panic, whatever bytes arrive — they
-// either parse or return a structured error.
+// The `.hgr` parser must never panic, whatever bytes arrive — it
+// either parses or returns a structured error.
 
 #[test]
 fn hgr_parser_never_panics() {
     check_cases(256, 0x4E09, |g| {
         let text = arb_text(g, 200);
         let _ = np_netlist::io::parse_hgr(&text);
-    });
-}
-
-#[test]
-fn named_parser_never_panics() {
-    check_cases(256, 0x4E0A, |g| {
-        let text = arb_text(g, 200);
-        let _ = np_netlist::named::NamedNetlist::parse(&text);
     });
 }
 

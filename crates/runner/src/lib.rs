@@ -143,17 +143,6 @@ impl Portfolio {
         self
     }
 
-    /// Appends an already-boxed attempt (builder style) — for callers
-    /// assembling stages dynamically (the CLI, config files).
-    #[must_use]
-    pub fn attempt_boxed(mut self, label: impl Into<String>, stage: BoxedStage) -> Self {
-        self.attempts.push(Attempt {
-            label: label.into(),
-            stage,
-        });
-        self
-    }
-
     /// Appends `n` attempts produced by `make(restart_index)` (builder
     /// style). The factory receives the index of the restart *within
     /// this batch* (0-based); labels are `"{prefix}#{i}"`.

@@ -83,11 +83,6 @@ impl Budget {
         self.matvecs = Some(limit);
         self
     }
-
-    /// `true` if neither limit is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_clock.is_none() && self.matvecs.is_none()
-    }
 }
 
 /// Which resource ran out.

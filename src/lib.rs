@@ -66,3 +66,8 @@ pub use np_runner::{
     PortfolioReport,
 };
 pub use np_sparse::{Budget, BudgetExceeded, BudgetMeter};
+
+// README's Rust blocks compile and run as doctests of this crate.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -9,7 +9,6 @@ use ig_match_repro::hybrid::{ig_match_refined, HybridOptions};
 use ig_match_repro::multilevel::{multilevel, MultilevelOptions};
 use ig_match_repro::netlist::areas::{area_cut_stats, ModuleAreas};
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
-use ig_match_repro::netlist::named::NamedNetlist;
 use ig_match_repro::{
     eig1, ig_match, ig_vote, rcut, Eig1Options, IgMatchOptions, IgVoteOptions, RcutOptions,
 };
@@ -149,36 +148,5 @@ fn placement_first_axis_matches_eig1_ordering_signs() {
         let p = module_placement(&hg, 1, &Default::default()).unwrap();
         assert_eq!(p.len(), hg.num_modules());
         assert!(p.eigenvalues[0] >= -1e-9);
-    });
-}
-
-#[test]
-fn named_netlist_roundtrip_generated() {
-    check_cases(24, 0xA109, |g| {
-        let hg = arb_circuit(g);
-        // module indices are assigned by first occurrence when parsing, so
-        // the round trip is an isomorphism: compare per-net *name* sets
-        let nl = NamedNetlist::from_hypergraph(hg.clone());
-        let back = NamedNetlist::parse(&nl.to_string()).unwrap();
-        assert_eq!(back.hypergraph().num_nets(), hg.num_nets());
-        for net in hg.nets() {
-            let orig_net = nl.net_by_name(nl.net_name(net)).unwrap();
-            let back_net = back.net_by_name(nl.net_name(net)).unwrap();
-            let mut orig: Vec<&str> = nl
-                .hypergraph()
-                .pins(orig_net)
-                .iter()
-                .map(|&m| nl.module_name(m))
-                .collect();
-            let mut round: Vec<&str> = back
-                .hypergraph()
-                .pins(back_net)
-                .iter()
-                .map(|&m| back.module_name(m))
-                .collect();
-            orig.sort_unstable();
-            round.sort_unstable();
-            assert_eq!(orig, round, "net {}", nl.net_name(net));
-        }
     });
 }

@@ -20,18 +20,23 @@
 //! * **determinism** — identical output at 1, 2 and 8 threads;
 //! * **budget grace** — a tripping meter either errors before any
 //!   partition exists or degrades to exact projection, never panics and
-//!   never returns a result worse than the projection floor.
+//!   never returns a result worse than the projection floor;
+//! * **one input check** — the k-way V-cycle accepts and rejects exactly
+//!   the inputs the flat k-way route does, with the same error variant.
 //!
 //! Cut claims are cross-checked against the brute-force recount in
 //! `np_testkit`, which shares no code with the incremental trackers.
 
 use ig_match_repro::core::engine::stages::{IgMatchStage, RatioRefineStage};
 use ig_match_repro::core::engine::{Pipeline, RunContext, Stage};
-use ig_match_repro::core::{IgMatchOptions, KwayOptions, PartitionError};
+use ig_match_repro::core::{
+    kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, PartitionError,
+};
 use ig_match_repro::multilevel::{
     coarsen_level, multilevel_ctx, multilevel_kway_ctx, MultilevelOptions, DROPPED_NET,
 };
 use ig_match_repro::netlist::areas::ModuleAreas;
+use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::netlist::FixedModules;
 use ig_match_repro::{Budget, BudgetMeter, ModuleId, Side};
 use np_testkit::{
@@ -155,6 +160,56 @@ fn pins_survive_the_kway_vcycle() {
             Err(e) => panic!("unexpected k-way V-cycle error: {e}"),
         }
     });
+}
+
+#[test]
+fn the_kway_vcycle_validates_inputs_like_the_flat_route() {
+    let hg = generate(&GeneratorConfig::new(200, 220, 0x1AB));
+    let n = hg.num_modules();
+    let mut pinned_past_k = FixedModules::free(n);
+    pinned_past_k.pin(ModuleId(0), 3);
+    let cases = [
+        ("k = 1", 1, 0.1, None),
+        ("k = n + 1", n + 1, 0.1, None),
+        ("epsilon = NaN", 3, f64::NAN, None),
+        ("pin >= k", 3, 0.1, Some(pinned_past_k)),
+    ];
+    // small enough that the V-cycle would coarsen if the input passed
+    let mopts = MultilevelOptions {
+        coarsen_target: 40,
+        ..Default::default()
+    };
+    let ctx = RunContext::unlimited();
+    for (label, k, epsilon, fixed) in cases {
+        let opts = KwayOptions {
+            k,
+            epsilon,
+            fixed,
+            ..Default::default()
+        };
+        let flat = kway_partition_ctx(&hg, &opts, KwayMethod::Recursive, &ctx);
+        let vcycle = multilevel_kway_ctx(&hg, &opts, &mopts, &ctx);
+        match (flat, vcycle) {
+            (Ok(flat), Ok(out)) => {
+                assert_eq!(out.levels, 0, "{label}: nothing to coarsen");
+                assert_eq!(
+                    out.result.partition.labels(),
+                    flat.partition.labels(),
+                    "{label}"
+                );
+            }
+            (Err(a), Err(b)) => assert_eq!(
+                std::mem::discriminant(&a),
+                std::mem::discriminant(&b),
+                "{label}: flat says {a}, V-cycle says {b}"
+            ),
+            (flat, vcycle) => panic!(
+                "{label}: flat {:?} but V-cycle {:?}",
+                flat.map(|r| r.stats),
+                vcycle.map(|o| o.result.stats)
+            ),
+        }
+    }
 }
 
 #[test]
