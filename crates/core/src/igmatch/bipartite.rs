@@ -12,10 +12,13 @@
 //!
 //! The winner/loser classification is maintained incrementally as well:
 //! every move reports a [`MoveDelta`], and [`NetClassifier::refresh`]
-//! re-runs the alternating BFS only inside the `B`-components touched by
-//! that delta (see `DESIGN.md` §11 for the soundness argument). The
-//! from-scratch [`SplitMatcher::classify_into`] is kept unchanged as the
-//! oracle the incremental path is cross-checked against in debug builds.
+//! updates the two alternating-reachability sets every class is read
+//! from — backward searches re-verify the few nets the delta can cut off,
+//! forward growth adds what it made reachable — falling back to a flood
+//! of the touched `B`-components past a fixed work cap (see `DESIGN.md`
+//! §11 for the soundness argument). The from-scratch
+//! [`SplitMatcher::classify_into`] is kept unchanged as the oracle the
+//! incremental path is cross-checked against in debug builds.
 
 use np_netlist::Side;
 
@@ -185,7 +188,7 @@ pub struct NetClassChange {
 
 /// What one [`SplitMatcher::move_to_r`] changed: the moved net plus the
 /// vertices whose matching partner changed (the detach and any augmenting
-/// paths). [`NetClassifier::refresh`] keys its dirty region off this.
+/// paths). [`NetClassifier::refresh`] re-verifies only around these.
 #[derive(Clone, Debug, Default)]
 pub struct MoveDelta {
     /// The net that moved from `L` to `R`.
@@ -299,6 +302,38 @@ impl SplitMatcher {
     #[inline]
     fn nbrs(&self, v: u32) -> &[u32] {
         &self.adj[self.adj_off[v as usize] as usize..self.adj_off[v as usize + 1] as usize]
+    }
+
+    /// The arcs out of net `u` in the alternating-reachability graph whose
+    /// roots are the unmatched nets on the `right` side: a root-side net
+    /// points at all its neighbours, any other net at its mate. Callers
+    /// skip same-side neighbours (no crossing edge).
+    #[inline]
+    fn arcs_out(&self, u: u32, right: bool) -> &[u32] {
+        if self.side.is_right(u) == right {
+            self.nbrs(u)
+        } else {
+            self.mate_arc(u)
+        }
+    }
+
+    /// The arcs into net `u` of the same graph as [`arcs_out`](Self::arcs_out).
+    #[inline]
+    fn arcs_in(&self, u: u32, right: bool) -> &[u32] {
+        if self.side.is_right(u) == right {
+            self.mate_arc(u)
+        } else {
+            self.nbrs(u)
+        }
+    }
+
+    /// Net `u`'s mate as a zero- or one-element slice.
+    #[inline]
+    fn mate_arc(&self, u: u32) -> &[u32] {
+        match self.mate[u as usize] {
+            NONE => &[],
+            _ => std::slice::from_ref(&self.mate[u as usize]),
+        }
     }
 
     /// Current size of the maintained maximum matching — by König's
@@ -553,20 +588,81 @@ impl SplitMatcher {
     }
 }
 
+/// Membership bits of the two alternating-reachability sets every class
+/// is read from: `IN_DL` — reachable from an unmatched `L` net (`Even(L)`
+/// on `L`, `Odd(L)` on `R`); `IN_DR` — reachable from an unmatched `R` net
+/// (`Even(R)` on `R`, `Odd(R)` on `L`). Under a maximum matching the two
+/// sets are disjoint.
+const IN_DL: u8 = 1;
+const IN_DR: u8 = 2;
+
+/// Per-pass marks of [`NetClassifier`]'s local update: proven still
+/// reachable, proven unreachable, on the current backward search.
+const VERIFIED: u8 = 1;
+const DEAD: u8 = 2;
+const SEEN: u8 = 4;
+/// Marks a net of the fallback flood's region.
+const REGION: u8 = 8;
+
+/// Adjacency entries one refresh may scan before the local update gives
+/// up and the fallback flood re-derives the touched components instead.
+const WORK_CAP: usize = 1 << 16;
+
+/// The class a net's reachability and side imply (paper Figure 3).
+fn class_from(reach: u8, right: bool) -> NetClass {
+    debug_assert_ne!(
+        reach,
+        IN_DL | IN_DR,
+        "net reachable from both unmatched sides: matching was not maximum"
+    );
+    match (reach, right) {
+        (IN_DL, false) => NetClass::WinnerL,
+        (IN_DR, true) => NetClass::WinnerR,
+        (IN_DL, true) | (IN_DR, false) => NetClass::Loser,
+        (_, false) => NetClass::BPrimeL,
+        (_, true) => NetClass::BPrimeR,
+    }
+}
+
+/// How one backward search ended.
+enum Search {
+    /// The search met a root or a net verified earlier in this pass.
+    Reached,
+    /// The search ran out of predecessors: its whole ancestor set is
+    /// unreachable.
+    Unreachable,
+    /// The refresh passed [`WORK_CAP`].
+    OverCap,
+}
+
 /// Incrementally-maintained winner/loser classification of every net,
-/// updated in `O(Δ)` per split instead of re-running the full
-/// alternating BFS (paper Figure 3) from scratch.
+/// updated per split in time that follows what the move changed instead
+/// of re-running the full alternating BFS (paper Figure 3).
 ///
-/// The key structural fact (`DESIGN.md` §11): a vertex's class depends
-/// only on its connected component of `B` (alternating paths are in
-/// particular `B`-paths, and every BFS seed — an unmatched vertex — that
-/// can reach a component lies inside it). One `move_to_r(v)` changes only
-/// edges incident to `v` and mates inside the components of `v` and its
-/// ex-partner, so re-running the classification inside the current
-/// components of `{v} ∪ N(v)` — and nowhere else — reproduces the
-/// from-scratch result exactly. When the moved net is isolated
-/// ([`MoveDelta::structural`] is `false`), the refresh is an `O(1)`
-/// relabel of the moved net alone.
+/// Every class is read from two reachability sets (`DESIGN.md` §11):
+/// `D_L`, the nets alternating paths reach from the unmatched `L` nets,
+/// and `D_R`, likewise from the unmatched `R` nets. Each is reachability
+/// in a directed graph — `L` nets point at all their `R` neighbours and
+/// `R` nets at their mates for `D_L`, mirrored for `D_R` — and one
+/// `move_to_r(v)` changes only arcs at `v` and at the nets in
+/// [`MoveDelta::mates_changed`]. [`refresh`](Self::refresh) therefore
+///
+/// 1. re-verifies only the nets that can lose reach — `{v} ∪
+///    mates_changed`, plus `v`'s `R` neighbours in `D_L` when `v` was a
+///    `WinnerL` — each by a backward search that stops at the first
+///    unmatched net or at a net verified earlier in the refresh;
+/// 2. marks the ancestor set of every failed search unreachable and
+///    re-verifies the out-neighbours of its nets that were reached
+///    before;
+/// 3. grows each set forward from new roots and from the changed nets
+///    still in it, into nets that were unreached.
+///
+/// By Gallai–Edmonds the sets do not depend on which maximum matching the
+/// matcher holds, so the result equals the from-scratch
+/// [`SplitMatcher::classify`] bit for bit. Past a fixed work cap a refresh
+/// falls back to re-flooding the `B`-components of the moved net and its
+/// neighbours. When the moved net is isolated ([`MoveDelta::structural`]
+/// is `false`), the refresh is an `O(1)` relabel of the moved net alone.
 ///
 /// # Example
 ///
@@ -584,17 +680,25 @@ impl SplitMatcher {
 /// ```
 #[derive(Clone, Debug)]
 pub struct NetClassifier {
-    /// Current class of every net — the maintained state.
+    /// Current class of every net.
     class: Vec<NetClass>,
-    /// Flood-fill visit stamps delimiting the affected region.
-    visit: Vec<u32>,
-    /// Alternating-BFS reach stamps within the region.
-    mark: Vec<u32>,
-    /// Tentative class of vertices marked this epoch.
-    newclass: Vec<NetClass>,
-    epoch: u32,
-    region: Vec<u32>,
+    /// `IN_DL`/`IN_DR` membership of every net — the maintained state the
+    /// classes are read from.
+    reach: Vec<u8>,
+    /// Per-pass marks (`VERIFIED`, `DEAD`, `SEEN`, `REGION`); all zero
+    /// between passes.
+    flag: Vec<u8>,
+    /// Nets marked `VERIFIED` or `DEAD` this pass, for clearing.
+    flagged: Vec<u32>,
+    /// Nets whose reach bits changed this refresh (may repeat).
+    touched: Vec<u32>,
+    worklist: Vec<u32>,
     queue: Vec<u32>,
+    /// Adjacency entries scanned by this refresh's local update.
+    work: usize,
+    /// Refreshes that fell back to the flood.
+    #[cfg(test)]
+    floods: usize,
 }
 
 impl NetClassifier {
@@ -603,12 +707,15 @@ impl NetClassifier {
     pub fn new(n: usize) -> Self {
         NetClassifier {
             class: vec![NetClass::WinnerL; n],
-            visit: vec![0; n],
-            mark: vec![0; n],
-            newclass: vec![NetClass::WinnerL; n],
-            epoch: 0,
-            region: Vec::new(),
+            reach: vec![IN_DL; n],
+            flag: vec![0; n],
+            flagged: Vec::new(),
+            touched: Vec::new(),
+            worklist: Vec::new(),
             queue: Vec::new(),
+            work: 0,
+            #[cfg(test)]
+            floods: 0,
         }
     }
 
@@ -627,9 +734,9 @@ impl NetClassifier {
     /// `changes` (cleared first).
     ///
     /// A no-op (beyond relabeling the moved net) when the matching
-    /// structure is untouched; otherwise the alternating BFS re-runs only
-    /// inside the `B`-components containing the moved net or one of its
-    /// intersection-graph neighbors.
+    /// structure is untouched; otherwise both reachability sets are
+    /// updated locally around the nets the move can change, falling back
+    /// to re-flooding the touched `B`-components past a fixed work cap.
     ///
     /// # Panics
     ///
@@ -648,139 +755,248 @@ impl NetClassifier {
             // isolated net: unmatched on either side, trivially Even
             debug_assert!(delta.mates_changed.is_empty());
             debug_assert_eq!(self.class[v as usize], NetClass::WinnerL);
+            self.reach[v as usize] = IN_DR;
             self.record(v, NetClass::WinnerR, changes);
             return;
         }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        self.touched.clear();
+        self.touched.push(v);
+        self.work = 0;
+        if self.update_reach(matcher, delta, false) && self.update_reach(matcher, delta, true) {
+            for i in 0..self.touched.len() {
+                let u = self.touched[i];
+                let new = class_from(self.reach[u as usize], matcher.side.is_right(u));
+                self.record(u, new, changes);
+            }
+        } else {
+            self.flood(matcher, delta, changes);
+        }
+    }
 
-        // 1. Affected region: the full components (over crossing edges)
-        //    of the moved net and all its neighbors. Every edge change is
-        //    incident to `v`, every mate change lies on an augmenting
-        //    path from `v` or its ex-partner (a neighbor of `v`), and a
-        //    component split off by the move retains a neighbor of `v` —
-        //    so everything that can reclassify is in here.
-        self.region.clear();
+    /// Updates one reachability set for the move in `delta`: `D_R` (roots
+    /// on the `R` side) if `right`, else `D_L`. Returns `false`, with the
+    /// set partly updated, once the refresh passes [`WORK_CAP`].
+    fn update_reach(&mut self, m: &SplitMatcher, delta: &MoveDelta, right: bool) -> bool {
+        let bit = if right { IN_DR } else { IN_DL };
+        let v = delta.moved;
+        // Nets that can lose reach: heads of removed arcs and ex-roots.
+        // Both lie in `{v} ∪ mates_changed`, except `v`'s old arcs to its
+        // `R` neighbours in `D_L`, which carried reach only if `v` was in
+        // `D_L`.
+        self.worklist.clear();
+        self.worklist.push(v);
+        self.worklist.extend_from_slice(&delta.mates_changed);
+        if !right && self.reach[v as usize] & IN_DL != 0 {
+            self.worklist
+                .extend(m.nbrs(v).iter().filter(|&&u| m.side.is_right(u)));
+        }
+        let ok = self.verify(m, right, bit) && self.grow(m, delta, right, bit);
+        for &u in &self.flagged {
+            self.flag[u as usize] = 0;
+        }
+        self.flagged.clear();
+        ok
+    }
+
+    /// Re-verifies every worklist net still in the set; a failed search
+    /// drops its ancestor set and queues the out-neighbours it fed.
+    fn verify(&mut self, m: &SplitMatcher, right: bool, bit: u8) -> bool {
+        while let Some(c) = self.worklist.pop() {
+            if self.reach[c as usize] & bit == 0 || self.flag[c as usize] & (VERIFIED | DEAD) != 0 {
+                continue;
+            }
+            let outcome = self.search_back(m, c, right);
+            for &u in &self.queue {
+                self.flag[u as usize] &= !SEEN;
+            }
+            match outcome {
+                Search::OverCap => return false,
+                Search::Reached => {
+                    self.flag[c as usize] |= VERIFIED;
+                    self.flagged.push(c);
+                }
+                Search::Unreachable => {
+                    for i in 0..self.queue.len() {
+                        let u = self.queue[i];
+                        self.flag[u as usize] |= DEAD;
+                        self.flagged.push(u);
+                        if self.reach[u as usize] & bit == 0 {
+                            continue;
+                        }
+                        self.reach[u as usize] &= !bit;
+                        self.touched.push(u);
+                        let out = m.arcs_out(u, right);
+                        self.work += out.len();
+                        for &z in out {
+                            if m.side.is_right(z) != m.side.is_right(u)
+                                && self.reach[z as usize] & bit != 0
+                            {
+                                self.worklist.push(z);
+                            }
+                        }
+                    }
+                }
+            }
+            if self.work > WORK_CAP {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Breadth-first search from `c` against the arcs of the set whose
+    /// roots lie on the `right` side, through nets not yet proven
+    /// unreachable. Visited nets are left in `queue`, marked `SEEN`.
+    fn search_back(&mut self, m: &SplitMatcher, c: u32, right: bool) -> Search {
+        let is_root = |u: u32| m.side.is_right(u) == right && m.mate[u as usize] == NONE;
         self.queue.clear();
-        self.seed_region(v, epoch);
-        for &u in matcher.nbrs(v) {
-            self.seed_region(u, epoch);
+        self.queue.push(c);
+        self.flag[c as usize] |= SEEN;
+        if is_root(c) {
+            return Search::Reached;
         }
         let mut head = 0;
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            let u_right = matcher.side.is_right(u);
-            for &w in matcher.nbrs(u) {
-                if matcher.side.is_right(w) != u_right && self.visit[w as usize] != epoch {
-                    self.seed_region(w, epoch);
+            let preds = m.arcs_in(u, right);
+            self.work += preds.len();
+            for &p in preds {
+                if m.side.is_right(p) == m.side.is_right(u)
+                    || self.flag[p as usize] & (SEEN | DEAD) != 0
+                {
+                    continue;
+                }
+                if is_root(p) || self.flag[p as usize] & VERIFIED != 0 {
+                    return Search::Reached;
+                }
+                self.flag[p as usize] |= SEEN;
+                self.queue.push(p);
+            }
+            if self.work > WORK_CAP {
+                return Search::OverCap;
+            }
+        }
+        Search::Unreachable
+    }
+
+    /// Grows the set forward into unreached nets from every way the move
+    /// can have added reach: new roots and changed nets still in the set.
+    /// (`v`'s new in-arcs from its `L` neighbours need no seed of their
+    /// own: either `v` was in `D_L` and seeds itself, or its new mate, a
+    /// changed net already in `D_L` before the move, points at it —
+    /// `DESIGN.md` §11.)
+    fn grow(&mut self, m: &SplitMatcher, delta: &MoveDelta, right: bool, bit: u8) -> bool {
+        let v = delta.moved;
+        self.queue.clear();
+        for &t in std::iter::once(&v).chain(&delta.mates_changed) {
+            let is_root = m.side.is_right(t) == right && m.mate[t as usize] == NONE;
+            if is_root && self.reach[t as usize] & bit == 0 {
+                self.reach[t as usize] |= bit;
+                self.touched.push(t);
+            }
+            if self.reach[t as usize] & bit != 0 {
+                self.queue.push(t);
+            }
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            let succs = m.arcs_out(u, right);
+            self.work += succs.len();
+            for &z in succs {
+                if m.side.is_right(z) == m.side.is_right(u) || self.reach[z as usize] & bit != 0 {
+                    continue;
+                }
+                debug_assert_eq!(self.flag[z as usize] & DEAD, 0, "grew into a dead net");
+                self.reach[z as usize] |= bit;
+                self.touched.push(z);
+                self.queue.push(z);
+            }
+            if self.work > WORK_CAP {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The fallback: re-runs both alternating BFS passes inside the
+    /// `B`-components (over crossing edges) of the moved net and all its
+    /// neighbours. Every edge change is incident to `v`, every mate change
+    /// lies on an augmenting path from `v` or its ex-partner (a neighbour
+    /// of `v`), and a component split off by the move keeps a neighbour of
+    /// `v` — so every net whose class can change is in this region.
+    fn flood(&mut self, m: &SplitMatcher, delta: &MoveDelta, changes: &mut Vec<NetClassChange>) {
+        #[cfg(test)]
+        {
+            self.floods += 1;
+        }
+        let v = delta.moved;
+        self.queue.clear();
+        for &u in std::iter::once(&v).chain(m.nbrs(v)) {
+            if self.flag[u as usize] & REGION == 0 {
+                self.flag[u as usize] |= REGION;
+                self.queue.push(u);
+            }
+        }
+        let mut head = 0;
+        while head < self.queue.len() {
+            let u = self.queue[head];
+            head += 1;
+            let u_right = m.side.is_right(u);
+            for &w in m.nbrs(u) {
+                if m.side.is_right(w) != u_right && self.flag[w as usize] & REGION == 0 {
+                    self.flag[w as usize] |= REGION;
+                    self.queue.push(w);
                 }
             }
         }
         debug_assert!(delta
             .mates_changed
             .iter()
-            .all(|&u| self.visit[u as usize] == epoch));
-
-        // 2. Alternating BFS from the region's unmatched `L` vertices:
-        //    Even(L) winners, Odd(L) losers (paper Figure 3).
-        self.queue.clear();
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            if !matcher.side.is_right(u) && matcher.mate[u as usize] == NONE {
-                self.mark[u as usize] = epoch;
-                self.newclass[u as usize] = NetClass::WinnerL;
-                self.queue.push(u);
-            }
+            .chain(&self.touched)
+            .all(|&u| self.flag[u as usize] & REGION != 0));
+        // alternating BFS never leaves the region, so its reach bits can
+        // serve as the visit marks
+        for &u in &self.queue {
+            self.reach[u as usize] = 0;
         }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let x = self.queue[head];
-            head += 1;
-            for &y in matcher.nbrs(x) {
-                if !matcher.side.is_right(y) || self.mark[y as usize] == epoch {
-                    continue;
-                }
-                self.mark[y as usize] = epoch;
-                self.newclass[y as usize] = NetClass::Loser; // Odd(L)
-                let x2 = matcher.mate[y as usize];
-                debug_assert_ne!(
-                    x2, NONE,
-                    "unmatched R vertex reachable from unmatched L vertex: \
-                     matching was not maximum"
-                );
-                if self.mark[x2 as usize] != epoch {
-                    self.mark[x2 as usize] = epoch;
-                    self.newclass[x2 as usize] = NetClass::WinnerL;
-                    self.queue.push(x2);
+        for (right, bit) in [(false, IN_DL), (true, IN_DR)] {
+            self.worklist.clear();
+            for &u in &self.queue {
+                if m.side.is_right(u) == right && m.mate[u as usize] == NONE {
+                    self.reach[u as usize] = bit;
+                    self.worklist.push(u);
                 }
             }
-        }
-
-        // 3. Alternating BFS from the region's unmatched `R` vertices:
-        //    Even(R) winners, Odd(R) losers.
-        self.queue.clear();
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            if matcher.side.is_right(u) && matcher.mate[u as usize] == NONE {
-                debug_assert_ne!(self.mark[u as usize], epoch);
-                self.mark[u as usize] = epoch;
-                self.newclass[u as usize] = NetClass::WinnerR;
-                self.queue.push(u);
-            }
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let y = self.queue[head];
-            head += 1;
-            for &x in matcher.nbrs(y) {
-                if matcher.side.is_right(x) {
-                    continue;
-                }
-                if self.mark[x as usize] == epoch {
+            let mut head = 0;
+            while head < self.worklist.len() {
+                let x = self.worklist[head];
+                head += 1;
+                for &y in m.nbrs(x) {
+                    if m.side.is_right(y) == right || self.reach[y as usize] != 0 {
+                        continue;
+                    }
+                    self.reach[y as usize] = bit;
+                    let x2 = m.mate[y as usize];
                     debug_assert_ne!(
-                        self.newclass[x as usize],
-                        NetClass::WinnerL,
-                        "L vertex reachable from both unmatched sides: \
-                         augmenting path missed"
+                        x2, NONE,
+                        "unmatched vertex reachable from the other side: \
+                         matching was not maximum"
                     );
-                    continue;
-                }
-                self.mark[x as usize] = epoch;
-                self.newclass[x as usize] = NetClass::Loser; // Odd(R)
-                let y2 = matcher.mate[x as usize];
-                debug_assert_ne!(y2, NONE);
-                if self.mark[y2 as usize] != epoch {
-                    self.mark[y2 as usize] = epoch;
-                    self.newclass[y2 as usize] = NetClass::WinnerR;
-                    self.queue.push(y2);
+                    if self.reach[x2 as usize] == 0 {
+                        self.reach[x2 as usize] = bit;
+                        self.worklist.push(x2);
+                    }
                 }
             }
         }
-
-        // 4. Finalize: unreached region vertices are matched members of
-        //    B'; diff everything against the stored classes.
-        for i in 0..self.region.len() {
-            let u = self.region[i];
-            let new = if self.mark[u as usize] == epoch {
-                self.newclass[u as usize]
-            } else {
-                debug_assert_ne!(matcher.mate[u as usize], NONE);
-                if matcher.side.is_right(u) {
-                    NetClass::BPrimeR
-                } else {
-                    NetClass::BPrimeL
-                }
-            };
+        for i in 0..self.queue.len() {
+            let u = self.queue[i];
+            self.flag[u as usize] = 0;
+            let new = class_from(self.reach[u as usize], m.side.is_right(u));
             self.record(u, new, changes);
-        }
-    }
-
-    fn seed_region(&mut self, u: u32, epoch: u32) {
-        if self.visit[u as usize] != epoch {
-            self.visit[u as usize] = epoch;
-            self.region.push(u);
-            self.queue.push(u);
         }
     }
 
@@ -983,6 +1199,70 @@ mod tests {
         let mut m = SplitMatcher::new(&nb);
         m.move_to_r(1);
         m.move_to_r(1);
+    }
+
+    /// Sweeps `order` through a matcher and a classifier, asserting the
+    /// maintained classes equal the from-scratch ones at every split;
+    /// returns how many refreshes fell back to the flood.
+    fn sweep_against_classify(nb: &[Vec<u32>], order: &[u32]) -> usize {
+        let mut m = SplitMatcher::new(nb);
+        let mut c = NetClassifier::new(nb.len());
+        let mut changes = Vec::new();
+        for &v in order {
+            let delta = m.move_to_r(v);
+            c.refresh(&m, &delta, &mut changes);
+            assert_eq!(
+                c.classes(),
+                m.classify().net_classes(nb.len()).as_slice(),
+                "classes diverged after moving {v}"
+            );
+        }
+        c.floods
+    }
+
+    #[test]
+    fn local_refresh_matches_classify_on_paths_and_stars() {
+        // a path swept in order, odd nets first, and from both ends in;
+        // a star swept hub first and hub last
+        let path = path_graph(40);
+        let odd_first: Vec<u32> = (1..40).step_by(2).chain((0..40).step_by(2)).collect();
+        let ends_in: Vec<u32> = (0..20).flat_map(|i| [i, 39 - i]).collect();
+        for order in [(0..40).collect::<Vec<u32>>(), odd_first, ends_in] {
+            assert_eq!(sweep_against_classify(&path, &order), 0);
+        }
+        let mut star = vec![(1..12).collect::<Vec<u32>>()];
+        star.extend((1..12).map(|_| vec![0]));
+        assert_eq!(
+            sweep_against_classify(&star, &(0..12).collect::<Vec<_>>()),
+            0
+        );
+        assert_eq!(
+            sweep_against_classify(&star, &(0..12).rev().collect::<Vec<_>>()),
+            0
+        );
+    }
+
+    #[test]
+    fn searches_past_the_work_cap_fall_back_to_the_flood() {
+        // Nets 0..k each conflict with every net of k..2k, and nothing
+        // else. Sweeping k..2k across matches one more of 0..k per move;
+        // the move that matches the last of them kills all of D_L at
+        // once, and the failed backward search from the moved net scans
+        // k·k adjacency entries, past the cap. Each later move of a net
+        // of 0..k leaves its ex-mate an unmatched root whose D_R spans
+        // everything left: forward growth passes the cap too.
+        let k = (WORK_CAP as f64).sqrt() as u32 + 1;
+        let nb: Vec<Vec<u32>> = (0..2 * k)
+            .map(|i| {
+                if i < k {
+                    (k..2 * k).collect()
+                } else {
+                    (0..k).collect()
+                }
+            })
+            .collect();
+        let order: Vec<u32> = (k..2 * k).chain(0..k - 1).collect();
+        assert!(sweep_against_classify(&nb, &order) > 0);
     }
 
     #[test]

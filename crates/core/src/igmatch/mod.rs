@@ -20,13 +20,16 @@
 //!
 //! Both phases are maintained *incrementally* as the split slides
 //! (`DESIGN.md` §11): [`SplitMatcher::move_to_r`] reports the affected
-//! vertices as a [`MoveDelta`], [`NetClassifier`] re-runs the alternating
-//! BFS only inside the touched `B`-components, and [`SweepState`] folds
-//! the resulting class changes into maintained module tags and
-//! both-orientation cut statistics, so each split costs work proportional
-//! to what changed rather than the size of the instance. The winning
-//! partition is materialized once, after the sweep. In debug builds every
-//! split is cross-checked against the from-scratch
+//! vertices as a [`MoveDelta`], [`NetClassifier`] updates the two
+//! alternating-reachability sets the classes are read from around just
+//! the nets the move can change, and [`SweepState`] folds the resulting
+//! class changes into maintained module tags and both-orientation cut
+//! statistics, so each split costs work proportional to what changed
+//! rather than the size of the instance. The winning partition is
+//! materialized once, after the sweep, by replaying the winning prefix
+//! through a bare [`SplitMatcher`] and completing it with the
+//! from-scratch [`CompletionOracle`]. In debug builds every split is
+//! cross-checked against the from-scratch
 //! [`classify`](SplitMatcher::classify) + [`CompletionOracle`] pipeline.
 //!
 //! The optional [`IgMatchOptions::refine_free_modules`] implements the
@@ -212,15 +215,24 @@ pub fn ig_match_with_ordering_ctx(
     }
 
     let best = best.ok_or(PartitionError::Degenerate)?;
-    // Materialize the winner once: replay the winning prefix instead of
-    // cloning a partition (and free mask) on every improvement mid-sweep.
-    let mut replay = SweepState::new(hg, &neighbors);
+    // Materialize the winner once, after the sweep: replay the winning
+    // prefix through a bare matcher and classify and complete it from
+    // scratch, instead of cloning a partition (and free mask) on every
+    // improvement mid-sweep.
+    let mut matcher = SplitMatcher::new(&neighbors);
+    let mut delta = MoveDelta::default();
     for &net in &order[..=best.split_rank] {
-        replay.advance(hg, net.0);
+        matcher.move_to_r_into(net.0, &mut delta);
     }
-    let mut partition = replay.materialize(hg, best.put_free_left);
+    let mut completion = CompletionOracle::new(hg);
+    let eval = completion.evaluate(hg, &matcher.classify());
+    debug_assert_eq!(
+        eval.candidate().stats.ratio().to_bits(),
+        best.ratio.to_bits()
+    );
+    let mut partition = completion.materialize(hg, best.put_free_left);
     if refine_free_modules {
-        refine::refine_free_components(hg, &mut partition, &replay.free_mask(hg));
+        refine::refine_free_components(hg, &mut partition, &completion.free_mask(hg));
     }
     let result = PartitionResult::evaluate(hg, partition, "IG-Match", Some(best.split_rank));
     debug_assert!(result.stats.cut_nets <= best.loser_count || refine_free_modules);

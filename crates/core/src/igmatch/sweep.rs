@@ -4,7 +4,7 @@
 //!
 //! [`SweepState`] drives one full IG-Match sweep: every
 //! [`advance`](SweepState::advance) moves one net across the split,
-//! refreshes the [`NetClassifier`] inside the affected `B`-components,
+//! refreshes the [`NetClassifier`] around the nets the move changed,
 //! and folds the resulting [`NetClassChange`]s into maintained per-module
 //! cover counters, per-net pin-tag counts and running cut totals — so the
 //! per-split evaluation is `O(1)` plus work proportional to what actually
@@ -473,8 +473,8 @@ impl SweepState {
         }
     }
 
-    /// Moves `net` across the split, refreshes the classification inside
-    /// the affected components, folds the changes into the completion
+    /// Moves `net` across the split, refreshes the classification around
+    /// the nets the move changed, folds the changes into the completion
     /// state, and returns both orientations of the new split.
     ///
     /// In debug builds the maintained evaluation is asserted equal to the

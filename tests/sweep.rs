@@ -6,7 +6,8 @@
 //! `CompletionOracle`) at **every** split — classes, both-orientation
 //! `CutStats`, `put_free_left`, loser counts, matching size, partitions
 //! and free masks — across random hypergraphs, random orderings, the
-//! degenerate-hypergraph distribution and the banded benchmark family.
+//! degenerate-hypergraph distribution, the banded benchmark family and
+//! two of the paper-suite circuits in their spectral net order.
 //!
 //! The same checks run as `debug_assert`s inside `SweepState::advance`;
 //! this suite keeps them alive in release builds (CI runs it with
@@ -15,7 +16,10 @@
 use ig_match_repro::core::igmatch::{
     ig_match_with_ordering, CompletionOracle, OrientedEval, SplitMatcher, SweepState,
 };
-use ig_match_repro::core::models::intersection_neighbors;
+use ig_match_repro::core::models::{intersection_neighbors, IgWeighting};
+use ig_match_repro::core::ordering::spectral_net_ordering;
+use ig_match_repro::eigen::LanczosOptions;
+use ig_match_repro::netlist::generate::{generate, mcnc_specs};
 use ig_match_repro::netlist::{Hypergraph, NetId};
 use np_testkit::{banded_hypergraph, check_cases, degenerate_hypergraph, small_hypergraph, Gen};
 
@@ -108,6 +112,31 @@ fn incremental_sweep_matches_oracle_on_banded_instances() {
         let mut g = Gen::new(seed ^ 0x0BAD_C0DE);
         let order = shuffled_order(&mut g, &hg);
         assert_sweep_matches_oracle(&hg, &order);
+    }
+}
+
+/// Suite scale: the two smallest paper circuits (about 900 nets each) in
+/// the spectral net order the IG-Match route sweeps them in, plus one
+/// shuffled order — long sweeps whose moves reach far into `B`.
+#[test]
+fn incremental_sweep_matches_oracle_on_suite_circuits() {
+    for spec in mcnc_specs() {
+        if spec.name != "bm1" && spec.name != "Prim1" {
+            continue;
+        }
+        let hg = generate(&spec.config);
+        let spectral: Vec<u32> =
+            spectral_net_ordering(&hg, IgWeighting::default(), &LanczosOptions::default())
+                .expect("suite circuits have a spectral ordering")
+                .iter()
+                .map(|n| n.0)
+                .collect();
+        assert_sweep_matches_oracle(&hg, &spectral);
+        if spec.name == "bm1" {
+            let mut g = Gen::new(0x5EE9_0004);
+            let order = shuffled_order(&mut g, &hg);
+            assert_sweep_matches_oracle(&hg, &order);
+        }
     }
 }
 
