@@ -13,7 +13,13 @@
 //! * **full reorthogonalization** against the whole Lanczos basis keeps the
 //!   computed basis orthonormal. This is the textbook cure for the loss of
 //!   orthogonality that plagues plain Lanczos and plays the role of the
-//!   paper's block variant (which exists to handle clustered eigenvalues);
+//!   paper's block variant (which exists to handle clustered eigenvalues).
+//!   One Gram–Schmidt pass is run per step, and a second only when the
+//!   first cancelled most of the vector (the Daniel–Gragg–Kaufman–Stewart
+//!   criterion), which keeps the basis orthonormal to working precision;
+//! * **one Ritz pair per check**: the iteration needs only the smallest Ritz
+//!   pair, so it extracts it with [`smallest_tridiagonal`] in `O(k²)`
+//!   rather than decomposing `T_k` fully in `O(k³)`;
 //! * **restarting**: if the basis hits its size cap without converging, the
 //!   iteration restarts from the best current Ritz vector, preserving
 //!   progress with bounded memory.
@@ -23,7 +29,7 @@
 //! just the cheap `β·|y_k|` estimate.
 
 use crate::dense::{materialize, try_jacobi_eigen};
-use crate::tridiag::eigh_tridiagonal;
+use crate::tridiag::smallest_tridiagonal;
 use crate::EigenError;
 use np_sparse::vecops::{
     accumulate_scaled, axpy, axpy2, dot, norm2, normalize, orthogonalize_fused,
@@ -68,10 +74,10 @@ impl Default for LanczosOptions {
     }
 }
 
-/// SplitMix64 — the crate's single deterministic stream for start
-/// vectors (shared with the block solver so both draw bit-identical
-/// sequences for a given seed).
-pub(crate) fn splitmix_stream(seed: u64) -> impl FnMut() -> f64 {
+/// SplitMix64 — the deterministic stream of uniform values in
+/// `[−0.5, 0.5)` the iteration draws its start vectors and restart noise
+/// from.
+fn splitmix_stream(seed: u64) -> impl FnMut() -> f64 {
     let mut s = seed;
     move || {
         s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -101,6 +107,59 @@ fn orthonormalize(vectors: &[Vec<f64>]) -> Vec<Vec<f64>> {
 /// (applied twice for numerical robustness), as one fused sweep.
 fn project_out(us: &[Vec<f64>], x: &mut [f64]) {
     orthogonalize_fused(&[us, us], x);
+}
+
+/// One Lanczos step from the newest basis vector `v_j`: one matvec
+/// (charged to `meter`), then `w ← M v_j − α v_j − β_{j−1} v_{j−1}`,
+/// reorthogonalized. Returns `(α, ‖w‖)`; `betas` holds `β_0 … β_{j−1}`.
+fn lanczos_step(
+    op: &impl LinearOperator,
+    deflate: &[Vec<f64>],
+    basis: &[Vec<f64>],
+    betas: &[f64],
+    w: &mut [f64],
+    meter: &BudgetMeter,
+) -> Result<(f64, f64), EigenError> {
+    let j = basis.len() - 1;
+    op.apply(&basis[j], w);
+    meter.charge(1)?;
+    let alpha = dot(w, &basis[j]);
+    if !alpha.is_finite() {
+        return Err(EigenError::NonFinite {
+            stage: "lanczos iteration",
+        });
+    }
+    if j > 0 {
+        // both recurrence subtractions in one pass over w
+        axpy2(-alpha, &basis[j], -betas[j - 1], &basis[j - 1], w);
+    } else {
+        axpy(-alpha, &basis[j], w);
+    }
+    let beta = reorthogonalize(deflate, basis, w);
+    if !beta.is_finite() {
+        return Err(EigenError::NonFinite {
+            stage: "lanczos iteration",
+        });
+    }
+    Ok((alpha, beta))
+}
+
+/// Full reorthogonalization of the Lanczos residual `w` against the
+/// deflation set and the basis, fused into one sweep; returns `‖w‖`.
+///
+/// A second sweep runs only when the first shrank `‖w‖` below `1/√2` of
+/// its norm before (Daniel, Gragg, Kaufman and Stewart, 1976): only then
+/// can the rounding left by one pass be large relative to what remains.
+/// One pass plus this check keeps `w` orthogonal to working precision.
+fn reorthogonalize(deflate: &[Vec<f64>], basis: &[Vec<f64>], w: &mut [f64]) -> f64 {
+    let before = norm2(w);
+    orthogonalize_fused(&[deflate, basis], w);
+    let after = norm2(w);
+    if after >= before * std::f64::consts::FRAC_1_SQRT_2 {
+        return after;
+    }
+    orthogonalize_fused(&[deflate, basis], w);
+    norm2(w)
 }
 
 /// Computes the smallest eigenpair of `op` restricted to the orthogonal
@@ -177,42 +236,18 @@ pub fn smallest_deflated_metered(
         let mut w = vec![0.0f64; n];
 
         for j in 0..opts.max_basis {
-            op.apply(&basis[j], &mut w);
+            let (alpha, beta) = lanczos_step(op, &deflate, &basis, &betas, &mut w, meter)?;
             matvecs += 1;
-            meter.charge(1)?;
-            let alpha = dot(&w, &basis[j]);
-            if !alpha.is_finite() {
-                return Err(EigenError::NonFinite {
-                    stage: "lanczos iteration",
-                });
-            }
             alphas.push(alpha);
-            if j > 0 {
-                // both recurrence subtractions in one pass over w
-                axpy2(-alpha, &basis[j], -betas[j - 1], &basis[j - 1], &mut w);
-            } else {
-                axpy(-alpha, &basis[j], &mut w);
-            }
-            // full reorthogonalization (deflation set twice, then the
-            // basis twice), fused into a single m+1-pass sweep
-            orthogonalize_fused(&[&deflate, &deflate, &basis, &basis], &mut w);
-            let beta = norm2(&w);
-            if !beta.is_finite() {
-                return Err(EigenError::NonFinite {
-                    stage: "lanczos iteration",
-                });
-            }
             let invariant = beta <= 1e-13;
 
             let last_step = j + 1 == opts.max_basis;
             let check = invariant || last_step || (j >= 4 && (j + 1).is_multiple_of(5));
             if check {
-                let eig = eigh_tridiagonal(&alphas, &betas)?;
-                let theta = eig.values[0];
-                let y = &eig.vectors[0];
+                let (theta, y) = smallest_tridiagonal(&alphas, &betas)?;
                 // assemble the Ritz vector (pairwise-fused axpy passes)
                 let mut x = vec![0.0f64; n];
-                accumulate_scaled(y, &basis, &mut x);
+                accumulate_scaled(&y, &basis, &mut x);
                 project_out(&deflate, &mut x);
                 if normalize(&mut x) > 1e-12 {
                     // verified residual
@@ -338,6 +373,22 @@ mod tests {
         vec![1.0; n]
     }
 
+    /// Three 20-cliques joined in a chain by two 1e-4 edges.
+    fn three_cliques() -> Laplacian {
+        let mut b = TripletBuilder::new(60);
+        for c in 0..3 {
+            let base = c * 20;
+            for i in 0..20 {
+                for j in i + 1..20 {
+                    b.push_sym(base + i, base + j, 1.0);
+                }
+            }
+        }
+        b.push_sym(0, 20, 1e-4);
+        b.push_sym(20, 40, 1e-4);
+        Laplacian::from_adjacency(b.into_csr())
+    }
+
     #[test]
     fn path_fiedler_value_small_n_dense_path() {
         // P8: λ2 = 2 - 2cos(π/8)
@@ -433,18 +484,7 @@ mod tests {
         // λ2 ≈ λ3 clustered near zero — solved by the iteration itself, not
         // the dense fallback
         let n = 60;
-        let mut b = TripletBuilder::new(n);
-        for c in 0..3 {
-            let base = c * 20;
-            for i in 0..20 {
-                for j in i + 1..20 {
-                    b.push_sym(base + i, base + j, 1.0);
-                }
-            }
-        }
-        b.push_sym(0, 20, 1e-4);
-        b.push_sym(20, 40, 1e-4);
-        let q = Laplacian::from_adjacency(b.into_csr());
+        let q = three_cliques();
         let opts = LanczosOptions {
             dense_cutoff: 0,
             ..Default::default()
@@ -455,6 +495,94 @@ mod tests {
         q.apply(&pair.vector, &mut y);
         axpy(-pair.value, &pair.vector, &mut y);
         assert!(norm2(&y) < 1e-6);
+    }
+
+    /// The deflation set and the Lanczos basis after up to `steps` steps
+    /// of the solver's own [`lanczos_step`] from its first-cycle start
+    /// vector, stopping early at an invariant subspace.
+    fn krylov_basis(
+        op: &impl LinearOperator,
+        deflate: &[Vec<f64>],
+        steps: usize,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let n = op.dim();
+        let deflate = orthonormalize(deflate);
+        let mut rand = splitmix_stream(LanczosOptions::default().seed);
+        let mut start: Vec<f64> = (0..n).map(|_| rand()).collect();
+        project_out(&deflate, &mut start);
+        normalize(&mut start);
+        let mut basis = vec![start];
+        let mut betas = Vec::new();
+        let mut w = vec![0.0; n];
+        let meter = BudgetMeter::unlimited();
+        while basis.len() < steps {
+            let (_, beta) = lanczos_step(op, &deflate, &basis, &betas, &mut w, &meter).unwrap();
+            if beta <= 1e-13 {
+                break;
+            }
+            betas.push(beta);
+            basis.push(w.iter().map(|v| v / beta).collect());
+        }
+        (deflate, basis)
+    }
+
+    /// `max |⟨u, v⟩ − δ_uv|` over the basis, and `max |⟨u, v⟩|` between
+    /// the basis and the deflation set.
+    fn orthogonality_loss(deflate: &[Vec<f64>], basis: &[Vec<f64>]) -> (f64, f64) {
+        let mut within = 0.0f64;
+        for (i, u) in basis.iter().enumerate() {
+            for (j, v) in basis.iter().enumerate().skip(i) {
+                let delta = if i == j { 1.0 } else { 0.0 };
+                within = within.max((dot(u, v) - delta).abs());
+            }
+        }
+        let against = deflate
+            .iter()
+            .flat_map(|d| basis.iter().map(move |v| dot(d, v).abs()))
+            .fold(0.0f64, f64::max);
+        (within, against)
+    }
+
+    #[test]
+    fn reorthogonalization_keeps_basis_orthonormal() {
+        // the path's extreme Ritz values converge fastest, so plain
+        // Lanczos loses orthogonality here worst
+        let n = 2000;
+        let q = path_laplacian(n);
+        let (deflate, basis) = krylov_basis(&q, &[ones(n)], LanczosOptions::default().max_basis);
+        assert_eq!(basis.len(), LanczosOptions::default().max_basis);
+        let (within, against) = orthogonality_loss(&deflate, &basis);
+        assert!(within <= 1e-12, "path: basis loses {within:e}");
+        assert!(against <= 1e-12, "path: deflation leaks {against:e}");
+
+        // three 20-cliques joined by 1e-4 edges: λ2 ≈ λ3 clustered near
+        // zero, run until the Krylov space is invariant
+        let q = three_cliques();
+        let (deflate, basis) = krylov_basis(&q, &[ones(60)], 60);
+        let (within, against) = orthogonality_loss(&deflate, &basis);
+        assert!(within <= 1e-12, "cliques: basis loses {within:e}");
+        assert!(against <= 1e-12, "cliques: deflation leaks {against:e}");
+    }
+
+    #[test]
+    fn second_pass_restores_orthogonality_after_heavy_cancellation() {
+        // w lies almost entirely in span(basis): one pass cancels all but
+        // 1e-10 of it and leaves rounding of order ε‖w‖ behind, relative
+        // error ~1e-6 in what remains; the DGKS-triggered second pass
+        // brings it back to working precision
+        let n = 500;
+        let q = path_laplacian(n);
+        let (deflate, basis) = krylov_basis(&q, &[ones(n)], 30);
+        let mut rand = splitmix_stream(7);
+        let mut w: Vec<f64> = (0..n).map(|_| 1e-10 * rand()).collect();
+        for (k, v) in basis.iter().enumerate() {
+            axpy(1.0 + k as f64, v, &mut w);
+        }
+        let beta = reorthogonalize(&deflate, &basis, &mut w);
+        assert!(beta > 0.0 && beta < 1e-8, "‖w‖ = {beta:e}");
+        normalize(&mut w);
+        let (_, leak) = orthogonality_loss(&basis, &[w]);
+        assert!(leak <= 1e-12, "w keeps {leak:e} of the basis");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   explicit deflation of known eigenvectors (the all-ones nullvector of a
 //!   connected Laplacian), with restarts;
 //! * [`tridiag`] — the implicit-QL-with-shifts solver for the small
-//!   symmetric tridiagonal systems Lanczos produces;
+//!   symmetric tridiagonal systems Lanczos produces: the full
+//!   decomposition, and the smallest eigenpair alone in `O(k²)`, which is
+//!   all Lanczos needs;
 //! * [`dense`] — a cyclic Jacobi solver used as ground truth in tests and
 //!   as a direct solver for small operators;
 //! * [`fiedler`] — the high-level entry point: the Fiedler pair of a
