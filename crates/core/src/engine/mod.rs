@@ -20,7 +20,9 @@
 //! The concrete adapters in [`stages`] wrap EIG1, IG-Vote, IG-Match and
 //! the FM/KL/RCut baselines, so entire flows — the robust fallback chain
 //! of [`robust_partition`](crate::robust_partition), the IG-Match+FM
-//! hybrid — are declarative data rather than bespoke control flow.
+//! hybrid — are declarative data rather than bespoke control flow. With
+//! the `fault-inject` feature, the `fault` module adds one decorator
+//! stage that makes any stage fail, stall, spin or panic on demand.
 //!
 //! ```
 //! use np_core::engine::stages::{IgMatchStage, RatioRefineStage};
@@ -37,6 +39,8 @@
 
 pub mod cache;
 pub mod context;
+#[cfg(feature = "fault-inject")]
+pub mod fault;
 pub mod stage;
 pub mod stages;
 pub mod trace;

@@ -12,16 +12,19 @@
 //!    best quality (§3);
 //! 2. **reseeded Lanczos restarts** — the same algorithm with fresh
 //!    eigensolver seeds, which recovers from unlucky start vectors;
-//! 3. **dense eigensolve** — the spectral ordering computed by the dense
-//!    Jacobi solver instead of Lanczos, immune to convergence stagnation;
+//! 3. **dense eigensolve** — the same algorithm with the spectral
+//!    ordering computed by the dense Jacobi solver instead of Lanczos,
+//!    immune to convergence stagnation;
 //! 4. **clique-model EIG1** — the Hagen–Kahng baseline on the module
 //!    graph, which sidesteps a pathological intersection graph entirely;
 //! 5. **FM baseline** — purely combinatorial Fiduccia–Mattheyses from a
 //!    deterministic seed partition, requiring no eigensolve at all.
 //!
-//! Since 0.2.0 the chain is *declarative*: an internal builder assembles
-//! a [`FallbackChain`] of engine stages (one link per strategy above) and
-//! [`robust_partition_ctx`] runs it against a shared
+//! Every link is an engine stage: links 1–3 are [`IgMatchStage`]s that
+//! differ only in their eigensolver options, link 4 is an [`Eig1Stage`]
+//! and link 5 an [`FmStage`]. So the first link *is* `ig_match`, and with
+//! no faults a chain that IG-Match solves returns its result bit for bit.
+//! [`robust_partition_ctx`] runs the [`FallbackChain`] against a shared
 //! [`RunContext`] — the escalation policy is data, not control flow.
 //!
 //! Every attempt is recorded in [`Diagnostics`], so callers can see which
@@ -31,22 +34,24 @@
 //! later stages share the same spent budget / tiny input and would fail
 //! identically.
 //!
-//! With the `fault-inject` feature, a [`FaultPlan`] deterministically
-//! forces failures at chosen stages so every fallback link can be tested.
+//! With the `fault-inject` feature, a `FaultPlan` wraps chosen links in
+//! the engine's fault decorator so every fallback link can be tested.
 
-use crate::eig1::sweep_module_ordering_ctx;
-use crate::engine::stages::FmStage;
-use crate::engine::{ChainAttempt, FallbackChain, Partitioner, RunContext};
-use crate::igmatch::ig_match_with_ordering_ctx;
-use crate::ordering::order_by_component;
-use crate::{IgMatchOptions, PartitionError, PartitionResult};
-use np_baselines::FmOptions;
-use np_eigen::{smallest_deflated_metered, EigenError, EigenPair, LanczosOptions};
+#[cfg(feature = "fault-inject")]
+use crate::engine::fault::{FaultKind, FaultStage};
+use crate::engine::stages::{Eig1Stage, FmStage, IgMatchStage};
+use crate::engine::{ChainAttempt, FallbackChain, RunContext, Stage};
+use crate::{Eig1Options, IgMatchOptions, PartitionError, PartitionResult};
 use np_netlist::rng::derive_seed;
-use np_netlist::{Hypergraph, ModuleId, NetId};
-use np_sparse::{BudgetExceeded, BudgetMeter, BudgetResource, Laplacian, LinearOperator};
+use np_netlist::Hypergraph;
+use np_sparse::BudgetMeter;
 use std::fmt;
 use std::time::Duration;
+
+/// Reseeded IG-Match attempts between the primary IG-Match link and the
+/// dense eigensolve. Attempt `i` (from 1) seeds Lanczos with
+/// `derive_seed(seed, i)`.
+pub const RESEED_ATTEMPTS: usize = 2;
 
 /// One link of the fallback chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -82,30 +87,15 @@ impl fmt::Display for FallbackStage {
     }
 }
 
-/// The failure a [`FaultPlan`] forces at a stage (test-only machinery;
-/// plans only take effect when the `fault-inject` feature is enabled).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The stage fails up front with
-    /// [`EigenError::NoConvergence`], as if the eigensolve stagnated.
-    ForceNoConvergence,
-    /// The stage's operator is wrapped to emit NaN, exercising the
-    /// [`EigenError::NonFinite`] detection path. At the (eigensolve-free)
-    /// FM stage this short-circuits with `NonFinite` directly.
-    PoisonOperator,
-    /// The stage fails with [`PartitionError::Budget`] carrying the real
-    /// spend so far, as if the budget ran out on entry.
-    ExhaustBudget,
-}
-
-/// Deterministic fault plan: which [`FaultKind`] to force at which
-/// stage. Only consulted when the `fault-inject` feature is enabled;
-/// release builds never look at it.
+/// Deterministic fault plan: which [`FaultKind`] to inject at which
+/// stage (`fault-inject` builds only).
+#[cfg(feature = "fault-inject")]
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
     faults: Vec<(FallbackStage, FaultKind)>,
 }
 
+#[cfg(feature = "fault-inject")]
 impl FaultPlan {
     /// An empty plan (no faults).
     pub fn new() -> Self {
@@ -130,41 +120,15 @@ impl FaultPlan {
 }
 
 /// Options for [`robust_partition`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RobustOptions {
-    /// Options for the primary IG-Match stages (weighting, eigensolver,
-    /// free-module refinement).
+    /// Options for the IG-Match links (weighting, eigensolver,
+    /// free-module refinement); the clique EIG1 link shares the
+    /// eigensolver options.
     pub ig_match: IgMatchOptions,
-    /// Number of reseeded-Lanczos retries before escalating to the dense
-    /// eigensolve.
-    pub reseed_attempts: usize,
-    /// Options for the final FM stage.
-    pub fm: FmOptions,
     /// Deterministic faults to force (testing the chain itself).
     #[cfg(feature = "fault-inject")]
     pub faults: FaultPlan,
-}
-
-impl Default for RobustOptions {
-    fn default() -> Self {
-        RobustOptions {
-            ig_match: IgMatchOptions::default(),
-            reseed_attempts: 2,
-            fm: FmOptions::default(),
-            #[cfg(feature = "fault-inject")]
-            faults: FaultPlan::default(),
-        }
-    }
-}
-
-/// Record of one stage execution.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StageAttempt {
-    /// Which stage ran.
-    pub stage: FallbackStage,
-    /// `None` if the stage produced the final result, otherwise the error
-    /// that made the chain move on (or abort).
-    pub error: Option<PartitionError>,
 }
 
 /// What happened across the whole chain: every attempt in order, the
@@ -173,7 +137,7 @@ pub struct StageAttempt {
 pub struct Diagnostics {
     /// Every stage execution, in chain order. The last entry is the
     /// winning stage on success.
-    pub attempts: Vec<StageAttempt>,
+    pub attempts: Vec<ChainAttempt<FallbackStage>>,
     /// The stage that produced the result; `None` if the chain failed.
     pub winning_stage: Option<FallbackStage>,
     /// Matvec-equivalents charged across all stages.
@@ -302,249 +266,70 @@ pub fn robust_partition_ctx(
 }
 
 /// Declares the five-link escalation policy of the module docs as engine
-/// data: one [`FallbackChain`] whose links are fault-aware stages. The
-/// chain's [`default_fatal`](crate::engine::default_fatal) policy
-/// provides the budget-exhaustion / hopeless-input abort behavior.
+/// data: one [`FallbackChain`] of engine stages. The chain's
+/// [`default_fatal`](crate::engine::default_fatal) policy provides the
+/// budget-exhaustion / hopeless-input abort behavior.
 fn build_chain(opts: &RobustOptions) -> FallbackChain<FallbackStage> {
-    let fault_for = |stage: FallbackStage| -> Option<FaultKind> {
-        #[cfg(feature = "fault-inject")]
-        {
-            opts.faults.fault_at(stage)
-        }
-        #[cfg(not(feature = "fault-inject"))]
-        {
-            let _ = stage;
-            None
-        }
-    };
-
-    let base = opts.ig_match.lanczos;
-    let weighting = opts.ig_match.weighting;
-    let refine = opts.ig_match.refine_free_modules;
-    let spectral = |stage: FallbackStage, lanczos: LanczosOptions| SpectralIgLink {
-        name: stage.name(),
-        weighting,
-        lanczos,
-        refine,
-        fault: fault_for(stage),
-    };
-
-    let mut chain = FallbackChain::new().link(
+    let ig = opts.ig_match;
+    let mut chain = link(
+        FallbackChain::new(),
+        opts,
         FallbackStage::IgMatch,
-        spectral(FallbackStage::IgMatch, base),
+        IgMatchStage::new(ig),
     );
-    for attempt in 0..opts.reseed_attempts {
-        let mut lanczos = base;
-        lanczos.seed = derive_seed(base.seed, attempt as u64 + 1);
-        chain = chain.link(
+    for attempt in 1..=RESEED_ATTEMPTS as u64 {
+        let mut reseeded = ig;
+        reseeded.lanczos.seed = derive_seed(ig.lanczos.seed, attempt);
+        chain = link(
+            chain,
+            opts,
             FallbackStage::ReseededLanczos,
-            spectral(FallbackStage::ReseededLanczos, lanczos),
+            IgMatchStage::new(reseeded),
         );
     }
-    let mut dense = base;
-    dense.dense_cutoff = usize::MAX;
-    chain
-        .link(
-            FallbackStage::DenseEigensolve,
-            spectral(FallbackStage::DenseEigensolve, dense),
-        )
-        .link(
-            FallbackStage::CliqueEig1,
-            CliqueEig1Link {
-                lanczos: base,
-                fault: fault_for(FallbackStage::CliqueEig1),
-            },
-        )
-        .link(
-            FallbackStage::FmBaseline,
-            FmLink {
-                fm: opts.fm,
-                fault: fault_for(FallbackStage::FmBaseline),
-            },
-        )
+    let mut dense = ig;
+    dense.lanczos.dense_cutoff = usize::MAX;
+    let chain = link(
+        chain,
+        opts,
+        FallbackStage::DenseEigensolve,
+        IgMatchStage::new(dense),
+    );
+    let eig1 = Eig1Options {
+        lanczos: ig.lanczos,
+    };
+    let chain = link(chain, opts, FallbackStage::CliqueEig1, Eig1Stage::new(eig1));
+    link(chain, opts, FallbackStage::FmBaseline, FmStage::default())
 }
 
-/// Converts the chain's attempt record into the public [`Diagnostics`].
+/// Appends `stage` under `label`, wrapped in the fault decorator when the
+/// plan names the label (`fault-inject` builds only).
+fn link(
+    chain: FallbackChain<FallbackStage>,
+    opts: &RobustOptions,
+    label: FallbackStage,
+    stage: impl Stage + Send + Sync + 'static,
+) -> FallbackChain<FallbackStage> {
+    #[cfg(feature = "fault-inject")]
+    if let Some(kind) = opts.faults.fault_at(label) {
+        return chain.link(label, FaultStage::new(kind, Box::new(stage)));
+    }
+    #[cfg(not(feature = "fault-inject"))]
+    let _ = opts;
+    chain.link(label, stage)
+}
+
+/// Bundles the chain's attempt record into the public [`Diagnostics`].
 fn diagnostics(
     attempts: Vec<ChainAttempt<FallbackStage>>,
     winning_stage: Option<FallbackStage>,
     meter: &BudgetMeter,
 ) -> Diagnostics {
     Diagnostics {
-        attempts: attempts
-            .into_iter()
-            .map(|a| StageAttempt {
-                stage: a.label,
-                error: a.error,
-            })
-            .collect(),
+        attempts,
         winning_stage,
         matvecs: meter.matvecs_used(),
         elapsed: meter.elapsed(),
-    }
-}
-
-/// Applies the stage-entry faults common to every stage.
-fn short_circuit(fault: Option<FaultKind>, meter: &BudgetMeter) -> Result<(), PartitionError> {
-    match fault {
-        Some(FaultKind::ForceNoConvergence) => {
-            Err(PartitionError::Eigen(EigenError::NoConvergence {
-                iterations: 0,
-                residual: f64::INFINITY,
-            }))
-        }
-        Some(FaultKind::ExhaustBudget) => Err(PartitionError::Budget(BudgetExceeded {
-            resource: BudgetResource::Matvecs,
-            matvecs_used: meter.matvecs_used(),
-            elapsed: meter.elapsed(),
-        })),
-        _ => Ok(()),
-    }
-}
-
-/// Wrapper that corrupts the first output component of every operator
-/// application — the fault-injection stand-in for numerically poisoned
-/// input.
-struct PoisonedOperator<'a> {
-    inner: &'a Laplacian,
-}
-
-impl LinearOperator for PoisonedOperator<'_> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply(x, y);
-        if let Some(first) = y.first_mut() {
-            *first = f64::NAN;
-        }
-    }
-}
-
-/// Fiedler pair of `q` with the all-ones nullvector deflated, honoring a
-/// possible poison fault. Matvecs shard over `threads` OS threads
-/// (bit-identical to serial for every count); the poisoned-fault path
-/// stays serial because the corruption wrapper is the operator under
-/// test.
-fn solve_fiedler(
-    q: &Laplacian,
-    lanczos: &LanczosOptions,
-    meter: &BudgetMeter,
-    fault: Option<FaultKind>,
-    threads: usize,
-) -> Result<EigenPair, PartitionError> {
-    let n = q.dim();
-    let ones = vec![1.0; n];
-    let pair = if fault == Some(FaultKind::PoisonOperator) {
-        smallest_deflated_metered(&PoisonedOperator { inner: q }, &[ones], lanczos, meter)
-    } else {
-        smallest_deflated_metered(&q.threaded(threads), &[ones], lanczos, meter)
-    }?;
-    Ok(pair)
-}
-
-/// Links 1–3: spectral net ordering on the intersection graph plus the
-/// IG-Match completion sweep, with a link-specific eigensolver
-/// configuration (base seed, reseeded, or dense).
-struct SpectralIgLink {
-    name: &'static str,
-    weighting: crate::IgWeighting,
-    lanczos: LanczosOptions,
-    refine: bool,
-    fault: Option<FaultKind>,
-}
-
-impl Partitioner for SpectralIgLink {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        let meter = ctx.meter();
-        short_circuit(self.fault, meter)?;
-        if hg.num_modules() < 2 || hg.num_nets() < 2 {
-            return Err(PartitionError::TooSmall {
-                modules: hg.num_modules(),
-                nets: hg.num_nets(),
-            });
-        }
-        let q = ctx.intersection_laplacian(hg, self.weighting);
-        let pair = solve_fiedler(&q, &self.lanczos, meter, self.fault, ctx.threads())?;
-        let order: Vec<NetId> = order_by_component(&pair.vector)
-            .into_iter()
-            .map(NetId)
-            .collect();
-        let out = ig_match_with_ordering_ctx(hg, &order, self.refine, ctx)?;
-        Ok(out.result)
-    }
-}
-
-/// Link 4: EIG1 on the clique model. Distinct from
-/// [`Eig1Stage`](crate::engine::stages::Eig1Stage) only in supporting
-/// fault injection through the poisonable deflated eigensolve.
-struct CliqueEig1Link {
-    lanczos: LanczosOptions,
-    fault: Option<FaultKind>,
-}
-
-impl Partitioner for CliqueEig1Link {
-    fn name(&self) -> &'static str {
-        FallbackStage::CliqueEig1.name()
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        let meter = ctx.meter();
-        short_circuit(self.fault, meter)?;
-        if hg.num_modules() < 2 {
-            return Err(PartitionError::TooSmall {
-                modules: hg.num_modules(),
-                nets: hg.num_nets(),
-            });
-        }
-        let q = ctx.clique_laplacian(hg);
-        let pair = solve_fiedler(&q, &self.lanczos, meter, self.fault, ctx.threads())?;
-        let order: Vec<ModuleId> = order_by_component(&pair.vector)
-            .into_iter()
-            .map(ModuleId)
-            .collect();
-        sweep_module_ordering_ctx(hg, &order, "EIG1", ctx)
-    }
-}
-
-/// Link 5: FM from the deterministic "first half left" seed partition —
-/// no eigensolve, so it survives any numerical failure mode. Delegates
-/// to the engine's [`FmStage`] after the fault checks.
-struct FmLink {
-    fm: FmOptions,
-    fault: Option<FaultKind>,
-}
-
-impl Partitioner for FmLink {
-    fn name(&self) -> &'static str {
-        FallbackStage::FmBaseline.name()
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        short_circuit(self.fault, ctx.meter())?;
-        if self.fault == Some(FaultKind::PoisonOperator) {
-            // FM has no operator to poison; fail the same way detection would
-            return Err(PartitionError::Eigen(EigenError::NonFinite {
-                stage: "fault injection",
-            }));
-        }
-        FmStage::new(self.fm).partition(hg, ctx)
     }
 }
 
@@ -617,9 +402,8 @@ mod tests {
         let s = &out.result.stats;
         assert!(s.left > 0 && s.right > 0);
         // 1 IG-Match + reseeds + dense all failed, then clique won
-        let reseeds = RobustOptions::default().reseed_attempts;
-        assert_eq!(out.diagnostics.attempts.len(), reseeds + 3);
-        for a in &out.diagnostics.attempts[..reseeds + 2] {
+        assert_eq!(out.diagnostics.attempts.len(), RESEED_ATTEMPTS + 3);
+        for a in &out.diagnostics.attempts[..RESEED_ATTEMPTS + 2] {
             assert!(matches!(a.error, Some(PartitionError::Degenerate)), "{a:?}");
         }
     }
@@ -632,14 +416,15 @@ mod tests {
         assert!(s.contains("matvecs"), "{s}");
     }
 
+    #[cfg(feature = "fault-inject")]
     #[test]
     fn fault_plan_lookup() {
         let plan = FaultPlan::new()
-            .with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence)
+            .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
             .with(FallbackStage::FmBaseline, FaultKind::ExhaustBudget);
         assert_eq!(
             plan.fault_at(FallbackStage::IgMatch),
-            Some(FaultKind::ForceNoConvergence)
+            Some(FaultKind::NoConvergence)
         );
         assert_eq!(plan.fault_at(FallbackStage::CliqueEig1), None);
     }

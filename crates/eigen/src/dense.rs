@@ -5,7 +5,7 @@
 //! enough that the iterative machinery is pointless.
 
 use crate::EigenError;
-use np_sparse::LinearOperator;
+use np_sparse::{BudgetMeter, LinearOperator};
 
 /// Eigendecomposition of a dense symmetric matrix.
 #[derive(Clone, Debug)]
@@ -35,18 +35,28 @@ pub struct DenseEigen {
 /// assert!((e.values[1] - 3.0).abs() < 1e-12);
 /// ```
 pub fn jacobi_eigen(a: &[f64], n: usize) -> DenseEigen {
-    try_jacobi_eigen(a, n).expect("non-finite input to jacobi_eigen")
+    try_jacobi_eigen(a, n, &BudgetMeter::unlimited()).expect("non-finite input to jacobi_eigen")
 }
 
-/// Fallible variant of [`jacobi_eigen`]: returns
+/// Fallible, metered variant of [`jacobi_eigen`]: returns
 /// [`EigenError::NonFinite`] for NaN/∞ entries and
 /// [`EigenError::NoConvergence`] if the sweep limit is exceeded, instead
-/// of panicking.
+/// of panicking. It checks `meter` (without charging it) before each
+/// pivot row of every sweep, so a spent budget or a cancellation ends an
+/// `O(n³)` solve within one row's rotations.
+///
+/// # Errors
+///
+/// The errors above, plus [`EigenError::Budget`] when the meter trips.
 ///
 /// # Panics
 ///
 /// Panics if `a.len() != n * n` (a shape mismatch is a caller bug).
-pub fn try_jacobi_eigen(a: &[f64], n: usize) -> Result<DenseEigen, EigenError> {
+pub fn try_jacobi_eigen(
+    a: &[f64],
+    n: usize,
+    meter: &BudgetMeter,
+) -> Result<DenseEigen, EigenError> {
     assert_eq!(a.len(), n * n, "matrix buffer must be n*n");
     if n == 0 {
         return Ok(DenseEigen {
@@ -83,6 +93,7 @@ pub fn try_jacobi_eigen(a: &[f64], n: usize) -> Result<DenseEigen, EigenError> {
             });
         }
         for p in 0..n {
+            meter.check()?;
             for q in p + 1..n {
                 let apq = m[p * n + q];
                 if apq.abs() < 1e-300 {
@@ -136,11 +147,21 @@ pub fn try_jacobi_eigen(a: &[f64], n: usize) -> Result<DenseEigen, EigenError> {
 /// applying it to the standard basis. `O(n)` operator applications — for
 /// tests and small direct solves only.
 pub fn materialize(op: &impl LinearOperator) -> Vec<f64> {
+    materialize_metered(op, &BudgetMeter::unlimited()).expect("an unlimited meter never trips")
+}
+
+/// [`materialize`] that checks `meter` (without charging it) before each
+/// column.
+pub(crate) fn materialize_metered(
+    op: &impl LinearOperator,
+    meter: &BudgetMeter,
+) -> Result<Vec<f64>, EigenError> {
     let n = op.dim();
     let mut a = vec![0.0f64; n * n];
     let mut e = vec![0.0f64; n];
     let mut col = vec![0.0f64; n];
     for j in 0..n {
+        meter.check()?;
         e[j] = 1.0;
         op.apply(&e, &mut col);
         for i in 0..n {
@@ -148,13 +169,22 @@ pub fn materialize(op: &impl LinearOperator) -> Vec<f64> {
         }
         e[j] = 0.0;
     }
-    a
+    Ok(a)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use np_sparse::{Laplacian, TripletBuilder};
+
+    #[test]
+    fn metered_solve_stops_on_a_tripped_meter() {
+        // the check runs inside the sweep, not only before the solve
+        let meter = BudgetMeter::unlimited();
+        meter.cancel();
+        let err = try_jacobi_eigen(&[2.0, 1.0, 1.0, 2.0], 2, &meter).unwrap_err();
+        assert!(matches!(err, EigenError::Budget(_)), "{err:?}");
+    }
 
     #[test]
     fn two_by_two() {
@@ -242,14 +272,19 @@ mod tests {
 
     #[test]
     fn try_variant_rejects_non_finite() {
-        let e = try_jacobi_eigen(&[1.0, f64::NAN, f64::NAN, 1.0], 2).unwrap_err();
+        let e = try_jacobi_eigen(
+            &[1.0, f64::NAN, f64::NAN, 1.0],
+            2,
+            &BudgetMeter::unlimited(),
+        )
+        .unwrap_err();
         assert_eq!(
             e,
             EigenError::NonFinite {
                 stage: "dense matrix input"
             }
         );
-        let e = try_jacobi_eigen(&[f64::INFINITY], 1).unwrap_err();
+        let e = try_jacobi_eigen(&[f64::INFINITY], 1, &BudgetMeter::unlimited()).unwrap_err();
         assert!(matches!(e, EigenError::NonFinite { .. }));
     }
 

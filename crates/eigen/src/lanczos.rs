@@ -28,7 +28,7 @@
 //! `‖M x − θ x‖ ≤ tol · max(1, |θ|)`, measured with a fresh matvec — not
 //! just the cheap `β·|y_k|` estimate.
 
-use crate::dense::{materialize, try_jacobi_eigen};
+use crate::dense::{materialize_metered, try_jacobi_eigen};
 use crate::tridiag::smallest_tridiagonal;
 use crate::EigenError;
 use np_sparse::vecops::{
@@ -313,6 +313,9 @@ pub fn smallest_deflated_metered(
 
 /// Direct dense solve for small operators: materialize, shift the deflated
 /// directions to the top of the spectrum, take the smallest eigenpair.
+/// Each materialized column, each row of the deflation update and each
+/// Jacobi pivot row first checks `meter` (without charging it), so a
+/// budget ends even a large dense solve in time.
 fn dense_smallest_deflated(
     op: &impl LinearOperator,
     deflate: &[Vec<f64>],
@@ -321,7 +324,7 @@ fn dense_smallest_deflated(
     let n = op.dim();
     // materialization applies the operator to each basis vector
     meter.charge(n as u64)?;
-    let mut a = materialize(op);
+    let mut a = materialize_metered(op, meter)?;
     // sigma strictly above the spectral radius (Gershgorin)
     let sigma = 1.0
         + (0..n)
@@ -338,13 +341,14 @@ fn dense_smallest_deflated(
         }
         let uau: f64 = (0..n).map(|i| u[i] * au[i]).sum();
         for i in 0..n {
+            meter.check()?;
             for j in 0..n {
                 a[i * n + j] +=
                     -u[i] * au[j] - au[i] * u[j] + u[i] * u[j] * uau + sigma * u[i] * u[j];
             }
         }
     }
-    let eig = try_jacobi_eigen(&a, n)?;
+    let eig = try_jacobi_eigen(&a, n, meter)?;
     // smallest eigenpair of the shifted matrix lives in the complement
     let mut vector = eig.vectors[0].clone();
     project_out(deflate, &mut vector);
@@ -358,7 +362,7 @@ fn dense_smallest_deflated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::jacobi_eigen;
+    use crate::dense::{jacobi_eigen, materialize};
     use np_sparse::{Budget, CsrMatrix, Laplacian, TripletBuilder};
 
     fn path_laplacian(n: usize) -> Laplacian {

@@ -207,8 +207,6 @@ pub(crate) fn assemble(
     }
 }
 
-/// JSON string literal with minimal escaping (quotes, backslashes,
-/// control characters).
 /// Renders `s` as a JSON string literal (quotes included), escaping
 /// quotes, backslashes and control characters. This is the workspace's
 /// one JSON string escaper: the portfolio report, the `np-serve` wire

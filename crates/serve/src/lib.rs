@@ -41,10 +41,10 @@
 //!   bytes and that its metrics stay self-consistent over minutes of
 //!   faulty traffic.
 //!
-//! The `fault-inject` feature compiles request-level fault decorators
-//! (the `fault` module) — slow worker, panicking stage, stuck eigensolve
-//! — used by the resilience integration tests and the soak's fault
-//! storms.
+//! The `fault-inject` feature turns on `np-core`'s fault decorator stage,
+//! which the service wraps around portfolio attempts for requests that
+//! name a [`FaultSpec`] — slow worker, panicking stage, stuck eigensolve
+//! — as the resilience integration tests and the soak's fault storms do.
 //!
 //! # Quickstart
 //!
@@ -68,8 +68,6 @@
 
 pub mod admit;
 pub mod cache;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 pub mod json;
 pub mod metrics;
 pub mod proto;

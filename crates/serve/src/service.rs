@@ -782,18 +782,21 @@ impl Service {
         })
     }
 
-    /// Applies the request's fault to the attempt stage (fault-inject
-    /// builds only). The panic fault poisons only attempt 0 — the point
-    /// is to prove one poisoned attempt cannot take the request (or the
-    /// server) down with it.
+    /// Wraps the attempt stage in `np-core`'s fault decorator when the
+    /// request names a fault (fault-inject builds only). The panic fault
+    /// poisons only attempt 0 — the point is to prove one poisoned
+    /// attempt cannot take the request (or the server) down with it.
     #[cfg(feature = "fault-inject")]
     fn decorate(&self, request: &Request, attempt: usize, stage: BoxedStage) -> BoxedStage {
         use crate::proto::FaultSpec;
-        match request.fault {
-            Some(FaultSpec::Panic) if attempt == 0 => crate::fault::apply(FaultSpec::Panic, stage),
-            Some(FaultSpec::Panic) | None => stage,
-            Some(spec) => crate::fault::apply(spec, stage),
-        }
+        use np_core::engine::fault::{FaultKind, FaultStage};
+        let kind = match request.fault {
+            Some(FaultSpec::Slow(ms)) => FaultKind::Slow(Duration::from_millis(ms)),
+            Some(FaultSpec::Panic) if attempt == 0 => FaultKind::Panic,
+            Some(FaultSpec::Stuck) => FaultKind::Stuck,
+            Some(FaultSpec::Panic) | None => return stage,
+        };
+        Box::new(FaultStage::new(kind, stage))
     }
 
     #[cfg(not(feature = "fault-inject"))]

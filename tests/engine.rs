@@ -196,7 +196,15 @@ fn robust_ctx_matches_plain_and_is_deterministic() {
         let opts = RobustOptions::default();
         let meter = BudgetMeter::unlimited();
         let via_ctx = robust_partition_ctx(&hg, &opts, &RunContext::with_meter(&meter));
-        match (robust_partition(&hg, &opts), via_ctx) {
+        let robust = robust_partition(&hg, &opts);
+        // the chain's first link is IG-Match itself: whenever IG-Match
+        // succeeds, robust returns its result (partition, stats,
+        // split_rank) bit for bit
+        if let Ok(ig) = ig_match_ctx(&hg, &opts.ig_match, &RunContext::unlimited()) {
+            let r = &robust.as_ref().expect("IG-Match succeeded").result;
+            assert_eq!(r, &ig.result);
+        }
+        match (robust, via_ctx) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.result.partition, b.result.partition);
                 assert_eq!(a.diagnostics.winning_stage, b.diagnostics.winning_stage);

@@ -4,7 +4,9 @@
 //! budgets are honored end to end, and the `np-part` binary never panics
 //! on malformed input.
 
-use ig_match_repro::core::robust::{FaultKind, FaultPlan};
+use ig_match_repro::core::engine::fault::FaultKind;
+use ig_match_repro::core::robust::{FaultPlan, RESEED_ATTEMPTS};
+use ig_match_repro::eigen::EigenError;
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
 use ig_match_repro::{
     robust_partition, robust_partition_ctx, Budget, BudgetMeter, FallbackStage, Hypergraph,
@@ -34,7 +36,7 @@ fn no_faults_first_stage_wins() {
 
 #[test]
 fn primary_fault_reseeded_lanczos_wins() {
-    let plan = FaultPlan::new().with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence);
+    let plan = FaultPlan::new().with(FallbackStage::IgMatch, FaultKind::NoConvergence);
     let out = robust_partition(&circuit(), &opts_with(plan)).unwrap();
     assert_eq!(
         out.diagnostics.winning_stage,
@@ -50,20 +52,16 @@ fn primary_fault_reseeded_lanczos_wins() {
 #[test]
 fn lanczos_faults_dense_eigensolve_wins() {
     let plan = FaultPlan::new()
-        .with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence)
-        .with(
-            FallbackStage::ReseededLanczos,
-            FaultKind::ForceNoConvergence,
-        );
+        .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
+        .with(FallbackStage::ReseededLanczos, FaultKind::NoConvergence);
     let out = robust_partition(&circuit(), &opts_with(plan)).unwrap();
     assert_eq!(
         out.diagnostics.winning_stage,
         Some(FallbackStage::DenseEigensolve)
     );
     // 1 primary + every reseed attempt + the dense win
-    let reseeds = RobustOptions::default().reseed_attempts;
-    assert_eq!(out.diagnostics.attempts.len(), reseeds + 2);
-    for a in &out.diagnostics.attempts[..reseeds + 1] {
+    assert_eq!(out.diagnostics.attempts.len(), RESEED_ATTEMPTS + 2);
+    for a in &out.diagnostics.attempts[..RESEED_ATTEMPTS + 1] {
         assert!(a.error.is_some(), "{a:?}");
     }
 }
@@ -71,15 +69,9 @@ fn lanczos_faults_dense_eigensolve_wins() {
 #[test]
 fn all_spectral_ig_faults_clique_eig1_wins() {
     let plan = FaultPlan::new()
-        .with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence)
-        .with(
-            FallbackStage::ReseededLanczos,
-            FaultKind::ForceNoConvergence,
-        )
-        .with(
-            FallbackStage::DenseEigensolve,
-            FaultKind::ForceNoConvergence,
-        );
+        .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
+        .with(FallbackStage::ReseededLanczos, FaultKind::NoConvergence)
+        .with(FallbackStage::DenseEigensolve, FaultKind::NoConvergence);
     let out = robust_partition(&circuit(), &opts_with(plan)).unwrap();
     assert_eq!(
         out.diagnostics.winning_stage,
@@ -91,16 +83,10 @@ fn all_spectral_ig_faults_clique_eig1_wins() {
 #[test]
 fn every_eigensolve_faulted_fm_baseline_wins() {
     let plan = FaultPlan::new()
-        .with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence)
-        .with(
-            FallbackStage::ReseededLanczos,
-            FaultKind::ForceNoConvergence,
-        )
-        .with(
-            FallbackStage::DenseEigensolve,
-            FaultKind::ForceNoConvergence,
-        )
-        .with(FallbackStage::CliqueEig1, FaultKind::ForceNoConvergence);
+        .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
+        .with(FallbackStage::ReseededLanczos, FaultKind::NoConvergence)
+        .with(FallbackStage::DenseEigensolve, FaultKind::NoConvergence)
+        .with(FallbackStage::CliqueEig1, FaultKind::NoConvergence);
     let out = robust_partition(&circuit(), &opts_with(plan)).unwrap();
     assert_eq!(
         out.diagnostics.winning_stage,
@@ -110,14 +96,14 @@ fn every_eigensolve_faulted_fm_baseline_wins() {
     let s = &out.result.stats;
     assert!(s.left > 0 && s.right > 0);
     // every earlier link is on record as failed
-    let reseeds = RobustOptions::default().reseed_attempts;
-    assert_eq!(out.diagnostics.attempts.len(), reseeds + 4);
+    assert_eq!(out.diagnostics.attempts.len(), RESEED_ATTEMPTS + 4);
 }
 
 #[test]
 fn poisoned_operator_detected_and_survived() {
-    // the poison wraps the *real* Lanczos NaN detection, not a shortcut
-    let plan = FaultPlan::new().with(FallbackStage::IgMatch, FaultKind::PoisonOperator);
+    // an injected NonFinite stands in for a poisoned operator here; the
+    // real NaN detection is `lanczos::tests::poisoned_operator_surfaces_non_finite`
+    let plan = FaultPlan::new().with(FallbackStage::IgMatch, FaultKind::NonFinite);
     let out = robust_partition(&circuit(), &opts_with(plan)).unwrap();
     assert_eq!(
         out.diagnostics.winning_stage,
@@ -140,22 +126,42 @@ fn injected_budget_exhaustion_aborts_chain() {
 #[test]
 fn full_chain_faulted_reports_total_failure() {
     let plan = FaultPlan::new()
-        .with(FallbackStage::IgMatch, FaultKind::ForceNoConvergence)
-        .with(
-            FallbackStage::ReseededLanczos,
-            FaultKind::ForceNoConvergence,
-        )
-        .with(
-            FallbackStage::DenseEigensolve,
-            FaultKind::ForceNoConvergence,
-        )
-        .with(FallbackStage::CliqueEig1, FaultKind::ForceNoConvergence)
-        .with(FallbackStage::FmBaseline, FaultKind::ForceNoConvergence);
+        .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
+        .with(FallbackStage::ReseededLanczos, FaultKind::NoConvergence)
+        .with(FallbackStage::DenseEigensolve, FaultKind::NoConvergence)
+        .with(FallbackStage::CliqueEig1, FaultKind::NoConvergence)
+        .with(FallbackStage::FmBaseline, FaultKind::NoConvergence);
     let fail = robust_partition(&circuit(), &opts_with(plan)).unwrap_err();
     assert_eq!(fail.diagnostics.winning_stage, None);
-    let reseeds = RobustOptions::default().reseed_attempts;
-    assert_eq!(fail.diagnostics.attempts.len(), reseeds + 4);
+    assert_eq!(fail.diagnostics.attempts.len(), RESEED_ATTEMPTS + 4);
     assert!(fail.to_string().contains("no stage succeeded"), "{fail}");
+}
+
+#[test]
+fn starved_lanczos_escalates_to_dense_eigensolve() {
+    // no injected faults: a 4-vector basis with no restarts cannot reach
+    // the residual tolerance on 220 nets (above the 48-net dense cutoff),
+    // so every Lanczos link fails for real and the dense link wins
+    let mut opts = RobustOptions::default();
+    opts.ig_match.lanczos.max_basis = 4;
+    opts.ig_match.lanczos.max_restarts = 0;
+    let hg = circuit();
+    assert!(hg.num_nets() > opts.ig_match.lanczos.dense_cutoff);
+    let out = robust_partition(&hg, &opts).unwrap();
+    assert_eq!(
+        out.diagnostics.winning_stage,
+        Some(FallbackStage::DenseEigensolve)
+    );
+    assert_eq!(out.diagnostics.attempts.len(), RESEED_ATTEMPTS + 2);
+    for a in &out.diagnostics.attempts[..RESEED_ATTEMPTS + 1] {
+        assert!(
+            matches!(
+                a.error,
+                Some(PartitionError::Eigen(EigenError::NoConvergence { .. }))
+            ),
+            "{a:?}"
+        );
+    }
 }
 
 #[test]
@@ -163,24 +169,36 @@ fn budget_limited_run_returns_within_twice_the_limit() {
     // acceptance criterion: a budget-limited run must come back within
     // 2x the requested wall clock (cooperative checks are per-iteration,
     // so in practice it is far tighter; the bound guards against hangs)
+    let run = |hg: &Hypergraph, opts: &RobustOptions, limit: Duration| {
+        let meter = BudgetMeter::new(&Budget::UNLIMITED.with_wall_clock(limit));
+        let started = Instant::now();
+        let outcome = robust_partition_ctx(hg, opts, &RunContext::with_meter(&meter));
+        let took = started.elapsed();
+        assert!(
+            took < limit * 2,
+            "took {took:.1?} against a {limit:.1?} budget"
+        );
+        outcome
+    };
+
     let hg = generate(&GeneratorConfig::new(600, 650, 0xB1D).with_satellite(0.1, 4));
-    let limit = Duration::from_millis(250);
-    let meter = BudgetMeter::new(&Budget::UNLIMITED.with_wall_clock(limit));
-    let started = Instant::now();
-    let outcome = robust_partition_ctx(
-        &hg,
-        &RobustOptions::default(),
-        &RunContext::with_meter(&meter),
-    );
-    let took = started.elapsed();
-    assert!(
-        took < limit * 2,
-        "took {took:.1?} against a {limit:.1?} budget"
-    );
     // either answer is acceptable; exhaustion must be structured
-    if let Err(fail) = outcome {
+    if let Err(fail) = run(&hg, &RobustOptions::default(), Duration::from_millis(250)) {
         assert!(matches!(fail.error, PartitionError::Budget(_)), "{fail}");
     }
+
+    // with every Lanczos link faulted the dense link runs: an O(n³)
+    // Jacobi solve on 1,500+ nets that only its per-row meter checks
+    // can stop in time
+    let hg = generate(&GeneratorConfig::new(1500, 1600, 0xDE45));
+    assert!(hg.num_nets() >= 1500);
+    let plan = FaultPlan::new()
+        .with(FallbackStage::IgMatch, FaultKind::NoConvergence)
+        .with(FallbackStage::ReseededLanczos, FaultKind::NoConvergence);
+    let fail = run(&hg, &opts_with(plan), Duration::from_millis(200)).unwrap_err();
+    assert!(matches!(fail.error, PartitionError::Budget(_)), "{fail}");
+    let last = fail.diagnostics.attempts.last().unwrap();
+    assert_eq!(last.label, FallbackStage::DenseEigensolve);
 }
 
 #[test]
