@@ -29,6 +29,17 @@ pub(crate) enum PrefixObjective {
     AreaRatio,
 }
 
+impl PrefixObjective {
+    /// The objective value of `tracker`'s current partition.
+    fn score(self, tracker: &CutTracker<'_>) -> f64 {
+        match self {
+            PrefixObjective::Cut => tracker.cut_nets() as f64,
+            PrefixObjective::Ratio => tracker.ratio(),
+            PrefixObjective::AreaRatio => tracker.area_ratio(),
+        }
+    }
+}
+
 /// Options for [`fm_bisect`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FmOptions {
@@ -240,15 +251,8 @@ impl GainBuckets {
     }
 }
 
-/// One *group-swapping* pass: moves are forced to alternate sides, so the
-/// tentative sequence explores pairwise exchanges rather than one-sided
-/// shifts (the second ingredient of Wei–Cheng's RCut recipe). Returns
-/// `true` if the objective improved.
-pub(crate) fn run_swap_pass(
-    hg: &Hypergraph,
-    tracker: &mut CutTracker<'_>,
-    objective: PrefixObjective,
-) -> bool {
+/// One bucket list per side, seeded with every module's current gain.
+fn seed_buckets(hg: &Hypergraph, tracker: &CutTracker<'_>) -> (GainBuckets, GainBuckets) {
     let n = hg.num_modules();
     let max_gain = hg
         .modules()
@@ -265,14 +269,52 @@ pub(crate) fn run_swap_pass(
             Side::Right => right.insert(m.0, g),
         }
     }
-    let score = |t: &CutTracker<'_>| -> f64 {
-        match objective {
-            PrefixObjective::Cut => t.cut_nets() as f64,
-            PrefixObjective::Ratio => t.ratio(),
-            PrefixObjective::AreaRatio => t.area_ratio(),
+    (left, right)
+}
+
+/// Refreshes the gains of the unlocked modules on the nets of `moved`.
+fn refresh_gains(
+    hg: &Hypergraph,
+    tracker: &CutTracker<'_>,
+    moved: ModuleId,
+    locked: &[bool],
+    left: &mut GainBuckets,
+    right: &mut GainBuckets,
+) {
+    for &net in hg.nets_of(moved) {
+        for &p in hg.pins(net) {
+            if locked[p.index()] {
+                continue;
+            }
+            let g = tracker.gain(p);
+            match tracker.side(p) {
+                Side::Left => left.update(p.0, g),
+                Side::Right => right.update(p.0, g),
+            }
         }
-    };
-    let initial_score = score(tracker);
+    }
+}
+
+/// Undoes `moves`, last first.
+fn rewind(tracker: &mut CutTracker<'_>, moves: &[ModuleId]) {
+    for &m in moves.iter().rev() {
+        let side = tracker.side(m);
+        tracker.move_module(m, side.flip());
+    }
+}
+
+/// One *group-swapping* pass: moves are forced to alternate sides, so the
+/// tentative sequence explores pairwise exchanges rather than one-sided
+/// shifts (the second ingredient of Wei–Cheng's RCut recipe). Returns
+/// `true` if the objective improved.
+pub(crate) fn run_swap_pass(
+    hg: &Hypergraph,
+    tracker: &mut CutTracker<'_>,
+    objective: PrefixObjective,
+) -> bool {
+    let n = hg.num_modules();
+    let (mut left, mut right) = seed_buckets(hg, tracker);
+    let initial_score = objective.score(tracker);
     let mut best_score = initial_score;
     let mut best_prefix = 0usize;
     let mut moves: Vec<ModuleId> = Vec::with_capacity(n);
@@ -299,21 +341,10 @@ pub(crate) fn run_swap_pass(
         let module = ModuleId(m);
         tracker.move_module(module, dest);
         moves.push(module);
-        for &net in hg.nets_of(module) {
-            for &p in hg.pins(net) {
-                if locked[p.index()] {
-                    continue;
-                }
-                let g = tracker.gain(p);
-                match tracker.side(p) {
-                    Side::Left => left.update(p.0, g),
-                    Side::Right => right.update(p.0, g),
-                }
-            }
-        }
+        refresh_gains(hg, tracker, module, &locked, &mut left, &mut right);
         // only evaluate after each completed pair (a swap)
         if moves.len().is_multiple_of(2) {
-            let s = score(tracker);
+            let s = objective.score(tracker);
             if s < best_score {
                 best_score = s;
                 best_prefix = moves.len();
@@ -321,10 +352,7 @@ pub(crate) fn run_swap_pass(
         }
         take_from = take_from.flip();
     }
-    for &m in moves[best_prefix..].iter().rev() {
-        let side = tracker.side(m);
-        tracker.move_module(m, side.flip());
-    }
+    rewind(tracker, &moves[best_prefix..]);
     best_score < initial_score
 }
 
@@ -340,30 +368,8 @@ pub(crate) fn run_pass(
     objective: PrefixObjective,
 ) -> bool {
     let n = hg.num_modules();
-    let max_gain = hg
-        .modules()
-        .map(|m| hg.degree(m) as i64)
-        .max()
-        .unwrap_or(0)
-        .max(1);
-    let mut left = GainBuckets::new(n, max_gain);
-    let mut right = GainBuckets::new(n, max_gain);
-    for m in hg.modules() {
-        let g = tracker.gain(m);
-        match tracker.side(m) {
-            Side::Left => left.insert(m.0, g),
-            Side::Right => right.insert(m.0, g),
-        }
-    }
-
-    let score = |t: &CutTracker<'_>| -> f64 {
-        match objective {
-            PrefixObjective::Cut => t.cut_nets() as f64,
-            PrefixObjective::Ratio => t.ratio(),
-            PrefixObjective::AreaRatio => t.area_ratio(),
-        }
-    };
-    let initial_score = score(tracker);
+    let (mut left, mut right) = seed_buckets(hg, tracker);
+    let initial_score = objective.score(tracker);
     let mut best_score = initial_score;
     let mut best_prefix = 0usize;
     let mut best_balance = tracker.stats().left.abs_diff(tracker.stats().right);
@@ -402,22 +408,9 @@ pub(crate) fn run_pass(
         let module = ModuleId(m);
         tracker.move_module(module, dest);
         moves.push(module);
+        refresh_gains(hg, tracker, module, &locked, &mut left, &mut right);
 
-        // refresh gains of unlocked modules on affected nets
-        for &net in hg.nets_of(module) {
-            for &p in hg.pins(net) {
-                if locked[p.index()] {
-                    continue;
-                }
-                let g = tracker.gain(p);
-                match tracker.side(p) {
-                    Side::Left => left.update(p.0, g),
-                    Side::Right => right.update(p.0, g),
-                }
-            }
-        }
-
-        let s = score(tracker);
+        let s = objective.score(tracker);
         let balance = tracker.stats().left.abs_diff(tracker.stats().right);
         if s < best_score || (s == best_score && balance < best_balance) {
             best_score = s;
@@ -426,11 +419,7 @@ pub(crate) fn run_pass(
         }
     }
 
-    // rewind to the best prefix
-    for &m in moves[best_prefix..].iter().rev() {
-        let side = tracker.side(m);
-        tracker.move_module(m, side.flip());
-    }
+    rewind(tracker, &moves[best_prefix..]);
     best_score < initial_score
 }
 

@@ -224,38 +224,12 @@ pub struct AreaRcutResult {
 /// paper suggests for spectral output (§5). Returns the improved partition
 /// and its statistics; the result is never worse than the input.
 ///
-/// # Panics
-///
-/// Panics if `initial.len() != hg.num_modules()` or the netlist has fewer
-/// than 2 modules.
-///
-/// # Example
-///
-/// ```
-/// use np_baselines::rcut::refine_ratio_cut;
-/// use np_netlist::{hypergraph_from_nets, Bipartition, ModuleId};
-///
-/// let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
-/// let rough = Bipartition::from_left_set(4, [ModuleId(0), ModuleId(2)]);
-/// let (improved, stats) = refine_ratio_cut(&hg, &rough, 10);
-/// assert!(stats.ratio() <= rough.ratio_cut(&hg));
-/// assert_eq!(stats, improved.cut_stats(&hg));
-/// ```
-pub fn refine_ratio_cut(
-    hg: &Hypergraph,
-    initial: &Bipartition,
-    max_passes: usize,
-) -> (Bipartition, CutStats) {
-    refine_ratio_cut_metered(hg, initial, max_passes, &BudgetMeter::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// Budget-aware variant of [`refine_ratio_cut`]: each shifting pass charges
-/// one unit against `meter` (the same accounting unit as an eigensolver
-/// matrix–vector product), so wall-clock and work budgets are enforced
-/// between passes. On exhaustion the passes completed so far are simply
-/// discarded by the caller — refinement is optional polish, so partial
-/// progress need not be surfaced.
+/// Each shifting pass charges one unit against `meter` (the same
+/// accounting unit as an eigensolver matrix–vector product), so
+/// wall-clock and work budgets are enforced between passes. On exhaustion
+/// the passes completed so far are simply discarded by the caller —
+/// refinement is optional polish, so partial progress need not be
+/// surfaced.
 ///
 /// # Errors
 ///
@@ -264,7 +238,23 @@ pub fn refine_ratio_cut(
 ///
 /// # Panics
 ///
-/// Same structural panics as [`refine_ratio_cut`].
+/// Panics if `initial.len() != hg.num_modules()` or the netlist has fewer
+/// than 2 modules.
+///
+/// # Example
+///
+/// ```
+/// use np_baselines::rcut::refine_ratio_cut_metered;
+/// use np_netlist::{hypergraph_from_nets, Bipartition, ModuleId};
+/// use np_sparse::BudgetMeter;
+///
+/// let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
+/// let rough = Bipartition::from_left_set(4, [ModuleId(0), ModuleId(2)]);
+/// let (improved, stats) =
+///     refine_ratio_cut_metered(&hg, &rough, 10, &BudgetMeter::unlimited()).unwrap();
+/// assert!(stats.ratio() <= rough.ratio_cut(&hg));
+/// assert_eq!(stats, improved.cut_stats(&hg));
+/// ```
 pub fn refine_ratio_cut_metered(
     hg: &Hypergraph,
     initial: &Bipartition,
@@ -382,7 +372,8 @@ mod tests {
             let left = (0..6u32).filter(|_| rng.gen_bool(0.5)).map(ModuleId);
             let p = Bipartition::from_left_set(6, left);
             let before = p.ratio_cut(&hg);
-            let (_, stats) = refine_ratio_cut(&hg, &p, 10);
+            let (_, stats) =
+                refine_ratio_cut_metered(&hg, &p, 10, &BudgetMeter::unlimited()).unwrap();
             assert!(stats.ratio() <= before + 1e-12);
         }
     }
@@ -391,7 +382,8 @@ mod tests {
     fn refine_reaches_local_optimum() {
         let hg = two_triangles();
         let p = Bipartition::from_left_set(6, [ModuleId(0), ModuleId(3)]);
-        let (improved, stats) = refine_ratio_cut(&hg, &p, 20);
+        let (improved, stats) =
+            refine_ratio_cut_metered(&hg, &p, 20, &BudgetMeter::unlimited()).unwrap();
         assert_eq!(stats.cut_nets, 1);
         assert_eq!(improved.cut_stats(&hg), stats);
     }

@@ -16,9 +16,10 @@
 //! cargo run --release -p bench --bin multilevel [-- OUT.json]
 //! ```
 
-use bench::{timed, BenchEntry, BenchReport};
+use bench::{per_sec, timed};
 use np_core::engine::RunContext;
 use np_multilevel::{multilevel_ctx, MultilevelOptions};
+use np_runner::json::Obj;
 use np_sparse::{Budget, BudgetMeter};
 use np_testkit::band_ladder;
 use std::time::Duration;
@@ -44,8 +45,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_multilevel.json".to_string());
-    let mut report = BenchReport::new("multilevel");
-    report.meta("kernel", "v-cycle");
+    let mut rows = Vec::new();
     for spec in band_ladder() {
         if spec.modules > MAX_MODULES {
             eprintln!(
@@ -64,7 +64,7 @@ fn main() {
             let ctx = RunContext::with_meter(&vcycle_meter);
             multilevel_ctx(&hg, &opts, &ctx).expect("V-cycle")
         });
-        let matvecs = vcycle_meter.matvecs_used() as usize;
+        let matvecs = vcycle_meter.matvecs_used();
         let flat_opts = MultilevelOptions {
             coarsen_target: usize::MAX,
             ..opts
@@ -78,22 +78,22 @@ fn main() {
         });
         let ml_ms = ml_wall.as_secs_f64() * 1e3;
         let flat_ms = flat_wall.as_secs_f64() * 1e3;
-        let mut entry = BenchEntry::new()
+        let mut entry = Obj::new()
             .str("name", spec.name)
-            .int("modules", spec.modules)
-            .int("nets", spec.nets)
-            .int("levels", ml.levels)
-            .int("coarsest_modules", ml.coarsest_modules)
-            .int("coarse_cut", ml.coarse_cut)
-            .int("vcycle_cut", ml.result.stats.cut_nets)
-            .sci("vcycle_ratio", ml.result.ratio())
-            .fixed("vcycle_ms", ml_ms)
+            .int("modules", spec.modules as u64)
+            .int("nets", spec.nets as u64)
+            .int("levels", ml.levels as u64)
+            .int("coarsest_modules", ml.coarsest_modules as u64)
+            .int("coarse_cut", ml.coarse_cut as u64)
+            .int("vcycle_cut", ml.result.stats.cut_nets as u64)
+            .num("vcycle_ratio", ml.result.ratio())
+            .num("vcycle_ms", ml_ms)
             .int("matvecs", matvecs)
             // canonical throughput field: the headline (fast-arm) rate
             // every bench record carries under the same key
-            .rate("matvecs_per_sec", matvecs, ml_wall)
-            .fixed("flat_budget_ms", flat_budget.as_secs_f64() * 1e3)
-            .int("flat_completed", flat.is_ok() as usize);
+            .num("matvecs_per_sec", per_sec(matvecs as usize, ml_wall))
+            .num("flat_budget_ms", flat_budget.as_secs_f64() * 1e3)
+            .int("flat_completed", flat.is_ok() as u64);
         match flat {
             Ok(f) => {
                 let quality_delta =
@@ -118,11 +118,11 @@ fn main() {
                     quality_delta * 100.0
                 );
                 entry = entry
-                    .int("flat_cut", f.result.stats.cut_nets)
-                    .sci("flat_ratio", f.result.ratio())
-                    .fixed("flat_ms", flat_ms)
-                    .fixed("quality_delta_pct", quality_delta * 100.0)
-                    .fixed("wall_speedup", flat_ms / ml_ms.max(1e-9));
+                    .int("flat_cut", f.result.stats.cut_nets as u64)
+                    .num("flat_ratio", f.result.ratio())
+                    .num("flat_ms", flat_ms)
+                    .num("quality_delta_pct", quality_delta * 100.0)
+                    .num("wall_speedup", flat_ms / ml_ms.max(1e-9));
             }
             Err(e) => {
                 println!(
@@ -137,7 +137,7 @@ fn main() {
                 entry = entry.str("flat_error", &e.to_string());
             }
         }
-        report.push(entry);
+        rows.push(entry);
     }
-    report.write(&out_path);
+    bench::write(&out_path, &bench::record("multilevel", "v-cycle", &rows));
 }

@@ -16,10 +16,11 @@
 //! cargo run --release -p bench --bin sweep [-- OUT.json]
 //! ```
 
-use bench::{best_of, BenchEntry, BenchReport};
+use bench::{best_of, per_sec};
 use np_core::igmatch::{CompletionOracle, SplitClassification, SplitMatcher, SweepState};
 use np_core::models::intersection_neighbors;
 use np_netlist::Hypergraph;
+use np_runner::json::Obj;
 use np_testkit::banded_hypergraph;
 
 /// Timed repetitions per configuration; the minimum is reported.
@@ -98,8 +99,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let mut report = BenchReport::new("sweep");
-    report.meta("kernel", "ig-match-sweep");
+    let mut rows = Vec::new();
     for (name, seed, modules, nets, band) in INSTANCES {
         let hg = banded_hypergraph(seed, modules, nets, band);
         let neighbors = intersection_neighbors(&hg);
@@ -116,31 +116,31 @@ fn main() {
         // Each sweep step moves one net across the split and re-evaluates,
         // so the sweep's unit of work is `nets - 1` moves per pass.
         let moves = nets - 1;
-        let per_sec = moves as f64 / inc.as_secs_f64().max(1e-9);
+        let rate = per_sec(moves, inc);
         println!(
             "{name:<8} {modules:>6} modules {nets:>6} nets: from-scratch {scratch_ms:>9.1} ms  \
-             incremental {inc_ms:>9.1} ms  speedup {speedup:>6.1}x  {per_sec:>9.0} moves/s"
+             incremental {inc_ms:>9.1} ms  speedup {speedup:>6.1}x  {rate:>9.0} moves/s"
         );
-        report.push(
-            BenchEntry::new()
+        rows.push(
+            Obj::new()
                 .str("name", name)
-                .int("modules", modules)
-                .int("nets", nets)
-                .int("band", band)
-                .int("best_split", inc_winner.split_rank)
-                .int("matching_size", inc_winner.matching_size)
-                .int("loser_count", inc_winner.loser_count)
-                .sci("best_ratio", f64::from_bits(inc_winner.ratio_bits))
-                .int("sweep_moves", moves)
-                .fixed("from_scratch_ms", scratch_ms)
-                .fixed("incremental_ms", inc_ms)
-                .rate("from_scratch_moves_per_sec", moves, scratch)
-                .rate("incremental_moves_per_sec", moves, inc)
+                .int("modules", modules as u64)
+                .int("nets", nets as u64)
+                .int("band", band as u64)
+                .int("best_split", inc_winner.split_rank as u64)
+                .int("matching_size", inc_winner.matching_size as u64)
+                .int("loser_count", inc_winner.loser_count as u64)
+                .num("best_ratio", f64::from_bits(inc_winner.ratio_bits))
+                .int("sweep_moves", moves as u64)
+                .num("from_scratch_ms", scratch_ms)
+                .num("incremental_ms", inc_ms)
+                .num("from_scratch_moves_per_sec", per_sec(moves, scratch))
+                .num("incremental_moves_per_sec", rate)
                 // canonical throughput field: the headline (fast-arm) rate
                 // every bench record carries under the same key
-                .rate("sweep_moves_per_sec", moves, inc)
-                .fixed("speedup", speedup),
+                .num("sweep_moves_per_sec", rate)
+                .num("speedup", speedup),
         );
     }
-    report.write(&out_path);
+    bench::write(&out_path, &bench::record("sweep", "ig-match-sweep", &rows));
 }

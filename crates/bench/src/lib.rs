@@ -30,9 +30,11 @@
 //! | `multilevel` | V-cycle vs flat cut on the band ladder (`BENCH_multilevel.json`) |
 //! | `soak` | np-serve endurance run: no leaked permits, threads or cache bytes |
 //!
-//! `sweep` and `multilevel` emit their JSON records through the shared
-//! [`BenchReport`] harness, so every record carries the same
-//! `{"schema": "bench/<name>/v1", ..., "benchmarks": [...]}` envelope.
+//! `sweep` and `multilevel` build their rows with `np_runner::json::Obj`
+//! and wrap them in one [`record`] envelope,
+//! `{"schema": "bench/<name>/v1", "kernel": …, "benchmarks": […]}`, so
+//! every record has the same shape and parses with
+//! `np_runner::json::parse`.
 //!
 //! The best-of-N baselines (`table2`'s RCut1.0, `ablation_areas`'
 //! area-aware RCut) run their restart loops as `np-runner` portfolios:
@@ -45,7 +47,7 @@
 
 use np_netlist::generate::{mcnc_suite, Benchmark};
 use np_netlist::CutStats;
-use np_runner::escape_json;
+use np_runner::json::Obj;
 use std::time::{Duration, Instant};
 
 /// One comparison row: a circuit name plus the two contestants' stats.
@@ -146,142 +148,56 @@ pub fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     (out, best)
 }
 
-/// One benchmark record of a [`BenchReport`]: an ordered list of
-/// key/value fields rendered as a JSON object.
-///
-/// The build environment has no JSON crate, so values are rendered at
-/// insertion time by typed builder methods; string values pass through
-/// [`escape_json`], while keys are expected to be plain identifiers (no
-/// escaping is performed).
-#[derive(Clone, Debug, Default)]
-pub struct BenchEntry {
-    fields: Vec<(String, String)>,
-}
-
-impl BenchEntry {
-    /// An empty record.
-    pub fn new() -> Self {
-        BenchEntry::default()
-    }
-
-    /// Adds a string field.
-    #[must_use]
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields.push((key.into(), escape_json(value)));
-        self
-    }
-
-    /// Adds an integer field.
-    #[must_use]
-    pub fn int(mut self, key: &str, value: usize) -> Self {
-        self.fields.push((key.into(), value.to_string()));
-        self
-    }
-
-    /// Adds a fixed-point field (three decimals — the convention for
-    /// millisecond timings and speedups).
-    #[must_use]
-    pub fn fixed(mut self, key: &str, value: f64) -> Self {
-        self.fields.push((key.into(), format!("{value:.3}")));
-        self
-    }
-
-    /// Adds a scientific-notation field (the convention for ratio cuts).
-    #[must_use]
-    pub fn sci(mut self, key: &str, value: f64) -> Self {
-        self.fields.push((key.into(), format!("{value:e}")));
-        self
-    }
-
-    /// Adds a throughput field: `count` events over `wall`, rendered as
-    /// events per second. A zero wall records 0 — a rate computed from
-    /// an unmeasurably fast run carries no information.
-    #[must_use]
-    pub fn rate(self, key: &str, count: usize, wall: Duration) -> Self {
-        let secs = wall.as_secs_f64();
-        let per_sec = if secs > 0.0 { count as f64 / secs } else { 0.0 };
-        self.fixed(key, per_sec)
-    }
-
-    fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("    {{{}}}", body.join(", "))
+/// Events per second: `count` events over `wall`. A zero wall records
+/// 0 — a rate computed from an unmeasurably fast run carries no
+/// information.
+pub fn per_sec(count: usize, wall: Duration) -> f64 {
+    let secs = wall.as_secs_f64();
+    if secs > 0.0 {
+        count as f64 / secs
+    } else {
+        0.0
     }
 }
 
-/// The shared JSON envelope of the CI-tracked benchmark binaries:
-/// `{"schema": "bench/<name>/v1", <meta...>, "benchmarks": [<entries>]}`.
+/// The shared JSON envelope of the CI-tracked benchmark binaries,
+/// rendered on one line:
+/// `{"schema": "bench/<name>/v1", "kernel": …, "benchmarks": [<rows>]}`.
 ///
 /// # Example
 ///
 /// ```
-/// use bench::{BenchEntry, BenchReport};
+/// use np_runner::json::{parse, Obj};
 ///
-/// let mut report = BenchReport::new("demo");
-/// report.meta("kernel", "noop");
-/// report.push(BenchEntry::new().str("name", "bm1").int("modules", 882));
-/// assert!(report.to_json().contains("\"schema\": \"bench/demo/v1\""));
+/// let doc = bench::record("demo", "noop", &[Obj::new().str("name", "bm1").int("modules", 882)]);
+/// let doc = parse(&doc).unwrap();
+/// assert_eq!(doc.get("schema").and_then(|s| s.as_str()), Some("bench/demo/v1"));
 /// ```
-#[derive(Clone, Debug)]
-pub struct BenchReport {
-    schema: String,
-    meta: Vec<(String, String)>,
-    entries: Vec<BenchEntry>,
+pub fn record(name: &str, kernel: &str, rows: &[Obj]) -> String {
+    Obj::new()
+        .str("schema", &format!("bench/{name}/v1"))
+        .str("kernel", kernel)
+        .array("benchmarks", rows.iter().map(Obj::render))
+        .render()
 }
 
-impl BenchReport {
-    /// A report for schema `bench/<name>/v1` with no records yet.
-    pub fn new(name: &str) -> Self {
-        BenchReport {
-            schema: format!("bench/{name}/v1"),
-            meta: Vec::new(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Adds a top-level string field after `"schema"` (e.g. the kernel or
-    /// algorithm the record tracks).
-    pub fn meta(&mut self, key: &str, value: &str) {
-        self.meta.push((key.into(), escape_json(value)));
-    }
-
-    /// Appends one benchmark record.
-    pub fn push(&mut self, entry: BenchEntry) {
-        self.entries.push(entry);
-    }
-
-    /// Renders the full JSON document (trailing newline included).
-    pub fn to_json(&self) -> String {
-        let mut top = vec![format!("  \"schema\": \"{}\"", self.schema)];
-        top.extend(self.meta.iter().map(|(k, v)| format!("  \"{k}\": {v}")));
-        let entries: Vec<String> = self.entries.iter().map(BenchEntry::render).collect();
-        format!(
-            "{{\n{},\n  \"benchmarks\": [\n{}\n  ]\n}}\n",
-            top.join(",\n"),
-            entries.join(",\n")
-        )
-    }
-
-    /// Writes the document to `path` and logs the destination, exiting
-    /// with a panic on I/O failure (benchmark binaries have no caller to
-    /// report to).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.to_json()).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("written to {path}");
-    }
+/// Writes `json` plus a newline to `path` and logs the destination,
+/// exiting with a panic on I/O failure (benchmark binaries have no
+/// caller to report to).
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub fn write(path: &str, json: &str) {
+    std::fs::write(path, format!("{json}\n"))
+        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    eprintln!("written to {path}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_runner::json::{parse, Value};
 
     #[test]
     fn improvement_matches_paper_arithmetic() {
@@ -310,48 +226,62 @@ mod tests {
     }
 
     #[test]
-    fn report_envelope_shape() {
-        let mut report = BenchReport::new("demo");
-        report.meta("algorithm", "noop");
-        report.push(
-            BenchEntry::new()
-                .str("name", "bm1")
+    fn record_envelope_round_trips() {
+        let rows = [
+            Obj::new()
+                .str("name", "bm\n\u{1}end")
                 .int("modules", 882)
-                .fixed("wall_ms", 1.23456)
-                .sci("ratio", 5.53e-5),
-        );
-        report.push(BenchEntry::new().str("name", "bm2").int("modules", 7));
+                .num("wall_ms", 1.23456)
+                .num("ratio", 5.53e-5),
+            Obj::new().str("name", "bm2").int("modules", 7),
+        ];
+        let json = record("demo", "ci\\runner \"eu-1\"", &rows);
+        assert!(!json.contains('\n'), "{json}");
+        let doc = parse(&json).unwrap();
+        assert_eq!(doc.keys(), Some(vec!["schema", "kernel", "benchmarks"]));
         assert_eq!(
-            report.to_json(),
-            "{\n  \"schema\": \"bench/demo/v1\",\n  \"algorithm\": \"noop\",\n  \
-             \"benchmarks\": [\n    {\"name\": \"bm1\", \"modules\": 882, \
-             \"wall_ms\": 1.235, \"ratio\": 5.53e-5},\n    \
-             {\"name\": \"bm2\", \"modules\": 7}\n  ]\n}\n"
+            doc.get("schema").and_then(Value::as_str),
+            Some("bench/demo/v1")
+        );
+        assert_eq!(
+            doc.get("kernel").and_then(Value::as_str),
+            Some("ci\\runner \"eu-1\"")
+        );
+        let Some(Value::Array(benchmarks)) = doc.get("benchmarks") else {
+            panic!("benchmarks is not an array: {json}");
+        };
+        assert_eq!(benchmarks.len(), 2);
+        assert_eq!(
+            benchmarks[0].get("name").and_then(Value::as_str),
+            Some("bm\n\u{1}end")
+        );
+        assert_eq!(
+            benchmarks[0].get("ratio").and_then(Value::as_f64),
+            Some(5.53e-5)
+        );
+        assert_eq!(
+            benchmarks[1].get("modules").and_then(Value::as_u64),
+            Some(7)
         );
     }
 
     #[test]
-    fn rate_fields_are_events_per_second() {
-        let entry = BenchEntry::new()
-            .rate("moves_per_sec", 500, Duration::from_millis(250))
-            .rate("degenerate", 500, Duration::ZERO);
-        let rendered = entry.render();
-        assert!(
-            rendered.contains("\"moves_per_sec\": 2000.000"),
-            "{rendered}"
-        );
-        assert!(rendered.contains("\"degenerate\": 0.000"), "{rendered}");
+    fn checked_in_records_parse() {
+        for name in ["sweep", "multilevel"] {
+            let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(doc.keys(), Some(vec!["schema", "kernel", "benchmarks"]));
+            let schema = format!("bench/{name}/v1");
+            assert_eq!(doc.get("schema").and_then(Value::as_str), Some(&*schema));
+            assert!(matches!(doc.get("benchmarks"), Some(Value::Array(rows)) if !rows.is_empty()));
+        }
     }
 
     #[test]
-    fn string_fields_are_escaped() {
-        let mut report = BenchReport::new("demo");
-        report.meta("host", "ci\\runner \"eu-1\"");
-        report.push(BenchEntry::new().str("name", "bm\n\u{1}end"));
-        let json = report.to_json();
-        assert!(json.contains("\"host\": \"ci\\\\runner \\\"eu-1\\\"\""));
-        assert!(json.contains("\"name\": \"bm\\n\\u0001end\""));
-        assert!(json.chars().all(|c| c == '\n' || (c as u32) >= 0x20));
+    fn rates_are_events_per_second() {
+        assert_eq!(per_sec(500, Duration::from_millis(250)), 2000.0);
+        assert_eq!(per_sec(500, Duration::ZERO), 0.0);
     }
 
     #[test]

@@ -68,24 +68,8 @@ pub fn eig1_ctx(
 
 /// Evaluates every prefix split of a module ordering and returns the best
 /// ratio-cut partition. Exposed for reuse (any module ordering — spectral
-/// or otherwise — can be swept).
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the modules of `hg` or has
-/// fewer than 2 entries.
-pub fn sweep_module_ordering(
-    hg: &Hypergraph,
-    order: &[ModuleId],
-    algorithm: &'static str,
-) -> PartitionResult {
-    sweep_module_ordering_ctx(hg, order, algorithm, &RunContext::unlimited())
-        .expect("unlimited meter never trips")
-}
-
-/// [`sweep_module_ordering`] against an execution context — the single
-/// implementation behind every entry point. The context meter's wall
-/// clock is checked once per splitting rank.
+/// or otherwise — can be swept). The context meter's wall clock is
+/// checked once per splitting rank.
 ///
 /// # Errors
 ///
@@ -226,7 +210,7 @@ mod tests {
     fn sweep_respects_given_ordering() {
         let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
         let order: Vec<ModuleId> = [0u32, 1, 2, 3].iter().map(|&i| ModuleId(i)).collect();
-        let r = sweep_module_ordering(&hg, &order, "TEST");
+        let r = sweep_module_ordering_ctx(&hg, &order, "TEST", &RunContext::unlimited()).unwrap();
         // best prefix of the path ordering is the middle split: cut 1, 2:2
         assert_eq!(r.stats.cut_nets, 1);
         assert_eq!(r.stats.areas(), "2:2");
@@ -239,7 +223,7 @@ mod tests {
         // partition with finite ratio
         let hg = two_triangles();
         let order: Vec<ModuleId> = [0u32, 3, 1, 4, 2, 5].iter().map(|&i| ModuleId(i)).collect();
-        let r = sweep_module_ordering(&hg, &order, "TEST");
+        let r = sweep_module_ordering_ctx(&hg, &order, "TEST", &RunContext::unlimited()).unwrap();
         assert!(r.ratio().is_finite());
         assert_eq!(r.stats.left + r.stats.right, 6);
         assert!(r.stats.left > 0 && r.stats.right > 0);
@@ -287,7 +271,7 @@ mod tests {
     #[should_panic(expected = "ordering length mismatch")]
     fn sweep_wrong_length_panics() {
         let hg = two_triangles();
-        sweep_module_ordering(&hg, &[ModuleId(0)], "TEST");
+        let _ = sweep_module_ordering_ctx(&hg, &[ModuleId(0)], "TEST", &RunContext::unlimited());
     }
 
     #[test]

@@ -99,52 +99,17 @@ pub fn ig_vote_ctx(
     vote_with_ordering_threshold_ctx(hg, &order, opts.threshold, ctx)
 }
 
-/// Runs the IG-Vote module-assignment given an explicit net ordering.
-/// Exposed so the voting rule can be studied with non-spectral orderings.
+/// Runs the IG-Vote module-assignment given an explicit net ordering and
+/// voting threshold (fraction of a module's incident net weight that must
+/// shift before it moves). Exposed so the voting rule can be studied with
+/// non-spectral orderings. The voting passes check the context meter's
+/// wall clock at every net step.
 ///
 /// # Errors
 ///
 /// [`PartitionError::Degenerate`] if no candidate partition has two
-/// non-empty sides.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the nets of `hg`.
-pub fn vote_with_ordering(
-    hg: &Hypergraph,
-    order: &[NetId],
-) -> Result<PartitionResult, PartitionError> {
-    vote_with_ordering_threshold(hg, order, 0.5)
-}
-
-/// [`vote_with_ordering`] with an explicit voting threshold (fraction of
-/// a module's incident net weight that must shift before it moves).
-///
-/// # Errors
-///
-/// [`PartitionError::Degenerate`] if no candidate partition has two
-/// non-empty sides.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the nets of `hg`.
-pub fn vote_with_ordering_threshold(
-    hg: &Hypergraph,
-    order: &[NetId],
-    threshold: f64,
-) -> Result<PartitionResult, PartitionError> {
-    vote_with_ordering_threshold_ctx(hg, order, threshold, &RunContext::unlimited())
-}
-
-/// [`vote_with_ordering_threshold`] against an execution context — the
-/// single implementation behind every entry point. The voting passes
-/// check the context meter's wall clock at every net step.
-///
-/// # Errors
-///
-/// The [`vote_with_ordering_threshold`] errors plus
-/// [`PartitionError::Budget`] when the context's meter reports a limit
-/// hit.
+/// non-empty sides; [`PartitionError::Budget`] when the context's meter
+/// reports a limit hit.
 ///
 /// # Panics
 ///
@@ -302,7 +267,8 @@ mod tests {
         let hg = two_triangles();
         // cluster-A nets first, bridge in the middle, cluster-B nets last
         let order: Vec<NetId> = [0u32, 1, 2, 6, 3, 4, 5].iter().map(|&i| NetId(i)).collect();
-        let r = vote_with_ordering(&hg, &order).unwrap();
+        let r =
+            vote_with_ordering_threshold_ctx(&hg, &order, 0.5, &RunContext::unlimited()).unwrap();
         assert_eq!(r.stats.cut_nets, 1);
     }
 
@@ -319,7 +285,8 @@ mod tests {
         // half of its weight, which meets the ≥ w/2 threshold
         let hg = hypergraph_from_nets(3, &[vec![0, 1], vec![1, 2]]);
         let order: Vec<NetId> = vec![NetId(0), NetId(1)];
-        let r = vote_with_ordering(&hg, &order).unwrap();
+        let r =
+            vote_with_ordering_threshold_ctx(&hg, &order, 0.5, &RunContext::unlimited()).unwrap();
         // after net 0 moves: modules {0,1} moved -> partition {0,1}|{2}
         // with cut 1, ratio 1/2; the sweep can't do better on this chain
         assert_eq!(r.stats.cut_nets, 1);
@@ -331,7 +298,7 @@ mod tests {
         let hg = hypergraph_from_nets(3, &[vec![0, 1, 2]]);
         let order = vec![NetId(0)];
         assert!(matches!(
-            vote_with_ordering(&hg, &order),
+            vote_with_ordering_threshold_ctx(&hg, &order, 0.5, &RunContext::unlimited()),
             Err(PartitionError::Degenerate)
         ));
     }

@@ -14,7 +14,7 @@
 //! Fiedler vector is found, it joins the deflation set and the next
 //! smallest eigenpair is computed, and so on.
 
-use crate::models::{clique_laplacian, intersection_laplacian, IgWeighting};
+use crate::models::clique_laplacian;
 use crate::PartitionError;
 use np_eigen::{smallest_deflated, LanczosOptions};
 use np_netlist::Hypergraph;
@@ -129,24 +129,10 @@ pub fn module_placement(
     hall_placement(&clique_laplacian(hg), dims, opts)
 }
 
-/// Hall placement of the netlist's *nets* on the intersection graph — the
-/// "nets-as-points" view (paper §2.2, citing Pillage–Rohrer).
-///
-/// # Errors
-///
-/// Same as [`hall_placement`].
-pub fn net_placement(
-    hg: &Hypergraph,
-    weighting: IgWeighting,
-    dims: usize,
-    opts: &LanczosOptions,
-) -> Result<SpectralPlacement, PartitionError> {
-    hall_placement(&intersection_laplacian(hg, weighting), dims, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::{intersection_laplacian, IgWeighting};
     use np_eigen::dense::{jacobi_eigen, materialize};
     use np_netlist::hypergraph_from_nets;
     use np_sparse::vecops::dot;
@@ -218,8 +204,11 @@ mod tests {
 
     #[test]
     fn net_placement_works() {
+        // the "nets-as-points" view (paper §2.2, citing Pillage–Rohrer):
+        // Hall placement of the nets on the intersection graph
         let hg = two_triangles();
-        let p = net_placement(&hg, IgWeighting::Paper, 2, &Default::default()).unwrap();
+        let ig = intersection_laplacian(&hg, IgWeighting::Paper);
+        let p = hall_placement(&ig, 2, &Default::default()).unwrap();
         assert_eq!(p.len(), hg.num_nets());
         assert_eq!(p.dims(), 2);
     }

@@ -74,11 +74,12 @@
 #![forbid(unsafe_code)]
 
 pub mod algorithm;
+pub mod json;
 mod report;
 pub mod trace;
 
 pub use algorithm::Algorithm;
-pub use report::{escape_json, AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
+pub use report::{AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
 pub use trace::{record_attempt_spans, SpanFanIn};
 
 use np_baselines::{fm_bisect_metered, FmOptions};

@@ -1,9 +1,6 @@
 //! Portfolio run reports and their JSON serialization.
-//!
-//! The JSON writer is hand-rolled (this workspace carries no external
-//! dependencies): the schema is flat, every string passes through
-//! [`escape_json`], and non-finite floats serialize as `null`.
 
+use crate::json::Obj;
 use crate::{PortfolioOptions, Slot};
 use std::fmt;
 use std::time::Duration;
@@ -109,60 +106,47 @@ pub struct PortfolioReport {
 }
 
 impl PortfolioReport {
-    /// Serializes the report as a self-contained JSON object (no
-    /// external dependencies; see [`REPORT_SCHEMA`]).
+    /// Serializes the report as one line of JSON (see [`REPORT_SCHEMA`]).
+    /// Absent values are `null`; floats use `{:e}`, which parses back to
+    /// the same bits.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + 192 * self.attempts.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", escape_json(REPORT_SCHEMA)));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!(
-            "  \"target_ratio\": {},\n",
-            json_f64(self.target_ratio)
-        ));
-        out.push_str(&format!(
-            "  \"wall_ms\": {},\n",
-            json_f64(Some(self.wall.as_secs_f64() * 1e3))
-        ));
-        out.push_str(&format!("  \"cancelled\": {},\n", self.cancelled));
-        out.push_str(&format!("  \"winner\": {},\n", json_usize(self.winner)));
-        out.push_str(&format!(
-            "  \"best_score\": {},\n",
-            json_f64(self.best_score)
-        ));
-        out.push_str("  \"attempts\": [");
-        for (i, a) in self.attempts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"index\": {}, ", a.index));
-            out.push_str(&format!("\"label\": {}, ", escape_json(&a.label)));
-            out.push_str(&format!("\"status\": {}, ", escape_json(a.status.as_str())));
-            out.push_str(&format!(
-                "\"algorithm\": {}, ",
-                json_opt_string(a.algorithm.as_deref())
-            ));
-            out.push_str(&format!("\"ratio\": {}, ", json_f64(a.ratio)));
-            out.push_str(&format!("\"cut_nets\": {}, ", json_usize(a.cut_nets)));
-            out.push_str(&format!("\"score\": {}, ", json_f64(a.score)));
-            out.push_str(&format!(
-                "\"wall_ms\": {}, ",
-                json_f64(Some(a.wall.as_secs_f64() * 1e3))
-            ));
-            out.push_str(&format!("\"charge\": {}, ", a.charge));
-            out.push_str(&format!(
-                "\"error\": {}",
-                json_opt_string(a.error.as_deref())
-            ));
-            out.push('}');
-        }
-        if !self.attempts.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let attempts = self.attempts.iter().map(|a| {
+            let obj = Obj::new()
+                .int("index", a.index as u64)
+                .str("label", &a.label)
+                .str("status", a.status.as_str());
+            let obj = opt(obj, "algorithm", a.algorithm.as_deref(), Obj::str);
+            let obj = opt(obj, "ratio", a.ratio, Obj::num);
+            let obj = opt(obj, "cut_nets", a.cut_nets.map(|c| c as u64), Obj::int);
+            let obj = opt(obj, "score", a.score, Obj::num)
+                .num("wall_ms", a.wall.as_secs_f64() * 1e3)
+                .int("charge", a.charge);
+            opt(obj, "error", a.error.as_deref(), Obj::str).render()
+        });
+        let obj = Obj::new()
+            .str("schema", REPORT_SCHEMA)
+            .int("seed", self.seed)
+            .int("threads", self.threads as u64);
+        let obj = opt(obj, "target_ratio", self.target_ratio, Obj::num)
+            .num("wall_ms", self.wall.as_secs_f64() * 1e3)
+            .bool("cancelled", self.cancelled);
+        let obj = opt(obj, "winner", self.winner.map(|w| w as u64), Obj::int);
+        opt(obj, "best_score", self.best_score, Obj::num)
+            .array("attempts", attempts)
+            .render()
+    }
+}
+
+/// Adds `value` under `key` with `put`, or `null` when it is absent.
+fn opt<T>(
+    obj: Obj,
+    key: &'static str,
+    value: Option<T>,
+    put: fn(Obj, &'static str, T) -> Obj,
+) -> Obj {
+    match value {
+        Some(v) => put(obj, key, v),
+        None => obj.null(key),
     }
 }
 
@@ -207,85 +191,31 @@ pub(crate) fn assemble(
     }
 }
 
-/// Renders `s` as a JSON string literal (quotes included), escaping
-/// quotes, backslashes and control characters. This is the workspace's
-/// one JSON string escaper: the portfolio report, the `np-serve` wire
-/// frames and the bench records all write strings through it.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_opt_string(s: Option<&str>) -> String {
-    match s {
-        Some(s) => escape_json(s),
-        None => "null".to_string(),
-    }
-}
-
-/// Finite floats print with full round-trip precision; `None` and
-/// non-finite values become `null` (JSON has no NaN/inf).
-fn json_f64(v: Option<f64>) -> String {
-    match v {
-        Some(v) if v.is_finite() => {
-            // `{}` on f64 is round-trip exact in Rust but prints
-            // integral values without a decimal point, which some JSON
-            // consumers type as int — force a float spelling
-            let s = format!("{v}");
-            if s.contains('.') || s.contains('e') || s.contains('E') {
-                s
-            } else {
-                format!("{s}.0")
-            }
-        }
-        _ => "null".to_string(),
-    }
-}
-
-fn json_usize(v: Option<usize>) -> String {
-    match v {
-        Some(v) => format!("{v}"),
-        None => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{parse, Value};
 
     fn sample_report() -> PortfolioReport {
         PortfolioReport {
             seed: 7,
             threads: 2,
-            target_ratio: None,
-            wall: Duration::from_millis(12),
+            target_ratio: Some(0.1 + 0.2),
+            wall: Duration::from_nanos(12_345_678_901),
             cancelled: false,
             winner: Some(1),
-            best_score: Some(0.25),
+            best_score: Some(1.0 / 3.0),
             attempts: vec![
                 AttemptReport {
                     index: 0,
                     label: "RCut#0".into(),
                     status: AttemptStatus::Completed,
                     algorithm: Some("RCut1.0".into()),
-                    ratio: Some(0.5),
+                    ratio: Some(5.53e-5),
                     cut_nets: Some(3),
-                    score: Some(0.5),
+                    score: Some(5.53e-5),
                     error: None,
-                    wall: Duration::from_millis(5),
+                    wall: Duration::from_nanos(5_000_001),
                     charge: 42,
                 },
                 AttemptReport {
@@ -293,109 +223,100 @@ mod tests {
                     label: "weird \"label\"\n".into(),
                     status: AttemptStatus::Won,
                     algorithm: Some("IG-Match".into()),
-                    ratio: Some(0.25),
+                    ratio: Some(1.0 / 3.0),
                     cut_nets: Some(1),
-                    score: Some(0.25),
+                    score: Some(1.0 / 3.0),
                     error: None,
                     wall: Duration::from_millis(7),
                     charge: 17,
+                },
+                AttemptReport {
+                    index: 2,
+                    label: "FM#2".into(),
+                    status: AttemptStatus::Panicked,
+                    algorithm: None,
+                    ratio: None,
+                    cut_nets: None,
+                    score: None,
+                    error: Some("panicked at 'boom\nline two'\r\u{7}".into()),
+                    wall: Duration::ZERO,
+                    charge: 0,
                 },
             ],
         }
     }
 
-    #[test]
-    fn json_contains_schema_and_fields() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"schema\": \"np-runner/portfolio-report/v1\""));
-        assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"winner\": 1"));
-        assert!(json.contains("\"best_score\": 0.25"));
-        assert!(json.contains("\"status\": \"won\""));
-        assert!(json.contains("\"target_ratio\": null"));
+    /// `null` for `None`, else the field parsed by `get`.
+    fn field<T: PartialEq + std::fmt::Debug>(
+        doc: &Value,
+        key: &str,
+        want: Option<T>,
+        get: impl Fn(&Value) -> Option<T>,
+    ) {
+        let v = doc.get(key).unwrap_or_else(|| panic!("missing {key}"));
+        match want {
+            Some(w) => assert_eq!(get(v), Some(w), "{key}"),
+            None => assert_eq!(v, &Value::Null, "{key}"),
+        }
     }
 
-    #[test]
-    fn json_escapes_strings() {
-        // labels and error strings are caller- (or panic-payload-)
-        // controlled; the report must stay valid JSON whatever they hold
-        let mut r = sample_report();
-        r.attempts[0].status = AttemptStatus::Panicked;
-        r.attempts[0].error = Some("panicked at 'boom\nline two'\r\u{7}".into());
+    fn bits(v: &Value) -> Option<u64> {
+        v.as_f64().map(f64::to_bits)
+    }
+
+    fn text(v: &Value) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+
+    /// Parses `r.to_json()` and checks every field against `r`: strings
+    /// unescape to the originals, absent values are `null`, and floats
+    /// come back bit for bit.
+    fn assert_round_trip(r: &PortfolioReport) {
         let json = r.to_json();
-        assert!(json.contains("\"weird \\\"label\\\"\\n\""), "{json}");
-        assert!(
-            json.contains("\"panicked at 'boom\\nline two'\\r\\u0007\""),
-            "{json}"
-        );
-        assert!(json.contains("\"status\": \"panicked\""));
-        // no raw control character may survive into the output
-        assert!(json.chars().all(|c| c == '\n' || (c as u32) >= 0x20));
-    }
-
-    #[test]
-    fn escape_json_table() {
-        // (raw, escaped): quotes, backslashes, raw control characters and
-        // path-like backslash runs are escaped; non-ASCII passes through
-        let table = [
-            ("", r#""""#),
-            ("weird \"label\"\n", r#""weird \"label\"\n""#),
-            (
-                "evil\"},{\"x\u{0}\u{1f}\\path\tend",
-                r#""evil\"},{\"x\u0000\u001f\\path\tend""#,
-            ),
-            (
-                "panicked at 'boom\nline two'\r\u{7}",
-                r#""panicked at 'boom\nline two'\r\u0007""#,
-            ),
-            (
-                "line1\nline2\t\"quoted\" \\ \u{1} caf\u{e9} \u{1F600}",
-                "\"line1\\nline2\\t\\\"quoted\\\" \\\\ \\u0001 caf\u{e9} \u{1F600}\"",
-            ),
-            ("ci\\runner \"eu-1\"", r#""ci\\runner \"eu-1\"""#),
-            ("bm\n\u{1}end", r#""bm\n\u0001end""#),
-        ];
-        for (raw, escaped) in table {
-            let got = escape_json(raw);
-            assert_eq!(got, escaped, "{raw:?}");
-            assert!(got.chars().all(|c| (c as u32) >= 0x20), "{got}");
-            // the escaping round-trips
-            assert_eq!(unescape(&got[1..got.len() - 1]), raw);
+        assert!(!json.contains('\n'), "one line: {json}");
+        let doc = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let ms = |d: Duration| (d.as_secs_f64() * 1e3).to_bits();
+        field(&doc, "schema", Some(REPORT_SCHEMA.to_string()), text);
+        field(&doc, "seed", Some(r.seed), Value::as_u64);
+        field(&doc, "threads", Some(r.threads as u64), Value::as_u64);
+        field(&doc, "target_ratio", r.target_ratio.map(f64::to_bits), bits);
+        field(&doc, "wall_ms", Some(ms(r.wall)), bits);
+        field(&doc, "cancelled", Some(r.cancelled), Value::as_bool);
+        field(&doc, "winner", r.winner.map(|w| w as u64), Value::as_u64);
+        field(&doc, "best_score", r.best_score.map(f64::to_bits), bits);
+        let Some(Value::Array(attempts)) = doc.get("attempts") else {
+            panic!("attempts is not an array: {json}");
+        };
+        assert_eq!(attempts.len(), r.attempts.len());
+        for (got, a) in attempts.iter().zip(&r.attempts) {
+            field(got, "index", Some(a.index as u64), Value::as_u64);
+            field(got, "label", Some(a.label.clone()), text);
+            field(got, "status", Some(a.status.as_str().to_string()), text);
+            field(got, "algorithm", a.algorithm.clone(), text);
+            field(got, "ratio", a.ratio.map(f64::to_bits), bits);
+            field(got, "cut_nets", a.cut_nets.map(|c| c as u64), Value::as_u64);
+            field(got, "score", a.score.map(f64::to_bits), bits);
+            field(got, "wall_ms", Some(ms(a.wall)), bits);
+            field(got, "charge", Some(a.charge), Value::as_u64);
+            field(got, "error", a.error.clone(), text);
         }
     }
 
-    /// Minimal JSON string unescaper for the round-trip assertion (the
-    /// full parser lives in `np-serve`, which cannot be a dev-dependency
-    /// here without a cycle).
-    fn unescape(s: &str) -> String {
-        let mut out = String::new();
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next().unwrap() {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).map(|_| chars.next().unwrap()).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap());
-                }
-                other => out.push(other),
-            }
-        }
-        out
+    #[test]
+    fn json_round_trips_every_field() {
+        // labels and error strings are caller- (or panic-payload-)
+        // controlled; they must come back unchanged whatever they hold
+        assert_round_trip(&sample_report());
     }
 
     #[test]
-    fn json_floats_are_floats_and_nonfinite_is_null() {
-        assert_eq!(json_f64(Some(2.0)), "2.0");
-        assert_eq!(json_f64(Some(0.125)), "0.125");
-        assert_eq!(json_f64(Some(f64::NAN)), "null");
-        assert_eq!(json_f64(Some(f64::INFINITY)), "null");
-        assert_eq!(json_f64(None), "null");
+    fn json_absent_values_are_null() {
+        let mut r = sample_report();
+        r.target_ratio = None;
+        r.winner = None;
+        r.best_score = None;
+        r.cancelled = true;
+        assert_round_trip(&r);
     }
 
     #[test]
@@ -403,9 +324,22 @@ mod tests {
         let mut r = sample_report();
         r.attempts.clear();
         r.winner = None;
-        let json = r.to_json();
-        assert!(json.contains("\"attempts\": []"));
-        assert!(json.contains("\"winner\": null"));
+        r.best_score = None;
+        assert!(r.to_json().contains("\"attempts\":[]"));
+        assert_round_trip(&r);
+    }
+
+    #[test]
+    fn non_finite_floats_are_null() {
+        let mut r = sample_report();
+        r.best_score = Some(f64::INFINITY);
+        r.attempts[0].ratio = Some(f64::NAN);
+        let doc = parse(&r.to_json()).unwrap();
+        assert_eq!(doc.get("best_score"), Some(&Value::Null));
+        let Some(Value::Array(attempts)) = doc.get("attempts") else {
+            panic!("attempts is not an array");
+        };
+        assert_eq!(attempts[0].get("ratio"), Some(&Value::Null));
     }
 
     #[test]

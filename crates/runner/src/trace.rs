@@ -15,7 +15,7 @@
 //! request span ⊃ attempt spans ⊃ stage spans (the serving layer records
 //! the request span itself).
 
-use crate::{PortfolioEvent, PortfolioReport, PortfolioSink};
+use crate::{AttemptStatus, PortfolioEvent, PortfolioReport, PortfolioSink};
 use np_core::engine::trace::{Span, SpanKind, SpanRecorder, SpanRing};
 use np_core::engine::EventSink;
 use std::collections::HashMap;
@@ -79,7 +79,9 @@ impl PortfolioSink for SpanFanIn<'_> {
 /// `ring`, labelled with the attempt label and carrying the attempt's
 /// wall time. `portfolio_started` anchors the start offsets: attempts
 /// run concurrently, so each span is placed at the portfolio start (the
-/// per-attempt queueing skew inside the worker pool is not tracked).
+/// per-attempt queueing skew inside the worker pool is not tracked). A
+/// span is `ok` only if its attempt produced a partition: a skipped
+/// attempt has no error, yet it never ran.
 pub fn record_attempt_spans(
     ring: &SpanRing,
     request: u64,
@@ -95,7 +97,10 @@ pub fn record_attempt_spans(
             attempt: Some(attempt.index),
             start: base,
             wall: attempt.wall,
-            ok: Some(attempt.error.is_none()),
+            ok: Some(matches!(
+                attempt.status,
+                AttemptStatus::Won | AttemptStatus::Completed
+            )),
         });
     }
 }
@@ -160,6 +165,39 @@ mod tests {
         // every stage span sits inside some attempt's index space
         for s in &stages {
             assert!(s.attempt.unwrap() < 2);
+        }
+    }
+
+    #[test]
+    fn skipped_attempts_record_failed_spans() {
+        // cancelled before the portfolio starts: every attempt is skipped,
+        // has no error, and still never ran
+        let ring = SpanRing::new(16);
+        let portfolio = Portfolio::new()
+            .attempt("IG-Match", IgMatchStage::default())
+            .attempt("FM", RandomStartFmStage::default());
+        let meter = BudgetMeter::unlimited();
+        meter.cancel();
+        let started = Instant::now();
+        let failure = run_portfolio(
+            &hg(),
+            &portfolio,
+            &PortfolioOptions::default().with_threads(1),
+            &meter,
+            None,
+        )
+        .unwrap_err();
+        assert!(failure
+            .report
+            .attempts
+            .iter()
+            .all(|a| a.status == AttemptStatus::Skipped && a.error.is_none()));
+        record_attempt_spans(&ring, 3, &failure.report, started);
+        let spans = ring.snapshot();
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        for s in &spans {
+            assert_eq!(s.kind, SpanKind::Attempt);
+            assert_eq!(s.ok, Some(false), "{s:?}");
         }
     }
 

@@ -15,6 +15,7 @@ use np_core::engine::stages::{IgMatchStage, RcutStage};
 use np_core::{IgMatchOptions, PartitionError, PartitionResult, Partitioner, RunContext};
 use np_netlist::rng::derive_seed;
 use np_netlist::{Hypergraph, Side};
+use np_runner::json::Value;
 use np_runner::{
     run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions, PortfolioOutcome,
     RandomStartFmStage,
@@ -280,8 +281,15 @@ fn target_ratio_reports_partial_portfolio() {
             .filter(|a| a.status == AttemptStatus::Skipped)
             .count();
         assert_eq!(skipped, 3, "attempts after the first must be skipped");
-        let json = out.report.to_json();
-        assert!(json.contains("\"cancelled\": true"));
-        assert!(json.contains("\"status\": \"skipped\""));
+        let doc = np_runner::json::parse(&out.report.to_json()).unwrap();
+        assert_eq!(doc.get("cancelled").and_then(Value::as_bool), Some(true));
+        let Some(Value::Array(attempts)) = doc.get("attempts") else {
+            panic!("attempts is not an array");
+        };
+        let skipped = attempts
+            .iter()
+            .filter(|a| a.get("status").and_then(Value::as_str) == Some("skipped"))
+            .count();
+        assert_eq!(skipped, 3);
     }
 }

@@ -68,12 +68,15 @@
 
 pub mod admit;
 pub mod cache;
-pub mod json;
 pub mod metrics;
 pub mod proto;
 pub mod server;
 pub mod service;
 pub mod soak;
+
+/// The wire protocol's JSON reader and writer: the workspace's one JSON
+/// module, [`np_runner::json`].
+pub use np_runner::json;
 
 pub use admit::{Admission, Enrollment, Priority};
 pub use cache::{CacheStats, NetlistCache};

@@ -126,14 +126,13 @@ impl HistogramSnapshot {
             .iter()
             .rposition(|&n| n > 0)
             .map_or(0, |i| i + 1);
-        let cells: Vec<String> = self.buckets[..used].iter().map(u64::to_string).collect();
         Obj::new()
             .int("count", self.count)
             .int("sum_us", self.sum_us)
             .int("p50_us", self.quantile_us(0.50))
             .int("p90_us", self.quantile_us(0.90))
             .int("p99_us", self.quantile_us(0.99))
-            .raw("buckets", format!("[{}]", cells.join(",")))
+            .array("buckets", self.buckets[..used].iter().map(u64::to_string))
             .render()
     }
 }

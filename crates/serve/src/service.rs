@@ -214,10 +214,7 @@ impl Service {
             .int("running", load.running as u64)
             .int("queued", load.queued as u64)
             .raw("queue_depth", queue_depth)
-            .raw(
-                "weights",
-                format!("[{}]", weights.map(|w| w.to_string()).join(",")),
-            )
+            .array("weights", weights.map(|w| w.to_string()))
             .int("requests", requests)
             .int("admitted", m.admitted.load(Ordering::Relaxed))
             .int("results", m.results.load(Ordering::Relaxed))
@@ -263,36 +260,33 @@ impl Service {
     /// with offsets in microseconds since the service started.
     pub fn trace_frame(&self) -> String {
         let spans = self.spans.snapshot();
-        let rendered: Vec<String> = spans
-            .iter()
-            .map(|s| {
-                let mut obj = Obj::new()
-                    .str("kind", s.kind.name())
-                    .str("label", &s.label)
-                    .int("request", s.request);
-                if let Some(a) = s.attempt {
-                    obj = obj.int("attempt", a as u64);
-                }
-                obj = obj
-                    .int(
-                        "start_us",
-                        u64::try_from(s.start.as_micros()).unwrap_or(u64::MAX),
-                    )
-                    .int(
-                        "wall_us",
-                        u64::try_from(s.wall.as_micros()).unwrap_or(u64::MAX),
-                    );
-                if let Some(ok) = s.ok {
-                    obj = obj.bool("ok", ok);
-                }
-                obj.render()
-            })
-            .collect();
+        let rendered = spans.iter().map(|s| {
+            let mut obj = Obj::new()
+                .str("kind", s.kind.name())
+                .str("label", &s.label)
+                .int("request", s.request);
+            if let Some(a) = s.attempt {
+                obj = obj.int("attempt", a as u64);
+            }
+            obj = obj
+                .int(
+                    "start_us",
+                    u64::try_from(s.start.as_micros()).unwrap_or(u64::MAX),
+                )
+                .int(
+                    "wall_us",
+                    u64::try_from(s.wall.as_micros()).unwrap_or(u64::MAX),
+                );
+            if let Some(ok) = s.ok {
+                obj = obj.bool("ok", ok);
+            }
+            obj.render()
+        });
         Obj::new()
             .str("frame", "trace")
             .int("recorded", self.spans.recorded())
             .int("dropped", self.spans.dropped())
-            .raw("spans", format!("[{}]", rendered.join(",")))
+            .array("spans", rendered)
             .render()
     }
 
@@ -916,12 +910,10 @@ fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -
                 .num("ratio", r.ratio())
                 .str("partition", &partition)
         }
-        Answer::Kway(r) => {
-            let blocks: Vec<String> = r.partition.labels().iter().map(|b| b.to_string()).collect();
-            obj.int("cut", r.stats.cut_nets as u64)
-                .num("ratio", r.stats.ratio())
-                .raw("blocks", format!("[{}]", blocks.join(",")))
-        }
+        Answer::Kway(r) => obj
+            .int("cut", r.stats.cut_nets as u64)
+            .num("ratio", r.stats.ratio())
+            .array("blocks", r.partition.labels().iter().map(|b| b.to_string())),
     };
     if let Some(retries) = extras.retries {
         obj = obj.int("retries", retries);

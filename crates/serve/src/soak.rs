@@ -114,11 +114,6 @@ impl SoakReport {
 
     /// Renders the report as a one-line JSON object (the CI artifact).
     pub fn to_json(&self) -> String {
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| crate::json::escape(v))
-            .collect();
         let mut obj = Obj::new()
             .bool("passed", self.passed())
             .num("elapsed_s", self.elapsed.as_secs_f64())
@@ -136,9 +131,12 @@ impl SoakReport {
                 .int("threads_before", before as u64)
                 .int("threads_after", after as u64);
         }
-        obj.raw("violations", format!("[{}]", violations.join(",")))
-            .raw("final_metrics", self.final_metrics.clone())
-            .render()
+        obj.array(
+            "violations",
+            self.violations.iter().map(|v| crate::json::escape(v)),
+        )
+        .raw("final_metrics", self.final_metrics.clone())
+        .render()
     }
 }
 

@@ -3,7 +3,7 @@
 //! # Fusion and the bit-identity contract
 //!
 //! The Lanczos hot loop is memory-bound: its cost is passes over `O(n)`
-//! vectors, not flops. The fused kernels here ([`axpy_dot`], [`axpy2`],
+//! vectors, not flops. The fused kernels here ([`axpy2`],
 //! [`orthogonalize_fused`], [`accumulate_scaled`]) combine what would be
 //! two or more passes into one, **without changing the floating-point
 //! operation order**: every fused kernel is bit-identical to the sequence
@@ -74,7 +74,8 @@ pub fn orthogonalize_against(u: &[f64], x: &mut [f64]) {
 
 /// Fused update-and-project: `y ← y + alpha · x`, returning `zᵀy` for the
 /// *updated* `y` — one pass over memory instead of an [`axpy`] pass
-/// followed by a [`dot`] pass.
+/// followed by a [`dot`] pass. The link of [`orthogonalize_fused`]'s
+/// chain.
 ///
 /// Bit-identical to `axpy(alpha, x, y); dot(z, y)`: the update expression
 /// and the single-accumulator ascending-index reduction are exactly the
@@ -83,7 +84,7 @@ pub fn orthogonalize_against(u: &[f64], x: &mut [f64]) {
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
-pub fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
+fn axpy_dot(alpha: f64, x: &[f64], y: &mut [f64], z: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "axpy_dot length mismatch");
     assert_eq!(z.len(), y.len(), "axpy_dot length mismatch");
     // −0.0 is the IEEE additive identity `f64::sum()` folds from; starting
@@ -120,7 +121,7 @@ pub fn axpy2(a1: f64, x1: &[f64], a2: f64, x2: &[f64], y: &mut [f64]) {
 ///
 /// Equivalent to `for u in concat(sets) { orthogonalize_against(u, x) }`
 /// bit for bit, but each vector's subtraction pass doubles as the next
-/// vector's projection pass (via [`axpy_dot`]), so a sweep over `m`
+/// vector's projection pass (via a fused axpy-and-dot), so a sweep over `m`
 /// vectors touches `x` `m + 1` times instead of `2m` times. Since full
 /// reorthogonalization is the dominant `O(j·n)` cost of a Lanczos step,
 /// this roughly halves the hot loop's memory traffic.

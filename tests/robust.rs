@@ -1,8 +1,8 @@
 //! Integration tests for the resilient partitioning pipeline: every
 //! fallback stage is forced to fire via deterministic fault injection
 //! (the root crate's dev-dependencies enable `np-core/fault-inject`),
-//! budgets are honored end to end, and the `np-part` binary never panics
-//! on malformed input.
+//! budgets are honored end to end, the `np-part` binary never panics
+//! on malformed input, and its `--report-json` file parses.
 
 use ig_match_repro::core::engine::fault::FaultKind;
 use ig_match_repro::core::robust::{FaultPlan, RESEED_ATTEMPTS};
@@ -253,4 +253,38 @@ fn np_part_robust_algorithm_prints_diagnostics() {
     );
     assert!(stdout.contains("robust["), "missing label: {stdout}");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn np_part_report_json_records_every_attempt() {
+    use ig_match_repro::runner::json::{parse, Value};
+    let bin = env!("CARGO_BIN_EXE_np-part");
+    let dir = std::env::temp_dir();
+    let hgr = dir.join(format!("np_part_report_{}.hgr", std::process::id()));
+    let report = dir.join(format!("np_part_report_{}.json", std::process::id()));
+    std::fs::write(&hgr, ig_match_repro::netlist::io::to_hgr_string(&circuit())).unwrap();
+    let out = std::process::Command::new(bin)
+        .arg(&hgr)
+        .args(["--restarts", "2", "--report-json"])
+        .arg(&report)
+        .output()
+        .expect("binary should run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let text = std::fs::read_to_string(&report).unwrap();
+    let doc = parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some(ig_match_repro::runner::REPORT_SCHEMA)
+    );
+    let Some(Value::Array(attempts)) = doc.get("attempts") else {
+        panic!("attempts is not an array: {text}");
+    };
+    assert_eq!(attempts.len(), 2, "{text}");
+    let winner = doc.get("winner").and_then(Value::as_u64).expect("a winner");
+    let won = &attempts[winner as usize];
+    assert_eq!(won.get("status").and_then(Value::as_str), Some("won"));
+    assert_eq!(won.get("index").and_then(Value::as_u64), Some(winner));
+    std::fs::remove_file(&hgr).ok();
+    std::fs::remove_file(&report).ok();
 }
