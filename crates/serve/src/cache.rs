@@ -23,6 +23,7 @@
 use np_core::engine::OperatorCache;
 use np_netlist::Hypergraph;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 /// A parsed netlist plus its shared spectral-operator cache.
@@ -43,6 +44,23 @@ impl CachedNetlist {
     /// Approximate resident bytes of this entry.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+}
+
+/// A [`NetlistCache::get_or_parse`] answer; derefs to the shared entry.
+#[derive(Debug)]
+pub struct Lookup {
+    /// The parsed netlist, shared by every lookup of the same text.
+    pub netlist: Arc<CachedNetlist>,
+    /// Whether this lookup was answered without a parse.
+    pub hit: bool,
+}
+
+impl Deref for Lookup {
+    type Target = Arc<CachedNetlist>;
+
+    fn deref(&self) -> &Arc<CachedNetlist> {
+        &self.netlist
     }
 }
 
@@ -118,13 +136,13 @@ impl NetlistCache {
     }
 
     /// Returns the cached netlist for `hgr`, parsing and inserting on
-    /// miss.
+    /// miss; [`Lookup::hit`] tells this lookup's hit from a parse.
     ///
     /// # Errors
     ///
     /// The parse error, rendered for the wire, when `hgr` is not valid
     /// hMETIS text.
-    pub fn get_or_parse(&self, hgr: &str) -> Result<Arc<CachedNetlist>, String> {
+    pub fn get_or_parse(&self, hgr: &str) -> Result<Lookup, String> {
         let key = fnv1a(hgr.as_bytes());
         {
             let mut inner = self.inner.lock().expect("cache lock");
@@ -133,9 +151,9 @@ impl NetlistCache {
             if let Some(entry) = inner.map.get_mut(&key) {
                 if entry.value.source == hgr {
                     entry.last_used = clock;
-                    let value = Arc::clone(&entry.value);
+                    let netlist = Arc::clone(&entry.value);
                     inner.hits += 1;
-                    return Ok(value);
+                    return Ok(Lookup { netlist, hit: true });
                 }
                 // 64-bit collision: fall through and replace below
             }
@@ -146,14 +164,17 @@ impl NetlistCache {
         let hypergraph =
             np_netlist::io::parse_hgr(hgr).map_err(|e| format!("invalid hgr netlist: {e}"))?;
         let bytes = hgr.len() + estimated_bytes(&hypergraph);
-        let value = Arc::new(CachedNetlist {
-            hypergraph,
-            operators: Arc::new(OperatorCache::new()),
-            bytes,
-            source: hgr.to_string(),
-        });
+        let miss = Lookup {
+            netlist: Arc::new(CachedNetlist {
+                hypergraph,
+                operators: Arc::new(OperatorCache::new()),
+                bytes,
+                source: hgr.to_string(),
+            }),
+            hit: false,
+        };
         if self.max_entries == 0 || bytes > self.max_bytes {
-            return Ok(value); // uncacheable; still perfectly usable
+            return Ok(miss); // uncacheable; still perfectly usable
         }
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
@@ -161,7 +182,7 @@ impl NetlistCache {
         if let Some(old) = inner.map.insert(
             key,
             Entry {
-                value: Arc::clone(&value),
+                value: Arc::clone(&miss.netlist),
                 last_used: clock,
             },
         ) {
@@ -182,7 +203,7 @@ impl NetlistCache {
             inner.bytes -= old.value.bytes;
             inner.evictions += 1;
         }
-        Ok(value)
+        Ok(miss)
     }
 
     /// Audits the byte accounting: recomputes every resident entry's
@@ -261,6 +282,23 @@ mod tests {
         assert!(Arc::ptr_eq(&a.operators, &b.operators));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn each_lookup_reports_its_own_hit() {
+        let cache = NetlistCache::new(4, 1 << 20);
+        let a = hgr(&[&[0, 1]], 2);
+        let b = hgr(&[&[0, 1], &[1, 2]], 3);
+        assert!(!cache.get_or_parse(&a).unwrap().hit, "first sight parses");
+        assert!(cache.get_or_parse(&a).unwrap().hit, "repeat text hits");
+        assert!(
+            !cache.get_or_parse(&b).unwrap().hit,
+            "different text parses"
+        );
+        let uncached = NetlistCache::new(0, 1 << 20);
+        for _ in 0..2 {
+            assert!(!uncached.get_or_parse(&a).unwrap().hit, "nothing is kept");
+        }
     }
 
     #[test]

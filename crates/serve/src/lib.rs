@@ -19,9 +19,9 @@
 //! * **Graceful degradation** — every admitted request first buys an
 //!   "insurance" FM answer under a tiny private budget, so when the
 //!   deadline fires mid-portfolio the service returns the best-so-far
-//!   partition flagged `degraded: true` rather than an error; spectral
-//!   failures retry with fresh seeds, then drop to an FM-restarts-only
-//!   tier.
+//!   partition flagged `degraded: true` rather than an error; each
+//!   portfolio attempt climbs a fallback chain of its own (the requested
+//!   algorithm, reseeded, then FM).
 //! * **Panic isolation** — a panicking stage fails its portfolio attempt
 //!   (`np-runner`'s `catch_unwind` boundary), and a second boundary
 //!   around the whole request turns anything that still escapes into an
@@ -41,10 +41,10 @@
 //!   bytes and that its metrics stay self-consistent over minutes of
 //!   faulty traffic.
 //!
-//! The `fault-inject` feature turns on `np-core`'s fault decorator stage,
-//! which the service wraps around portfolio attempts for requests that
-//! name a [`FaultSpec`] — slow worker, panicking stage, stuck eigensolve
-//! — as the resilience integration tests and the soak's fault storms do.
+//! The `fault-inject` feature turns on `np-core`'s fault decorator, which
+//! the service wraps around each attempt's first rung for requests naming
+//! a [`FaultSpec`] — slow worker, panicking stage, stuck eigensolve — as
+//! the resilience integration tests and the soak's fault storms do.
 //!
 //! # Quickstart
 //!

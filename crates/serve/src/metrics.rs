@@ -21,8 +21,9 @@
 //! reader may see a request counted before its latency is observed. At
 //! quiescence (no in-flight requests) the identities hold exactly:
 //! `results + degraded + shed + errors == requests`,
-//! `latency.count == requests`, `queue_wait.count == admitted`, and
-//! every histogram's bucket sum equals its count. The soak harness and
+//! `latency.count == requests`, `queue_wait.count == admitted`,
+//! `fm_fallbacks == wall_by_tier["fm-fallback"].count`, and every
+//! histogram's bucket sum equals its count. The soak harness and
 //! the `/metrics` concurrency test pin both halves of this contract.
 
 use crate::admit::{Priority, PRIORITY_CLASSES};
@@ -178,9 +179,9 @@ pub struct Metrics {
     pub shed: AtomicU64,
     /// Terminal `error` frames.
     pub errors: AtomicU64,
-    /// Main-tier retries performed.
+    /// Reseeded ladder rungs run by main-tier attempts.
     pub retries: AtomicU64,
-    /// Requests that fell to the FM-restarts tier.
+    /// Result frames degraded with reason `fm-fallback`.
     pub fm_fallbacks: AtomicU64,
     /// Requests answered by the multilevel V-cycle tier.
     pub multilevel: AtomicU64,

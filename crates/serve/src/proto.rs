@@ -269,8 +269,8 @@ pub enum Degradation {
     /// The deadline fired before the main portfolio finished; this is
     /// the best partition found so far.
     DeadlineBestSoFar,
-    /// The spectral portfolio exceeded its retry budget; the answer
-    /// comes from the FM-restarts-only tier.
+    /// The winning attempt answered on its FM rung, or the main tier
+    /// answered nothing and the insurance FM partition stands.
     FmFallback,
     /// The deadline expired while the request was still queued; only the
     /// insurance slice ran.

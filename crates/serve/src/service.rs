@@ -15,14 +15,14 @@
 //!        V-cycle tier (opt-in, or large netlists on the default algo)
 //!                   │         └──ok──▶ RESULT (tier "multilevel", levels)
 //!                   │
-//!              main portfolio ──ok──▶ RESULT (degraded iff deadline fired)
+//!              main portfolio: attempt i climbs its own ladder
+//!                requested algo ─fail─▶ reseeded ×2 ─fail─▶ FM
+//!                (a spent budget or too-small input ends the climb)
 //!                   │
-//!            transient error ──retry×N (reseed)──▶ main portfolio
-//!                   │
-//!            retries exhausted ──▶ FM-restarts tier ──ok──▶ RESULT degraded
-//!                   │                                  │
-//!                   └──────── nothing ever completed ──┴──▶ best-so-far
-//!                                                           or ERROR
+//!                   ├──an attempt answered──▶ RESULT ("fm-fallback" iff the
+//!                   │                         winner answered on FM, else
+//!                   │                         degraded iff deadline fired)
+//!                   └──none answered──▶ best-so-far or ERROR
 //! ```
 //!
 //! Three invariants the tests pin down:
@@ -42,28 +42,29 @@
 //!    returned with `degraded: true` and the reason.
 
 use crate::admit::{Admission, Enrollment, Priority, PRIORITY_CLASSES};
-use crate::cache::{CachedNetlist, NetlistCache};
+use crate::cache::{CachedNetlist, Lookup, NetlistCache};
 use crate::json::Obj;
 use crate::metrics::{tier_index, Metrics, TIER_NAMES};
 use crate::proto::{self, Degradation, Request};
 use np_baselines::{fm_bisect_anytime, FmOptions};
 use np_core::engine::trace::{SpanKind, SpanRing};
-use np_core::engine::RunContext;
-use np_core::engine::{BoxedStage, StageEvent, DEFAULT_SEED};
+use np_core::engine::{BoxedStage, FallbackChain, RunContext, Stage, StageEvent, DEFAULT_SEED};
+use np_core::robust::RESEED_ATTEMPTS;
 use np_core::{
     kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
     PartitionResult,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
-use np_netlist::Side;
+use np_netlist::{Hypergraph, Side};
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
-    run_portfolio_cached, Algorithm, Portfolio, PortfolioError, PortfolioEvent, PortfolioOptions,
-    PortfolioOutcome, PortfolioSink, RandomStartFmStage,
+    run_portfolio_cached, Algorithm, AttemptStatus, Portfolio, PortfolioEvent, PortfolioOptions,
+    RandomStartFmStage,
 };
-use np_sparse::{Budget, BudgetMeter, BudgetResource};
+use np_sparse::{Budget, BudgetMeter};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs. The defaults target small interactive netlists;
@@ -83,8 +84,6 @@ pub struct ServeConfig {
     pub insurance_wall: Duration,
     /// Matvec-equivalent cap of the insurance FM tier.
     pub insurance_matvecs: u64,
-    /// Retry budget for transient main-tier failures (each retry reseeds).
-    pub retries: usize,
     /// Netlist cache entry bound.
     pub cache_entries: usize,
     /// Netlist cache byte bound.
@@ -108,7 +107,6 @@ impl Default for ServeConfig {
             max_wall: Duration::from_secs(5),
             insurance_wall: Duration::from_millis(25),
             insurance_matvecs: 200_000,
-            retries: 2,
             cache_entries: 32,
             cache_bytes: 64 << 20,
             multilevel_threshold: 20_000,
@@ -130,12 +128,6 @@ pub struct Service {
     seq: AtomicU64,
 }
 
-/// Everything known about the best answer so far, carried across tiers.
-struct Candidate {
-    result: PartitionResult,
-    tier: &'static str,
-}
-
 impl Service {
     /// A service with the given configuration.
     pub fn new(cfg: ServeConfig) -> Self {
@@ -147,11 +139,6 @@ impl Service {
             seq: AtomicU64::new(0),
             cfg,
         }
-    }
-
-    /// The configuration this service runs under.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// The service counters.
@@ -167,11 +154,6 @@ impl Service {
     /// Recounts the netlist cache's byte accounting (soak invariant).
     pub fn cache_audit(&self) -> crate::cache::CacheAudit {
         self.cache.audit()
-    }
-
-    /// The tracing span ring (request → attempt → stage spans).
-    pub fn spans(&self) -> &SpanRing {
-        &self.spans
     }
 
     /// Renders the one-line `metrics` frame served for a `/metrics`
@@ -372,6 +354,9 @@ impl Service {
         let ok = match terminal.outcome {
             Ok(degradation) => {
                 self.metrics.wall_by_tier[tier_index(degradation)].observe(wall);
+                if degradation == Some(Degradation::FmFallback) {
+                    self.metrics.bump(&self.metrics.fm_fallbacks);
+                }
                 self.metrics.bump(if degradation.is_some() {
                     &self.metrics.degraded
                 } else {
@@ -407,9 +392,8 @@ impl Service {
         queue_wait: Duration,
         emit: &(dyn Fn(&str) + Sync),
     ) -> Terminal {
-        let cache_stats_before = self.cache.stats();
         let cached = match self.cache.get_or_parse(&request.hgr) {
-            Ok(c) => c,
+            Ok(lookup) => lookup,
             Err(reason) => return Terminal::error(&request.id, &reason),
         };
         let job = Job {
@@ -418,11 +402,8 @@ impl Service {
             deadline,
             queue_wait,
             compute_start: Instant::now(),
-            cache_hit: self.cache.stats().hits > cache_stats_before.hits,
         };
         let seed = request.seed.unwrap_or(DEFAULT_SEED);
-        let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
-        let mut retries_done = 0u64;
 
         // ---- k > 2: the k-way route (the bipartition tiers do not
         // apply) ----
@@ -432,18 +413,13 @@ impl Service {
 
         // ---- expired while queued: only the insurance slice runs ----
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return match self.insurance(&cached, seed) {
-                Some(best) => self.candidate_frame(
-                    &job,
-                    &best,
-                    Some(Degradation::ExpiredInQueue),
-                    retries_done,
-                ),
-                None => Terminal::error(
-                    &request.id,
-                    "deadline expired while queued and the insurance tier found no partition",
-                ),
-            };
+            return best_so_far(
+                &job,
+                self.insurance(&cached, seed),
+                Degradation::ExpiredInQueue,
+                0,
+                "deadline expired while queued and the insurance tier found no partition",
+            );
         }
 
         // ---- the V-cycle tier: explicit `multilevel:true`, or a large
@@ -458,154 +434,98 @@ impl Service {
 
         // ---- tier 0: insurance. After this there is always a
         // best-so-far to degrade to. ----
-        let mut best: Option<Candidate> = self.insurance(&cached, seed);
+        let insurance = self.insurance(&cached, seed);
+        let Some(wall) = self.remaining_wall(&job) else {
+            let reason = if deadline.is_some() {
+                Degradation::DeadlineBestSoFar
+            } else {
+                Degradation::FmFallback
+            };
+            let failure = "request failed: no tier produced a partition";
+            return best_so_far(&job, insurance, reason, 0, failure);
+        };
 
-        // ---- tier 1: the main portfolio, with reseeded retries ----
-        let mut last_error: Option<PartitionError> = None;
-        let mut deadline_fired = false;
-        let mut drop_to_fm = false;
-        for retry in 0..=self.cfg.retries {
-            let Some(wall) = self.remaining_wall(&job) else {
-                deadline_fired = deadline.is_some();
-                break;
-            };
-            let attempt_seed = derive_seed(seed, retry as u64);
-            let portfolio = self.build_portfolio(request, restarts, attempt_seed);
-            let opts = PortfolioOptions {
-                threads: 1,
-                seed: attempt_seed,
-                target_ratio: request.target_ratio,
-            };
-            let portfolio_started = Instant::now();
-            let outcome = {
-                let id = request.id.as_str();
-                let progress = request.progress;
-                let sink = move |e: &PortfolioEvent<'_>| {
-                    if !progress {
-                        return;
-                    }
-                    let (stage, detail) = match e.event {
-                        StageEvent::Started { stage } => (*stage, "started".to_string()),
-                        StageEvent::Finished { stage, outcome } => (
-                            *stage,
-                            match outcome {
-                                Ok(r) => format!("finished: ratio {:.3e}", r.ratio()),
-                                Err(err) => format!("failed: {err}"),
-                            },
-                        ),
-                        StageEvent::Detail { stage, message } => (*stage, message.to_string()),
-                    };
-                    emit(&proto::progress_frame(
-                        id, e.attempt, e.label, stage, &detail,
-                    ));
-                };
-                let fan_in = SpanFanIn::new(&self.spans, seq).forwarding(&sink);
-                let budget = Budget::default().with_wall_clock(wall);
-                run_tier(&cached, &portfolio, &opts, &budget, Some(&fan_in))
-            };
-            match outcome {
-                Ok(out) => {
-                    record_attempt_spans(&self.spans, seq, &out.report, portfolio_started);
-                    for a in &out.report.attempts {
-                        if matches!(a.status, np_runner::AttemptStatus::Panicked) {
-                            self.metrics.bump(&self.metrics.panics_contained);
-                        }
-                    }
-                    let incomplete = out.report.attempts.iter().any(|a| {
-                        !matches!(
-                            a.status,
-                            np_runner::AttemptStatus::Won | np_runner::AttemptStatus::Completed
-                        )
-                    });
-                    offer(&mut best, out.best, "portfolio");
-                    // deadline (not the client's compute budget) binding
-                    // and attempts left unfinished ⇒ best-so-far answer
-                    if incomplete && self.deadline_was_binding(&job) {
-                        deadline_fired = true;
-                    }
-                    return self.candidate_frame(
-                        &job,
-                        best.as_ref().expect("offer filled best"),
-                        deadline_fired.then_some(Degradation::DeadlineBestSoFar),
-                        retries_done,
-                    );
-                }
-                Err(err) => {
-                    let error = err.error;
-                    if matches!(error, PartitionError::Panicked { .. }) {
-                        self.metrics.bump(&self.metrics.panics_contained);
-                    }
-                    // the whole wall ran out: whatever we hold is the answer
-                    let wall_spent = matches!(&error, PartitionError::Budget(b)
-                        if matches!(b.resource, BudgetResource::WallClock | BudgetResource::Cancelled));
-                    // transient spectral failures reseed and retry; any
-                    // other error is permanent for the spectral tier (the
-                    // instance itself is unpartitionable), but FM may manage
-                    let transient = matches!(
-                        error,
-                        PartitionError::Eigen(_)
-                            | PartitionError::Panicked { .. }
-                            | PartitionError::Budget(_)
-                    );
-                    last_error = Some(error);
-                    if wall_spent {
-                        deadline_fired = self.deadline_was_binding(&job);
-                        break;
-                    }
-                    if !transient || retry == self.cfg.retries {
-                        drop_to_fm = true;
-                        break;
-                    }
-                    retries_done += 1;
-                    self.metrics.bump(&self.metrics.retries);
-                }
+        // ---- the main portfolio: every attempt climbs its own ladder
+        // (requested algorithm, reseeded, FM) ----
+        let portfolio_seed = derive_seed(seed, 0);
+        let (portfolio, climbs) = self.build_portfolio(request, portfolio_seed);
+        let opts = PortfolioOptions {
+            threads: 1,
+            seed: portfolio_seed,
+            target_ratio: request.target_ratio,
+        };
+        let id = request.id.as_str();
+        let sink = |e: &PortfolioEvent<'_>| {
+            if !request.progress {
+                return;
             }
-        }
-
-        // ---- tier 2: FM-restarts-only (spectral tier gave up) ----
-        if drop_to_fm && request.algo != Some(Algorithm::Fm) {
-            if let Some(wall) = self.remaining_wall(&job) {
-                self.metrics.bump(&self.metrics.fm_fallbacks);
-                let fallback_seed = derive_seed(seed, 0xFA11_BACC);
-                let portfolio = Portfolio::new().restarts("fm-fallback", restarts, |i| {
-                    Algorithm::Fm.attempt(
-                        IgMatchOptions::default(),
-                        derive_seed(fallback_seed, i as u64),
-                    )
-                });
-                let opts = PortfolioOptions {
-                    threads: 1,
-                    seed: fallback_seed,
-                    target_ratio: request.target_ratio,
-                };
-                let budget = Budget::default().with_wall_clock(wall);
-                if let Ok(out) = run_tier(&cached, &portfolio, &opts, &budget, None) {
-                    offer(&mut best, out.best, "fm-fallback");
-                    return self.candidate_frame(
-                        &job,
-                        best.as_ref().expect("offer filled best"),
-                        Some(Degradation::FmFallback),
-                        retries_done,
-                    );
-                }
+            let (stage, detail) = match e.event {
+                StageEvent::Started { stage } => (*stage, "started".to_string()),
+                StageEvent::Finished { stage, outcome } => (
+                    *stage,
+                    match outcome {
+                        Ok(r) => format!("finished: ratio {:.3e}", r.ratio()),
+                        Err(err) => format!("failed: {err}"),
+                    },
+                ),
+                StageEvent::Detail { stage, message } => (*stage, message.to_string()),
+            };
+            emit(&proto::progress_frame(
+                id, e.attempt, e.label, stage, &detail,
+            ));
+        };
+        let portfolio_started = Instant::now();
+        let outcome = run_portfolio_cached(
+            &cached.hypergraph,
+            &portfolio,
+            &opts,
+            &BudgetMeter::new(&Budget::default().with_wall_clock(wall)),
+            Some(&SpanFanIn::new(&self.spans, seq).forwarding(&sink)),
+            &|r: &PartitionResult| r.ratio(),
+            &cached.operators,
+        );
+        let report = outcome.as_ref().map_or_else(|e| &*e.report, |o| &o.report);
+        let mut incomplete = false;
+        for a in &report.attempts {
+            if matches!(a.status, AttemptStatus::Panicked) {
+                self.metrics.bump(&self.metrics.panics_contained);
             }
+            incomplete |= !matches!(a.status, AttemptStatus::Won | AttemptStatus::Completed);
         }
-
-        // ---- nothing more will complete: best-so-far or error ----
-        match &best {
-            Some(candidate) => {
+        let rungs_run = climbs.iter().filter_map(|c| c.get()).flatten();
+        let retries = rungs_run.filter(|&&r| r == Rung::Reseeded).count() as u64;
+        self.metrics.retries.fetch_add(retries, Ordering::Relaxed);
+        // deadline (not the client's compute budget) binding and
+        // attempts left unfinished ⇒ best-so-far answer
+        let deadline_fired = incomplete && self.deadline_was_binding(&job);
+        match outcome {
+            Ok(out) => {
+                record_attempt_spans(&self.spans, seq, &out.report, portfolio_started);
+                // the winner's ladder ends on the rung that answered
+                let on_fm = climbs[out.winner].get().and_then(|r| r.last()) == Some(&Rung::Fm);
+                let reason = if on_fm {
+                    Some(Degradation::FmFallback)
+                } else {
+                    deadline_fired.then_some(Degradation::DeadlineBestSoFar)
+                };
+                // the insurance answer stands unless strictly beaten
+                let beaten = |held: &PartitionResult| out.best.ratio() < held.ratio();
+                let (tier, result) = match insurance {
+                    Some(held) if !beaten(&held) => ("insurance", held),
+                    _ if on_fm => ("fm-fallback", out.best),
+                    _ => ("portfolio", out.best),
+                };
+                ladder_frame(&job, tier, &result, reason, retries)
+            }
+            // ---- no attempt answered: best-so-far or error ----
+            Err(err) => {
                 let reason = if deadline_fired {
                     Degradation::DeadlineBestSoFar
                 } else {
                     Degradation::FmFallback
                 };
-                self.candidate_frame(&job, candidate, Some(reason), retries_done)
-            }
-            None => {
-                let reason = last_error
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "no tier produced a partition".into());
-                Terminal::error(&request.id, &format!("request failed: {reason}"))
+                let failure = format!("request failed: {}", err.error);
+                best_so_far(&job, insurance, reason, retries, &failure)
             }
         }
     }
@@ -711,7 +631,7 @@ impl Service {
     /// it exists precisely to survive them. A slice that runs out keeps
     /// FM's best partition so far, at worst its seeded start, so only an
     /// unpartitionable netlist comes back `None`.
-    fn insurance(&self, cached: &CachedNetlist, seed: u64) -> Option<Candidate> {
+    fn insurance(&self, cached: &CachedNetlist, seed: u64) -> Option<PartitionResult> {
         let hg = &cached.hypergraph;
         let n = hg.num_modules();
         if n < 2 {
@@ -725,10 +645,8 @@ impl Service {
         let start = RandomStartFmStage::start(n, derive_seed(seed, 0x1A5E_CE00));
         let (fm, _) = fm_bisect_anytime(hg, &start, &FmOptions::default(), &meter);
         let stats = fm.partition.cut_stats(hg);
-        (stats.left > 0 && stats.right > 0).then(|| Candidate {
-            result: PartitionResult::evaluate(hg, fm.partition, "FM-restart", None),
-            tier: "insurance",
-        })
+        (stats.left > 0 && stats.right > 0)
+            .then(|| PartitionResult::evaluate(hg, fm.partition, "FM-restart", None))
     }
 
     /// Wall-clock room left for main-tier work:
@@ -764,21 +682,40 @@ impl Service {
         deadline_left < budget_left
     }
 
-    /// Builds the main-tier portfolio: `restarts` attempts of the
-    /// requested algorithm from the shared table (`auto` is IG-Match),
-    /// labelled with the wire name, each on a decorrelated seed stream,
-    /// with the request's fault decorator applied when the feature is on.
-    fn build_portfolio(&self, request: &Request, restarts: usize, seed: u64) -> Portfolio {
+    /// Builds the main-tier portfolio, labelled with the wire name:
+    /// attempt `i` is a [`Ladder`] on seed stream `derive_seed(seed, i)`
+    /// over the shared algorithm table (`auto` is IG-Match). Returns each
+    /// attempt's climb slot next to the portfolio.
+    fn build_portfolio(
+        &self,
+        request: &Request,
+        seed: u64,
+    ) -> (Portfolio, Vec<Arc<OnceLock<Vec<Rung>>>>) {
+        let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
         let algorithm = request.algo.unwrap_or(Algorithm::IgMatch);
-        Portfolio::new().restarts(proto::algo_name(request.algo), restarts, |i| {
-            let stage = algorithm.attempt(IgMatchOptions::default(), derive_seed(seed, i as u64));
-            self.decorate(request, i, stage)
-        })
+        let ig = IgMatchOptions::default();
+        let mut climbs = Vec::with_capacity(restarts);
+        let portfolio = Portfolio::new().restarts(proto::algo_name(request.algo), restarts, |i| {
+            let stream = derive_seed(seed, i as u64);
+            let first = self.decorate(request, i, algorithm.attempt(ig, stream));
+            let mut chain = FallbackChain::new().link(Rung::Requested, Boxed(first));
+            for r in 1..=RESEED_ATTEMPTS as u64 {
+                let reseeded = algorithm.attempt(ig, derive_seed(stream, r));
+                chain = chain.link(Rung::Reseeded, Boxed(reseeded));
+            }
+            if algorithm != Algorithm::Fm {
+                chain = chain.link(Rung::Fm, Boxed(Algorithm::Fm.attempt(ig, stream)));
+            }
+            let climb = Arc::new(OnceLock::new());
+            climbs.push(Arc::clone(&climb));
+            Box::new(Ladder { chain, climb })
+        });
+        (portfolio, climbs)
     }
 
-    /// Wraps the attempt stage in `np-core`'s fault decorator when the
-    /// request names a fault (fault-inject builds only). The panic fault
-    /// poisons only attempt 0 — the point is to prove one poisoned
+    /// Wraps an attempt's first rung in `np-core`'s fault decorator when
+    /// the request names a fault (fault-inject builds only). The panic
+    /// fault poisons only attempt 0 — the point is to prove one poisoned
     /// attempt cannot take the request (or the server) down with it.
     #[cfg(feature = "fault-inject")]
     fn decorate(&self, request: &Request, attempt: usize, stage: BoxedStage) -> BoxedStage {
@@ -797,38 +734,113 @@ impl Service {
     fn decorate(&self, _request: &Request, _attempt: usize, stage: BoxedStage) -> BoxedStage {
         stage
     }
+}
 
-    /// Renders the terminal frame of a bipartition tier ladder answer:
-    /// the candidate's tier, plus the retry count.
-    fn candidate_frame(
-        &self,
-        job: &Job<'_>,
-        candidate: &Candidate,
-        reason: Option<Degradation>,
-        retries: u64,
-    ) -> Terminal {
-        result_frame(
-            job,
-            candidate.tier,
-            Answer::Bipartition(&candidate.result),
-            Extras {
-                reason,
-                retries: Some(retries),
-                ..Extras::default()
-            },
-        )
+/// Renders the terminal frame of a bipartition ladder answer from
+/// `tier`, plus the retry count.
+fn ladder_frame(
+    job: &Job<'_>,
+    tier: &str,
+    result: &PartitionResult,
+    reason: Option<Degradation>,
+    retries: u64,
+) -> Terminal {
+    result_frame(
+        job,
+        tier,
+        Answer::Bipartition(result),
+        Extras {
+            reason,
+            retries: Some(retries),
+            ..Extras::default()
+        },
+    )
+}
+
+/// The terminal frame when the main tier produced nothing: the insurance
+/// answer degraded for `reason` (with the retry count), or an error frame
+/// saying `failure`.
+fn best_so_far(
+    job: &Job<'_>,
+    insurance: Option<PartitionResult>,
+    reason: Degradation,
+    retries: u64,
+    failure: &str,
+) -> Terminal {
+    match insurance {
+        Some(result) => ladder_frame(job, "insurance", &result, Some(reason), retries),
+        None => Terminal::error(&job.request.id, failure),
     }
 }
 
-/// An admitted request as the tiers see it: the parsed netlist and the
-/// clocks every tier's wall and every result frame are measured from.
+/// The rungs of a request's degradation ladder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Rung {
+    /// The requested algorithm on the attempt's own seed stream.
+    Requested,
+    /// The requested algorithm on a reseeded stream.
+    Reseeded,
+    /// Random-start FM, the paper's §5 baseline.
+    Fm,
+}
+
+/// One main-tier attempt: an engine [`FallbackChain`] over the rungs that
+/// aborts on a spent budget or too-small input, like the robust chain.
+/// It records the rungs it ran, in order, for the service to read after
+/// the portfolio; a panicking rung leaves the slot empty.
+struct Ladder {
+    chain: FallbackChain<Rung>,
+    climb: Arc<OnceLock<Vec<Rung>>>,
+}
+
+impl Stage for Ladder {
+    fn name(&self) -> &'static str {
+        "ladder"
+    }
+
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        _input: Option<PartitionResult>,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        let (answer, rungs) = match self.chain.run(hg, ctx) {
+            Ok(out) => (Ok(out.result), out.attempts),
+            Err(fail) => (Err(fail.error), fail.attempts),
+        };
+        let _ = self.climb.set(rungs.iter().map(|a| a.label).collect());
+        answer
+    }
+}
+
+/// A table-built [`BoxedStage`] as a chain link (links take a `Stage`
+/// by value and box it themselves).
+struct Boxed(BoxedStage);
+
+impl Stage for Boxed {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        input: Option<PartitionResult>,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        self.0.run(hg, input, ctx)
+    }
+}
+
+/// An admitted request as the tiers see it: the parsed netlist (and
+/// whether the cache already held it) and the clocks every tier's wall
+/// and every result frame are measured from.
 struct Job<'a> {
     request: &'a Request,
-    cached: &'a CachedNetlist,
+    cached: &'a Lookup,
     deadline: Option<Instant>,
     queue_wait: Duration,
     compute_start: Instant,
-    cache_hit: bool,
 }
 
 /// The partition a `result` frame carries.
@@ -848,7 +860,7 @@ struct Extras {
     k: Option<usize>,
     /// V-cycle `levels` and `coarsest_modules`.
     levels: Option<(usize, usize)>,
-    /// Main-tier retries spent.
+    /// Reseeded rungs run across the main tier's attempts.
     retries: Option<u64>,
 }
 
@@ -919,7 +931,7 @@ fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -
         obj = obj.int("retries", retries);
     }
     let frame = obj
-        .bool("cache_hit", job.cache_hit)
+        .bool("cache_hit", job.cached.hit)
         .num("queue_ms", job.queue_wait.as_secs_f64() * 1e3)
         .num(
             "compute_ms",
@@ -951,38 +963,6 @@ fn multilevel_options(request: &Request) -> MultilevelOptions {
     let mut opts = MultilevelOptions::default();
     opts.ig_match.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
     opts
-}
-
-/// Runs one tier's portfolio against the netlist's shared operator
-/// cache, scored by ratio cut, under a fresh meter for `budget`.
-fn run_tier(
-    cached: &CachedNetlist,
-    portfolio: &Portfolio,
-    opts: &PortfolioOptions,
-    budget: &Budget,
-    sink: Option<&dyn PortfolioSink>,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    run_portfolio_cached(
-        &cached.hypergraph,
-        portfolio,
-        opts,
-        &BudgetMeter::new(budget),
-        sink,
-        &|r: &PartitionResult| r.ratio(),
-        &cached.operators,
-    )
-}
-
-/// Keeps the better (lower-ratio) of the held candidate and the offered
-/// result.
-fn offer(best: &mut Option<Candidate>, result: PartitionResult, tier: &'static str) {
-    let better = match best {
-        Some(held) => result.ratio() < held.result.ratio(),
-        None => true,
-    };
-    if better {
-        *best = Some(Candidate { result, tier });
-    }
 }
 
 #[cfg(test)]
@@ -1159,6 +1139,43 @@ mod tests {
             assert!(doc.get("partition").is_none(), "k-way frames carry blocks");
             assert_eq!(svc.metrics().results.load(Ordering::Relaxed), 1);
             assert_keys(&doc, "id frame degraded tier algorithm k cut ratio blocks");
+        }
+    }
+
+    #[test]
+    fn each_attempt_records_the_rungs_it_climbed() {
+        // both nets span every module: IG-Match finds no two-sided split,
+        // so each ladder climbs past its reseeds to FM, which answers on
+        // 20 modules but, with an empty side in its balance window, not
+        // on 4
+        let spanning = |n: u32| {
+            let all: Vec<u32> = (0..n).collect();
+            np_netlist::hypergraph_from_nets(n as usize, &[all.clone(), all])
+        };
+        let (wide, narrow) = (spanning(20), spanning(4));
+        let healthy = np_netlist::io::parse_hgr(&small_hgr()).unwrap();
+        let reseeds = vec![Rung::Reseeded; RESEED_ATTEMPTS];
+        let to_fm = [&[Rung::Requested][..], &reseeds, &[Rung::Fm]].concat();
+        let fm_only = [&[Rung::Requested][..], &reseeds].concat();
+        let svc = Service::new(ServeConfig::default());
+        for (hg, extra, expected, answered) in [
+            (&healthy, "", vec![Rung::Requested], true),
+            (&wide, "", to_fm.clone(), true),
+            (&narrow, "", to_fm, false),
+            // an `fm` request's ladder has no FM rung of its own
+            (&narrow, r#","algo":"fm""#, fm_only, false),
+        ] {
+            let line = request_line("ladder", &format!(r#"{extra},"restarts":2"#));
+            let request = Request::parse(&line).unwrap();
+            let (portfolio, climbs) = svc.build_portfolio(&request, 7);
+            let opts = PortfolioOptions::default().with_threads(1).with_seed(7);
+            let meter = BudgetMeter::unlimited();
+            let run = np_runner::run_portfolio(hg, &portfolio, &opts, &meter, None);
+            assert_eq!(run.is_ok(), answered, "{extra}: {run:?}");
+            assert_eq!(climbs.len(), 2);
+            for climb in &climbs {
+                assert_eq!(climb.get(), Some(&expected), "{extra}: {run:?}");
+            }
         }
     }
 

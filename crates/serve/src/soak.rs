@@ -20,8 +20,10 @@
 //! * **No leaked cache bytes** — [`NetlistCache::audit`] recounts every
 //!   resident entry and must match the running total exactly.
 //! * **Metrics consistency** — terminal frames equal request count,
-//!   every histogram's bucket sum equals its count, and counters only
-//!   ever grew during the run (checked by mid-soak sampling).
+//!   every histogram's bucket sum equals its count, the latency,
+//!   queue-wait and `fm-fallback` wall counts equal the `requests`,
+//!   `admitted` and `fm_fallbacks` counters, and counters only ever grew
+//!   during the run (checked by mid-soak sampling).
 //!
 //! Violations are collected into [`SoakReport::violations`] rather than
 //! panicking, so the bench binary can render a report artifact and CI
@@ -323,39 +325,28 @@ pub fn run_soak(opts: &SoakOptions) -> SoakReport {
             "terminal counters {results}+{degraded}+{shed}+{errors} != requests {requests}"
         ));
     }
-    match histogram_counts(&doc, "latency") {
-        Some((count, cells)) => {
-            if count != requests {
-                violations.push(format!("latency count {count} != requests {requests}"));
-            }
-            if cells != count {
-                violations.push(format!("latency bucket sum {cells} != count {count}"));
-            }
+    // every histogram's bucket cells sum to its count, and the counts
+    // that mirror a counter equal it
+    let fm_fallbacks = get_u64(&doc, "fm_fallbacks");
+    let tiers = doc.get("wall_by_tier");
+    let histograms = [
+        (Some(&doc), "latency", Some(("requests", requests))),
+        (Some(&doc), "queue_wait", Some(("admitted", admitted))),
+        (Some(&doc), "latency_by_priority", None),
+        (Some(&doc), "queue_wait_by_priority", None),
+        (Some(&doc), "wall_by_tier", None),
+        (tiers, "fm-fallback", Some(("fm_fallbacks", fm_fallbacks))),
+    ];
+    for (parent, key, mirrors) in histograms {
+        let Some((count, cells)) = parent.and_then(|p| histogram_counts(p, key)) else {
+            violations.push(format!("{key} histogram missing from /metrics"));
+            continue;
+        };
+        if cells != count {
+            violations.push(format!("{key} bucket sum {cells} != count {count}"));
         }
-        None => violations.push("latency histogram missing from /metrics".into()),
-    }
-    match histogram_counts(&doc, "queue_wait") {
-        Some((count, cells)) => {
-            if count != admitted {
-                violations.push(format!("queue_wait count {count} != admitted {admitted}"));
-            }
-            if cells != count {
-                violations.push(format!("queue_wait bucket sum {cells} != count {count}"));
-            }
-        }
-        None => violations.push("queue_wait histogram missing from /metrics".into()),
-    }
-    for key in [
-        "latency_by_priority",
-        "queue_wait_by_priority",
-        "wall_by_tier",
-    ] {
-        match histogram_counts(&doc, key) {
-            Some((count, cells)) if count == cells => {}
-            Some((count, cells)) => {
-                violations.push(format!("{key} bucket sum {cells} != count {count}"))
-            }
-            None => violations.push(format!("{key} missing from /metrics")),
+        if let Some((counter, value)) = mirrors.filter(|&(_, value)| value != count) {
+            violations.push(format!("{key} count {count} != {counter} {value}"));
         }
     }
 
