@@ -45,7 +45,8 @@ impl PrefixObjective {
 pub struct FmOptions {
     /// Maximum imbalance as a fraction of the module count: the left block
     /// must stay within `n/2 ± balance_tolerance·n/2` modules
-    /// (plus slack of one module for odd `n`).
+    /// (plus slack of one module for odd `n`), and never empties either
+    /// side.
     pub balance_tolerance: f64,
     /// Upper bound on improvement passes.
     pub max_passes: usize,
@@ -148,8 +149,9 @@ pub fn fm_bisect_anytime(
     assert_eq!(initial.len(), n, "partition size mismatch");
     let half = n as f64 / 2.0;
     let slack = (opts.balance_tolerance * half).ceil() as i64 + 1;
-    let min_left = ((half as i64) - slack).max(0) as usize;
-    let max_left = (((half.ceil()) as i64) + slack).min(n as i64) as usize;
+    // never empty a side: the window stays inside `1..=n−1`
+    let min_left = ((half as i64) - slack).max(1) as usize;
+    let max_left = (((half.ceil()) as i64) + slack).min(n as i64 - 1).max(0) as usize;
 
     let mut tracker = CutTracker::from_partition(hg, initial);
     let mut passes = 0usize;
@@ -478,6 +480,21 @@ mod tests {
         let s = r.partition.cut_stats(&hg);
         // slack of 1 module around perfect balance
         assert!(s.left.abs_diff(s.right) <= 2, "{s:?}");
+    }
+
+    #[test]
+    fn keeps_both_sides_non_empty_on_tiny_netlists() {
+        // two nets spanning every module: emptying a side would cut
+        // nothing, so only the balance window stands in the way
+        for n in 2..=5u32 {
+            let all: Vec<u32> = (0..n).collect();
+            let hg = hypergraph_from_nets(n as usize, &[all.clone(), all]);
+            let start = Bipartition::from_left_set(n as usize, [ModuleId(0)]);
+            let s = fm_bisect(&hg, &start, &FmOptions::default())
+                .partition
+                .cut_stats(&hg);
+            assert!(s.left > 0 && s.right > 0, "n = {n}: {s:?}");
+        }
     }
 
     #[test]

@@ -181,7 +181,6 @@ pub fn spectral_bisect(
 mod tests {
     use super::*;
     use np_netlist::hypergraph_from_nets;
-    use np_sparse::BudgetMeter;
 
     fn two_triangles() -> Hypergraph {
         hypergraph_from_nets(
@@ -234,28 +233,6 @@ mod tests {
         let r = eig1(&two_triangles(), &Eig1Options::default()).unwrap();
         let recomputed = r.partition.cut_stats(&two_triangles());
         assert_eq!(r.stats, recomputed);
-    }
-
-    #[test]
-    fn ctx_matches_plain_and_trips_on_zero_clock() {
-        use np_sparse::Budget;
-        use std::time::Duration;
-        let hg = two_triangles();
-        let plain = eig1(&hg, &Eig1Options::default()).unwrap();
-        let meter = BudgetMeter::unlimited();
-        let via_ctx = eig1_ctx(
-            &hg,
-            &Eig1Options::default(),
-            &RunContext::with_meter(&meter),
-        )
-        .unwrap();
-        assert_eq!(plain.partition, via_ctx.partition);
-        assert!(meter.matvecs_used() > 0);
-        let tight = RunContext::with_budget(&Budget::default().with_wall_clock(Duration::ZERO));
-        assert!(matches!(
-            eig1_ctx(&hg, &Eig1Options::default(), &tight),
-            Err(PartitionError::Budget(_))
-        ));
     }
 
     #[test]

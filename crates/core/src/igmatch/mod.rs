@@ -285,7 +285,6 @@ struct Best {
 mod tests {
     use super::*;
     use np_netlist::hypergraph_from_nets;
-    use np_sparse::BudgetMeter;
 
     fn two_triangles() -> Hypergraph {
         hypergraph_from_nets(
@@ -394,21 +393,6 @@ mod tests {
             ig_match_with_ordering_ctx(&hg, &order, false, &ctx),
             Err(PartitionError::Budget(_))
         ));
-    }
-
-    #[test]
-    fn ctx_matches_plain() {
-        let hg = two_triangles();
-        let plain = ig_match(&hg, &IgMatchOptions::default()).unwrap();
-        let meter = BudgetMeter::unlimited();
-        let via_ctx = ig_match_ctx(
-            &hg,
-            &IgMatchOptions::default(),
-            &RunContext::with_meter(&meter),
-        )
-        .unwrap();
-        assert_eq!(plain.result.partition, via_ctx.result.partition);
-        assert!(meter.matvecs_used() > 0);
     }
 
     #[test]

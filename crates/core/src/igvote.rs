@@ -339,22 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn ctx_matches_plain_and_trips_on_zero_clock() {
-        use np_sparse::Budget;
-        use std::time::Duration;
-        let hg = two_triangles();
-        let plain = ig_vote(&hg, &IgVoteOptions::default()).unwrap();
-        let via_ctx =
-            ig_vote_ctx(&hg, &IgVoteOptions::default(), &RunContext::unlimited()).unwrap();
-        assert_eq!(plain.partition, via_ctx.partition);
-        let tight = RunContext::with_budget(&Budget::default().with_wall_clock(Duration::ZERO));
-        assert!(matches!(
-            ig_vote_ctx(&hg, &IgVoteOptions::default(), &tight),
-            Err(PartitionError::Budget(_))
-        ));
-    }
-
-    #[test]
     fn all_weightings_work() {
         let hg = two_triangles();
         for w in IgWeighting::ALL {

@@ -322,20 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs() {
-        let hg = circuit();
-        let opts = KwayOptions {
-            k: 8,
-            epsilon: 0.4,
-            ..Default::default()
-        };
-        let a = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
-        let b = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
-        assert_eq!(a.partition, b.partition);
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
     fn degenerate_netless_subinstances_fall_back() {
         // A single net among 9 modules: every sub-instance past the first
         // split is essentially netless, exercising the fallback split.

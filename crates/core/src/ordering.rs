@@ -198,18 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn ctx_ordering_matches_plain() {
-        let hg = dumbbell();
-        let plain = spectral_net_ordering(&hg, IgWeighting::Paper, &Default::default()).unwrap();
-        let meter = np_sparse::BudgetMeter::unlimited();
-        let ctx = RunContext::with_meter(&meter);
-        let via_ctx =
-            spectral_net_ordering_ctx(&hg, IgWeighting::Paper, &Default::default(), &ctx).unwrap();
-        assert_eq!(plain, via_ctx);
-        assert!(meter.matvecs_used() > 0);
-    }
-
-    #[test]
     fn module_ordering_separates_clusters() {
         let hg = dumbbell();
         let order = spectral_module_ordering(&hg, &Default::default()).unwrap();

@@ -14,10 +14,14 @@ use np_baselines::{KlOptions, RcutOptions};
 use np_core::engine::stages::{
     Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage, RobustStage,
 };
-use np_core::engine::BoxedStage;
+use np_core::engine::{BoxedStage, RunContext};
 use np_core::hybrid::{hybrid_pipeline, HybridOptions};
-use np_core::{Eig1Options, IgMatchOptions, IgVoteOptions, RobustOptions};
+use np_core::{
+    Eig1Options, IgMatchOptions, IgVoteOptions, PartitionError, PartitionResult, Partitioner,
+    RobustOptions,
+};
 use np_netlist::rng::derive_seed;
+use np_netlist::Hypergraph;
 
 /// A bipartitioning algorithm of the workspace, by its front-end name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -82,7 +86,7 @@ impl Algorithm {
     /// One portfolio attempt on seed stream `stream`: every option seed
     /// moves onto the stream and internal restart loops collapse to one
     /// run (the portfolio is the restart loop). FM draws a random start
-    /// from the attempt context's seed instead of its fixed one.
+    /// from `stream` instead of its fixed one.
     pub fn attempt(self, ig: IgMatchOptions, stream: u64) -> BoxedStage {
         self.build(ig, Some(stream))
     }
@@ -122,7 +126,7 @@ impl Algorithm {
                 ..Default::default()
             })),
             (Algorithm::Fm, None) => Box::new(FmStage::default()),
-            (Algorithm::Fm, Some(_)) => Box::new(RandomStartFmStage::default()),
+            (Algorithm::Fm, Some(seed)) => Box::new(StreamFmStage(seed)),
             (Algorithm::Rcut, None) => Box::new(RcutStage::default()),
             (Algorithm::Rcut, Some(seed)) => Box::new(RcutStage::new(RcutOptions {
                 runs: 1,
@@ -139,12 +143,30 @@ impl Algorithm {
     }
 }
 
+/// An FM attempt: [`RandomStartFmStage`] from the start of its own seed
+/// stream rather than the context's, so reseeded attempts on one
+/// context draw different starts.
+struct StreamFmStage(u64);
+
+impl Partitioner for StreamFmStage {
+    fn name(&self) -> &'static str {
+        "FM-restart"
+    }
+
+    fn partition(
+        &self,
+        hg: &Hypergraph,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        RandomStartFmStage::default().run_from(hg, self.0, ctx.meter())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{run_portfolio, PortfolioOptions};
     use np_core::engine::run_stage;
-    use np_core::RunContext;
     use np_netlist::generate::{generate, GeneratorConfig};
     use np_sparse::BudgetMeter;
 
@@ -162,6 +184,29 @@ mod tests {
             let out = run_portfolio(&hg, &p, &opts, &BudgetMeter::unlimited(), None).unwrap();
             assert_eq!(out.report.attempts.len(), 3, "{a:?}");
             assert!(out.best.ratio().is_finite(), "{a:?}");
+        }
+    }
+
+    #[test]
+    fn attempts_follow_their_stream() {
+        // one fixed context: only the stream may move the attempt
+        let hg = generate(&GeneratorConfig::new(60, 66, 3));
+        let ig = IgMatchOptions::default();
+        for a in [Algorithm::Rcut, Algorithm::Kl, Algorithm::Fm] {
+            let mut distinct = Vec::new();
+            for stream in 0..4 {
+                let r = run_stage(
+                    a.attempt(ig, stream).as_ref(),
+                    &hg,
+                    None,
+                    &RunContext::unlimited(),
+                );
+                let sides = r.unwrap().partition.sides().to_vec();
+                if !distinct.contains(&sides) {
+                    distinct.push(sides);
+                }
+            }
+            assert!(distinct.len() > 1, "{a:?} ignores its stream");
         }
     }
 }

@@ -288,7 +288,8 @@ pub struct PortfolioOutcome {
 #[derive(Debug)]
 pub struct PortfolioError {
     /// The decisive error: the first (by attempt index) error observed,
-    /// or `InvalidInput` for an empty portfolio.
+    /// the budget trip when every attempt was skipped, or `InvalidInput`
+    /// for an empty portfolio.
     pub error: PartitionError,
     /// What happened to every attempt (partial progress included).
     /// Boxed to keep the `Err` variant of [`run_portfolio`] small.
@@ -548,11 +549,15 @@ pub fn run_portfolio_cached(
             report,
         }),
         None => Err(PortfolioError {
-            error: records.iter().find_map(|s| s.error.clone()).unwrap_or(
-                PartitionError::InvalidInput {
+            // attempts are skipped only on a tripped meter, which stays
+            // tripped
+            error: records
+                .iter()
+                .find_map(|s| s.error.clone())
+                .or_else(|| meter.check().err().map(PartitionError::Budget))
+                .unwrap_or(PartitionError::InvalidInput {
                     reason: "every attempt was skipped",
-                },
-            ),
+                }),
             report: Box::new(report),
         }),
     }
@@ -660,6 +665,34 @@ impl RandomStartFmStage {
         Rng64::new(seed).shuffle(&mut order);
         Bipartition::from_left_set(n, order[..n / 2].iter().copied().map(ModuleId))
     }
+
+    /// FM from the random balanced start of `seed`, charged to `meter`.
+    pub(crate) fn run_from(
+        &self,
+        hg: &Hypergraph,
+        seed: u64,
+        meter: &BudgetMeter,
+    ) -> Result<PartitionResult, PartitionError> {
+        let n = hg.num_modules();
+        if n < 2 {
+            return Err(PartitionError::TooSmall {
+                modules: n,
+                nets: hg.num_nets(),
+            });
+        }
+        let start = Self::start(n, seed);
+        let improved = fm_bisect_metered(hg, &start, &self.opts, meter)?;
+        let stats = improved.partition.cut_stats(hg);
+        if stats.left == 0 || stats.right == 0 {
+            return Err(PartitionError::Degenerate);
+        }
+        Ok(PartitionResult::evaluate(
+            hg,
+            improved.partition,
+            "FM-restart",
+            None,
+        ))
+    }
 }
 
 impl Partitioner for RandomStartFmStage {
@@ -672,25 +705,7 @@ impl Partitioner for RandomStartFmStage {
         hg: &Hypergraph,
         ctx: &RunContext<'_>,
     ) -> Result<PartitionResult, PartitionError> {
-        let n = hg.num_modules();
-        if n < 2 {
-            return Err(PartitionError::TooSmall {
-                modules: n,
-                nets: hg.num_nets(),
-            });
-        }
-        let start = Self::start(n, ctx.seed());
-        let improved = fm_bisect_metered(hg, &start, &self.opts, ctx.meter())?;
-        let stats = improved.partition.cut_stats(hg);
-        if stats.left == 0 || stats.right == 0 {
-            return Err(PartitionError::Degenerate);
-        }
-        Ok(PartitionResult::evaluate(
-            hg,
-            improved.partition,
-            "FM-restart",
-            None,
-        ))
+        self.run_from(hg, ctx.seed(), ctx.meter())
     }
 }
 
@@ -834,7 +849,7 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert!(matches!(err.error, PartitionError::InvalidInput { .. }));
+        assert!(matches!(err.error, PartitionError::Budget(_)));
         assert_eq!(err.report.attempts.len(), 2);
         for a in &err.report.attempts {
             assert_eq!(a.status, AttemptStatus::Skipped);

@@ -1,129 +1,31 @@
-//! Portfolio determinism and cancellation properties (ISSUE PR 3,
-//! satellite 3).
+//! Portfolio seeding and cancellation properties. Thread-count
+//! invariance of the winner and the report is a row of the root
+//! package's differential matrix (`tests/differential.rs`).
 //!
-//! * **Determinism**: for a fixed base seed, the winner — index,
-//!   partition, ratio — and every per-attempt record (status, score,
-//!   charge) are bit-identical for `threads ∈ {1, 2, 8}` on random
-//!   netlists, because attempt seeds derive from the attempt *index*
-//!   (not the worker) and the reduction orders by `(score, index)`.
+//! * **Seeding**: attempt `i` runs on seed stream `derive_seed(seed, i)`,
+//!   whatever the worker that picks it up.
 //! * **Cancellation**: once the shared deadline passes, in-flight
 //!   attempts stop at their next budget check and the whole portfolio
 //!   returns promptly with every attempt's fate recorded.
 
-use np_baselines::RcutOptions;
-use np_core::engine::stages::{IgMatchStage, RcutStage};
+use np_core::engine::stages::IgMatchStage;
 use np_core::{IgMatchOptions, PartitionError, PartitionResult, Partitioner, RunContext};
 use np_netlist::rng::derive_seed;
-use np_netlist::{Hypergraph, Side};
+use np_netlist::Hypergraph;
 use np_runner::json::Value;
 use np_runner::{
-    run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions, PortfolioOutcome,
-    RandomStartFmStage,
+    run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions, RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter};
-use np_testkit::{check_cases, small_hypergraph, Gen};
+use np_testkit::{small_hypergraph, Gen};
 use std::time::{Duration, Instant};
-
-/// Winner index, winning sides, winning ratio bits, then per-attempt
-/// (status, score bits, charge).
-type Fingerprint = (usize, Vec<Side>, u64, Vec<(AttemptStatus, u64, u64)>);
-
-/// Everything about an outcome that the determinism contract promises is
-/// thread-count invariant. Wall times and the *global* pool total are
-/// deliberately excluded (they are timing-dependent).
-fn fingerprint(out: &PortfolioOutcome) -> Fingerprint {
-    (
-        out.winner,
-        out.best.partition.sides().to_vec(),
-        out.best.ratio().to_bits(),
-        out.report
-            .attempts
-            .iter()
-            .map(|a| {
-                (
-                    a.status,
-                    a.score.unwrap_or(f64::INFINITY).to_bits(),
-                    a.charge,
-                )
-            })
-            .collect(),
-    )
-}
-
-fn mixed_portfolio(seed: u64) -> Portfolio {
-    let mut p = Portfolio::new().attempt("IG-Match", IgMatchStage::default());
-    for i in 0..3u64 {
-        p = p.attempt(
-            format!("RCut#{i}"),
-            RcutStage {
-                opts: RcutOptions {
-                    runs: 1,
-                    seed: derive_seed(seed, i),
-                    ..RcutOptions::default()
-                },
-            },
-        );
-    }
-    p
-}
-
-#[test]
-fn winner_is_identical_for_1_2_and_8_threads() {
-    check_cases(24, 0x0DAC_5EED, |g: &mut Gen| {
-        let hg = small_hypergraph(g);
-        if hg.num_modules() < 2 {
-            return;
-        }
-        let seed = g.rng().next_u64();
-        let portfolio = mixed_portfolio(seed);
-        let mut prints = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let opts = PortfolioOptions::default()
-                .with_threads(threads)
-                .with_seed(seed);
-            match run_portfolio(&hg, &portfolio, &opts, &BudgetMeter::unlimited(), None) {
-                Ok(out) => prints.push(Some(fingerprint(&out))),
-                Err(_) => prints.push(None),
-            }
-        }
-        assert_eq!(prints[0], prints[1], "threads=1 vs threads=2");
-        assert_eq!(prints[0], prints[2], "threads=1 vs threads=8");
-    });
-}
-
-#[test]
-fn fm_restart_portfolio_is_thread_invariant() {
-    check_cases(16, 0xF00D_F00D, |g: &mut Gen| {
-        let hg = small_hypergraph(g);
-        if hg.num_modules() < 4 {
-            return;
-        }
-        let portfolio = Algorithm::Fm.portfolio(IgMatchOptions::default(), 6, 11);
-        let mut prints = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let opts = PortfolioOptions::default()
-                .with_threads(threads)
-                .with_seed(11);
-            // tiny instances may legitimately fail (FM's balance slack
-            // allows emptying a side for n=4, which evaluates as
-            // Degenerate) — failures must be thread-invariant too
-            match run_portfolio(&hg, &portfolio, &opts, &BudgetMeter::unlimited(), None) {
-                Ok(out) => prints.push(Some(fingerprint(&out))),
-                Err(_) => prints.push(None),
-            }
-        }
-        assert_eq!(prints[0], prints[1]);
-        assert_eq!(prints[0], prints[2]);
-    });
-}
 
 #[test]
 fn attempt_seeds_follow_the_derive_seed_streams() {
     // run the same single-attempt stage standalone on stream i and
     // inside the portfolio at index i: identical results
     let mut g = Gen::new(0xBEEF);
-    // n >= 8 keeps FM's balance slack from ever emptying a side, so
-    // every attempt completes and the portfolio cannot fail
+    // every attempt completes, so the portfolio cannot fail
     let hg = loop {
         let hg = small_hypergraph(&mut g);
         if hg.num_modules() >= 8 {

@@ -200,33 +200,35 @@ fn exhausted_insurance_slice_still_backs_a_degraded_result() {
 
 /// The bottom of the degradation ladder: both nets span every module, so
 /// IG-Match finds no split with two non-empty sides at any rank and the
-/// request is answered through the FM fallback. Twenty modules, because
-/// FM's balance window on four or five modules admits an empty side.
+/// request is answered through the FM fallback — on four modules too,
+/// where FM must not empty a side to cut nothing.
 #[test]
 fn spectrally_degenerate_netlist_falls_back_to_fm() {
-    let svc = Service::new(ServeConfig::default());
-    let every: Vec<String> = (1..=20).map(|m| m.to_string()).collect();
-    let net = every.join(" ");
-    let hgr = json::escape(&format!("2 20\n{net}\n{net}\n"));
-    let line = format!(r#"{{"id":"degenerate","hgr":{hgr},"restarts":2}}"#);
-    let frames = collect(&svc, &line);
-    assert_eq!(frames.len(), 1, "{frames:?}");
-    let doc = json::parse(&frames[0]).unwrap();
-    assert_eq!(
-        doc.get("frame").and_then(Value::as_str),
-        Some("result"),
-        "{frames:?}"
-    );
-    assert_eq!(doc.get("degraded").and_then(Value::as_bool), Some(true));
-    assert_eq!(
-        doc.get("reason").and_then(Value::as_str),
-        Some("fm-fallback")
-    );
-    // no `tier` assert: the insurance answer wins ratio ties
-    let p = doc.get("partition").and_then(Value::as_str).unwrap();
-    assert_eq!(p.len(), 20);
-    assert!(p.contains('0') && p.contains('1'), "{p}");
-    assert_eq!(counter(&metrics_doc(&svc), "fm_fallbacks"), 1);
+    for modules in [20, 4] {
+        let svc = Service::new(ServeConfig::default());
+        let every: Vec<String> = (1..=modules).map(|m| m.to_string()).collect();
+        let net = every.join(" ");
+        let hgr = json::escape(&format!("2 {modules}\n{net}\n{net}\n"));
+        let line = format!(r#"{{"id":"degenerate","hgr":{hgr},"restarts":2}}"#);
+        let frames = collect(&svc, &line);
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        let doc = json::parse(&frames[0]).unwrap();
+        assert_eq!(
+            doc.get("frame").and_then(Value::as_str),
+            Some("result"),
+            "{frames:?}"
+        );
+        assert_eq!(doc.get("degraded").and_then(Value::as_bool), Some(true));
+        assert_eq!(
+            doc.get("reason").and_then(Value::as_str),
+            Some("fm-fallback")
+        );
+        // no `tier` assert: the insurance answer wins ratio ties
+        let p = doc.get("partition").and_then(Value::as_str).unwrap();
+        assert_eq!(p.len(), modules);
+        assert!(p.contains('0') && p.contains('1'), "{p}");
+        assert_eq!(counter(&metrics_doc(&svc), "fm_fallbacks"), 1);
+    }
 }
 
 /// `/metrics` counts every `fm-fallback` result frame in `fm_fallbacks`,
@@ -249,18 +251,26 @@ fn fm_fallback_counter_matches_its_wall_histogram() {
     assert_eq!(counter(&metrics, "fm_fallbacks"), count, "{metrics:?}");
 }
 
-/// Target-ratio early stop produces a clean (non-degraded) result.
+/// Target-ratio early stop produces a clean (non-degraded) result, also
+/// under a distant deadline: the stop cancels the main tier's meter,
+/// which is not the deadline firing.
 #[test]
 fn target_ratio_early_stop_is_clean() {
     let svc = Service::new(ServeConfig::default());
-    let frames = collect(
-        &svc,
-        &request_line("early", 48, r#","restarts":8,"target_ratio":1.0"#),
-    );
-    assert_eq!(frames.len(), 1);
-    let doc = json::parse(&frames[0]).unwrap();
-    assert_eq!(doc.get("frame").and_then(Value::as_str), Some("result"));
-    assert_eq!(doc.get("degraded").and_then(Value::as_bool), Some(false));
+    let hgr = json::escape("3 4\n1 2\n2 3\n3 4\n");
+    for line in [
+        request_line("early", 48, r#","restarts":8,"target_ratio":1.0"#),
+        format!(
+            r#"{{"id":"early","hgr":{hgr},"restarts":8,"target_ratio":1.0,"deadline_ms":4000}}"#
+        ),
+    ] {
+        let frames = collect(&svc, &line);
+        assert_eq!(frames.len(), 1);
+        let doc = json::parse(&frames[0]).unwrap();
+        assert_eq!(doc.get("frame").and_then(Value::as_str), Some("result"));
+        let degraded = doc.get("degraded").and_then(Value::as_bool);
+        assert_eq!(degraded, Some(false), "{frames:?}");
+    }
 }
 
 /// Repeat submissions of the same netlist share one parse and operator

@@ -3,6 +3,9 @@
 //! be **bit-identical** to the pre-refactor plain function it replaced,
 //! and the `Stage` adapters must agree with both. When the plain path
 //! errors, the context path must fail with the same error variant.
+//! Context runs are metered, and a successful one must have charged
+//! work. DESIGN.md's "Differential contracts" table lists these tests
+//! as the plain vs context vs stage rows.
 
 use ig_match_repro::core::engine::stages::{
     Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage,
@@ -17,6 +20,7 @@ use ig_match_repro::hybrid::{
     hybrid_pipeline, ig_match_refined, ig_match_refined_ctx, HybridOptions,
 };
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
+use ig_match_repro::netlist::{hypergraph_from_nets, Hypergraph};
 use ig_match_repro::{
     eig1, eig1_ctx, fm_bisect, ig_match, ig_match_ctx, ig_vote, ig_vote_ctx, kl_bisect, rcut,
     robust_partition, robust_partition_ctx, Bipartition, BudgetMeter, Eig1Options, FmOptions,
@@ -25,6 +29,40 @@ use ig_match_repro::{
 };
 use np_testkit::{check_cases, small_hypergraph};
 use std::mem::discriminant;
+
+fn two_triangles() -> Hypergraph {
+    let nets = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5], [2, 3]];
+    hypergraph_from_nets(6, &nets.map(|n| n.to_vec()))
+}
+
+fn dumbbell() -> Hypergraph {
+    let nets = [
+        [0, 1],
+        [1, 2],
+        [2, 3],
+        [0, 3],
+        [4, 5],
+        [5, 6],
+        [6, 7],
+        [4, 7],
+        [3, 4],
+    ];
+    hypergraph_from_nets(8, &nets.map(|n| n.to_vec()))
+}
+
+/// The two hand-built instances, then `cases` random ones from `seed`.
+fn instances(cases: usize, seed: u64) -> Vec<Hypergraph> {
+    let mut all = vec![two_triangles(), dumbbell()];
+    check_cases(cases, seed, |g| all.push(small_hypergraph(g)));
+    all
+}
+
+/// Asserts a successful context run charged its meter.
+fn metered<T>(r: &Result<T, PartitionError>, meter: &BudgetMeter, what: &str) {
+    if r.is_ok() {
+        assert!(meter.matvecs_used() > 0, "{what} metered nothing");
+    }
+}
 
 /// Asserts plain and ctx outcomes agree: identical partitions on
 /// success, same error variant on failure.
@@ -48,24 +86,26 @@ fn assert_equivalent(
 
 #[test]
 fn eig1_ctx_and_stage_match_plain() {
-    check_cases(48, 0xE161, |g| {
-        let hg = small_hypergraph(g);
+    for hg in instances(48, 0xE161) {
         let opts = Eig1Options::default();
         let plain = eig1(&hg, &opts);
-        let via_ctx = eig1_ctx(&hg, &opts, &RunContext::unlimited());
+        let meter = BudgetMeter::unlimited();
+        let via_ctx = eig1_ctx(&hg, &opts, &RunContext::with_meter(&meter));
+        metered(&via_ctx, &meter, "eig1 ctx");
         let via_stage = Eig1Stage::new(opts).run(&hg, None, &RunContext::unlimited());
         assert_equivalent(&plain, &via_ctx, "eig1 ctx");
         assert_equivalent(&plain, &via_stage, "eig1 stage");
-    });
+    }
 }
 
 #[test]
 fn ig_match_ctx_and_stage_match_plain() {
-    check_cases(48, 0x16AC, |g| {
-        let hg = small_hypergraph(g);
+    for hg in instances(48, 0x16AC) {
         let opts = IgMatchOptions::default();
         let plain = ig_match(&hg, &opts);
-        let via_ctx = ig_match_ctx(&hg, &opts, &RunContext::unlimited());
+        let meter = BudgetMeter::unlimited();
+        let via_ctx = ig_match_ctx(&hg, &opts, &RunContext::with_meter(&meter));
+        metered(&via_ctx, &meter, "ig_match ctx");
         match (&plain, &via_ctx) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.result.partition, b.result.partition);
@@ -77,28 +117,27 @@ fn ig_match_ctx_and_stage_match_plain() {
         }
         let via_stage = IgMatchStage::new(opts).run(&hg, None, &RunContext::unlimited());
         assert_equivalent(&plain.map(|o| o.result), &via_stage, "ig_match stage");
-    });
+    }
 }
 
 #[test]
 fn ig_vote_ctx_and_stage_match_plain() {
-    check_cases(48, 0x1607E, |g| {
-        let hg = small_hypergraph(g);
+    for hg in instances(48, 0x1607E) {
         let opts = IgVoteOptions::default();
         let plain = ig_vote(&hg, &opts);
         let via_ctx = ig_vote_ctx(&hg, &opts, &RunContext::unlimited());
         let via_stage = IgVoteStage::new(opts).run(&hg, None, &RunContext::unlimited());
         assert_equivalent(&plain, &via_ctx, "ig_vote ctx");
         assert_equivalent(&plain, &via_stage, "ig_vote stage");
-    });
+    }
 }
 
 #[test]
 fn spectral_orderings_ctx_match_plain() {
-    check_cases(48, 0x0DAC, |g| {
-        let hg = small_hypergraph(g);
+    for hg in instances(48, 0x0DAC) {
         let opts = LanczosOptions::default();
-        let ctx = RunContext::unlimited();
+        let meter = BudgetMeter::unlimited();
+        let ctx = RunContext::with_meter(&meter);
         match (
             spectral_module_ordering(&hg, &opts),
             spectral_module_ordering_ctx(&hg, &opts, &ctx),
@@ -108,15 +147,22 @@ fn spectral_orderings_ctx_match_plain() {
             (a, b) => panic!("module ordering: plain {a:?} but ctx {b:?}"),
         }
         let w = ig_match_repro::IgWeighting::Paper;
+        let before = meter.matvecs_used();
         match (
             spectral_net_ordering(&hg, w, &opts),
             spectral_net_ordering_ctx(&hg, w, &opts, &ctx),
         ) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "net orderings diverge"),
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "net orderings diverge");
+                assert!(
+                    meter.matvecs_used() > before,
+                    "net ordering metered nothing"
+                );
+            }
             (Err(a), Err(b)) => assert_eq!(discriminant(&a), discriminant(&b)),
             (a, b) => panic!("net ordering: plain {a:?} but ctx {b:?}"),
         }
-    });
+    }
 }
 
 #[test]
@@ -220,30 +266,32 @@ fn robust_ctx_matches_plain_and_is_deterministic() {
 
 #[test]
 fn zero_budget_context_trips_every_entry_point() {
-    let hg = generate(&GeneratorConfig::new(60, 70, 3));
     let budget = ig_match_repro::Budget::UNLIMITED.with_wall_clock(std::time::Duration::ZERO);
     let meter = BudgetMeter::new(&budget);
-    let ctx = RunContext::with_meter(&meter);
     let budgeted = |r: Result<ig_match_repro::PartitionResult, PartitionError>, what: &str| {
         assert!(
             matches!(r, Err(PartitionError::Budget(_))),
             "{what} ignored an exhausted budget"
         );
     };
-    budgeted(eig1_ctx(&hg, &Eig1Options::default(), &ctx), "eig1_ctx");
-    budgeted(
-        ig_match_ctx(&hg, &IgMatchOptions::default(), &ctx).map(|o| o.result),
-        "ig_match_ctx",
-    );
-    budgeted(
-        ig_vote_ctx(&hg, &IgVoteOptions::default(), &ctx),
-        "ig_vote_ctx",
-    );
-    budgeted(RcutStage::default().run(&hg, None, &ctx), "RcutStage");
-    budgeted(FmStage::default().run(&hg, None, &ctx), "FmStage");
-    budgeted(KlStage::default().run(&hg, None, &ctx), "KlStage");
-    budgeted(
-        ig_match_refined_ctx(&hg, &HybridOptions::default(), &ctx),
-        "ig_match_refined_ctx",
-    );
+    for hg in [generate(&GeneratorConfig::new(60, 70, 3)), two_triangles()] {
+        // a context's operator cache serves one hypergraph
+        let ctx = RunContext::with_meter(&meter);
+        budgeted(eig1_ctx(&hg, &Eig1Options::default(), &ctx), "eig1_ctx");
+        budgeted(
+            ig_match_ctx(&hg, &IgMatchOptions::default(), &ctx).map(|o| o.result),
+            "ig_match_ctx",
+        );
+        budgeted(
+            ig_vote_ctx(&hg, &IgVoteOptions::default(), &ctx),
+            "ig_vote_ctx",
+        );
+        budgeted(RcutStage::default().run(&hg, None, &ctx), "RcutStage");
+        budgeted(FmStage::default().run(&hg, None, &ctx), "FmStage");
+        budgeted(KlStage::default().run(&hg, None, &ctx), "KlStage");
+        budgeted(
+            ig_match_refined_ctx(&hg, &HybridOptions::default(), &ctx),
+            "ig_match_refined_ctx",
+        );
+    }
 }

@@ -174,20 +174,35 @@ fn k2_paths_are_bit_identical_to_the_bipartition_pipeline() {
 
 #[test]
 fn the_route_is_deterministic() {
-    let hg = generate(&GeneratorConfig::new(150, 160, 0xD17));
-    let opts = KwayOptions {
-        k: 4,
-        epsilon: 0.5,
+    let opts = |k, epsilon| KwayOptions {
+        k,
+        epsilon,
         ..Default::default()
     };
-    let a = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
-    let b = kway_partition(&hg, &opts, KwayMethod::Recursive).unwrap();
-    assert_eq!(a.partition, b.partition, "the route is nondeterministic");
-    assert_eq!(a.stats, b.stats);
+    // run to run on two circuits, then across thread counts on the first
+    let cases = [
+        (
+            generate(&GeneratorConfig::new(150, 160, 0xD17)),
+            opts(4, 0.5),
+        ),
+        (
+            generate(&GeneratorConfig::new(180, 200, 0x5EED)),
+            opts(8, 0.4),
+        ),
+    ];
+    let mut first = None;
+    for (hg, opts) in &cases {
+        let a = kway_partition(hg, opts, KwayMethod::Recursive).unwrap();
+        let b = kway_partition(hg, opts, KwayMethod::Recursive).unwrap();
+        assert_eq!(a.partition, b.partition, "the route is nondeterministic");
+        assert_eq!(a.stats, b.stats);
+        first.get_or_insert(a);
+    }
+    let (a, (hg, opts)) = (first.unwrap(), &cases[0]);
     for threads in [1usize, 2, 8] {
         let meter = BudgetMeter::new(&Budget::default());
         let ctx = RunContext::with_meter(&meter).with_threads(threads);
-        let c = kway_partition_ctx(&hg, &opts, KwayMethod::Recursive, &ctx).unwrap();
+        let c = kway_partition_ctx(hg, opts, KwayMethod::Recursive, &ctx).unwrap();
         assert_eq!(a.partition, c.partition, "diverged at {threads} threads");
     }
 }

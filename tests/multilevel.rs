@@ -243,41 +243,44 @@ fn refinement_never_worsens_the_projected_partition() {
 
 #[test]
 fn vcycle_with_no_levels_is_the_flat_pipeline() {
-    let hg = banded_hypergraph(11, 400, 320, 8);
-    let mopts = MultilevelOptions {
-        coarsen_target: usize::MAX,
-        ..Default::default()
-    };
-    let meter = BudgetMeter::new(&Budget::default());
-    let ctx = RunContext::with_meter(&meter);
-    let out = multilevel_ctx(&hg, &mopts, &ctx).expect("flat-path V-cycle partitions");
-    assert_eq!(out.levels, 0, "target above n must mean zero levels");
-    let spend = meter.matvecs_used();
+    for (hg, coarsen_target) in [
+        (banded_hypergraph(11, 400, 320, 8), usize::MAX),
+        (generate(&GeneratorConfig::new(150, 160, 5)), 10_000),
+    ] {
+        let mopts = MultilevelOptions {
+            coarsen_target,
+            ..Default::default()
+        };
+        let meter = BudgetMeter::new(&Budget::default());
+        let ctx = RunContext::with_meter(&meter);
+        let out = multilevel_ctx(&hg, &mopts, &ctx).expect("flat-path V-cycle partitions");
+        assert_eq!(out.levels, 0, "target above n must mean zero levels");
+        let spend = meter.matvecs_used();
 
-    let ref_meter = BudgetMeter::new(&Budget::default());
-    let ref_ctx = RunContext::with_meter(&ref_meter);
-    let reference = Pipeline::named("IG-Match+FM")
-        .then(IgMatchStage::new(IgMatchOptions::default()))
-        .then(RatioRefineStage::new(
-            mopts.flat_refine_passes,
-            "IG-Match+FM",
-        ))
-        .run(&hg, None, &ref_ctx)
-        .expect("reference pipeline partitions");
+        let ref_meter = BudgetMeter::new(&Budget::default());
+        let ref_ctx = RunContext::with_meter(&ref_meter);
+        let reference = Pipeline::named("IG-Match+FM")
+            .then(IgMatchStage::new(IgMatchOptions::default()))
+            .then(RatioRefineStage::new(
+                mopts.flat_refine_passes,
+                "IG-Match+FM",
+            ))
+            .run(&hg, None, &ref_ctx)
+            .expect("reference pipeline partitions");
 
-    assert_eq!(
-        out.result.partition.sides(),
-        reference.partition.sides(),
-        "zero-level V-cycle diverged from the flat pipeline"
-    );
-    assert_eq!(out.result.stats.cut_nets, reference.stats.cut_nets);
-    assert_eq!(out.result.stats.left, reference.stats.left);
-    assert_eq!(out.result.stats.right, reference.stats.right);
-    assert_eq!(
-        spend,
-        ref_meter.matvecs_used(),
-        "metered spend diverged from the flat pipeline"
-    );
+        assert_eq!(
+            out.result.partition.sides(),
+            reference.partition.sides(),
+            "zero-level V-cycle diverged from the flat pipeline"
+        );
+        assert_eq!(out.result.stats, reference.stats);
+        assert_eq!(out.result.algorithm, reference.algorithm);
+        assert_eq!(
+            spend,
+            ref_meter.matvecs_used(),
+            "metered spend diverged from the flat pipeline"
+        );
+    }
 }
 
 #[test]
@@ -288,19 +291,29 @@ fn the_vcycle_is_deterministic_across_thread_counts() {
         refine_passes: 2,
         ..Default::default()
     };
-    let reference = multilevel_ctx(&hg, &mopts, &RunContext::unlimited().with_threads(1))
-        .expect("V-cycle partitions");
-    assert!(reference.levels > 0, "the instance must actually coarsen");
-    for threads in [2usize, 8] {
-        let out = multilevel_ctx(&hg, &mopts, &RunContext::unlimited().with_threads(threads))
+    let circuit = generate(&GeneratorConfig::new(300, 320, 13));
+    let circuit_opts = MultilevelOptions {
+        coarsen_target: 40,
+        ..Default::default()
+    };
+    // the second instance is checked run to run at one thread
+    let cases = [(&hg, &mopts, &[2, 8][..]), (&circuit, &circuit_opts, &[1])];
+    for (hg, mopts, thread_counts) in cases {
+        let reference = multilevel_ctx(hg, mopts, &RunContext::unlimited().with_threads(1))
             .expect("V-cycle partitions");
-        assert_eq!(out.levels, reference.levels);
-        assert_eq!(
-            out.result.partition.sides(),
-            reference.result.partition.sides(),
-            "V-cycle diverged at {threads} threads"
-        );
-        assert_eq!(out.result.stats.cut_nets, reference.result.stats.cut_nets);
+        assert!(reference.levels > 0, "the instance must actually coarsen");
+        for &threads in thread_counts {
+            let out = multilevel_ctx(hg, mopts, &RunContext::unlimited().with_threads(threads))
+                .expect("V-cycle partitions");
+            assert_eq!(out.levels, reference.levels);
+            assert_eq!(out.refined_levels, reference.refined_levels);
+            assert_eq!(
+                out.result.partition.sides(),
+                reference.result.partition.sides(),
+                "V-cycle diverged at {threads} threads"
+            );
+            assert_eq!(out.result.stats.cut_nets, reference.result.stats.cut_nets);
+        }
     }
 
     let kopts = KwayOptions {
