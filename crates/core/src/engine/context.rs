@@ -182,6 +182,20 @@ impl<'a> RunContext<'a> {
         self
     }
 
+    /// A context for a run on another hypergraph: this context's meter,
+    /// seed, thread count and event sink, with an empty operator cache
+    /// of its own, so operators built for one netlist never serve
+    /// another (the V-cycle partitions its coarsest level this way).
+    pub fn for_other_hypergraph(&self) -> RunContext<'_> {
+        RunContext {
+            meter: MeterSlot::Borrowed(self.meter()),
+            seed: self.seed,
+            events: self.events,
+            threads: self.threads,
+            operators: Arc::new(OperatorCache::new()),
+        }
+    }
+
     /// The budget meter every stage of this run charges.
     pub fn meter(&self) -> &BudgetMeter {
         match &self.meter {

@@ -20,16 +20,22 @@
 //! * **one Ritz pair per check**: the iteration needs only the smallest Ritz
 //!   pair, so it extracts it with [`smallest_tridiagonal`] in `O(k²)`
 //!   rather than decomposing `T_k` fully in `O(k³)`;
-//! * **restarting**: if the basis hits its size cap without converging, the
-//!   iteration restarts from the best current Ritz vector, preserving
-//!   progress with bounded memory.
+//! * **thick restarting** (Wu and Simon, 2000; TRLan): if the basis hits
+//!   its size cap without converging, the iteration keeps the lowest
+//!   quarter of its Ritz vectors plus the residual direction, so the
+//!   Krylov space built so far keeps working for the solve with bounded
+//!   memory. The kept block is re-expressed as a short tridiagonal chain
+//!   that ends at the residual direction, so the projection stays
+//!   tridiagonal and the steps after a restart are ordinary Lanczos steps.
 //!
 //! Convergence is declared when the *verified* residual
 //! `‖M x − θ x‖ ≤ tol · max(1, |θ|)`, measured with a fresh matvec — not
-//! just the cheap `β·|y_k|` estimate.
+//! just the cheap `β·|y_k|` estimate. A check assembles the Ritz vector
+//! and spends that matvec only when the estimate is within 10× of the
+//! tolerance.
 
 use crate::dense::{materialize_metered, try_jacobi_eigen};
-use crate::tridiag::smallest_tridiagonal;
+use crate::tridiag::{eigh_tridiagonal, smallest_tridiagonal};
 use crate::EigenError;
 use np_sparse::vecops::{
     accumulate_scaled, axpy, axpy2, dot, norm2, normalize, orthogonalize_fused,
@@ -48,14 +54,18 @@ pub struct EigenPair {
 /// Options controlling the Lanczos iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LanczosOptions {
-    /// Maximum Lanczos basis size per restart cycle.
+    /// Maximum Lanczos basis size per restart cycle (at least 2). A
+    /// thick restart keeps about a quarter of it: `max_basis / 4` Ritz
+    /// vectors, at least one.
     pub max_basis: usize,
     /// Relative residual tolerance: converged when
     /// `‖Mx − θx‖ ≤ tol · max(1, |θ|)`.
     pub tol: f64,
     /// Seed for the (deterministic) random start vector.
     pub seed: u64,
-    /// Number of restart cycles before giving up.
+    /// Number of restart cycles before giving up: the first cycle takes
+    /// `max_basis` Lanczos steps, each later one the `max_basis − ℓ`
+    /// steps that refill the basis after keeping `ℓ` Ritz vectors.
     pub max_restarts: usize,
     /// Operators of dimension `≤ dense_cutoff` are solved directly with
     /// the dense Jacobi solver instead of Lanczos.
@@ -65,18 +75,18 @@ pub struct LanczosOptions {
 impl Default for LanczosOptions {
     fn default() -> Self {
         LanczosOptions {
-            max_basis: 250,
+            max_basis: 150,
             tol: 1e-8,
             seed: 0x1AC2_05D1_7E57_BEEF,
-            max_restarts: 10,
+            max_restarts: 22,
             dense_cutoff: 48,
         }
     }
 }
 
 /// SplitMix64 — the deterministic stream of uniform values in
-/// `[−0.5, 0.5)` the iteration draws its start vectors and restart noise
-/// from.
+/// `[−0.5, 0.5)` the iteration draws its start vector, and the fresh
+/// direction of a restart at an invariant subspace, from.
 fn splitmix_stream(seed: u64) -> impl FnMut() -> f64 {
     let mut s = seed;
     move || {
@@ -213,102 +223,238 @@ pub fn smallest_deflated_metered(
         return dense_smallest_deflated(op, &deflate, meter);
     }
 
+    let max_basis = opts.max_basis.max(2);
+    let keep = thick_restart_keep(max_basis);
     let mut rand = splitmix_stream(opts.seed);
     let mut matvecs = 0usize;
-    let mut best: Option<(f64, EigenPair)> = None; // (residual, pair)
+    // smallest residual seen: verified where the gate let a check
+    // verify, the three-term estimate where it did not
+    let mut best_residual = f64::INFINITY;
 
-    // start vector for the first cycle: random, deflated
     let mut start: Vec<f64> = (0..n).map(|_| rand()).collect();
-
-    for _cycle in 0..opts.max_restarts.max(1) {
+    project_out(&deflate, &mut start);
+    if normalize(&mut start) <= 1e-12 {
+        // degenerate start (can only happen with adversarial deflation);
+        // draw a fresh random vector
+        start = (0..n).map(|_| rand()).collect();
         project_out(&deflate, &mut start);
-        if normalize(&mut start) <= 1e-12 {
-            // degenerate start (can only happen with adversarial deflation);
-            // draw a fresh random vector
-            start = (0..n).map(|_| rand()).collect();
-            project_out(&deflate, &mut start);
-            normalize(&mut start);
+        normalize(&mut start);
+    }
+    let mut k = Krylov {
+        basis: vec![start],
+        alphas: Vec::new(),
+        betas: Vec::new(),
+    };
+    let mut w = vec![0.0f64; n];
+    // ‖w‖ after the latest step: the coupling a restart keeps
+    let mut beta = 0.0f64;
+
+    for cycle in 0..opts.max_restarts.max(1) {
+        if cycle > 0 && !thick_restart(&deflate, keep, beta, &w, &mut k, &mut rand)? {
+            break;
         }
-
-        let mut basis: Vec<Vec<f64>> = vec![start.clone()];
-        let mut alphas: Vec<f64> = Vec::new();
-        let mut betas: Vec<f64> = Vec::new();
-        let mut w = vec![0.0f64; n];
-
-        for j in 0..opts.max_basis {
-            let (alpha, beta) = lanczos_step(op, &deflate, &basis, &betas, &mut w, meter)?;
+        for j in k.basis.len() - 1..max_basis {
+            let alpha;
+            (alpha, beta) = lanczos_step(op, &deflate, &k.basis, &k.betas, &mut w, meter)?;
             matvecs += 1;
-            alphas.push(alpha);
+            k.alphas.push(alpha);
             let invariant = beta <= 1e-13;
-
-            let last_step = j + 1 == opts.max_basis;
+            let last_step = j + 1 == max_basis;
             let check = invariant || last_step || (j >= 4 && (j + 1).is_multiple_of(5));
             if check {
-                let (theta, y) = smallest_tridiagonal(&alphas, &betas)?;
-                // assemble the Ritz vector (pairwise-fused axpy passes)
-                let mut x = vec![0.0f64; n];
-                accumulate_scaled(&y, &basis, &mut x);
-                project_out(&deflate, &mut x);
-                if normalize(&mut x) > 1e-12 {
-                    // verified residual
-                    let mut mx = vec![0.0f64; n];
-                    op.apply(&x, &mut mx);
-                    matvecs += 1;
-                    meter.charge(1)?;
-                    axpy(-theta, &x, &mut mx);
-                    let resid = norm2(&mx);
-                    if !resid.is_finite() {
-                        return Err(EigenError::NonFinite {
-                            stage: "lanczos residual",
-                        });
-                    }
-                    let tol = opts.tol * theta.abs().max(1.0);
-                    if best.as_ref().is_none_or(|(r, _)| resid < *r) {
-                        best = Some((
-                            resid,
-                            EigenPair {
-                                value: theta,
-                                vector: x.clone(),
-                            },
-                        ));
-                    }
-                    if resid <= tol {
-                        return Ok(best.expect("just set").1);
-                    }
-                    if invariant || last_step {
-                        // restart from the best Ritz vector so far
-                        start = best.as_ref().expect("nonempty").1.vector.clone();
-                        if invariant {
-                            // invariant subspace that did not satisfy the
-                            // verified tolerance: perturb to escape
-                            let mut noise: Vec<f64> = (0..n).map(|_| rand() * 1e-3).collect();
-                            project_out(&deflate, &mut noise);
-                            axpy(1.0, &noise, &mut start);
+                let (theta, y) = smallest_tridiagonal(&k.alphas, &k.betas)?;
+                let tol = opts.tol * theta.abs().max(1.0);
+                // the three-term estimate ‖Mx − θx‖ = β_j·|y_j| gates the
+                // Ritz vector's assembly and its verification matvec
+                let estimate = beta * y[j].abs();
+                if estimate <= VERIFY_GATE * tol {
+                    let mut x = vec![0.0f64; n];
+                    accumulate_scaled(&y, &k.basis, &mut x);
+                    project_out(&deflate, &mut x);
+                    if normalize(&mut x) > 1e-12 {
+                        let mut mx = vec![0.0f64; n];
+                        op.apply(&x, &mut mx);
+                        matvecs += 1;
+                        meter.charge(1)?;
+                        axpy(-theta, &x, &mut mx);
+                        let resid = norm2(&mx);
+                        if !resid.is_finite() {
+                            return Err(EigenError::NonFinite {
+                                stage: "lanczos residual",
+                            });
                         }
-                        break;
+                        if resid <= tol {
+                            return Ok(EigenPair {
+                                value: theta,
+                                vector: x,
+                            });
+                        }
+                        best_residual = best_residual.min(resid);
                     }
-                } else if invariant || last_step {
-                    start = (0..n).map(|_| rand()).collect();
-                    break;
+                } else {
+                    best_residual = best_residual.min(estimate);
                 }
             }
-            if invariant {
+            if invariant || last_step {
                 break;
             }
+            k.betas.push(beta);
             let mut next = w.clone();
             let scale = 1.0 / beta;
             for v in &mut next {
                 *v *= scale;
             }
-            betas.push(beta);
-            basis.push(next);
+            k.basis.push(next);
         }
     }
 
     Err(EigenError::NoConvergence {
         iterations: matvecs,
-        residual: best.map(|(r, _)| r).unwrap_or(f64::INFINITY),
+        residual: best_residual,
     })
+}
+
+/// The verification gate: a check spends its Ritz-vector assembly and
+/// its verification matvec only when the three-term residual estimate is
+/// within this factor of the tolerance. The estimate equals the true
+/// residual up to rounding while the basis stays orthonormal, so every
+/// check that could converge is verified.
+const VERIFY_GATE: f64 = 10.0;
+
+/// How many of the lowest Ritz vectors a thick restart of a
+/// `max_basis ≥ 2` basis keeps: about a quarter, at least one, so the
+/// residual direction still fits.
+fn thick_restart_keep(max_basis: usize) -> usize {
+    (max_basis / 4).max(1)
+}
+
+/// A Lanczos basis `v_0 … v_{m−1}` and the tridiagonal projection of the
+/// operator onto it: diagonal `alphas` (one per vector, once its step
+/// ran) and subdiagonal `betas`.
+struct Krylov {
+    basis: Vec<Vec<f64>>,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+}
+
+/// Thick restart (Wu and Simon, 2000): replaces the basis `V` of a cycle
+/// that ended without converging by its `keep` lowest Ritz vectors plus
+/// the residual direction `w/β`.
+///
+/// With `T = Y Θ Yᵀ` and `M V = V T + β (w/β) e_mᵀ`, the kept block
+/// `U = V Y_ℓ` satisfies `M U = U Θ_ℓ + (w/β) sᵀ` with coupling vector
+/// `s = β·Y[m−1, :ℓ]`. The block is re-expressed as a tridiagonal chain
+/// by [`diagonal_lanczos`] on `diag(Θ_ℓ)` from `s`, and stored in reverse
+/// order so the chain ends at the residual direction with coupling `‖s‖`.
+/// The projection stays tridiagonal, so the steps that follow are plain
+/// Lanczos steps.
+///
+/// On an invariant subspace (`β ≈ 0`) the residual direction is a fresh
+/// random vector, uncoupled. Returns `false` when no such vector exists
+/// (the kept block spans the whole deflated space).
+fn thick_restart(
+    deflate: &[Vec<f64>],
+    keep: usize,
+    beta: f64,
+    w: &[f64],
+    k: &mut Krylov,
+    rand: &mut impl FnMut() -> f64,
+) -> Result<bool, EigenError> {
+    let m = k.basis.len();
+    let ritz = eigh_tridiagonal(&k.alphas, &k.betas)?;
+    let keep = keep.min(m);
+    let theta = &ritz.values[..keep];
+    let invariant = beta <= 1e-13;
+    let s: Vec<f64> = if invariant {
+        vec![0.0; keep]
+    } else {
+        ritz.vectors[..keep]
+            .iter()
+            .map(|y| beta * y[m - 1])
+            .collect()
+    };
+    let (chain, diag, off) = diagonal_lanczos(theta, &s);
+
+    // chain vector k, reversed, as a combination of the old basis
+    let n = w.len();
+    let mut kept: Vec<Vec<f64>> = Vec::with_capacity(keep + 1);
+    for q in chain.iter().rev() {
+        let coeffs: Vec<f64> = (0..m)
+            .map(|t| (0..keep).map(|i| q[i] * ritz.vectors[i][t]).sum())
+            .collect();
+        let mut v = vec![0.0f64; n];
+        accumulate_scaled(&coeffs, &k.basis, &mut v);
+        kept.push(v);
+    }
+    let residual = if invariant {
+        let mut r: Vec<f64> = (0..n).map(|_| rand()).collect();
+        project_out(deflate, &mut r);
+        project_out(&kept, &mut r);
+        if normalize(&mut r) <= 1e-12 {
+            return Ok(false);
+        }
+        r
+    } else {
+        w.iter().map(|v| v / beta).collect()
+    };
+    kept.push(residual);
+    k.basis = kept;
+    k.alphas = diag.into_iter().rev().collect();
+    k.betas = off.into_iter().rev().collect();
+    k.betas.push(if invariant { 0.0 } else { norm2(&s) });
+    Ok(true)
+}
+
+/// Lanczos with full reorthogonalization on the diagonal matrix
+/// `diag(theta)`, started from `s`: an orthonormal basis `q` of
+/// `R^theta.len()` with `q[0] = s/‖s‖` and `qᵀ diag(theta) q` tridiagonal,
+/// returned with that matrix's diagonal and subdiagonal.
+///
+/// At a breakdown (or for `s = 0`) the chain continues from the unit
+/// vector farthest from the span so far, with a zero coupling.
+fn diagonal_lanczos(theta: &[f64], s: &[f64]) -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
+    let l = theta.len();
+    let floor = f64::EPSILON * theta.iter().fold(0.0f64, |m, t| m.max(t.abs()));
+    let mut q: Vec<Vec<f64>> = Vec::with_capacity(l);
+    let mut diag = Vec::with_capacity(l);
+    let mut off = Vec::with_capacity(l.saturating_sub(1));
+    let mut next = s.to_vec();
+    if normalize(&mut next) == 0.0 {
+        next = farthest_unit_vector(&q, l);
+    }
+    loop {
+        let mut r: Vec<f64> = theta.iter().zip(&next).map(|(t, v)| t * v).collect();
+        diag.push(dot(&r, &next));
+        q.push(next);
+        if q.len() == l {
+            return (q, diag, off);
+        }
+        orthogonalize_fused(&[&q, &q], &mut r);
+        let b = normalize(&mut r);
+        if b > floor {
+            off.push(b);
+            next = r;
+        } else {
+            off.push(0.0);
+            next = farthest_unit_vector(&q, l);
+        }
+    }
+}
+
+/// The unit vector `e_i` of `R^l` farthest from `span(q)`, orthogonalized
+/// against `q` and normalized (`q` spans fewer than `l` dimensions).
+fn farthest_unit_vector(q: &[Vec<f64>], l: usize) -> Vec<f64> {
+    let i = (0..l)
+        .min_by(|&a, &b| {
+            let weight = |i: usize| q.iter().map(|v| v[i] * v[i]).sum::<f64>();
+            weight(a).total_cmp(&weight(b))
+        })
+        .expect("nonempty");
+    let mut e = vec![0.0f64; l];
+    e[i] = 1.0;
+    orthogonalize_fused(&[q, q], &mut e);
+    normalize(&mut e);
+    e
 }
 
 /// Direct dense solve for small operators: materialize, shift the deflated
@@ -501,33 +647,46 @@ mod tests {
         assert!(norm2(&y) < 1e-6);
     }
 
-    /// The deflation set and the Lanczos basis after up to `steps` steps
-    /// of the solver's own [`lanczos_step`] from its first-cycle start
-    /// vector, stopping early at an invariant subspace.
+    /// Up to `steps` of the solver's own [`lanczos_step`] from its
+    /// first-cycle start vector, thick-restarting as the solver does
+    /// whenever the basis reaches `max_basis`, and stopping early at an
+    /// invariant subspace. Returns the orthonormalized deflation set and
+    /// the basis with its projection.
     fn krylov_basis(
         op: &impl LinearOperator,
         deflate: &[Vec<f64>],
         steps: usize,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        max_basis: usize,
+    ) -> (Vec<Vec<f64>>, Krylov) {
         let n = op.dim();
         let deflate = orthonormalize(deflate);
         let mut rand = splitmix_stream(LanczosOptions::default().seed);
         let mut start: Vec<f64> = (0..n).map(|_| rand()).collect();
         project_out(&deflate, &mut start);
         normalize(&mut start);
-        let mut basis = vec![start];
-        let mut betas = Vec::new();
-        let mut w = vec![0.0; n];
+        let mut k = Krylov {
+            basis: vec![start],
+            alphas: Vec::new(),
+            betas: Vec::new(),
+        };
+        let (mut w, mut beta) = (vec![0.0; n], 0.0);
         let meter = BudgetMeter::unlimited();
-        while basis.len() < steps {
-            let (_, beta) = lanczos_step(op, &deflate, &basis, &betas, &mut w, &meter).unwrap();
+        for step in 0..steps {
+            if step > 0 && k.basis.len() == max_basis {
+                let keep = thick_restart_keep(max_basis);
+                assert!(thick_restart(&deflate, keep, beta, &w, &mut k, &mut rand).unwrap());
+            } else if step > 0 {
+                k.betas.push(beta);
+                k.basis.push(w.iter().map(|v| v / beta).collect());
+            }
+            let alpha;
+            (alpha, beta) = lanczos_step(op, &deflate, &k.basis, &k.betas, &mut w, &meter).unwrap();
+            k.alphas.push(alpha);
             if beta <= 1e-13 {
                 break;
             }
-            betas.push(beta);
-            basis.push(w.iter().map(|v| v / beta).collect());
         }
-        (deflate, basis)
+        (deflate, k)
     }
 
     /// `max |⟨u, v⟩ − δ_uv|` over the basis, and `max |⟨u, v⟩|` between
@@ -547,23 +706,60 @@ mod tests {
         (within, against)
     }
 
+    /// `max |(VᵀMV − T)_ij|`: how far the basis's projection of `op` is
+    /// from the tridiagonal matrix the solver carries.
+    fn projection_error(op: &impl LinearOperator, k: &Krylov) -> f64 {
+        let mut worst = 0.0f64;
+        let mut mv = vec![0.0; op.dim()];
+        for (j, v) in k.basis.iter().enumerate() {
+            op.apply(v, &mut mv);
+            for (i, u) in k.basis.iter().enumerate() {
+                let t = match i.abs_diff(j) {
+                    0 => k.alphas[i],
+                    1 => k.betas[i.min(j)],
+                    _ => 0.0,
+                };
+                worst = worst.max((dot(u, &mv) - t).abs());
+            }
+        }
+        worst
+    }
+
     #[test]
     fn reorthogonalization_keeps_basis_orthonormal() {
         // the path's extreme Ritz values converge fastest, so plain
-        // Lanczos loses orthogonality here worst
+        // Lanczos loses orthogonality here worst; two basis fills take
+        // the basis across two thick restarts, whose kept Ritz block must
+        // stay orthonormal and keep the projection tridiagonal
         let n = 2000;
         let q = path_laplacian(n);
-        let (deflate, basis) = krylov_basis(&q, &[ones(n)], LanczosOptions::default().max_basis);
-        assert_eq!(basis.len(), LanczosOptions::default().max_basis);
-        let (within, against) = orthogonality_loss(&deflate, &basis);
-        assert!(within <= 1e-12, "path: basis loses {within:e}");
-        assert!(against <= 1e-12, "path: deflation leaks {against:e}");
+        let max_basis = LanczosOptions::default().max_basis;
+        for steps in [max_basis, 2 * max_basis] {
+            let (deflate, k) = krylov_basis(&q, &[ones(n)], steps, max_basis);
+            if steps == max_basis {
+                assert_eq!(k.basis.len(), max_basis);
+            } else {
+                let keep = thick_restart_keep(max_basis);
+                assert!(k.basis.len() < max_basis && k.basis.len() > keep + 1);
+            }
+            let (within, against) = orthogonality_loss(&deflate, &k.basis);
+            assert!(
+                within <= 1e-12,
+                "path, {steps} steps: basis loses {within:e}"
+            );
+            assert!(
+                against <= 1e-12,
+                "path, {steps} steps: deflation leaks {against:e}"
+            );
+            let off = projection_error(&q, &k);
+            assert!(off <= 1e-10, "path, {steps} steps: VᵀMV − T = {off:e}");
+        }
 
         // three 20-cliques joined by 1e-4 edges: λ2 ≈ λ3 clustered near
         // zero, run until the Krylov space is invariant
         let q = three_cliques();
-        let (deflate, basis) = krylov_basis(&q, &[ones(60)], 60);
-        let (within, against) = orthogonality_loss(&deflate, &basis);
+        let (deflate, k) = krylov_basis(&q, &[ones(60)], 60, 60);
+        let (within, against) = orthogonality_loss(&deflate, &k.basis);
         assert!(within <= 1e-12, "cliques: basis loses {within:e}");
         assert!(against <= 1e-12, "cliques: deflation leaks {against:e}");
     }
@@ -576,7 +772,7 @@ mod tests {
         // brings it back to working precision
         let n = 500;
         let q = path_laplacian(n);
-        let (deflate, basis) = krylov_basis(&q, &[ones(n)], 30);
+        let (deflate, Krylov { basis, .. }) = krylov_basis(&q, &[ones(n)], 30, 30);
         let mut rand = splitmix_stream(7);
         let mut w: Vec<f64> = (0..n).map(|_| 1e-10 * rand()).collect();
         for (k, v) in basis.iter().enumerate() {
@@ -741,5 +937,161 @@ mod tests {
         let expect = 2.0 - 2.0 * (std::f64::consts::PI / 150.0).cos();
         assert!((pair.value - expect).abs() < 1e-7);
         assert!(meter.matvecs_used() > 0);
+    }
+
+    /// Lanczos steps a solve under `opts` may take before it gives up:
+    /// a full first cycle, then `max_basis − keep` new steps per restart.
+    fn step_allowance(opts: &LanczosOptions) -> usize {
+        let keep = thick_restart_keep(opts.max_basis);
+        opts.max_basis + (opts.max_restarts.max(1) - 1) * (opts.max_basis - keep)
+    }
+
+    #[test]
+    fn a_solve_may_take_at_least_2500_steps() {
+        assert!(step_allowance(&LanczosOptions::default()) >= 2500);
+        // the allowance is what the solver spends: at tol 0 the gate
+        // verifies nothing, so every matvec is a step
+        let opts = LanczosOptions {
+            max_basis: 20,
+            max_restarts: 5,
+            tol: 0.0,
+            ..Default::default()
+        };
+        let err = smallest_deflated(&path_laplacian(500), &[ones(500)], &opts).unwrap_err();
+        match err {
+            EigenError::NoConvergence { iterations, .. } => {
+                assert_eq!(iterations, step_allowance(&opts));
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    /// Solves the Fiedler pair of a path under `opts`; returns the pair
+    /// and the metered spend, after checking `λ₂ = 2 − 2cos(π/n)`.
+    fn path_fiedler(n: usize, opts: &LanczosOptions) -> (EigenPair, u64) {
+        let meter = BudgetMeter::unlimited();
+        let pair = smallest_deflated_metered(&path_laplacian(n), &[ones(n)], opts, &meter).unwrap();
+        let expect = 2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos();
+        assert!(
+            (pair.value - expect).abs() < 1e-9,
+            "{} vs {expect}",
+            pair.value
+        );
+        (pair, meter.matvecs_used())
+    }
+
+    #[test]
+    fn thick_restarts_converge_on_long_paths() {
+        // λ₂ of a path is clustered with λ₃, λ₄, …: a restart that kept
+        // only one Ritz vector took 1,506 matvecs on 500 vertices and
+        // failed at 3,000 on 1,000
+        let opts = LanczosOptions::default();
+        let (_, spend) = path_fiedler(500, &opts);
+        assert!(spend <= 600, "500-vertex path: {spend} matvecs");
+        let (_, spend) = path_fiedler(1000, &opts);
+        assert!(spend > opts.max_basis as u64, "1000-vertex path restarts");
+    }
+
+    #[test]
+    fn first_cycle_convergence_is_bit_identical_to_an_unrestarted_basis() {
+        // converging inside the first cycle, the solve never restarts: a
+        // larger basis changes neither the pair nor the spend
+        let opts = LanczosOptions::default();
+        let (pair, spend) = path_fiedler(120, &opts);
+        assert!(spend < opts.max_basis as u64, "{spend} matvecs");
+        let wide = LanczosOptions {
+            max_basis: 1000,
+            ..opts
+        };
+        let (wide_pair, wide_spend) = path_fiedler(120, &wide);
+        assert_eq!(pair.value.to_bits(), wide_pair.value.to_bits());
+        assert_eq!(pair.vector, wide_pair.vector);
+        assert_eq!(spend, wide_spend);
+    }
+
+    #[test]
+    fn no_convergence_reports_a_finite_residual_when_nothing_was_verified() {
+        // one cycle is far too short for a 2,000-vertex path: every
+        // residual estimate stays above the gate, so no check verifies
+        let n = 2000;
+        let opts = LanczosOptions {
+            max_restarts: 1,
+            ..Default::default()
+        };
+        let err = smallest_deflated(&path_laplacian(n), &[ones(n)], &opts).unwrap_err();
+        match err {
+            EigenError::NoConvergence {
+                iterations,
+                residual,
+            } => {
+                assert_eq!(iterations, opts.max_basis, "a check verified");
+                assert!(residual.is_finite() && residual > opts.tol, "{residual}");
+            }
+            other => panic!("expected NoConvergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn diagonal_lanczos_continues_past_a_breakdown() {
+        // s misses two eigen-directions, so the chain breaks down after
+        // two steps and continues from a unit vector, uncoupled; s = 0
+        // (an invariant subspace) is all breakdowns
+        let theta = [1.0, 2.0, 3.0, 4.0];
+        for s in [[1.0, 0.0, 1.0, 0.0], [0.0; 4]] {
+            let (q, diag, off) = diagonal_lanczos(&theta, &s);
+            assert_eq!((q.len(), diag.len(), off.len()), (4, 4, 3));
+            if s[0] != 0.0 {
+                let r = 0.5f64.sqrt();
+                let start = [r, 0.0, r, 0.0];
+                assert!(q[0].iter().zip(start).all(|(a, b)| (a - b).abs() < 1e-15));
+                assert_eq!(off[1], 0.0);
+            }
+            for (i, u) in q.iter().enumerate() {
+                for (j, v) in q.iter().enumerate() {
+                    let dv: Vec<f64> = theta.iter().zip(v).map(|(t, x)| t * x).collect();
+                    let t = match i.abs_diff(j) {
+                        0 => diag[i],
+                        1 => off[i.min(j)],
+                        _ => 0.0,
+                    };
+                    let delta = if i == j { 1.0 } else { 0.0 };
+                    assert!(
+                        (dot(u, v) - delta).abs() < 1e-14,
+                        "{s:?}: q not orthonormal"
+                    );
+                    assert!(
+                        (dot(u, &dv) - t).abs() < 1e-14,
+                        "{s:?}: qᵀΘq ≠ T at {i},{j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restarts_across_invariant_subspaces_end_in_no_convergence() {
+        // a tolerance below rounding: the three cliques' few distinct
+        // eigenvalues make each cycle's Krylov space invariant within a
+        // few steps, and each restart continues from a fresh direction
+        // until the cycles run out
+        let spend = |max_restarts: usize| {
+            let opts = LanczosOptions {
+                dense_cutoff: 0,
+                tol: 1e-30,
+                max_restarts,
+                ..Default::default()
+            };
+            match smallest_deflated(&three_cliques(), &[ones(60)], &opts).unwrap_err() {
+                EigenError::NoConvergence {
+                    iterations,
+                    residual,
+                } => {
+                    assert!(residual.is_finite(), "{residual}");
+                    iterations
+                }
+                other => panic!("expected NoConvergence, got {other:?}"),
+            }
+        };
+        assert!(spend(3) > spend(1), "no restart ran");
     }
 }

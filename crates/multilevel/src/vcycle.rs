@@ -245,7 +245,10 @@ pub fn multilevel_ctx(
 
     let last = hierarchy.levels.len() - 1;
     let coarsest_modules = hierarchy.levels[last].coarse.num_modules();
-    let coarse = initial_partition(&hierarchy.levels[last].coarse, opts, ctx)?;
+    // the coarsest level is another netlist: the caller's operator cache
+    // stays bound to `hg`
+    let coarse_ctx = ctx.for_other_hypergraph();
+    let coarse = initial_partition(&hierarchy.levels[last].coarse, opts, &coarse_ctx)?;
     let coarse_cut = coarse.stats.cut_nets;
 
     // quality floor: the pure projection of the coarsest partition
@@ -419,7 +422,15 @@ pub fn multilevel_kway_ctx(
         ig_match: mopts.ig_match,
         max_refine_passes: kopts.max_refine_passes,
     };
-    let coarse = kway_partition_ctx(coarsest_hg, &coarse_opts, KwayMethod::Recursive, ctx)?;
+    // a coarser netlist than `hg` runs on its own operator cache
+    let own;
+    let coarse_ctx = if hierarchy.is_empty() {
+        ctx
+    } else {
+        own = ctx.for_other_hypergraph();
+        &own
+    };
+    let coarse = kway_partition_ctx(coarsest_hg, &coarse_opts, KwayMethod::Recursive, coarse_ctx)?;
     let coarse_cut = coarse.stats.cut_nets;
     if hierarchy.is_empty() {
         return Ok(MultilevelKwayOutcome {

@@ -435,8 +435,9 @@ impl Service {
         // ---- tier 0: insurance. After this there is always a
         // best-so-far to degrade to. ----
         let insurance = self.insurance(&cached, seed);
-        let Some((wall, deadline_binds)) = self.remaining_wall(&job) else {
-            let reason = if deadline.is_some() {
+        let (room, deadline_binds) = self.remaining_wall(&job);
+        let Some(wall) = room else {
+            let reason = if deadline_binds {
                 Degradation::DeadlineBestSoFar
             } else {
                 Degradation::FmFallback
@@ -546,7 +547,7 @@ impl Service {
                 return terminal;
             }
         }
-        let Some((wall, _)) = self.remaining_wall(job) else {
+        let Some(wall) = self.remaining_wall(job).0 else {
             return Terminal::error(
                 &request.id,
                 "deadline expired before the k-way route could start",
@@ -584,7 +585,7 @@ impl Service {
     /// `Some(frame)` is terminal; `None` means no wall remained or the
     /// V-cycle failed, and the ordinary ladder should run instead.
     fn try_multilevel(&self, job: &Job<'_>) -> Option<Terminal> {
-        let (wall, _) = self.remaining_wall(job)?;
+        let wall = self.remaining_wall(job).0?;
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
         let opts = multilevel_options(job.request);
@@ -608,7 +609,7 @@ impl Service {
     /// as [`try_multilevel`](Self::try_multilevel) but the frame carries
     /// the k-way `blocks` array.
     fn try_multilevel_kway(&self, job: &Job<'_>, k: usize) -> Option<Terminal> {
-        let (wall, _) = self.remaining_wall(job)?;
+        let wall = self.remaining_wall(job).0?;
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = RunContext::with_meter(&meter);
         let kopts = kway_options(job.request, k);
@@ -655,23 +656,22 @@ impl Service {
     }
 
     /// Wall-clock room left for main-tier work,
-    /// `min(budget_ms, deadline − now, max_wall)`, and whether the
-    /// deadline is that minimum's binding term; `None` when no time
-    /// remains.
-    fn remaining_wall(&self, job: &Job<'_>) -> Option<(Duration, bool)> {
+    /// `min(budget_ms, deadline − now, max_wall)`, `None` when no time
+    /// remains, and whether the deadline is that minimum's binding term —
+    /// also when it is the term that left no time.
+    fn remaining_wall(&self, job: &Job<'_>) -> (Option<Duration>, bool) {
         let mut wall = self.cfg.max_wall;
         if let Some(ms) = job.request.budget_ms {
             let budget = Duration::from_millis(ms);
-            let spent = job.compute_start.elapsed();
-            wall = wall.min(budget.checked_sub(spent)?);
+            wall = wall.min(budget.saturating_sub(job.compute_start.elapsed()));
         }
         let mut deadline_binds = false;
         if let Some(d) = job.deadline {
-            let left = d.checked_duration_since(Instant::now())?;
-            deadline_binds = left < wall;
+            let left = d.saturating_duration_since(Instant::now());
+            deadline_binds = left < wall || left.is_zero();
             wall = wall.min(left);
         }
-        (wall > Duration::ZERO).then_some((wall, deadline_binds))
+        ((wall > Duration::ZERO).then_some(wall), deadline_binds)
     }
 
     /// Builds the main-tier portfolio, labelled with the wire name:

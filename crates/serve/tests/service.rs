@@ -251,6 +251,27 @@ fn fm_fallback_counter_matches_its_wall_histogram() {
     assert_eq!(counter(&metrics, "fm_fallbacks"), count, "{metrics:?}");
 }
 
+/// A `budget_ms` spent before the main tier starts answers `fm-fallback`
+/// with the insurance partition, also under a distant deadline: the
+/// budget, not the deadline, left no wall.
+#[test]
+fn a_spent_budget_under_a_distant_deadline_is_not_the_deadline_firing() {
+    let svc = Service::new(ServeConfig::default());
+    let hgr = json::escape("3 4\n1 2\n2 3\n3 4\n");
+    for deadline in ["", r#","deadline_ms":4000"#] {
+        let line = format!(r#"{{"id":"spent","hgr":{hgr},"budget_ms":0{deadline}}}"#);
+        let frames = collect(&svc, &line);
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        let doc = json::parse(&frames[0]).unwrap();
+        assert_eq!(doc.get("frame").and_then(Value::as_str), Some("result"));
+        assert_eq!(
+            doc.get("reason").and_then(Value::as_str),
+            Some("fm-fallback"),
+            "{frames:?}"
+        );
+    }
+}
+
 /// Target-ratio early stop produces a clean (non-degraded) result, also
 /// under a distant deadline: the stop cancels the main tier's meter,
 /// which is not the deadline firing.

@@ -543,6 +543,32 @@ fn a_cap_inside_uncoarsening_degrades_no_worse_than_the_projection() {
     );
 }
 
+// ------------------------------------------------------- context reuse
+
+/// One context runs both V-cycles, then every route, on one netlist:
+/// each answers, and spends, as it does on a context of its own. The
+/// V-cycles partition their coarsest level on an operator cache of its
+/// own, so the context's cache stays bound to the input netlist.
+#[test]
+fn a_reused_context_answers_as_a_fresh_one_after_a_vcycle() {
+    let hg = budget_instance();
+    let routes = every_route(&hg);
+    let vcycles = routes.iter().filter(|(name, _)| name.contains("V-cycle"));
+    let shared = RunContext::unlimited();
+    for (name, route) in vcycles.chain(&routes) {
+        let before = shared.meter().matvecs_used();
+        let reused = route(&shared).map(|o| Outcome {
+            spend: Some(shared.meter().matvecs_used() - before),
+            ..o
+        });
+        let fresh = run(1, Meter::Unlimited, route, Outcome::clone);
+        holds(
+            identical(&fresh, &reused),
+            format!("{name} on a reused context"),
+        );
+    }
+}
+
 // ------------------------------------------------------ the checkers
 
 #[test]
