@@ -1,24 +1,16 @@
 //! Shared machinery for the table-regeneration binaries.
 //!
-//! Every table and figure of the paper's evaluation (§4) has a binary in
-//! `src/bin/` that regenerates it against the synthetic MCNC stand-in
-//! suite (see `DESIGN.md` §3 for the experiment index):
+//! One binary regenerates the paper's quality claims against the
+//! synthetic MCNC stand-in suite, and a few more regenerate what needs
+//! wall-clock time or a special setup (see `DESIGN.md` §3 for the
+//! experiment index):
 //!
 //! | binary | paper artifact |
 //! |---|---|
-//! | `table1` | Table 1 — cut statistics by net size (Primary2) |
-//! | `table2` | Table 2 — IG-Match vs RCut1.0 |
-//! | `table3` | Table 3 — IG-Match vs IG-Vote |
-//! | `eig1_compare` | §4 text — IG-Match vs EIG1 (22% claim) |
-//! | `sparsity` | §1.2/§2.1 — intersection-graph vs clique nonzeros |
+//! | `paper` | Tables 1–3, the EIG1 and sparsity claims, the weighting, free-module, FM-polish and module-area ablations and the Theorem-1 certificates in one pass (`BENCH_paper.json`, checked by [`paper_floors`]) |
 //! | `timing` | §4 text — spectral vs multi-start FM CPU time |
-//! | `ablation_weights` | §2.2 — IG weighting robustness |
-//! | `ablation_recursive` | §3 — free-module refinement extension |
 //! | `ablation_threshold` | §5 — input sparsification by thresholding |
 //! | `ablation_cluster` | §5 — clustering condensation hybrid |
-//! | `ablation_areas` | §4 — area-oblivious spectral vs area-aware RCut |
-//! | `hybrid` | §5 — IG-Match + ratio-FM post-refinement |
-//! | `bounds` | Theorem 1 — per-instance optimality certificates |
 //! | `suite_explore` | developer harness for calibrating the suite |
 //!
 //! Three more binaries gate what the end-to-end benchmark in
@@ -30,51 +22,28 @@
 //! | `multilevel` | V-cycle vs flat cut on the band ladder (`BENCH_multilevel.json`) |
 //! | `soak` | np-serve endurance run: no leaked permits, threads or cache bytes |
 //!
-//! `sweep` and `multilevel` build their rows with `np_runner::json::Obj`
-//! and wrap them in one [`record`] envelope,
+//! `paper`, `sweep` and `multilevel` build their rows with
+//! `np_runner::json::Obj` and wrap them in one [`record`] envelope,
 //! `{"schema": "bench/<name>/v1", "kernel": …, "benchmarks": […]}`, so
 //! every record has the same shape and parses with
 //! `np_runner::json::parse`.
-//!
-//! The best-of-N baselines (`table2`'s RCut1.0, `ablation_areas`'
-//! area-aware RCut) run their restart loops as `np-runner` portfolios:
-//! every start is an independent attempt on a decorrelated seed stream,
-//! executed over a scoped worker pool and reduced deterministically by
-//! `(score, attempt index)`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use np_core::IgWeighting;
 use np_netlist::generate::{mcnc_suite, Benchmark};
-use np_netlist::CutStats;
-use np_runner::json::Obj;
+use np_runner::json::{Obj, Value};
 use std::time::{Duration, Instant};
 
-/// One comparison row: a circuit name plus the two contestants' stats.
-#[derive(Clone, Debug)]
-pub struct ComparisonRow {
-    /// Benchmark name (paper's "Test problem" column).
-    pub name: String,
-    /// Number of modules (paper's "Number of elements").
-    pub elements: usize,
-    /// Baseline cut statistics.
-    pub baseline: CutStats,
-    /// Contender (IG-Match etc.) cut statistics.
-    pub contender: CutStats,
-}
-
-impl ComparisonRow {
-    /// Percent improvement of the contender's ratio cut over the
-    /// baseline's, as the paper computes it:
-    /// `(baseline − contender) / baseline · 100`.
-    pub fn improvement_percent(&self) -> f64 {
-        let b = self.baseline.ratio();
-        let c = self.contender.ratio();
-        if !b.is_finite() || b == 0.0 {
-            0.0
-        } else {
-            (b - c) / b * 100.0
-        }
+/// Percent improvement of a contender's ratio cut over a baseline's, as
+/// the paper computes it: `(baseline − contender) / baseline · 100`
+/// (0 against a zero or non-finite baseline).
+pub fn improvement_percent(baseline: f64, contender: f64) -> f64 {
+    if !baseline.is_finite() || baseline == 0.0 {
+        0.0
+    } else {
+        (baseline - contender) / baseline * 100.0
     }
 }
 
@@ -85,40 +54,6 @@ pub fn fmt_ratio(r: f64) -> String {
     } else {
         "inf".into()
     }
-}
-
-/// Prints a paper-style comparison table and returns the average
-/// improvement.
-pub fn print_comparison(
-    title: &str,
-    baseline_name: &str,
-    contender_name: &str,
-    rows: &[ComparisonRow],
-) -> f64 {
-    println!("\n=== {title} ===");
-    println!(
-        "{:<8} {:>9} | {:>11} {:>8} {:>10} | {:>11} {:>8} {:>10} | {:>7}",
-        "Test", "elements", "areas", "cut", baseline_name, "areas", "cut", contender_name, "impr %"
-    );
-    let mut sum = 0.0;
-    for r in rows {
-        println!(
-            "{:<8} {:>9} | {:>11} {:>8} {:>10} | {:>11} {:>8} {:>10} | {:>7.0}",
-            r.name,
-            r.elements,
-            r.baseline.areas(),
-            r.baseline.cut_nets,
-            fmt_ratio(r.baseline.ratio()),
-            r.contender.areas(),
-            r.contender.cut_nets,
-            fmt_ratio(r.contender.ratio()),
-            r.improvement_percent()
-        );
-        sum += r.improvement_percent();
-    }
-    let avg = sum / rows.len().max(1) as f64;
-    println!("average ratio-cut improvement of {contender_name} over {baseline_name}: {avg:.1}%");
-    avg
 }
 
 /// The benchmark suite used by all experiment binaries.
@@ -194,6 +129,110 @@ pub fn write(path: &str, json: &str) {
     eprintln!("written to {path}");
 }
 
+/// Number of circuits in the paper's suite (Tables 2 and 3).
+const PAPER_CIRCUITS: usize = 9;
+
+/// A floor's measured value, or why it could not be measured.
+type Measured = Result<f64, String>;
+
+/// A floor: experiment id, claim, measured value, and the test the value
+/// must pass.
+type Floor = (&'static str, &'static str, Measured, fn(f64) -> bool);
+
+/// Checks a `bench/paper/v1` record against the floors of the claims
+/// `EXPERIMENTS.md` marks reproduced (✅), set at the paper's figure
+/// where the paper states one (E2's 28.8%, E5's 10×).
+///
+/// Every floor first checks that its baselines are positive (the RCut,
+/// IG-Vote and EIG1 ratios, the bound, the nonzero counts), so none
+/// holds vacuously on zeros. Returns one message per failed floor,
+/// prefixed with its experiment id; an empty list means every floor
+/// holds.
+pub fn paper_floors(record: &Value) -> Vec<String> {
+    let rows = match record.get("benchmarks") {
+        Some(Value::Array(rows)) if rows.len() == PAPER_CIRCUITS => rows,
+        _ => return vec![format!("record: expected {PAPER_CIRCUITS} circuit rows")],
+    };
+    let named = |name: &str| {
+        let row = rows
+            .iter()
+            .find(|r| lookup(r, "name").and_then(Value::as_str) == Some(name));
+        row.ok_or(format!("no {name} row"))
+    };
+    let ln_geo = |path: &str| mean(rows, |r| Ok(positive(r, path)?.ln()));
+    let e1 = named("Prim2").and_then(|r| {
+        positive(r, "table1_cut")?;
+        let monotone = lookup(r, "table1_monotone").and_then(Value::as_bool);
+        Ok(f64::from(monotone.ok_or("Prim2: no table1_monotone")?))
+    });
+    let e2 = mean(rows, |r| {
+        let rcut = positive(r, "rcut_ratio")?;
+        Ok(improvement_percent(rcut, positive(r, "igmatch_ratio")?))
+    });
+    let e5 = named("Test05").and_then(|r| Ok(positive(r, "clique_nnz")? / positive(r, "ig_nnz")?));
+    // the largest relative distance of a weighting's geo-mean from the paper's
+    let e10 = ln_geo("weighting_ratio.paper").and_then(|paper| {
+        IgWeighting::ALL.into_iter().try_fold(0.0f64, |spread, w| {
+            let geo = ln_geo(&format!("weighting_ratio.{}", w.name()))?;
+            Ok(spread.max(((geo - paper).exp() - 1.0).abs()))
+        })
+    });
+    let e19 =
+        ln_geo("rcut_area_ratio").and_then(|rcut| Ok((rcut - ln_geo("igmatch_area_ratio")?).exp()));
+    let igm_at_most = |ratio: &str| no_worse(rows, "igmatch_ratio", ratio, 1e-15);
+    let at_most_igm = |ratio: &str| no_worse(rows, ratio, "igmatch_ratio", 1e-15);
+    let (e3, e4) = (igm_at_most("igvote_ratio"), igm_at_most("eig1_ratio"));
+    let (e11, e12) = (at_most_igm("refined_ratio"), at_most_igm("hybrid_ratio"));
+    let e18 = no_worse(rows, "bound", "igmatch_ratio", 1e-12);
+    let all: fn(f64) -> bool = |x| x == PAPER_CIRCUITS as f64;
+    let floors: [Floor; 10] = [
+        ("E1", "Table 1 is not monotone", e1, |x| x == 0.0),
+        ("E2", "mean gain over RCut >= 28.8%", e2, |x| x >= 28.8),
+        ("E3", "IG-Match <= IG-Vote on 9/9", e3, all),
+        ("E4", "IG-Match <= EIG1 on 9/9", e4, all),
+        ("E5", "Test05 clique/IG nnz >= 10x", e5, |x| x >= 10.0),
+        ("E10", "weightings within 5% of paper", e10, |x| x <= 0.05),
+        ("E11", "refined <= IG-Match on 9/9", e11, all),
+        ("E12", "IG-Match+FM <= IG-Match on 9/9", e12, all),
+        ("E18", "bound <= IG-Match on 9/9", e18, all),
+        ("E19", "area RCut / IG-Match geo > 1", e19, |x| x > 1.0),
+    ];
+    floors
+        .into_iter()
+        .filter_map(|(id, claim, measured, holds)| match measured {
+            Ok(x) if holds(x) => None,
+            Ok(x) => Some(format!("{id}: {claim} fails (measured {x})")),
+            Err(e) => Some(format!("{id}: {e}")),
+        })
+        .collect()
+}
+
+/// `row[path]` for a dotted `path` (`weighting_ratio.paper`).
+fn lookup<'a>(row: &'a Value, path: &str) -> Option<&'a Value> {
+    path.split('.').try_fold(row, |v, key| v.get(key))
+}
+
+/// `row[path]`, which must be a positive finite number.
+fn positive(row: &Value, path: &str) -> Measured {
+    let name = lookup(row, "name").and_then(Value::as_str).unwrap_or("?");
+    match lookup(row, path).and_then(Value::as_f64) {
+        Some(x) if x > 0.0 && x.is_finite() => Ok(x),
+        Some(x) => Err(format!("{name}: {path} is {x:e}, not positive")),
+        None => Err(format!("{name}: no {path}")),
+    }
+}
+
+fn mean(rows: &[Value], f: impl Fn(&Value) -> Measured) -> Measured {
+    Ok(rows.iter().map(f).sum::<Measured>()? / rows.len() as f64)
+}
+
+/// On how many rows `row[lhs] ≤ row[rhs] + slack`.
+fn no_worse(rows: &[Value], lhs: &str, rhs: &str, slack: f64) -> Measured {
+    rows.iter().try_fold(0.0, |n, r| {
+        Ok(n + f64::from(positive(r, lhs)? <= positive(r, rhs)? + slack))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,21 +241,9 @@ mod tests {
     #[test]
     fn improvement_matches_paper_arithmetic() {
         // bm1 row of Table 2: 12.73e-5 -> 5.53e-5 is a 57% improvement
-        let row = ComparisonRow {
-            name: "bm1".into(),
-            elements: 882,
-            baseline: CutStats {
-                cut_nets: 1,
-                left: 9,
-                right: 873,
-            },
-            contender: CutStats {
-                cut_nets: 1,
-                left: 21,
-                right: 861,
-            },
-        };
-        assert!((row.improvement_percent() - 57.0).abs() < 1.0);
+        assert!((improvement_percent(12.73e-5, 5.53e-5) - 57.0).abs() < 1.0);
+        assert!(improvement_percent(10.0, 11.0) < 0.0);
+        assert_eq!(improvement_percent(0.0, 1.0), 0.0);
     }
 
     #[test]
@@ -267,7 +294,7 @@ mod tests {
 
     #[test]
     fn checked_in_records_parse() {
-        for name in ["sweep", "multilevel"] {
+        for name in ["sweep", "multilevel", "paper"] {
             let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap();
             let doc = parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
@@ -275,6 +302,77 @@ mod tests {
             let schema = format!("bench/{name}/v1");
             assert_eq!(doc.get("schema").and_then(Value::as_str), Some(&*schema));
             assert!(matches!(doc.get("benchmarks"), Some(Value::Array(rows)) if !rows.is_empty()));
+        }
+    }
+
+    /// `v[key]` of an object, mutably.
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Object(fields) = v else {
+            panic!("{key} of a non-object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+    }
+
+    #[test]
+    fn paper_floors_hold_on_the_checked_in_record_and_catch_each_regression() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");
+        let head = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert_eq!(paper_floors(&head), Vec::<String>::new());
+        // (floor, circuit or "*" for all, field, set to `of · factor`; a
+        // flag flips instead)
+        let cases = [
+            ("E1", "Prim2", "table1_monotone", "table1_monotone", 1.0),
+            // a mean improvement over RCut of 28.7%
+            (
+                "E2",
+                "*",
+                "rcut_ratio",
+                "igmatch_ratio",
+                1.0 / (1.0 - 0.287),
+            ),
+            ("E2", "bm1", "rcut_ratio", "rcut_ratio", 0.0),
+            ("E3", "19ks", "igvote_ratio", "igmatch_ratio", 0.99),
+            ("E3", "19ks", "igvote_ratio", "igvote_ratio", 0.0),
+            ("E4", "Test06", "eig1_ratio", "igmatch_ratio", 0.99),
+            ("E4", "Test06", "eig1_ratio", "eig1_ratio", 0.0),
+            ("E5", "Test05", "clique_nnz", "ig_nnz", 9.9),
+            ("E5", "Test05", "ig_nnz", "ig_nnz", 0.0),
+            (
+                "E10",
+                "*",
+                "weighting_ratio.uniform",
+                "weighting_ratio.paper",
+                1.051,
+            ),
+            ("E11", "Prim1", "refined_ratio", "igmatch_ratio", 1.01),
+            ("E12", "Prim1", "hybrid_ratio", "igmatch_ratio", 1.01),
+            ("E18", "Test03", "bound", "igmatch_ratio", 1.01),
+            ("E18", "Test03", "bound", "bound", 0.0),
+            ("E19", "*", "rcut_area_ratio", "igmatch_area_ratio", 1.0),
+        ];
+        for (id, circuit, path, of, factor) in cases {
+            let mut doc = head.clone();
+            let Value::Array(rows) = field(&mut doc, "benchmarks") else {
+                unreachable!()
+            };
+            let picked = |r: &&mut Value| {
+                circuit == "*" || lookup(r, "name").and_then(Value::as_str) == Some(circuit)
+            };
+            for row in rows.iter_mut().filter(picked) {
+                let new = match lookup(row, of) {
+                    Some(Value::Bool(flag)) => Value::Bool(!flag),
+                    v => Value::Number(v.and_then(Value::as_f64).unwrap() * factor),
+                };
+                *path.split('.').fold(row, |v, key| field(v, key)) = new;
+            }
+            let failures = paper_floors(&doc);
+            assert!(
+                !failures.is_empty(),
+                "{id}: {path} perturbation not reported"
+            );
+            for f in &failures {
+                assert!(f.starts_with(&format!("{id}: ")), "{id} perturbation: {f}");
+            }
         }
     }
 
@@ -295,24 +393,5 @@ mod tests {
         assert_eq!(runs, 5, "exactly `iters` timed runs");
         assert_eq!(last, 5);
         assert!(best >= Duration::from_micros(50));
-    }
-
-    #[test]
-    fn negative_improvement_possible() {
-        let row = ComparisonRow {
-            name: "19ks".into(),
-            elements: 2844,
-            baseline: CutStats {
-                cut_nets: 10,
-                left: 100,
-                right: 100,
-            },
-            contender: CutStats {
-                cut_nets: 11,
-                left: 100,
-                right: 100,
-            },
-        };
-        assert!(row.improvement_percent() < 0.0);
     }
 }

@@ -20,7 +20,8 @@
 //!   delegates to the exact bipartition pipeline
 //!   (IG-Match + ratio-refine) and converts via
 //!   [`KwayPartition::from_bipartition`], bit-identically in partition,
-//!   cut statistics and metered spend.
+//!   cut statistics and metered spend. Where the pipeline fails short of
+//!   a spent budget, it degrades like any recursion node instead.
 //!
 //! ```
 //! use np_core::kway::{kway_partition, KwayMethod, KwayOptions};
@@ -143,7 +144,6 @@ pub fn kway_partition(
 ///   bad ε, size mismatches, pins beyond `k`, `k` exceeding the module
 ///   count) and for infeasible balance (a pinned or single module that
 ///   cannot fit any block within the bound);
-/// * the inner pipeline's errors on the k = 2 fast path;
 /// * [`PartitionError::Budget`] when the context meter trips.
 pub fn kway_partition_ctx(
     hg: &Hypergraph,
@@ -259,17 +259,27 @@ pub(crate) fn trivial(hg: &Hypergraph) -> KwayResult {
 /// parent context (bit-identical partition, stats and metered spend),
 /// convert via the shim, and touch nothing further — no tracker built,
 /// no meter charged — unless a pin or the balance bound is violated.
+/// When the pipeline fails for any reason but a spent budget, the path
+/// degrades the way a recursion node does: the contiguous split, then
+/// [`finalize`].
 pub(crate) fn bipartition_fast_path(
     hg: &Hypergraph,
     opts: &KwayOptions,
     prep: &Prepared,
     ctx: &RunContext<'_>,
 ) -> Result<KwayResult, PartitionError> {
-    let res = hybrid_pipeline(&opts.hybrid()).run(hg, None, ctx)?;
-    let partition = KwayPartition::from_bipartition(&res.partition);
-    if satisfies_contract(&partition, prep) {
-        return Ok(KwayResult::evaluate(hg, partition, ALGORITHM));
-    }
+    let partition = match hybrid_pipeline(&opts.hybrid()).run(hg, None, ctx) {
+        Ok(res) => {
+            let partition = KwayPartition::from_bipartition(&res.partition);
+            if satisfies_contract(&partition, prep) {
+                return Ok(KwayResult::evaluate(hg, partition, ALGORITHM));
+            }
+            partition
+        }
+        Err(e) => {
+            KwayPartition::from_bipartition(&recursive::degrade(e, hg.num_modules(), 1, 2, ctx)?)
+        }
+    };
     finalize(hg, partition, opts, prep, ctx)
 }
 

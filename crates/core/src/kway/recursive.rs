@@ -97,16 +97,7 @@ fn split(
     };
     let local_part = match run_result {
         Ok(r) => r.partition,
-        Err(e) => {
-            // Budget exhaustion is fatal wherever it surfaced (including
-            // inside the eigensolver); anything else degrades to a
-            // deterministic contiguous split that repair can work with.
-            ctx.meter().check()?;
-            if let PartitionError::Budget(b) = e {
-                return Err(PartitionError::Budget(b));
-            }
-            fallback_split(n_sub, k_l, k_sub)
-        }
+        Err(e) => degrade(e, n_sub, k_l, k_sub, ctx)?,
     };
 
     let mut tracker = CutTracker::from_partition(local_hg, &local_part);
@@ -133,44 +124,26 @@ fn split(
             }
         }
     }
-    let mut left_count = modules
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| tracker.side(ModuleId(*i as u32)) == Side::Left)
-        .count();
 
     // Top up each side to at least as many modules as blocks it must
     // produce, moving the best-gain free module across.
     loop {
-        let need = if left_count < k_l {
+        let stats = tracker.stats();
+        let need = if stats.left < k_l {
             Side::Left
-        } else if n_sub - left_count < k_r {
+        } else if stats.right < k_r {
             Side::Right
         } else {
             break;
         };
-        let mut best: Option<(i64, usize)> = None;
-        for (i, &gm) in modules.iter().enumerate() {
-            let lm = ModuleId(i as u32);
-            if !prep.free[gm.index()] || tracker.side(lm) == need {
-                continue;
-            }
-            let g = tracker.gain(lm);
-            if best.is_none_or(|(bg, _)| g > bg) {
-                best = Some((g, i));
-            }
-        }
-        let Some((_, i)) = best else {
+        let from = need.flip();
+        let Some(m) = best_move(&tracker, modules, prep, &local_areas, from, f64::INFINITY) else {
             return Err(PartitionError::InvalidInput {
                 reason: "pins leave too few free modules for a bisection level",
             });
         };
         ctx.meter().charge(1)?;
-        tracker.move_module(ModuleId(i as u32), need);
-        match need {
-            Side::Left => left_count += 1,
-            Side::Right => left_count -= 1,
-        }
+        tracker.move_module(m, need);
     }
 
     // Best-effort area nudge toward each side's share of the budget. The
@@ -179,48 +152,28 @@ fn split(
     let cap_l = area_cap(prep.bound) * k_l as f64;
     let cap_r = area_cap(prep.bound) * k_r as f64;
     for _ in 0..n_sub {
+        let stats = tracker.stats();
         let left_area = tracker.left_area();
         let right_area = total_local - left_area;
-        let from = if left_area > cap_l && left_count > k_l {
-            Side::Left
-        } else if right_area > cap_r && n_sub - left_count > k_r {
-            Side::Right
+        let (from, room) = if left_area > cap_l && stats.left > k_l {
+            (Side::Left, cap_r - right_area)
+        } else if right_area > cap_r && stats.right > k_r {
+            (Side::Right, cap_l - left_area)
         } else {
             break;
         };
-        let room = match from {
-            Side::Left => cap_r - right_area,
-            Side::Right => cap_l - left_area,
-        };
-        let mut best: Option<(i64, usize)> = None;
-        for (i, &gm) in modules.iter().enumerate() {
-            let lm = ModuleId(i as u32);
-            if !prep.free[gm.index()] || tracker.side(lm) != from {
-                continue;
-            }
-            if local_areas.area(lm) > room {
-                continue;
-            }
-            let g = tracker.gain(lm);
-            if best.is_none_or(|(bg, _)| g > bg) {
-                best = Some((g, i));
-            }
-        }
-        let Some((_, i)) = best else {
+        let Some(m) = best_move(&tracker, modules, prep, &local_areas, from, room) else {
             break;
         };
         ctx.meter().charge(1)?;
-        tracker.move_module(ModuleId(i as u32), from.flip());
-        match from {
-            Side::Left => left_count -= 1,
-            Side::Right => left_count += 1,
-        }
+        tracker.move_module(m, from.flip());
     }
 
     // Recurse on the two sides in global module ids.
+    let stats = tracker.stats();
     let p = tracker.to_partition();
-    let mut left_mods = Vec::with_capacity(left_count);
-    let mut right_mods = Vec::with_capacity(n_sub - left_count);
+    let mut left_mods = Vec::with_capacity(stats.left);
+    let mut right_mods = Vec::with_capacity(stats.right);
     for (i, &gm) in modules.iter().enumerate() {
         match p.side(ModuleId(i as u32)) {
             Side::Left => left_mods.push(gm),
@@ -242,13 +195,51 @@ fn split(
     )
 }
 
-/// The deterministic degraded split used when the pipeline fails on a
-/// sub-instance: the first `⌈n·k_l/k⌉` modules (clamped so each side can
-/// still host its blocks) go Left.
-fn fallback_split(n_sub: usize, k_l: usize, k_sub: usize) -> Bipartition {
-    let k_r = k_sub - k_l;
-    let left_n = (n_sub * k_l / k_sub).clamp(k_l, n_sub - k_r);
-    Bipartition::from_left_set(n_sub, (0..left_n).map(|i| ModuleId(i as u32)))
+/// The free module on side `from` with the best move gain among those
+/// whose area fits `room`, the lowest local index among equal gains.
+fn best_move(
+    tracker: &CutTracker<'_>,
+    modules: &[ModuleId],
+    prep: &Prepared,
+    local_areas: &ModuleAreas,
+    from: Side,
+    room: f64,
+) -> Option<ModuleId> {
+    let mut best: Option<(i64, ModuleId)> = None;
+    for (i, &gm) in modules.iter().enumerate() {
+        let lm = ModuleId(i as u32);
+        if !prep.free[gm.index()] || tracker.side(lm) != from || local_areas.area(lm) > room {
+            continue;
+        }
+        let g = tracker.gain(lm);
+        if best.is_none_or(|(bg, _)| g > bg) {
+            best = Some((g, lm));
+        }
+    }
+    best.map(|(_, lm)| lm)
+}
+
+/// What a bisection does when the pipeline fails on its (sub-)instance.
+/// Budget exhaustion is fatal wherever it surfaced (including inside the
+/// eigensolver); anything else degrades to a deterministic contiguous
+/// split that repair can work with: the first `⌊n·k_l/k⌋` modules
+/// (clamped so each side can still host its blocks) go Left.
+pub(super) fn degrade(
+    err: PartitionError,
+    n_sub: usize,
+    k_l: usize,
+    k_sub: usize,
+    ctx: &RunContext<'_>,
+) -> Result<Bipartition, PartitionError> {
+    ctx.meter().check()?;
+    if let PartitionError::Budget(_) = err {
+        return Err(err);
+    }
+    let left_n = (n_sub * k_l / k_sub).clamp(k_l, n_sub - (k_sub - k_l));
+    Ok(Bipartition::from_left_set(
+        n_sub,
+        (0..left_n).map(|i| ModuleId(i as u32)),
+    ))
 }
 
 #[cfg(test)]

@@ -13,14 +13,23 @@
 //! * **oracle agreement** — the reported cut and per-block external
 //!   counts equal the brute-force recount in `np_testkit`, which shares
 //!   no code with the incremental trackers.
+//!
+//! With module areas the balance invariant holds on block *area*, on the
+//! flat route and on the k-way V-cycle, whose coarsest level carries
+//! cluster areas.
 
 use ig_match_repro::core::engine::stages::{IgMatchStage, RatioRefineStage};
 use ig_match_repro::core::engine::{Pipeline, RunContext, Stage, DEFAULT_SEED};
+use ig_match_repro::core::kway::refine::area_cap;
 use ig_match_repro::core::kway::{kway_partition, kway_partition_ctx, KwayMethod, KwayOptions};
 use ig_match_repro::core::{IgMatchOptions, PartitionError};
+use ig_match_repro::multilevel::{multilevel_kway_ctx, MultilevelOptions};
+use ig_match_repro::netlist::areas::ModuleAreas;
 use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
-use ig_match_repro::netlist::{balance_bound, KwayPartition};
-use ig_match_repro::{Budget, BudgetMeter};
+use ig_match_repro::netlist::{
+    balance_bound, hypergraph_from_nets, FixedModules, Hypergraph, KwayPartition,
+};
+use ig_match_repro::{Budget, BudgetMeter, ModuleId};
 use np_testkit::{
     check_cases, kway_reference_cut, kway_reference_externals, pinned_instance, small_hypergraph,
 };
@@ -32,7 +41,6 @@ fn acceptable(err: &PartitionError) -> bool {
     matches!(
         err,
         PartitionError::TooSmall { .. }
-            | PartitionError::Degenerate
             | PartitionError::InvalidInput { .. }
             | PartitionError::Eigen(_)
     )
@@ -170,6 +178,99 @@ fn k2_paths_are_bit_identical_to_the_bipartition_pipeline() {
             "metered spend diverged at {threads} threads"
         );
     }
+}
+
+/// Asserts the k-way contract on a result's `partition` and reported
+/// `cut_nets`: `k` non-empty blocks, each block's area within the bound,
+/// every pin on its block, and a cut that matches the brute-force
+/// recount.
+fn assert_kway_contract(
+    hg: &Hypergraph,
+    partition: &KwayPartition,
+    cut_nets: usize,
+    opts: &KwayOptions,
+) {
+    let areas = opts
+        .areas
+        .clone()
+        .unwrap_or_else(|| ModuleAreas::uniform(hg.num_modules()));
+    let cap = area_cap(balance_bound(areas.total(), opts.k, opts.epsilon));
+    assert_eq!(partition.num_blocks(), opts.k);
+    assert!(
+        partition.block_sizes().iter().all(|&s| s > 0),
+        "an empty block"
+    );
+    for (b, area) in partition.block_areas(&areas).into_iter().enumerate() {
+        assert!(area <= cap, "block {b} holds area {area} > cap {cap}");
+    }
+    for (m, b) in opts.fixed.iter().flat_map(FixedModules::pins) {
+        assert_eq!(partition.block_of(m), b, "pinned module {m:?} moved");
+    }
+    assert_eq!(cut_nets, kway_reference_cut(hg, partition.labels()));
+}
+
+#[test]
+fn k2_without_pins_degrades_where_the_bipartition_pipeline_fails() {
+    // IG-Match finds no split of this netlist with two non-empty sides;
+    // the k = 2 fast path falls back to the contiguous split the way a
+    // recursion node does, instead of passing the pipeline's error on
+    let hg = hypergraph_from_nets(4, &[vec![0, 2], vec![1, 2, 3]]);
+    for epsilon in [0.1, 0.5] {
+        let opts = KwayOptions {
+            k: 2,
+            epsilon,
+            ..Default::default()
+        };
+        let out = kway_partition(&hg, &opts, KwayMethod::Recursive)
+            .unwrap_or_else(|e| panic!("k = 2 at ε = {epsilon} failed: {e}"));
+        assert_kway_contract(&hg, &out.partition, out.stats.cut_nets, &opts);
+    }
+}
+
+#[test]
+fn module_areas_keep_every_block_within_its_area_bound() {
+    check_cases(64, 0xA2EA_5EED, |g| {
+        let hg = small_hypergraph(g);
+        let n = hg.num_modules();
+        let k = g.usize_in(2, n.min(6));
+        let areas = (0..n)
+            .map(|_| {
+                if g.with_probability(0.05) {
+                    g.usize_in(8, 24) as f64 // macro block
+                } else {
+                    g.usize_in(1, 3) as f64 // standard cell
+                }
+            })
+            .collect();
+        let mut fixed = FixedModules::free(n);
+        for _ in 0..g.usize_in(0, 3) {
+            fixed.pin(ModuleId(g.usize_in(0, n - 1) as u32), g.usize_in(0, k - 1));
+        }
+        let opts = KwayOptions {
+            k,
+            epsilon: g.f64_in(0.05, 0.6),
+            areas: Some(ModuleAreas::new(areas)),
+            fixed: Some(fixed),
+            ..Default::default()
+        };
+        let vcycle = MultilevelOptions {
+            coarsen_target: 4,
+            ..Default::default()
+        };
+        let flat = kway_partition(&hg, &opts, KwayMethod::Recursive)
+            .map(|out| (out.partition, out.stats.cut_nets));
+        let coarse = multilevel_kway_ctx(&hg, &opts, &vcycle, &RunContext::unlimited())
+            .map(|out| (out.result.partition, out.result.stats.cut_nets));
+        for result in [flat, coarse] {
+            match result {
+                Ok((partition, cut_nets)) => {
+                    assert_kway_contract(&hg, &partition, cut_nets, &opts);
+                }
+                Err(PartitionError::InvalidInput { .. }) => {}
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+    });
 }
 
 #[test]
