@@ -131,6 +131,18 @@ pub struct RobustOptions {
     pub faults: FaultPlan,
 }
 
+impl RobustOptions {
+    /// Options whose IG-Match links run with `ig_match`, with no faults
+    /// planned.
+    pub fn new(ig_match: IgMatchOptions) -> Self {
+        RobustOptions {
+            ig_match,
+            #[cfg(feature = "fault-inject")]
+            faults: FaultPlan::default(),
+        }
+    }
+}
+
 /// What happened across the whole chain: every attempt in order, the
 /// winning stage (if any) and the total resource spend.
 #[derive(Clone, Debug, PartialEq)]

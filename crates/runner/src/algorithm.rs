@@ -121,10 +121,7 @@ impl Algorithm {
                 ig_match: ig,
                 ..Default::default()
             })),
-            (Algorithm::Robust, _) => Box::new(RobustStage::new(RobustOptions {
-                ig_match: ig,
-                ..Default::default()
-            })),
+            (Algorithm::Robust, _) => Box::new(RobustStage::new(RobustOptions::new(ig))),
             (Algorithm::Fm, None) => Box::new(FmStage::default()),
             (Algorithm::Fm, Some(seed)) => Box::new(StreamFmStage(seed)),
             (Algorithm::Rcut, None) => Box::new(RcutStage::default()),

@@ -2,14 +2,17 @@
 //!
 //! # Fusion and the bit-identity contract
 //!
-//! The Lanczos hot loop is memory-bound: its cost is passes over `O(n)`
-//! vectors, not flops. The fused kernels here ([`axpy2`],
-//! [`orthogonalize_fused`], [`accumulate_scaled`]) combine what would be
-//! two or more passes into one, **without changing the floating-point
-//! operation order**: every fused kernel is bit-identical to the sequence
-//! of naive kernels it replaces (the equivalence property tests in
-//! `tests/spectral.rs` pin this down). Every reduction sums sequentially,
-//! left to right, so no kernel changes the reduction order.
+//! The Lanczos hot loop's cost is passes over `O(n)` vectors and the
+//! latency of its sequential reductions, not flops. The fused kernels here
+//! ([`axpy2`], [`orthogonalize_fused`], [`accumulate_scaled`],
+//! [`orthogonalize_classical`]) combine what would be two or more passes
+//! into one, **without changing the floating-point operation order**:
+//! every fused kernel is bit-identical to the sequence of naive kernels it
+//! replaces (the equivalence property tests in `tests/spectral.rs` pin
+//! this down). Every reduction sums sequentially, left to right, so no
+//! kernel changes the reduction order. [`orthogonalize_classical`] runs
+//! four such reductions side by side, each with its own accumulator, so
+//! its dots overlap in time but each equals [`dot`] bit for bit.
 
 /// Dot product `xᵀy`.
 ///
@@ -143,6 +146,56 @@ pub fn orthogonalize_fused(sets: &[&[Vec<f64>]], x: &mut [f64]) {
         u = next;
     }
     axpy(-c, u, x);
+}
+
+/// Classical Gram–Schmidt pass: projects the concatenation of `sets` out
+/// of `x`, every coefficient taken against the *incoming* `x`.
+///
+/// Bit-identical to `h[i] = dot(u_i, x)` for every `u_i` of
+/// `concat(sets)`, then `for i { axpy(-h[i], u_i, x) }`. The coefficients
+/// are computed four vectors per pass over `x`, each with its own
+/// sequential accumulator, so four independent reductions overlap instead
+/// of each waiting on the one before — the modified Gram–Schmidt chain of
+/// [`orthogonalize_fused`] has to finish each update before the next dot
+/// can start. The update is one [`accumulate_scaled`] pass per pair of
+/// vectors. Classical Gram–Schmidt loses more orthogonality than the
+/// modified chain when a pass cancels most of `x`; a second pass repairs
+/// it.
+///
+/// # Panics
+///
+/// Panics if any vector's length differs from `x.len()`.
+pub fn orthogonalize_classical(sets: &[&[Vec<f64>]], x: &mut [f64]) {
+    let us: Vec<&[f64]> = sets.iter().flat_map(|s| s.iter()).map(|u| &u[..]).collect();
+    let mut h = Vec::with_capacity(us.len());
+    let mut blocks = us.chunks_exact(4);
+    for b in &mut blocks {
+        h.extend(dot4([b[0], b[1], b[2], b[3]], x).map(|c| -c));
+    }
+    h.extend(blocks.remainder().iter().map(|u| -dot(u, x)));
+    let mut done = 0;
+    for set in sets {
+        accumulate_scaled(&h[done..done + set.len()], set, x);
+        done += set.len();
+    }
+}
+
+/// Four dot products `uᵢᵀx` in one pass over `x`, each summed left to
+/// right from `−0.0` in its own accumulator, so each is bit-identical to
+/// [`dot`].
+fn dot4(u: [&[f64]; 4], x: &[f64]) -> [f64; 4] {
+    for v in u {
+        assert_eq!(v.len(), x.len(), "dot4 length mismatch");
+    }
+    let [a, b, c, d] = u;
+    let mut s = [-0.0f64; 4];
+    for ((((xi, ai), bi), ci), di) in x.iter().zip(a).zip(b).zip(c).zip(d) {
+        s[0] += ai * xi;
+        s[1] += bi * xi;
+        s[2] += ci * xi;
+        s[3] += di * xi;
+    }
+    s
 }
 
 /// Accumulates `y ← y + Σᵢ coeffs[i] · vecs[i]`, fusing consecutive pairs
@@ -281,6 +334,28 @@ mod tests {
         orthogonalize_fused(&[], &mut x);
         orthogonalize_fused(&[&[], &[]], &mut x);
         assert_eq!(x, vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn orthogonalize_classical_matches_dots_then_axpys() {
+        // set sizes that run no block, one block, and blocks plus every
+        // remainder length, split across two sets at each boundary
+        let n = 53;
+        for m in 0usize..=9 {
+            let vecs: Vec<Vec<f64>> = (0..m).map(|i| rand_vec(70 + i as u64, n)).collect();
+            let x0 = rand_vec(80, n);
+            let h: Vec<f64> = vecs.iter().map(|u| dot(u, &x0)).collect();
+            let mut plain = x0.clone();
+            for (c, u) in h.iter().zip(&vecs) {
+                axpy(-c, u, &mut plain);
+            }
+            for split in 0..=m {
+                let (a, b) = vecs.split_at(split);
+                let mut fused = x0.clone();
+                orthogonalize_classical(&[a, b], &mut fused);
+                assert_eq!(fused, plain, "m={m} split={split}");
+            }
+        }
     }
 
     #[test]

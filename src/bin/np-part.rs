@@ -406,10 +406,7 @@ fn run_single(
     let stage: BoxedStage = match route(args) {
         Route::Multilevel(opts) => Box::new(MultilevelStage::new(opts)),
         Route::Table(Algorithm::Robust) => {
-            let opts = RobustOptions {
-                ig_match: ig_match_options_for(args),
-                ..Default::default()
-            };
+            let opts = RobustOptions::new(ig_match_options_for(args));
             let outcome = robust_partition_ctx(hg, &opts, ctx).map_err(|failure| {
                 eprintln!("{}", failure.diagnostics);
                 failure.to_string()

@@ -158,13 +158,16 @@ fn sharded_spmv_bit_identical_to_reference_across_thread_counts() {
 #[test]
 fn fused_vecops_match_unfused_on_random_and_degenerate_vectors() {
     // Random vectors of awkward lengths plus degenerate shapes: empty,
-    // singleton, all zeros, all negative zeros, constant.
+    // singleton, all zeros, all negative zeros, zeros against negative
+    // zeros (where only a dot summed from −0.0 gets the sign right),
+    // constant.
     let mut cases: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = [0usize, 1, 3, 64, 257, 1000]
         .iter()
         .map(|&n| (rand_vec(1, n), rand_vec(2, n), rand_vec(3, n)))
         .collect();
     cases.push((vec![0.0; 65], vec![0.0; 65], vec![0.0; 65]));
     cases.push((vec![-0.0; 65], vec![-0.0; 65], vec![-0.0; 65]));
+    cases.push((vec![0.0; 65], vec![-0.0; 65], vec![0.0; 65]));
     cases.push((vec![1.25; 33], vec![-2.5; 33], vec![0.5; 33]));
     for (x, y, z) in &cases {
         let n = x.len();
@@ -196,6 +199,35 @@ fn fused_vecops_match_unfused_on_random_and_degenerate_vectors() {
                 .all(|(p, q)| p.to_bits() == q.to_bits()),
             "orthogonalize_fused at n={n}"
         );
+        // coefficients against the incoming vector, then sequential axpys,
+        // vs the classical Gram–Schmidt kernel, projecting scaled copies
+        // of x and z out of y: set sizes 0–9 run no four-wide block, whole
+        // blocks and every remainder length, and the set is split in two
+        // to cross a set boundary.
+        let pool = [x, z];
+        for m in 0..=9usize {
+            let set: Vec<Vec<f64>> = (0..m)
+                .map(|i| {
+                    let scale = 1.0 + i as f64 / 8.0;
+                    pool[i % 2].iter().map(|v| v * scale).collect()
+                })
+                .collect();
+            let h: Vec<f64> = set.iter().map(|u| vecops::dot(u, y)).collect();
+            let mut plain = y.clone();
+            for (c, u) in h.iter().zip(&set) {
+                vecops::axpy(-c, u, &mut plain);
+            }
+            let (a, b) = set.split_at(m / 2);
+            let mut fused = y.clone();
+            vecops::orthogonalize_classical(&[a, b], &mut fused);
+            assert!(
+                plain
+                    .iter()
+                    .zip(&fused)
+                    .all(|(p, q)| p.to_bits() == q.to_bits()),
+                "orthogonalize_classical at n={n}, m={m}"
+            );
+        }
     }
 }
 
