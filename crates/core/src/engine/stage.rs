@@ -4,6 +4,7 @@
 use super::context::{RunContext, StageEvent};
 use crate::{PartitionError, PartitionResult};
 use np_netlist::Hypergraph;
+use std::sync::Arc;
 
 /// One step of a partitioning flow: consumes the hypergraph, an optional
 /// upstream partition and the shared [`RunContext`], and produces a
@@ -96,6 +97,40 @@ pub fn run_stage(
 /// the bound costs nothing.
 pub type BoxedStage = Box<dyn Stage + Send + Sync>;
 
+/// A boxed stage is a stage, so table-built stages (`np-runner`'s
+/// algorithm table returns [`BoxedStage`]s) drop into the combinators.
+impl Stage for BoxedStage {
+    fn name(&self) -> &'static str {
+        self.as_ref().name()
+    }
+
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        input: Option<PartitionResult>,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        self.as_ref().run(hg, input, ctx)
+    }
+}
+
+/// A shared stage is a stage, so a caller can keep a handle on a stage it
+/// hands to a portfolio and read what the stage recorded afterwards.
+impl<S: Stage + ?Sized> Stage for Arc<S> {
+    fn name(&self) -> &'static str {
+        self.as_ref().name()
+    }
+
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        input: Option<PartitionResult>,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        self.as_ref().run(hg, input, ctx)
+    }
+}
+
 /// A sequence of stages executed left to right, each receiving the
 /// previous stage's partition as input. The pipeline is itself a
 /// [`Stage`], so pipelines nest.
@@ -138,16 +173,6 @@ impl Pipeline {
         self.stages.push(Box::new(stage));
         self
     }
-
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// `true` if no stage has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
 }
 
 impl Stage for Pipeline {
@@ -173,14 +198,16 @@ impl Stage for Pipeline {
     }
 }
 
-/// The default fatality predicate of a [`FallbackChain`]: a spent budget
-/// or a structurally hopeless input dooms every later alternative too, so
-/// the chain aborts instead of burning time.
+/// The fatality predicate of every [`FallbackChain`]: a spent budget or
+/// fewer than 2 modules dooms every later link too, so the chain aborts.
+/// Fewer than 2 nets is not fatal: module-space stages (EIG1, FM) split
+/// such a netlist.
 pub fn default_fatal(error: &PartitionError) -> bool {
-    matches!(
-        error,
-        PartitionError::Budget(_) | PartitionError::TooSmall { .. }
-    )
+    match error {
+        PartitionError::Budget(_) => true,
+        PartitionError::TooSmall { modules, .. } => *modules < 2,
+        _ => false,
+    }
 }
 
 /// Record of one attempted link of a [`FallbackChain`].
@@ -216,7 +243,8 @@ pub struct ChainFailure<L> {
 
 /// An ordered list of labelled alternatives: each link runs only if every
 /// earlier link failed non-fatally. The first success wins; a fatal error
-/// (see [`default_fatal`]) aborts the chain at once.
+/// (see [`default_fatal`]) aborts the chain at once. A
+/// [`link_if`](Self::link_if) link also needs that failure to pass its test.
 ///
 /// Labels are caller-chosen (`&'static str`, an enum, …) and come back in
 /// [`ChainOutcome::winner`] and the attempt records, so callers can
@@ -240,41 +268,36 @@ pub struct ChainFailure<L> {
 /// assert_eq!(out.winner, "spectral");
 /// ```
 pub struct FallbackChain<L> {
-    links: Vec<(L, BoxedStage)>,
-    fatal: fn(&PartitionError) -> bool,
+    links: Vec<(L, BoxedStage, After)>,
 }
 
+/// The condition a link puts on the error the chain moves on from.
+type After = fn(&PartitionError) -> bool;
+
 impl<L: Copy> FallbackChain<L> {
-    /// An empty chain with the [`default_fatal`] abort policy.
+    /// An empty chain.
     pub fn new() -> Self {
-        FallbackChain {
-            links: Vec::new(),
-            fatal: default_fatal,
-        }
+        FallbackChain { links: Vec::new() }
     }
 
     /// Appends a labelled alternative (builder style).
     #[must_use]
-    pub fn link(mut self, label: L, stage: impl Stage + Send + Sync + 'static) -> Self {
-        self.links.push((label, Box::new(stage)));
-        self
+    pub fn link(self, label: L, stage: impl Stage + Send + Sync + 'static) -> Self {
+        self.link_if(label, stage, |_| true)
     }
 
-    /// Replaces the fatality predicate (builder style).
+    /// Appends a labelled alternative that runs only when the error the
+    /// chain moves on from satisfies `after` (builder style); a skipped
+    /// link leaves no record. As the chain's first link it always runs.
     #[must_use]
-    pub fn with_fatal(mut self, fatal: fn(&PartitionError) -> bool) -> Self {
-        self.fatal = fatal;
+    pub fn link_if(
+        mut self,
+        label: L,
+        stage: impl Stage + Send + Sync + 'static,
+        after: fn(&PartitionError) -> bool,
+    ) -> Self {
+        self.links.push((label, Box::new(stage), after));
         self
-    }
-
-    /// Number of links.
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// `true` if no link has been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
     }
 
     /// Runs the chain until a link succeeds.
@@ -289,44 +312,38 @@ impl<L: Copy> FallbackChain<L> {
         hg: &Hypergraph,
         ctx: &RunContext<'_>,
     ) -> Result<ChainOutcome<L>, ChainFailure<L>> {
-        if self.links.is_empty() {
-            return Err(ChainFailure {
-                error: PartitionError::InvalidInput {
-                    reason: "fallback chain has no links",
-                },
-                attempts: Vec::new(),
-            });
-        }
         let mut attempts: Vec<ChainAttempt<L>> = Vec::new();
-        for (label, stage) in &self.links {
-            match run_stage(stage.as_ref(), hg, None, ctx) {
+        for (label, stage, after) in &self.links {
+            let previous = attempts.last().and_then(|a| a.error.as_ref());
+            if previous.is_some_and(|e| !after(e)) {
+                continue;
+            }
+            let outcome = run_stage(stage.as_ref(), hg, None, ctx);
+            let error = outcome.as_ref().err().cloned();
+            attempts.push(ChainAttempt {
+                label: *label,
+                error,
+            });
+            match outcome {
                 Ok(result) => {
-                    attempts.push(ChainAttempt {
-                        label: *label,
-                        error: None,
-                    });
+                    let winner = *label;
                     return Ok(ChainOutcome {
                         result,
-                        winner: *label,
+                        winner,
                         attempts,
                     });
                 }
-                Err(error) => {
-                    let fatal = (self.fatal)(&error);
-                    attempts.push(ChainAttempt {
-                        label: *label,
-                        error: Some(error.clone()),
-                    });
-                    if fatal {
-                        return Err(ChainFailure { error, attempts });
-                    }
+                Err(error) if default_fatal(&error) => {
+                    return Err(ChainFailure { error, attempts })
                 }
+                Err(_) => {}
             }
         }
-        let error = attempts
-            .last()
-            .and_then(|a| a.error.clone())
-            .expect("non-empty failed chain records at least one error");
+        // every attempted link failed; only an empty chain attempts none
+        let error = attempts.last().and_then(|a| a.error.clone());
+        let error = error.unwrap_or(PartitionError::InvalidInput {
+            reason: "fallback chain has no links",
+        });
         Err(ChainFailure { error, attempts })
     }
 }
@@ -405,7 +422,6 @@ mod tests {
             .then(Scripted::ok("b"));
         let result = flow.run(&tiny(), None, &RunContext::unlimited()).unwrap();
         assert_eq!(result.algorithm, "b");
-        assert_eq!(flow.len(), 2);
     }
 
     #[test]
@@ -422,7 +438,6 @@ mod tests {
     #[test]
     fn empty_pipeline_rejected() {
         let flow = Pipeline::named("empty");
-        assert!(flow.is_empty());
         assert!(matches!(
             flow.run(&tiny(), None, &RunContext::unlimited()),
             Err(PartitionError::InvalidInput { .. })
@@ -454,14 +469,38 @@ mod tests {
     }
 
     #[test]
-    fn chain_custom_fatal_predicate() {
-        // treat nothing as fatal: the chain tries every link
+    fn too_small_is_fatal_only_below_two_modules() {
+        let too_small = |modules| PartitionError::TooSmall { modules, nets: 1 };
+        assert!(default_fatal(&too_small(1)));
+        assert!(!default_fatal(&too_small(6)));
         let chain = FallbackChain::new()
-            .with_fatal(|_| false)
-            .link("a", Scripted::failing("a", budget_error()))
+            .link("a", Scripted::failing("a", too_small(6)))
             .link("b", Scripted::ok("b"));
         let out = chain.run(&tiny(), &RunContext::unlimited()).unwrap();
         assert_eq!(out.winner, "b");
+    }
+
+    #[test]
+    fn conditional_link_runs_only_after_a_matching_error() {
+        let eigen = |e: &PartitionError| matches!(e, PartitionError::Eigen(_));
+        let chain = |first: PartitionError| {
+            FallbackChain::new()
+                .link("a", Scripted::failing("a", first))
+                .link_if("b", Scripted::ok("b"), eigen)
+                .link("c", Scripted::ok("c"))
+        };
+        let no_convergence = PartitionError::Eigen(np_eigen::EigenError::NoConvergence {
+            iterations: 1,
+            residual: 1.0,
+        });
+        let out = chain(no_convergence).run(&tiny(), &RunContext::unlimited());
+        assert_eq!(out.unwrap().winner, "b");
+        // skipped without a record: the climb is a → c
+        let out = chain(PartitionError::Degenerate)
+            .run(&tiny(), &RunContext::unlimited())
+            .unwrap();
+        let labels: Vec<_> = out.attempts.iter().map(|a| a.label).collect();
+        assert_eq!(labels, ["a", "c"]);
     }
 
     #[test]
@@ -480,7 +519,6 @@ mod tests {
     #[test]
     fn empty_chain_rejected() {
         let chain: FallbackChain<&'static str> = FallbackChain::new();
-        assert!(chain.is_empty());
         let fail = chain.run(&tiny(), &RunContext::unlimited()).unwrap_err();
         assert!(matches!(fail.error, PartitionError::InvalidInput { .. }));
     }

@@ -268,50 +268,6 @@ impl Partitioner for KlStage {
     }
 }
 
-/// The whole resilient fallback chain
-/// ([`robust_partition_ctx`](crate::robust_partition_ctx)) as a single
-/// stage, so portfolios and pipelines can treat "IG-Match with every
-/// safety net" as one attempt. The chain's [`Diagnostics`](crate::Diagnostics)
-/// line is reported through [`StageEvent::Detail`].
-#[derive(Clone, Debug, Default)]
-pub struct RobustStage {
-    /// Options for the underlying fallback chain.
-    pub opts: crate::RobustOptions,
-}
-
-impl RobustStage {
-    /// A stage with the given options.
-    pub fn new(opts: crate::RobustOptions) -> Self {
-        RobustStage { opts }
-    }
-}
-
-impl Partitioner for RobustStage {
-    fn name(&self) -> &'static str {
-        "robust"
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        match crate::robust_partition_ctx(hg, &self.opts, ctx) {
-            Ok(outcome) => {
-                if ctx.has_events() {
-                    let message = outcome.diagnostics.to_string();
-                    ctx.emit(StageEvent::Detail {
-                        stage: Partitioner::name(self),
-                        message: &message,
-                    });
-                }
-                Ok(outcome.result)
-            }
-            Err(failure) => Err(failure.error),
-        }
-    }
-}
-
 /// Ratio-objective FM refinement of an upstream partition — the
 /// "standard iterative techniques" post-processing of paper §5. A
 /// transformer: it requires pipeline input and preserves the upstream

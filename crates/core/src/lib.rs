@@ -77,6 +77,6 @@ pub use kway::{kway_partition, kway_partition_ctx, KwayMethod, KwayOptions, Kway
 pub use models::IgWeighting;
 pub use result::PartitionResult;
 pub use robust::{
-    robust_partition, robust_partition_ctx, Diagnostics, FallbackStage, RobustFailure,
-    RobustOptions, RobustOutcome,
+    fallback_chain, robust_partition, robust_partition_ctx, Diagnostics, FallbackStage,
+    RobustFailure, RobustOptions, RobustOutcome, RobustStage,
 };

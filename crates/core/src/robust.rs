@@ -24,15 +24,17 @@
 //! differ only in their eigensolver options, link 4 is an [`Eig1Stage`]
 //! and link 5 an [`FmStage`]. So the first link *is* `ig_match`, and with
 //! no faults a chain that IG-Match solves returns its result bit for bit.
-//! [`robust_partition_ctx`] runs the [`FallbackChain`] against a shared
-//! [`RunContext`] — the escalation policy is data, not control flow.
+//! [`fallback_chain`] builds it as one [`RobustStage`], as it builds each
+//! `np-serve` attempt. A reseed runs only after an eigensolver failure
+//! ([`PartitionError::Eigen`]): when λ₂ is simple the Fiedler vector is
+//! fixed up to sign, so a new seed cannot change any other outcome.
 //!
 //! Every attempt is recorded in [`Diagnostics`], so callers can see which
 //! stage produced the answer and why earlier stages failed. Budget
-//! exhaustion ([`PartitionError::Budget`]) and structurally hopeless
-//! inputs ([`PartitionError::TooSmall`]) abort the chain immediately:
-//! later stages share the same spent budget / tiny input and would fail
-//! identically.
+//! exhaustion ([`PartitionError::Budget`]) and inputs with fewer than 2
+//! modules ([`PartitionError::TooSmall`]) abort the chain immediately:
+//! no later stage could succeed. Fewer than 2 nets escalates: the
+//! IG-Match links need 2 nets, clique EIG1 and FM do not.
 //!
 //! With the `fault-inject` feature, a `FaultPlan` wraps chosen links in
 //! the engine's fault decorator so every fallback link can be tested.
@@ -40,17 +42,17 @@
 #[cfg(feature = "fault-inject")]
 use crate::engine::fault::{FaultKind, FaultStage};
 use crate::engine::stages::{Eig1Stage, FmStage, IgMatchStage};
-use crate::engine::{ChainAttempt, FallbackChain, RunContext, Stage};
+use crate::engine::{BoxedStage, ChainAttempt, FallbackChain, RunContext, Stage, StageEvent};
 use crate::{Eig1Options, IgMatchOptions, PartitionError, PartitionResult};
 use np_netlist::rng::derive_seed;
 use np_netlist::Hypergraph;
-use np_sparse::BudgetMeter;
 use std::fmt;
+use std::sync::Mutex;
 use std::time::Duration;
 
-/// Reseeded IG-Match attempts between the primary IG-Match link and the
-/// dense eigensolve. Attempt `i` (from 1) seeds Lanczos with
-/// `derive_seed(seed, i)`.
+/// Reseeded links after a [`fallback_chain`]'s first link. Reseed `r`
+/// (from 1) runs on `derive_seed(stream, r)`, and only after an
+/// eigensolver failure ([`PartitionError::Eigen`]) of the link before it.
 pub const RESEED_ATTEMPTS: usize = 2;
 
 /// One link of the fallback chain.
@@ -58,13 +60,15 @@ pub const RESEED_ATTEMPTS: usize = 2;
 pub enum FallbackStage {
     /// IG-Match with the caller's eigensolver options.
     IgMatch,
-    /// IG-Match retried with a reseeded Lanczos start vector.
+    /// The requested algorithm: the first link of each `np-serve` attempt.
+    Requested,
+    /// The first link retried on a reseeded stream.
     ReseededLanczos,
     /// IG-Match with the spectral ordering computed densely.
     DenseEigensolve,
     /// EIG1 on the clique model.
     CliqueEig1,
-    /// Fiduccia–Mattheyses from a deterministic seed partition.
+    /// Fiduccia–Mattheyses, which needs no eigensolve.
     FmBaseline,
 }
 
@@ -73,6 +77,7 @@ impl FallbackStage {
     pub fn name(self) -> &'static str {
         match self {
             FallbackStage::IgMatch => "IG-Match",
+            FallbackStage::Requested => "requested",
             FallbackStage::ReseededLanczos => "reseeded Lanczos",
             FallbackStage::DenseEigensolve => "dense eigensolve",
             FallbackStage::CliqueEig1 => "clique EIG1",
@@ -221,9 +226,9 @@ impl std::error::Error for RobustFailure {
 ///
 /// [`RobustFailure`] carrying the decisive [`PartitionError`] and the
 /// full [`Diagnostics`]. The chain aborts early (without trying later
-/// stages) on [`PartitionError::Budget`] and
-/// [`PartitionError::TooSmall`]; anything else escalates to the next
-/// stage.
+/// stages) on [`PartitionError::Budget`] and on
+/// [`PartitionError::TooSmall`] with fewer than 2 modules; anything else
+/// escalates to the next stage.
 ///
 /// # Example
 ///
@@ -248,10 +253,10 @@ pub fn robust_partition(
 
 /// [`robust_partition`] against an execution context — the single
 /// implementation behind every entry point. All stages share the
-/// context's [`BudgetMeter`]; charging is cooperative at per-iteration
-/// granularity, so a tripped budget surfaces within one iteration's work
-/// of the requested limits, and a caller-supplied context can share one
-/// allowance across several runs.
+/// context's [`BudgetMeter`](np_sparse::BudgetMeter); charging is
+/// cooperative at per-iteration granularity, so a tripped budget surfaces
+/// within one iteration's work of the requested limits, and a
+/// caller-supplied context can share one allowance across several runs.
 ///
 /// An event sink on the context sees every link of the chain as
 /// `Started`/`Finished` stage events.
@@ -264,92 +269,158 @@ pub fn robust_partition_ctx(
     opts: &RobustOptions,
     ctx: &RunContext<'_>,
 ) -> Result<RobustOutcome, RobustFailure> {
-    let chain = build_chain(opts);
-    match chain.run(hg, ctx) {
-        Ok(out) => Ok(RobustOutcome {
-            result: out.result,
-            diagnostics: diagnostics(out.attempts, Some(out.winner), ctx.meter()),
-        }),
-        Err(fail) => Err(RobustFailure {
-            error: fail.error,
-            diagnostics: diagnostics(fail.attempts, None, ctx.meter()),
-        }),
-    }
+    RobustStage::new(opts.clone()).climb(hg, ctx)
 }
 
-/// Declares the five-link escalation policy of the module docs as engine
-/// data: one [`FallbackChain`] of engine stages. The chain's
-/// [`default_fatal`](crate::engine::default_fatal) policy provides the
-/// budget-exhaustion / hopeless-input abort behavior.
-fn build_chain(opts: &RobustOptions) -> FallbackChain<FallbackStage> {
-    let ig = opts.ig_match;
-    let mut chain = link(
-        FallbackChain::new(),
-        opts,
-        FallbackStage::IgMatch,
-        IgMatchStage::new(ig),
-    );
-    for attempt in 1..=RESEED_ATTEMPTS as u64 {
-        let mut reseeded = ig;
-        reseeded.lanczos.seed = derive_seed(ig.lanczos.seed, attempt);
-        chain = link(
-            chain,
-            opts,
-            FallbackStage::ReseededLanczos,
-            IgMatchStage::new(reseeded),
-        );
+/// Builds a fallback chain as one [`RobustStage`] named `name`: the
+/// labelled `first` link (the requested stage on seed stream `stream`),
+/// then [`RESEED_ATTEMPTS`] links `reseed(derive_seed(stream, r))`, each
+/// run only when the link before it failed with
+/// [`PartitionError::Eigen`], then the `tail` links in order.
+pub fn fallback_chain(
+    name: &'static str,
+    first: (FallbackStage, BoxedStage),
+    stream: u64,
+    reseed: impl Fn(u64) -> BoxedStage,
+    tail: Vec<(FallbackStage, BoxedStage)>,
+) -> RobustStage {
+    let eigen = |e: &PartitionError| matches!(e, PartitionError::Eigen(_));
+    let mut chain = FallbackChain::new().link(first.0, first.1);
+    for r in 1..=RESEED_ATTEMPTS as u64 {
+        let stage = reseed(derive_seed(stream, r));
+        chain = chain.link_if(FallbackStage::ReseededLanczos, stage, eigen);
     }
-    let mut dense = ig;
-    dense.lanczos.dense_cutoff = usize::MAX;
-    let chain = link(
+    for (label, stage) in tail {
+        chain = chain.link(label, stage);
+    }
+    RobustStage {
+        name,
         chain,
-        opts,
-        FallbackStage::DenseEigensolve,
-        IgMatchStage::new(dense),
-    );
-    let eig1 = Eig1Options {
-        lanczos: ig.lanczos,
-    };
-    let chain = link(chain, opts, FallbackStage::CliqueEig1, Eig1Stage::new(eig1));
-    link(chain, opts, FallbackStage::FmBaseline, FmStage::default())
+        climbed: Mutex::new(Vec::new()),
+    }
 }
 
-/// Appends `stage` under `label`, wrapped in the fault decorator when the
-/// plan names the label (`fault-inject` builds only).
-fn link(
+/// A [`fallback_chain`] run as one engine stage, so portfolios and
+/// pipelines can treat "a stage with every safety net" as one attempt.
+/// An answer's [`Diagnostics`] line goes out as a [`StageEvent::Detail`].
+/// It keeps the labels its last run climbed ([`climbed`](Self::climbed)):
+/// `np-serve` reads its `fm-fallback` reason and `retries` from them.
+pub struct RobustStage {
+    name: &'static str,
     chain: FallbackChain<FallbackStage>,
+    climbed: Mutex<Vec<FallbackStage>>,
+}
+
+impl RobustStage {
+    /// The five-link chain of the [module docs](self), named `robust`.
+    /// Seeds reseeded links from `opts.ig_match.lanczos.seed`.
+    pub fn new(opts: RobustOptions) -> Self {
+        let opts = &opts;
+        let ig = opts.ig_match;
+        let ig_match = |label, ig| link(opts, label, IgMatchStage::new(ig));
+        let mut dense = ig;
+        dense.lanczos.dense_cutoff = usize::MAX;
+        let eig1 = Eig1Options {
+            lanczos: ig.lanczos,
+        };
+        fallback_chain(
+            "robust",
+            ig_match(FallbackStage::IgMatch, ig),
+            ig.lanczos.seed,
+            |seed| {
+                let mut reseeded = ig;
+                reseeded.lanczos.seed = seed;
+                ig_match(FallbackStage::ReseededLanczos, reseeded).1
+            },
+            vec![
+                ig_match(FallbackStage::DenseEigensolve, dense),
+                link(opts, FallbackStage::CliqueEig1, Eig1Stage::new(eig1)),
+                link(opts, FallbackStage::FmBaseline, FmStage::default()),
+            ],
+        )
+    }
+
+    /// The labels of the links the last run attempted, in order; empty
+    /// before the first run and after a run that panicked.
+    pub fn climbed(&self) -> Vec<FallbackStage> {
+        self.record().clone()
+    }
+
+    /// Runs the chain until a link answers, recording the climb.
+    fn climb(&self, hg: &Hypergraph, ctx: &RunContext<'_>) -> Result<RobustOutcome, RobustFailure> {
+        self.record().clear();
+        let diagnostics = |attempts: Vec<ChainAttempt<FallbackStage>>, winning_stage| {
+            *self.record() = attempts.iter().map(|a| a.label).collect();
+            let meter = ctx.meter();
+            let (matvecs, elapsed) = (meter.matvecs_used(), meter.elapsed());
+            Diagnostics {
+                attempts,
+                winning_stage,
+                matvecs,
+                elapsed,
+            }
+        };
+        match self.chain.run(hg, ctx) {
+            Ok(out) => Ok(RobustOutcome {
+                diagnostics: diagnostics(out.attempts, Some(out.winner)),
+                result: out.result,
+            }),
+            Err(fail) => Err(RobustFailure {
+                diagnostics: diagnostics(fail.attempts, None),
+                error: fail.error,
+            }),
+        }
+    }
+
+    fn record(&self) -> std::sync::MutexGuard<'_, Vec<FallbackStage>> {
+        self.climbed.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl Stage for RobustStage {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn run(
+        &self,
+        hg: &Hypergraph,
+        _input: Option<PartitionResult>,
+        ctx: &RunContext<'_>,
+    ) -> Result<PartitionResult, PartitionError> {
+        let outcome = self.climb(hg, ctx).map_err(|failure| failure.error)?;
+        if ctx.has_events() {
+            let message = outcome.diagnostics.to_string();
+            ctx.emit(StageEvent::Detail {
+                stage: self.name,
+                message: &message,
+            });
+        }
+        Ok(outcome.result)
+    }
+}
+
+/// `stage` as the link labelled `label`, wrapped in the fault decorator
+/// when the plan names the label (`fault-inject` builds only).
+fn link(
     opts: &RobustOptions,
     label: FallbackStage,
     stage: impl Stage + Send + Sync + 'static,
-) -> FallbackChain<FallbackStage> {
+) -> (FallbackStage, BoxedStage) {
     #[cfg(feature = "fault-inject")]
     if let Some(kind) = opts.faults.fault_at(label) {
-        return chain.link(label, FaultStage::new(kind, Box::new(stage)));
+        return (label, Box::new(FaultStage::new(kind, Box::new(stage))));
     }
     #[cfg(not(feature = "fault-inject"))]
     let _ = opts;
-    chain.link(label, stage)
-}
-
-/// Bundles the chain's attempt record into the public [`Diagnostics`].
-fn diagnostics(
-    attempts: Vec<ChainAttempt<FallbackStage>>,
-    winning_stage: Option<FallbackStage>,
-    meter: &BudgetMeter,
-) -> Diagnostics {
-    Diagnostics {
-        attempts,
-        winning_stage,
-        matvecs: meter.matvecs_used(),
-        elapsed: meter.elapsed(),
-    }
+    (label, Box::new(stage))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use np_netlist::hypergraph_from_nets;
-    use np_sparse::Budget;
+    use np_sparse::{Budget, BudgetMeter};
 
     fn two_triangles() -> Hypergraph {
         hypergraph_from_nets(
@@ -413,9 +484,18 @@ mod tests {
         );
         let s = &out.result.stats;
         assert!(s.left > 0 && s.right > 0);
-        // 1 IG-Match + reseeds + dense all failed, then clique won
-        assert_eq!(out.diagnostics.attempts.len(), RESEED_ATTEMPTS + 3);
-        for a in &out.diagnostics.attempts[..RESEED_ATTEMPTS + 2] {
+        // IG-Match and dense both failed, then clique won: a degenerate
+        // split is no eigensolver failure, so no reseed ran
+        let labels: Vec<_> = out.diagnostics.attempts.iter().map(|a| a.label).collect();
+        assert_eq!(
+            labels,
+            [
+                FallbackStage::IgMatch,
+                FallbackStage::DenseEigensolve,
+                FallbackStage::CliqueEig1
+            ]
+        );
+        for a in &out.diagnostics.attempts[..2] {
             assert!(matches!(a.error, Some(PartitionError::Degenerate)), "{a:?}");
         }
     }

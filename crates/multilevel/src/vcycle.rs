@@ -326,14 +326,14 @@ pub fn multilevel_ctx(
 /// The coarsest-level (and flat-path) partitioner: the workspace's hybrid
 /// IG-Match pipeline with a purely combinatorial FM fallback for levels
 /// too small or too degenerate for the spectral route. Only a spent
-/// budget aborts the chain.
+/// budget or a netlist of fewer than 2 modules, which FM cannot split
+/// either, aborts the chain.
 fn initial_partition(
     hg: &Hypergraph,
     opts: &MultilevelOptions,
     ctx: &RunContext<'_>,
 ) -> Result<PartitionResult, PartitionError> {
     let chain = FallbackChain::new()
-        .with_fatal(|e| matches!(e, PartitionError::Budget(_)))
         .link(
             "hybrid",
             hybrid_pipeline(&HybridOptions {

@@ -11,14 +11,12 @@
 
 use crate::{Portfolio, RandomStartFmStage};
 use np_baselines::{KlOptions, RcutOptions};
-use np_core::engine::stages::{
-    Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage, RobustStage,
-};
+use np_core::engine::stages::{Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage};
 use np_core::engine::{BoxedStage, RunContext};
 use np_core::hybrid::{hybrid_pipeline, HybridOptions};
 use np_core::{
     Eig1Options, IgMatchOptions, IgVoteOptions, PartitionError, PartitionResult, Partitioner,
-    RobustOptions,
+    RobustOptions, RobustStage,
 };
 use np_netlist::rng::derive_seed;
 use np_netlist::Hypergraph;

@@ -179,7 +179,8 @@ pub struct Metrics {
     pub shed: AtomicU64,
     /// Terminal `error` frames.
     pub errors: AtomicU64,
-    /// Reseeded ladder rungs run by main-tier attempts.
+    /// Reseeded ladder rungs run by main-tier attempts, each after an
+    /// eigensolver failure: only reseeds that could change an answer.
     pub retries: AtomicU64,
     /// Result frames degraded with reason `fm-fallback`.
     pub fm_fallbacks: AtomicU64,

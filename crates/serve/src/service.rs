@@ -17,7 +17,8 @@
 //!                   │
 //!              main portfolio: attempt i climbs its own ladder
 //!                requested algo ─fail─▶ reseeded ×2 ─fail─▶ FM
-//!                (a spent budget or too-small input ends the climb)
+//!                (reseeds run only after an eigensolver failure; a
+//!                spent budget or a < 2-module input ends the climb)
 //!                   │
 //!                   ├──an attempt answered──▶ RESULT ("fm-fallback" iff the
 //!                   │                         winner answered on FM, else
@@ -48,15 +49,14 @@ use crate::metrics::{tier_index, Metrics, TIER_NAMES};
 use crate::proto::{self, Degradation, Request};
 use np_baselines::{fm_bisect_anytime, FmOptions};
 use np_core::engine::trace::{SpanKind, SpanRing};
-use np_core::engine::{BoxedStage, FallbackChain, RunContext, Stage, StageEvent, DEFAULT_SEED};
-use np_core::robust::RESEED_ATTEMPTS;
+use np_core::engine::{BoxedStage, RunContext, StageEvent, DEFAULT_SEED};
+use np_core::robust::{fallback_chain, FallbackStage, RobustStage};
 use np_core::{
-    kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionError,
-    PartitionResult,
+    kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionResult,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
-use np_netlist::{Hypergraph, Side};
+use np_netlist::Side;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
     run_portfolio_cached, Algorithm, AttemptStatus, Portfolio, PortfolioEvent, PortfolioOptions,
@@ -64,7 +64,7 @@ use np_runner::{
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs. The defaults target small interactive netlists;
@@ -447,9 +447,10 @@ impl Service {
         };
 
         // ---- the main portfolio: every attempt climbs its own ladder
-        // (requested algorithm, reseeded, FM) ----
+        // (requested algorithm, reseeded after an eigensolver failure,
+        // FM) ----
         let portfolio_seed = derive_seed(seed, 0);
-        let (portfolio, climbs) = self.build_portfolio(request, portfolio_seed);
+        let (portfolio, ladders) = self.build_portfolio(request, portfolio_seed);
         let opts = PortfolioOptions {
             threads: 1,
             seed: portfolio_seed,
@@ -494,8 +495,11 @@ impl Service {
             }
             incomplete |= !matches!(a.status, AttemptStatus::Won | AttemptStatus::Completed);
         }
-        let rungs_run = climbs.iter().filter_map(|c| c.get()).flatten();
-        let retries = rungs_run.filter(|&&r| r == Rung::Reseeded).count() as u64;
+        let retries = ladders
+            .iter()
+            .flat_map(|ladder| ladder.climbed())
+            .filter(|&r| r == FallbackStage::ReseededLanczos)
+            .count() as u64;
         self.metrics.retries.fetch_add(retries, Ordering::Relaxed);
         // the deadline sized the meter, the meter ran out of wall and an
         // attempt was left unfinished ⇒ best-so-far answer (a
@@ -508,7 +512,8 @@ impl Service {
             Ok(out) => {
                 record_attempt_spans(&self.spans, seq, &out.report, portfolio_started);
                 // the winner's ladder ends on the rung that answered
-                let on_fm = climbs[out.winner].get().and_then(|r| r.last()) == Some(&Rung::Fm);
+                let on_fm =
+                    ladders[out.winner].climbed().last() == Some(&FallbackStage::FmBaseline);
                 let reason = if on_fm {
                     Some(Degradation::FmFallback)
                 } else {
@@ -675,34 +680,37 @@ impl Service {
     }
 
     /// Builds the main-tier portfolio, labelled with the wire name:
-    /// attempt `i` is a [`Ladder`] on seed stream `derive_seed(seed, i)`
-    /// over the shared algorithm table (`auto` is IG-Match). Returns each
-    /// attempt's climb slot next to the portfolio.
-    fn build_portfolio(
-        &self,
-        request: &Request,
-        seed: u64,
-    ) -> (Portfolio, Vec<Arc<OnceLock<Vec<Rung>>>>) {
+    /// attempt `i` is a `ladder` [`fallback_chain`] on seed stream
+    /// `derive_seed(seed, i)` over the shared algorithm table (`auto` is
+    /// IG-Match), with an FM tail unless FM was requested. Returns a
+    /// handle on each attempt's chain next to the portfolio, to read the
+    /// climb from after the run.
+    fn build_portfolio(&self, request: &Request, seed: u64) -> (Portfolio, Vec<Arc<RobustStage>>) {
         let restarts = request.restarts.unwrap_or(self.cfg.default_restarts);
         let algorithm = request.algo.unwrap_or(Algorithm::IgMatch);
         let ig = IgMatchOptions::default();
-        let mut climbs = Vec::with_capacity(restarts);
+        let ladders: Vec<Arc<RobustStage>> = (0..restarts)
+            .map(|i| {
+                let stream = derive_seed(seed, i as u64);
+                let first = self.decorate(request, i, algorithm.attempt(ig, stream));
+                let tail = if algorithm == Algorithm::Fm {
+                    Vec::new()
+                } else {
+                    vec![(FallbackStage::FmBaseline, Algorithm::Fm.attempt(ig, stream))]
+                };
+                Arc::new(fallback_chain(
+                    "ladder",
+                    (FallbackStage::Requested, first),
+                    stream,
+                    |reseed| algorithm.attempt(ig, reseed),
+                    tail,
+                ))
+            })
+            .collect();
         let portfolio = Portfolio::new().restarts(proto::algo_name(request.algo), restarts, |i| {
-            let stream = derive_seed(seed, i as u64);
-            let first = self.decorate(request, i, algorithm.attempt(ig, stream));
-            let mut chain = FallbackChain::new().link(Rung::Requested, Boxed(first));
-            for r in 1..=RESEED_ATTEMPTS as u64 {
-                let reseeded = algorithm.attempt(ig, derive_seed(stream, r));
-                chain = chain.link(Rung::Reseeded, Boxed(reseeded));
-            }
-            if algorithm != Algorithm::Fm {
-                chain = chain.link(Rung::Fm, Boxed(Algorithm::Fm.attempt(ig, stream)));
-            }
-            let climb = Arc::new(OnceLock::new());
-            climbs.push(Arc::clone(&climb));
-            Box::new(Ladder { chain, climb })
+            Box::new(Arc::clone(&ladders[i]))
         });
-        (portfolio, climbs)
+        (portfolio, ladders)
     }
 
     /// Wraps an attempt's first rung in `np-core`'s fault decorator when
@@ -762,65 +770,6 @@ fn best_so_far(
     match insurance {
         Some(result) => ladder_frame(job, "insurance", &result, Some(reason), retries),
         None => Terminal::error(&job.request.id, failure),
-    }
-}
-
-/// The rungs of a request's degradation ladder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Rung {
-    /// The requested algorithm on the attempt's own seed stream.
-    Requested,
-    /// The requested algorithm on a reseeded stream.
-    Reseeded,
-    /// Random-start FM, the paper's §5 baseline.
-    Fm,
-}
-
-/// One main-tier attempt: an engine [`FallbackChain`] over the rungs that
-/// aborts on a spent budget or too-small input, like the robust chain.
-/// It records the rungs it ran, in order, for the service to read after
-/// the portfolio; a panicking rung leaves the slot empty.
-struct Ladder {
-    chain: FallbackChain<Rung>,
-    climb: Arc<OnceLock<Vec<Rung>>>,
-}
-
-impl Stage for Ladder {
-    fn name(&self) -> &'static str {
-        "ladder"
-    }
-
-    fn run(
-        &self,
-        hg: &Hypergraph,
-        _input: Option<PartitionResult>,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        let (answer, rungs) = match self.chain.run(hg, ctx) {
-            Ok(out) => (Ok(out.result), out.attempts),
-            Err(fail) => (Err(fail.error), fail.attempts),
-        };
-        let _ = self.climb.set(rungs.iter().map(|a| a.label).collect());
-        answer
-    }
-}
-
-/// A table-built [`BoxedStage`] as a chain link (links take a `Stage`
-/// by value and box it themselves).
-struct Boxed(BoxedStage);
-
-impl Stage for Boxed {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn run(
-        &self,
-        hg: &Hypergraph,
-        input: Option<PartitionResult>,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.0.run(hg, input, ctx)
     }
 }
 
@@ -1137,34 +1086,38 @@ mod tests {
     #[test]
     fn each_attempt_records_the_rungs_it_climbed() {
         // both nets span every module: IG-Match finds no two-sided split,
-        // so each ladder climbs past its reseeds to FM, which answers on
-        // 20 modules and on 4
+        // a failure no reseed can change, so each ladder climbs straight
+        // to FM, which answers on 20 modules and on 4
         let spanning = |n: u32| {
             let all: Vec<u32> = (0..n).collect();
             np_netlist::hypergraph_from_nets(n as usize, &[all.clone(), all])
         };
         let (wide, narrow) = (spanning(20), spanning(4));
         let healthy = np_netlist::io::parse_hgr(&small_hgr()).unwrap();
-        let reseeds = vec![Rung::Reseeded; RESEED_ATTEMPTS];
-        let to_fm = [&[Rung::Requested][..], &reseeds, &[Rung::Fm]].concat();
+        let to_fm = vec![FallbackStage::Requested, FallbackStage::FmBaseline];
         let svc = Service::new(ServeConfig::default());
         for (hg, extra, expected, answered) in [
-            (&healthy, "", vec![Rung::Requested], true),
+            (&healthy, "", vec![FallbackStage::Requested], true),
             (&wide, "", to_fm.clone(), true),
             (&narrow, "", to_fm, true),
             // an `fm` request's ladder has no FM rung of its own
-            (&narrow, r#","algo":"fm""#, vec![Rung::Requested], true),
+            (
+                &narrow,
+                r#","algo":"fm""#,
+                vec![FallbackStage::Requested],
+                true,
+            ),
         ] {
             let line = request_line("ladder", &format!(r#"{extra},"restarts":2"#));
             let request = Request::parse(&line).unwrap();
-            let (portfolio, climbs) = svc.build_portfolio(&request, 7);
+            let (portfolio, ladders) = svc.build_portfolio(&request, 7);
             let opts = PortfolioOptions::default().with_threads(1).with_seed(7);
             let meter = BudgetMeter::unlimited();
             let run = np_runner::run_portfolio(hg, &portfolio, &opts, &meter, None);
             assert_eq!(run.is_ok(), answered, "{extra}: {run:?}");
-            assert_eq!(climbs.len(), 2);
-            for climb in &climbs {
-                assert_eq!(climb.get(), Some(&expected), "{extra}: {run:?}");
+            assert_eq!(ladders.len(), 2);
+            for ladder in &ladders {
+                assert_eq!(ladder.climbed(), expected, "{extra}: {run:?}");
             }
         }
     }

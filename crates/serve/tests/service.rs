@@ -227,8 +227,37 @@ fn spectrally_degenerate_netlist_falls_back_to_fm() {
         let p = doc.get("partition").and_then(Value::as_str).unwrap();
         assert_eq!(p.len(), modules);
         assert!(p.contains('0') && p.contains('1'), "{p}");
+        // a degenerate split is no eigensolver failure: nothing reseeds
+        assert_eq!(doc.get("retries").and_then(Value::as_u64), Some(0));
         assert_eq!(counter(&metrics_doc(&svc), "fm_fallbacks"), 1);
     }
+}
+
+/// Six modules on one net: IG-Match needs two nets, but the netlist is
+/// not too small to split, so the main tier climbs on to its FM rung and
+/// answers, rather than leaving the request to the insurance answer.
+#[test]
+fn one_net_netlist_is_answered_by_the_main_tier() {
+    let svc = Service::new(ServeConfig::default());
+    let hgr = json::escape("1 6\n1 2 3 4 5 6\n");
+    let frames = collect(
+        &svc,
+        &format!(r#"{{"id":"one-net","hgr":{hgr},"restarts":2}}"#),
+    );
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    let doc = json::parse(&frames[0]).unwrap();
+    assert_eq!(doc.get("frame").and_then(Value::as_str), Some("result"));
+    let p = doc.get("partition").and_then(Value::as_str).unwrap();
+    assert!(p.contains('0') && p.contains('1'), "{p}");
+    let trace = json::parse(&svc.trace_frame()).unwrap();
+    let Some(Value::Array(spans)) = trace.get("spans") else {
+        panic!("trace frame must carry a span array: {trace:?}");
+    };
+    let answered = spans.iter().filter(|s| {
+        s.get("kind").and_then(Value::as_str) == Some("attempt")
+            && s.get("ok").and_then(Value::as_bool) == Some(true)
+    });
+    assert_eq!(answered.count(), 2, "{spans:?}");
 }
 
 /// `/metrics` counts every `fm-fallback` result frame in `fm_fallbacks`,

@@ -100,6 +100,25 @@ fn every_eigensolve_faulted_fm_baseline_wins() {
 }
 
 #[test]
+fn one_net_netlist_is_split_by_a_module_space_link() {
+    // six modules on one net: the IG-Match links need two nets, but the
+    // clique model joins every pair of modules, so EIG1 splits it
+    let hg = ig_match_repro::netlist::hypergraph_from_nets(6, &[vec![0, 1, 2, 3, 4, 5]]);
+    let out = robust_partition(&hg, &RobustOptions::default()).unwrap();
+    assert_eq!(out.result.stats.cut_nets, 1);
+    assert_eq!(
+        out.diagnostics.winning_stage,
+        Some(FallbackStage::CliqueEig1)
+    );
+    for a in &out.diagnostics.attempts[..out.diagnostics.attempts.len() - 1] {
+        assert!(
+            matches!(a.error, Some(PartitionError::TooSmall { nets: 1, .. })),
+            "{a:?}"
+        );
+    }
+}
+
+#[test]
 fn poisoned_operator_detected_and_survived() {
     // an injected NonFinite stands in for a poisoned operator here; the
     // real NaN detection is `lanczos::tests::poisoned_operator_surfaces_non_finite`
