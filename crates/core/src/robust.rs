@@ -25,9 +25,10 @@
 //! and link 5 an [`FmStage`]. So the first link *is* `ig_match`, and with
 //! no faults a chain that IG-Match solves returns its result bit for bit.
 //! [`fallback_chain`] builds it as one [`RobustStage`], as it builds each
-//! `np-serve` attempt. A reseed runs only after an eigensolver failure
-//! ([`PartitionError::Eigen`]): when λ₂ is simple the Fiedler vector is
-//! fixed up to sign, so a new seed cannot change any other outcome.
+//! `np-serve` attempt. A reseed or the dense eigensolve runs only after
+//! an eigensolver failure ([`PartitionError::Eigen`]): when λ₂ is simple
+//! the Fiedler vector is fixed up to sign, so neither a new seed nor an
+//! O(m³) dense solve can change any other outcome.
 //!
 //! Every attempt is recorded in [`Diagnostics`], so callers can see which
 //! stage produced the answer and why earlier stages failed. Budget
@@ -48,7 +49,7 @@ use np_netlist::rng::derive_seed;
 use np_netlist::Hypergraph;
 use std::fmt;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Reseeded links after a [`fallback_chain`]'s first link. Reseed `r`
 /// (from 1) runs on `derive_seed(stream, r)`, and only after an
@@ -157,7 +158,7 @@ pub struct Diagnostics {
     pub attempts: Vec<ChainAttempt<FallbackStage>>,
     /// The stage that produced the result; `None` if the chain failed.
     pub winning_stage: Option<FallbackStage>,
-    /// Matvec-equivalents charged across all stages.
+    /// Matvec-equivalents charged across all stages of this chain.
     pub matvecs: u64,
     /// Wall-clock time for the whole chain.
     pub elapsed: Duration,
@@ -274,14 +275,15 @@ pub fn robust_partition_ctx(
 
 /// Builds a fallback chain as one [`RobustStage`] named `name`: the
 /// labelled `first` link (the requested stage on seed stream `stream`),
-/// then [`RESEED_ATTEMPTS`] links `reseed(derive_seed(stream, r))`, each
-/// run only when the link before it failed with
-/// [`PartitionError::Eigen`], then the `tail` links in order.
+/// then [`RESEED_ATTEMPTS`] links `reseed(derive_seed(stream, r))` and
+/// then the `rescue` links, each run only when the link before it failed
+/// with [`PartitionError::Eigen`], then the `tail` links in order.
 pub fn fallback_chain(
     name: &'static str,
     first: (FallbackStage, BoxedStage),
     stream: u64,
     reseed: impl Fn(u64) -> BoxedStage,
+    rescue: Vec<(FallbackStage, BoxedStage)>,
     tail: Vec<(FallbackStage, BoxedStage)>,
 ) -> RobustStage {
     let eigen = |e: &PartitionError| matches!(e, PartitionError::Eigen(_));
@@ -289,6 +291,9 @@ pub fn fallback_chain(
     for r in 1..=RESEED_ATTEMPTS as u64 {
         let stage = reseed(derive_seed(stream, r));
         chain = chain.link_if(FallbackStage::ReseededLanczos, stage, eigen);
+    }
+    for (label, stage) in rescue {
+        chain = chain.link_if(label, stage, eigen);
     }
     for (label, stage) in tail {
         chain = chain.link(label, stage);
@@ -332,8 +337,8 @@ impl RobustStage {
                 reseeded.lanczos.seed = seed;
                 ig_match(FallbackStage::ReseededLanczos, reseeded).1
             },
+            vec![ig_match(FallbackStage::DenseEigensolve, dense)],
             vec![
-                ig_match(FallbackStage::DenseEigensolve, dense),
                 link(opts, FallbackStage::CliqueEig1, Eig1Stage::new(eig1)),
                 link(opts, FallbackStage::FmBaseline, FmStage::default()),
             ],
@@ -346,18 +351,19 @@ impl RobustStage {
         self.record().clone()
     }
 
-    /// Runs the chain until a link answers, recording the climb.
+    /// Runs the chain until a link answers, recording the climb. The
+    /// diagnostics count what this climb spent through the context's
+    /// meter handle, not the pool it shares with other portfolio attempts.
     fn climb(&self, hg: &Hypergraph, ctx: &RunContext<'_>) -> Result<RobustOutcome, RobustFailure> {
         self.record().clear();
+        let (started, spent_before) = (Instant::now(), ctx.meter().local_used());
         let diagnostics = |attempts: Vec<ChainAttempt<FallbackStage>>, winning_stage| {
             *self.record() = attempts.iter().map(|a| a.label).collect();
-            let meter = ctx.meter();
-            let (matvecs, elapsed) = (meter.matvecs_used(), meter.elapsed());
             Diagnostics {
                 attempts,
                 winning_stage,
-                matvecs,
-                elapsed,
+                matvecs: ctx.meter().local_used() - spent_before,
+                elapsed: started.elapsed(),
             }
         };
         match self.chain.run(hg, ctx) {
@@ -484,18 +490,12 @@ mod tests {
         );
         let s = &out.result.stats;
         assert!(s.left > 0 && s.right > 0);
-        // IG-Match and dense both failed, then clique won: a degenerate
-        // split is no eigensolver failure, so no reseed ran
+        // IG-Match failed, then clique won: a degenerate split is no
+        // eigensolver failure, so neither a reseed nor the dense
+        // eigensolve ran
         let labels: Vec<_> = out.diagnostics.attempts.iter().map(|a| a.label).collect();
-        assert_eq!(
-            labels,
-            [
-                FallbackStage::IgMatch,
-                FallbackStage::DenseEigensolve,
-                FallbackStage::CliqueEig1
-            ]
-        );
-        for a in &out.diagnostics.attempts[..2] {
+        assert_eq!(labels, [FallbackStage::IgMatch, FallbackStage::CliqueEig1]);
+        for a in &out.diagnostics.attempts[..1] {
             assert!(matches!(a.error, Some(PartitionError::Degenerate)), "{a:?}");
         }
     }

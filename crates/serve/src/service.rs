@@ -703,6 +703,7 @@ impl Service {
                     (FallbackStage::Requested, first),
                     stream,
                     |reseed| algorithm.attempt(ig, reseed),
+                    Vec::new(),
                     tail,
                 ))
             })

@@ -119,6 +119,59 @@ fn one_net_netlist_is_split_by_a_module_space_link() {
 }
 
 #[test]
+fn portfolio_attempts_report_their_own_spend() {
+    // four robust attempts on one seed stream spend the same; each
+    // chain's diagnostics line counts its own matvecs, not the shared
+    // pool's running total, and agrees with the portfolio report's charge
+    use ig_match_repro::core::engine::StageEvent;
+    use ig_match_repro::runner::{
+        run_portfolio, Algorithm, Portfolio, PortfolioEvent, PortfolioOptions,
+    };
+    use ig_match_repro::IgMatchOptions;
+    let lines = std::sync::Mutex::new(Vec::new());
+    let sink = |e: &PortfolioEvent<'_>| {
+        if let StageEvent::Detail {
+            stage: "robust",
+            message,
+        } = e.event
+        {
+            lines.lock().unwrap().push((e.attempt, message.to_string()));
+        }
+    };
+    let portfolio = Portfolio::new().restarts("robust", 4, |_| {
+        Algorithm::Robust.attempt(IgMatchOptions::default(), 1)
+    });
+    let opts = PortfolioOptions::default().with_threads(1);
+    let out = run_portfolio(
+        &circuit(),
+        &portfolio,
+        &opts,
+        &BudgetMeter::unlimited(),
+        Some(&sink),
+    )
+    .unwrap();
+    let mut lines = lines.into_inner().unwrap();
+    lines.sort();
+    let matvecs: Vec<u64> = lines
+        .iter()
+        .map(|(_, line)| {
+            let count = line
+                .split(", ")
+                .nth(1)
+                .and_then(|s| s.strip_suffix(" matvecs"));
+            count
+                .and_then(|c| c.parse().ok())
+                .unwrap_or_else(|| panic!("{line}"))
+        })
+        .collect();
+    assert_eq!(matvecs.len(), 4, "{lines:?}");
+    assert!(matvecs[0] > 0);
+    assert!(matvecs.iter().all(|&m| m == matvecs[0]), "{lines:?}");
+    let charges: Vec<u64> = out.report.attempts.iter().map(|a| a.charge).collect();
+    assert_eq!(charges, matvecs);
+}
+
+#[test]
 fn poisoned_operator_detected_and_survived() {
     // an injected NonFinite stands in for a poisoned operator here; the
     // real NaN detection is `lanczos::tests::poisoned_operator_surfaces_non_finite`
