@@ -1,12 +1,21 @@
 //! A build-once cache for the spectral operators of one hypergraph.
 
+use crate::igmatch::{IgMatchOptions, IgMatchOutcome};
 use crate::models::clique::bound_preserving_laplacian;
 use crate::models::{
     clique_laplacian, intersection_laplacian, intersection_neighbors, IgWeighting,
 };
-use np_netlist::Hypergraph;
+use crate::ordering::SolveCharge;
+use np_netlist::{Hypergraph, Side};
 use np_sparse::Laplacian;
-use std::sync::{Arc, OnceLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// How many solved IG-Match runs an [`OperatorCache`] keeps: twice
+/// np-serve's default portfolio width (4), so every attempt of a
+/// repeated request of up to 8 restarts finds its own seed's answer.
+pub const IG_MATCH_MEMO_ENTRIES: usize = 8;
 
 /// Lazily-built, shareable Laplacians of one hypergraph's net models.
 ///
@@ -24,6 +33,12 @@ use std::sync::{Arc, OnceLock};
 /// losers of the initialization race simply receive the winner's
 /// operator. Results are unaffected by sharing because the builders are
 /// deterministic functions of the hypergraph.
+///
+/// The cache also remembers the last [`IG_MATCH_MEMO_ENTRIES`] solved
+/// IG-Match runs, keyed by their full [`IgMatchOptions`] (the Lanczos
+/// seed included), with the matvec-equivalents each solve charged; see
+/// [`ig_match_ctx`](crate::ig_match_ctx). The oldest entry is evicted
+/// first.
 ///
 /// A cache describes **one** hypergraph. It does not store the
 /// hypergraph itself — callers pass it in — but the accessors
@@ -48,6 +63,17 @@ pub struct OperatorCache {
     bound_preserving: OnceLock<Arc<Laplacian>>,
     intersection: [OnceLock<Arc<Laplacian>>; IgWeighting::ALL.len()],
     neighbors: OnceLock<Arc<Vec<Vec<u32>>>>,
+    ig_match: Mutex<VecDeque<SolvedIgMatch>>,
+    ig_match_hits: AtomicU64,
+}
+
+/// One solved IG-Match run: its options, its answer and what its
+/// eigensolve charged.
+#[derive(Debug)]
+struct SolvedIgMatch {
+    opts: IgMatchOptions,
+    outcome: IgMatchOutcome,
+    charge: SolveCharge,
 }
 
 fn weighting_slot(weighting: IgWeighting) -> usize {
@@ -129,6 +155,73 @@ impl OperatorCache {
         );
         q
     }
+
+    /// The remembered IG-Match run of `hg` under exactly `opts`, if any:
+    /// a clone of its answer and its eigensolve's charge. Counts a hit.
+    pub(crate) fn solved_ig_match(
+        &self,
+        hg: &Hypergraph,
+        opts: &IgMatchOptions,
+    ) -> Option<(IgMatchOutcome, SolveCharge)> {
+        let memo = self.ig_match.lock().expect("IG-Match memo lock");
+        let solved = memo.iter().find(|s| s.opts == *opts)?;
+        debug_assert_eq!(
+            solved.outcome.result.partition.len(),
+            hg.num_modules(),
+            "OperatorCache reused across different hypergraphs"
+        );
+        self.ig_match_hits.fetch_add(1, Ordering::Relaxed);
+        Some((solved.outcome.clone(), solved.charge))
+    }
+
+    /// Remembers a solved IG-Match run, evicting the oldest entry when
+    /// full. A run already remembered (a concurrent miss on the same
+    /// options) is kept once.
+    pub(crate) fn remember_ig_match(
+        &self,
+        opts: &IgMatchOptions,
+        outcome: &IgMatchOutcome,
+        charge: SolveCharge,
+    ) {
+        let mut memo = self.ig_match.lock().expect("IG-Match memo lock");
+        if memo.iter().any(|s| s.opts == *opts) {
+            return;
+        }
+        if memo.len() == IG_MATCH_MEMO_ENTRIES {
+            memo.pop_front();
+        }
+        memo.push_back(SolvedIgMatch {
+            opts: *opts,
+            outcome: outcome.clone(),
+            charge,
+        });
+    }
+
+    /// IG-Match runs answered from the memo so far, whether or not the
+    /// replayed charge then tripped the caller's meter.
+    pub fn ig_match_hits(&self) -> u64 {
+        self.ig_match_hits.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the IG-Match memo holds now.
+    pub fn ig_match_memo_bytes(&self) -> usize {
+        let memo = self.ig_match.lock().expect("IG-Match memo lock");
+        memo.iter()
+            .map(|s| solved_bytes(s.outcome.result.partition.len()))
+            .sum()
+    }
+
+    /// The most bytes the IG-Match memo of a cache for `hg` can hold:
+    /// [`IG_MATCH_MEMO_ENTRIES`] answers of one side label per module.
+    pub fn ig_match_memo_bound(hg: &Hypergraph) -> usize {
+        IG_MATCH_MEMO_ENTRIES * solved_bytes(hg.num_modules())
+    }
+}
+
+/// Resident bytes of one memo entry whose answer labels `modules`
+/// modules.
+fn solved_bytes(modules: usize) -> usize {
+    std::mem::size_of::<SolvedIgMatch>() + modules * std::mem::size_of::<Side>()
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub mod stage;
 pub mod stages;
 pub mod trace;
 
-pub use cache::OperatorCache;
+pub use cache::{OperatorCache, IG_MATCH_MEMO_ENTRIES};
 pub use context::{EventSink, RunContext, StageEvent, DEFAULT_SEED};
 pub use stage::{
     default_fatal, run_stage, BoxedStage, ChainAttempt, ChainFailure, ChainOutcome, FallbackChain,

@@ -50,7 +50,7 @@ pub use sweep::{CompletionOracle, ModuleTag, OrientedEval, SplitCandidate, Sweep
 
 use crate::engine::RunContext;
 use crate::models::IgWeighting;
-use crate::ordering::spectral_net_ordering_ctx;
+use crate::ordering::charged_net_ordering;
 use crate::{PartitionError, PartitionResult};
 use np_eigen::LanczosOptions;
 use np_netlist::{Hypergraph, NetId};
@@ -117,6 +117,14 @@ pub fn ig_match(hg: &Hypergraph, opts: &IgMatchOptions) -> Result<IgMatchOutcome
 /// and the completion sweep checks the wall clock at every split, so a
 /// tripped meter surfaces within one iteration's work.
 ///
+/// The run is a deterministic function of the hypergraph and `opts`, so
+/// the context's [`OperatorCache`](crate::engine::OperatorCache)
+/// remembers each successful one under its full options. A repeat skips
+/// the eigensolve and the sweep: it charges the meter what the solve
+/// charged, in the same steps, and returns the remembered answer, so
+/// labels, reports and metered spend (a tripped cap, a spent clock, a
+/// cancel) are those of a fresh run. Errors are not remembered.
+///
 /// # Errors
 ///
 /// The [`ig_match`] errors plus [`PartitionError::Budget`] when the
@@ -132,8 +140,15 @@ pub fn ig_match_ctx(
             nets: hg.num_nets(),
         });
     }
-    let order = spectral_net_ordering_ctx(hg, opts.weighting, &opts.lanczos, ctx)?;
-    ig_match_with_ordering_ctx(hg, &order, opts.refine_free_modules, ctx)
+    let memo = ctx.operators();
+    if let Some((outcome, charge)) = memo.solved_ig_match(hg, opts) {
+        charge.replay(ctx.meter())?;
+        return Ok(outcome);
+    }
+    let (order, charge) = charged_net_ordering(hg, opts.weighting, &opts.lanczos, ctx)?;
+    let outcome = ig_match_with_ordering_ctx(hg, &order, opts.refine_free_modules, ctx)?;
+    memo.remember_ig_match(opts, &outcome, charge);
+    Ok(outcome)
 }
 
 /// Runs the IG-Match completion over every split of an explicit net

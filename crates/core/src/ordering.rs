@@ -11,7 +11,7 @@ use crate::models::IgWeighting;
 use crate::PartitionError;
 use np_eigen::{fiedler_metered, LanczosOptions};
 use np_netlist::{Hypergraph, ModuleId, NetId};
-use np_sparse::BudgetMeter;
+use np_sparse::{BudgetExceeded, BudgetMeter};
 
 /// Sorts indices `0..n` by the corresponding component of `vector`
 /// (ties broken by index, so the ordering is fully deterministic).
@@ -107,18 +107,68 @@ pub fn spectral_net_ordering_ctx(
     opts: &LanczosOptions,
     ctx: &RunContext<'_>,
 ) -> Result<Vec<NetId>, PartitionError> {
-    if hg.num_nets() < 2 {
+    charged_net_ordering(hg, weighting, opts, ctx).map(|(order, _)| order)
+}
+
+/// [`spectral_net_ordering_ctx`] plus what its eigensolve charged the
+/// meter, so a memoized answer can charge the same again
+/// ([`SolveCharge::replay`]).
+pub(crate) fn charged_net_ordering(
+    hg: &Hypergraph,
+    weighting: IgWeighting,
+    opts: &LanczosOptions,
+    ctx: &RunContext<'_>,
+) -> Result<(Vec<NetId>, SolveCharge), PartitionError> {
+    let m = hg.num_nets();
+    if m < 2 {
         return Err(PartitionError::TooSmall {
             modules: hg.num_modules(),
-            nets: hg.num_nets(),
+            nets: m,
         });
     }
     let q = ctx.intersection_laplacian(hg, weighting);
     let pair = fiedler_metered(&q.threaded(ctx.threads()), opts, ctx.meter())?;
-    Ok(order_by_component(&pair.vector)
+    let order = order_by_component(&pair.vector)
         .into_iter()
         .map(NetId)
-        .collect())
+        .collect();
+    // the dense path charges its m columns in one go, Lanczos one
+    // matvec per application (`np_eigen::smallest_deflated_metered`)
+    let step = if m <= opts.dense_cutoff { m as u64 } else { 1 };
+    let charge = SolveCharge {
+        matvecs: pair.matvecs,
+        step,
+    };
+    Ok((order, charge))
+}
+
+/// What a successful eigensolve charged its meter: `matvecs` in all, in
+/// charges of `step` each.
+///
+/// The count is the solver's own ([`EigenPair::matvecs`]), not read off
+/// the meter, which other handles of the same scope may be charging at
+/// the same time.
+///
+/// [`EigenPair::matvecs`]: np_eigen::EigenPair::matvecs
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SolveCharge {
+    matvecs: u64,
+    step: u64,
+}
+
+impl SolveCharge {
+    /// Charges `meter` as the solve did. Each charge checks the meter,
+    /// so a matvec cap trips at the same count, and a spent clock or a
+    /// cancel fails.
+    pub(crate) fn replay(self, meter: &BudgetMeter) -> Result<(), BudgetExceeded> {
+        let mut left = self.matvecs;
+        while left > 0 {
+            let n = left.min(self.step);
+            meter.charge(n)?;
+            left -= n;
+        }
+        Ok(())
+    }
 }
 
 /// Like [`spectral_net_ordering`], but sparsifies the intersection-graph

@@ -52,6 +52,8 @@ pub struct EigenPair {
     pub value: f64,
     /// The unit-norm eigenvector.
     pub vector: Vec<f64>,
+    /// Matvec-equivalents the solve charged its meter.
+    pub matvecs: u64,
 }
 
 /// Options controlling the Lanczos iteration.
@@ -294,6 +296,7 @@ pub fn smallest_deflated_metered(
                             return Ok(EigenPair {
                                 value: theta,
                                 vector: x,
+                                matvecs: matvecs as u64,
                             });
                         }
                         best_residual = best_residual.min(resid);
@@ -509,6 +512,7 @@ fn dense_smallest_deflated(
     Ok(EigenPair {
         value: eig.values[0],
         vector,
+        matvecs: n as u64,
     })
 }
 
@@ -906,8 +910,10 @@ mod tests {
     fn dense_path_charges_meter() {
         let q = path_laplacian(8); // below dense_cutoff
         let meter = BudgetMeter::unlimited();
-        smallest_deflated_metered(&q, &[ones(8)], &LanczosOptions::default(), &meter).unwrap();
+        let pair =
+            smallest_deflated_metered(&q, &[ones(8)], &LanczosOptions::default(), &meter).unwrap();
         assert_eq!(meter.matvecs_used(), 8);
+        assert_eq!(pair.matvecs, 8, "the pair reports the charge");
     }
 
     #[test]
@@ -944,6 +950,11 @@ mod tests {
         let expect = 2.0 - 2.0 * (std::f64::consts::PI / 150.0).cos();
         assert!((pair.value - expect).abs() < 1e-7);
         assert!(meter.matvecs_used() > 0);
+        assert_eq!(
+            pair.matvecs,
+            meter.matvecs_used(),
+            "the pair reports the charge"
+        );
     }
 
     /// Lanczos steps a solve under `opts` may take before it gives up:
@@ -983,6 +994,11 @@ mod tests {
             (pair.value - expect).abs() < 1e-9,
             "{} vs {expect}",
             pair.value
+        );
+        assert_eq!(
+            pair.matvecs,
+            meter.matvecs_used(),
+            "the pair reports the charge"
         );
         (pair, meter.matvecs_used())
     }

@@ -14,8 +14,13 @@
 //! full source text and a hit must match it byte-for-byte, otherwise the
 //! lookup is treated as a miss and the colliding entry is replaced.
 //!
+//! The operator cache also remembers each solved IG-Match run (see
+//! [`OperatorCache`]), so a repeat request with the same seeds skips the
+//! eigensolve and the sweep as well.
+//!
 //! Memory is bounded two ways — entry count and total resident bytes
-//! (source text plus an estimate of the parsed structures) — with
+//! (source text plus an estimate of the parsed structures and the
+//! IG-Match memo's worst case) — with
 //! least-recently-used eviction. Parsing happens *outside* the cache
 //! lock; concurrent misses on the same text race benignly (one insert
 //! wins, both callers get a valid value).
@@ -24,6 +29,7 @@ use np_core::engine::OperatorCache;
 use np_netlist::Hypergraph;
 use std::collections::HashMap;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A parsed netlist plus its shared spectral-operator cache.
@@ -38,12 +44,22 @@ pub struct CachedNetlist {
     bytes: usize,
     /// The exact source text (collision guard).
     source: String,
+    /// IG-Match memo hits already handed to the service metrics.
+    hits_reported: AtomicU64,
 }
 
 impl CachedNetlist {
     /// Approximate resident bytes of this entry.
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// IG-Match memo hits of this netlist's operator cache since the
+    /// last call, so concurrent requests on one netlist count each hit
+    /// once.
+    pub fn take_ig_match_hits(&self) -> u64 {
+        let now = self.operators.ig_match_hits();
+        now.saturating_sub(self.hits_reported.fetch_max(now, Ordering::Relaxed))
     }
 }
 
@@ -170,6 +186,7 @@ impl NetlistCache {
                 operators: Arc::new(OperatorCache::new()),
                 bytes,
                 source: hgr.to_string(),
+                hits_reported: AtomicU64::new(0),
             }),
             hit: false,
         };
@@ -253,9 +270,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Rough resident size of the parsed structures: pin counts dominate
 /// (one u32 per pin in each direction of the incidence), plus fixed
-/// per-net/per-module overhead.
+/// per-net/per-module overhead, plus the most the operator cache's
+/// IG-Match memo can hold for this netlist.
 fn estimated_bytes(hg: &Hypergraph) -> usize {
-    hg.num_pins() * 2 * std::mem::size_of::<u32>() + (hg.num_nets() + hg.num_modules()) * 16
+    hg.num_pins() * 2 * std::mem::size_of::<u32>()
+        + (hg.num_nets() + hg.num_modules()) * 16
+        + OperatorCache::ig_match_memo_bound(hg)
 }
 
 #[cfg(test)]
@@ -439,6 +459,33 @@ mod tests {
             cache.stats().evictions > 0,
             "the sequence must actually exercise eviction"
         );
+    }
+
+    /// A memo filled to its cap holds exactly the worst case the entry's
+    /// bytes reserve for it, and the byte audit still recounts exactly.
+    #[test]
+    fn a_full_ig_match_memo_stays_within_the_entry_bytes() {
+        use np_core::engine::{RunContext, IG_MATCH_MEMO_ENTRIES};
+        use np_core::{ig_match_ctx, IgMatchOptions};
+        let nets: Vec<Vec<usize>> = (0..40).map(|i| vec![i, i + 1, (i * 7) % 41]).collect();
+        let refs: Vec<&[usize]> = nets.iter().map(Vec::as_slice).collect();
+        let text = hgr(&refs, 41);
+        let cache = NetlistCache::new(4, 1 << 20);
+        let entry = cache.get_or_parse(&text).unwrap();
+        for seed in 0..2 * IG_MATCH_MEMO_ENTRIES as u64 {
+            let mut opts = IgMatchOptions::default();
+            opts.lanczos.seed = seed;
+            let ctx = RunContext::unlimited().with_operator_cache(Arc::clone(&entry.operators));
+            ig_match_ctx(&entry.hypergraph, &opts, &ctx).unwrap();
+        }
+        let held = entry.operators.ig_match_memo_bytes();
+        assert_eq!(
+            held,
+            OperatorCache::ig_match_memo_bound(&entry.hypergraph),
+            "the memo holds its cap of answers"
+        );
+        assert_eq!(cache.stats().bytes, entry.bytes());
+        assert!(cache.audit().consistent(), "{:?}", cache.audit());
     }
 
     #[test]

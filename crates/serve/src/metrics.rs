@@ -188,6 +188,9 @@ pub struct Metrics {
     pub multilevel: AtomicU64,
     /// Panics contained by the service/runner isolation boundaries.
     pub panics_contained: AtomicU64,
+    /// IG-Match runs answered from a cached netlist's memo instead of a
+    /// fresh eigensolve and sweep.
+    pub ig_match_hits: AtomicU64,
     /// Arrival → terminal frame, every request.
     pub latency: Histogram,
     /// Arrival → terminal frame, per admission class.
@@ -237,6 +240,7 @@ impl Metrics {
                 "panics_contained",
                 self.panics_contained.load(Ordering::Relaxed),
             )
+            .int("ig_match_hits", self.ig_match_hits.load(Ordering::Relaxed))
             .render()
     }
 }

@@ -231,6 +231,7 @@ impl Service {
             .int("cache_hits", cache.hits)
             .int("cache_misses", cache.misses)
             .int("cache_evictions", cache.evictions)
+            .int("ig_match_hits", m.ig_match_hits.load(Ordering::Relaxed))
             .int("spans_recorded", self.spans.recorded())
             .int("spans_dropped", self.spans.dropped())
             .int("span_capacity", self.spans.capacity() as u64)
@@ -396,9 +397,27 @@ impl Service {
             Ok(lookup) => lookup,
             Err(reason) => return Terminal::error(&request.id, &reason),
         };
+        let terminal = self.answer(request, &cached, seq, deadline, queue_wait, emit);
+        let hits = cached.take_ig_match_hits();
+        self.metrics
+            .ig_match_hits
+            .fetch_add(hits, Ordering::Relaxed);
+        terminal
+    }
+
+    /// [`execute`](Self::execute) on the request's cached netlist.
+    fn answer(
+        &self,
+        request: &Request,
+        cached: &Lookup,
+        seq: u64,
+        deadline: Option<Instant>,
+        queue_wait: Duration,
+        emit: &(dyn Fn(&str) + Sync),
+    ) -> Terminal {
         let job = Job {
             request,
-            cached: &cached,
+            cached,
             deadline,
             queue_wait,
             compute_start: Instant::now(),
@@ -415,7 +434,7 @@ impl Service {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return best_so_far(
                 &job,
-                self.insurance(&cached, seed),
+                self.insurance(cached, seed),
                 Degradation::ExpiredInQueue,
                 0,
                 "deadline expired while queued and the insurance tier found no partition",
@@ -426,7 +445,7 @@ impl Service {
         // netlist on the default algorithm (opt out with
         // `multilevel:false`). A declined or failed V-cycle falls
         // through to the ordinary tier ladder below. ----
-        if self.wants_multilevel(request, &cached) {
+        if self.wants_multilevel(request, cached) {
             if let Some(terminal) = self.try_multilevel(&job) {
                 return terminal;
             }
@@ -434,7 +453,7 @@ impl Service {
 
         // ---- tier 0: insurance. After this there is always a
         // best-so-far to degrade to. ----
-        let insurance = self.insurance(&cached, seed);
+        let insurance = self.insurance(cached, seed);
         let (room, deadline_binds) = self.remaining_wall(&job);
         let Some(wall) = room else {
             let reason = if deadline_binds {
@@ -559,7 +578,9 @@ impl Service {
             );
         };
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
-        let ctx = RunContext::with_meter(&meter).with_seed(request.seed.unwrap_or(DEFAULT_SEED));
+        let ctx = RunContext::with_meter(&meter)
+            .with_seed(request.seed.unwrap_or(DEFAULT_SEED))
+            .with_operator_cache(Arc::clone(&job.cached.operators));
         let opts = kway_options(request, k);
         match kway_partition_ctx(&job.cached.hypergraph, &opts, KwayMethod::Recursive, &ctx) {
             Ok(out) => result_frame(

@@ -59,14 +59,17 @@ fn overload_16_concurrent_requests_on_2_workers_all_get_terminal_answers() {
                 // mixed sizes and mixed configs: some tiny deadlines,
                 // some budgets, several algorithms
                 let modules = 24 + (i % 4) * 40;
+                // a seed per request: a repeat of a request would answer
+                // from the netlist's IG-Match memo instead of loading
+                // the pool
                 let extra = match i % 4 {
-                    0 => r#","restarts":2"#.to_string(),
-                    1 => r#","deadline_ms":40,"restarts":4"#.to_string(),
+                    0 => format!(r#","restarts":2,"seed":{i}"#),
+                    1 => format!(r#","deadline_ms":40,"restarts":4,"seed":{i}"#),
                     2 => format!(
-                        r#","algo":"{}","budget_ms":80,"restarts":2"#,
+                        r#","algo":"{}","budget_ms":80,"restarts":2,"seed":{i}"#,
                         ["eig1", "fm"][(i / 4) % 2]
                     ),
-                    _ => r#","deadline_ms":1,"restarts":3"#.to_string(),
+                    _ => format!(r#","deadline_ms":1,"restarts":3,"seed":{i}"#),
                 };
                 let line = request_line(&format!("r{i}"), modules, &extra);
                 gate.wait();
@@ -338,6 +341,34 @@ fn netlist_cache_is_shared_across_requests() {
     assert!(stats.hits >= 1);
 }
 
+/// A repeated request answers from the netlist's IG-Match memo: the
+/// same frame apart from its timings and `cache_hit`, and one memo hit
+/// per attempt on the `/metrics` frame.
+#[test]
+fn a_repeated_request_answers_from_the_ig_match_memo() {
+    let svc = Service::new(ServeConfig::default());
+    let line = request_line("memo", 64, r#","restarts":2"#);
+    let answer = |svc: &Service| {
+        let frames = collect(svc, &line);
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        let hits = counter(&metrics_doc(svc), "ig_match_hits");
+        match json::parse(&frames[0]).unwrap() {
+            Value::Object(pairs) => {
+                let timing = ["queue_ms", "compute_ms", "cache_hit"];
+                let kept = pairs
+                    .into_iter()
+                    .filter(|(k, _)| !timing.contains(&k.as_str()));
+                (kept.collect::<Vec<_>>(), hits)
+            }
+            other => panic!("a frame is an object: {other:?}"),
+        }
+    };
+    let (first, before) = answer(&svc);
+    let (second, after) = answer(&svc);
+    assert_eq!(first, second);
+    assert_eq!(after - before, 2, "one hit per attempt");
+}
+
 /// Parses the current `/metrics` frame of a service.
 fn metrics_doc(svc: &Service) -> Value {
     json::parse(&svc.metrics_frame()).expect("/metrics must always render valid json")
@@ -406,10 +437,12 @@ fn high_priority_p99_beats_low_under_saturation_and_low_still_drains() {
             let gate = Arc::clone(&gate);
             scope.spawn(move || {
                 let class = if i < HIGH { "high" } else { "low" };
+                // a seed per request, so the memo of the plug's solves
+                // answers none of them and each keeps the worker busy
                 let line = request_line(
                     &format!("{class}{i}"),
                     160,
-                    &format!(r#","restarts":6,"budget_ms":30,"priority":"{class}""#),
+                    &format!(r#","restarts":6,"budget_ms":30,"priority":"{class}","seed":{i}"#),
                 );
                 gate.wait();
                 let frames = collect(&svc, &line);

@@ -10,7 +10,8 @@
 //! * [`no_worse`] — an objective no worse than the oracle's.
 //!
 //! This file holds the rows no other root suite checks: portfolio and
-//! served-request equivalence, and the budget edges of every route. The table in DESIGN.md names the suite
+//! served-request equivalence, the budget edges of every route, and
+//! the operator cache with its IG-Match memo. The table in DESIGN.md names the suite
 //! test that checks each other pair (thread invariance, plain vs context
 //! vs stage forms, the sweep, k = 2, the flat V-cycle, the brute-force
 //! recount), so every pair is checked once. The
@@ -19,18 +20,20 @@
 //! shard threads are the only parallelism in play.
 
 use ig_match_repro::core::engine::stages::{IgMatchStage, RcutStage};
-use ig_match_repro::core::engine::{run_stage, DEFAULT_SEED};
+use ig_match_repro::core::engine::{run_stage, OperatorCache, DEFAULT_SEED};
 use ig_match_repro::core::kway::{kway_partition_ctx, KwayMethod, KwayOptions, KwayResult};
+use ig_match_repro::core::ordering::spectral_module_ordering_ctx;
+use ig_match_repro::eigen::LanczosOptions;
 use ig_match_repro::multilevel::{MultilevelKwayOutcome, MultilevelOutcome};
-use ig_match_repro::netlist::generate::{generate, GeneratorConfig};
+use ig_match_repro::netlist::generate::{generate, mcnc_benchmark, GeneratorConfig};
 use ig_match_repro::netlist::hypergraph_from_nets;
 use ig_match_repro::netlist::io::to_hgr_string;
 use ig_match_repro::netlist::rng::derive_seed;
 use ig_match_repro::runner::{Algorithm, PortfolioEvent};
 use ig_match_repro::{
     multilevel_ctx, multilevel_kway_ctx, run_portfolio, Bipartition, Budget, BudgetMeter,
-    Hypergraph, IgMatchOptions, MultilevelOptions, PartitionError, PartitionResult, Portfolio,
-    PortfolioOptions, PortfolioOutcome, RcutOptions, RunContext, Side, StageEvent,
+    Hypergraph, IgMatchOptions, ModuleId, MultilevelOptions, PartitionError, PartitionResult,
+    Portfolio, PortfolioOptions, PortfolioOutcome, RcutOptions, RunContext, Side, StageEvent,
 };
 use np_serve::json::{self, Value};
 use np_serve::{ServeConfig, Service};
@@ -39,7 +42,7 @@ use np_testkit::{
     kway_reference_externals, small_hypergraph,
 };
 use std::mem::discriminant;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The thread counts of every per-thread-count row. Thread-invariance
@@ -95,6 +98,16 @@ fn cell<T>(
     meter: Meter,
     route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
 ) -> (Result<T, PartitionError>, BudgetMeter) {
+    cell_on(&Arc::default(), threads, meter, route)
+}
+
+/// [`cell`] on a caller's operator cache.
+fn cell_on<T>(
+    operators: &Arc<OperatorCache>,
+    threads: usize,
+    meter: Meter,
+    route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
+) -> (Result<T, PartitionError>, BudgetMeter) {
     let budget = match meter {
         Meter::Matvecs(cap) => Budget::default().with_matvecs(cap),
         Meter::ZeroClock => Budget::default().with_wall_clock(Duration::ZERO),
@@ -106,7 +119,9 @@ fn cell<T>(
             m.cancel();
         }
     };
-    let ctx = RunContext::with_meter(&m).with_threads(threads);
+    let ctx = RunContext::with_meter(&m)
+        .with_threads(threads)
+        .with_operator_cache(Arc::clone(operators));
     let ctx = match meter {
         Meter::CancelAtFirstStart => ctx.with_events(&cancel),
         _ => ctx,
@@ -121,9 +136,25 @@ fn run<T>(
     route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
     view: impl FnOnce(&T) -> Outcome,
 ) -> Run {
-    let (result, m) = cell(threads, meter, route);
-    let spend = Some(m.matvecs_used());
-    result.map(|r| Outcome { spend, ..view(&r) })
+    run_on(&Arc::default(), threads, meter, route, view).0
+}
+
+/// [`run`] on a caller's operator cache; also returns the metered
+/// spend, which an error carries too.
+fn run_on<T>(
+    operators: &Arc<OperatorCache>,
+    threads: usize,
+    meter: Meter,
+    route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
+    view: impl FnOnce(&T) -> Outcome,
+) -> (Run, u64) {
+    let (result, m) = cell_on(operators, threads, meter, route);
+    let spend = m.matvecs_used();
+    let run = result.map(|r| Outcome {
+        spend: Some(spend),
+        ..view(&r)
+    });
+    (run, spend)
 }
 
 /// Runs `portfolio` as a route: the context's thread count, the
@@ -566,6 +597,109 @@ fn a_reused_context_answers_as_a_fresh_one_after_a_vcycle() {
             identical(&fresh, &reused),
             format!("{name} on a reused context"),
         );
+    }
+}
+
+// ------------------------------------------------------ operator caches
+
+/// Contexts on one shared operator cache, at every thread count, order
+/// bm1's modules as a context on a cache of its own does, at the same
+/// spend; the cache serves every context the same operator.
+#[test]
+fn a_shared_operator_cache_orders_like_fresh_builds() {
+    let hg = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
+    let opts = LanczosOptions::default();
+    let route = |c: &RunContext<'_>| spectral_module_ordering_ctx(&hg, &opts, c);
+    let view =
+        |order: &Vec<ModuleId>| Outcome::new(order.iter().map(|m| m.0).collect(), String::new());
+    let fresh = run(1, Meter::Unlimited, route, view);
+    let shared = Arc::new(OperatorCache::new());
+    for threads in THREADS {
+        let cached = run_on(&shared, threads, Meter::Unlimited, route, view).0;
+        holds(
+            identical(&fresh, &cached),
+            format!("a shared cache at {threads} threads"),
+        );
+    }
+    let ctx = RunContext::unlimited()
+        .with_operator_cache(Arc::clone(&shared))
+        .with_threads(8);
+    assert!(Arc::ptr_eq(
+        &shared.clique_laplacian(&hg),
+        &ctx.clique_laplacian(&hg)
+    ));
+}
+
+/// Every route that starts with IG-Match under `ig`: the IG-Match
+/// stage, hybrid, robust and the k-way route at k = 2 and k = 4.
+fn ig_match_routes(hg: &Hypergraph, ig: IgMatchOptions) -> Vec<(&'static str, Route<'_>)> {
+    let mut routes: Vec<(&'static str, Route<'_>)> = Vec::new();
+    for a in [Algorithm::IgMatch, Algorithm::Hybrid, Algorithm::Robust] {
+        let stage = a.stage(ig);
+        let route = move |c: &RunContext<'_>| run_stage(stage.as_ref(), hg, None, c);
+        routes.push((a.name(), Box::new(move |c| route(c).map(|r| bisection(&r)))));
+    }
+    for (name, k) in [("k-way k=2", 2), ("k-way k=4", 4)] {
+        let opts = KwayOptions {
+            ig_match: ig,
+            ..kway_opts(k, 0.5)
+        };
+        let kway =
+            move |c: &RunContext<'_>| kway_partition_ctx(hg, &opts, KwayMethod::Recursive, c);
+        routes.push((name, Box::new(move |c| kway(c).map(|r| kway_cut(&r)))));
+    }
+    routes
+}
+
+/// One operator cache per thread count runs every IG-Match route on two
+/// Lanczos seeds unlimited, which fills its memo; every later run on it
+/// answers from the memo, under each meter, with the labels, report and
+/// spend of a run on a fresh cache, and a budget error at the same
+/// spend. The dense eigensolve (two triangles) charges its columns at
+/// once, Lanczos (71 nets) one matvec at a time, and the two seeds
+/// spend 52 and 51 matvecs there.
+#[test]
+fn a_memoized_ig_match_answers_and_spends_like_a_fresh_solve() {
+    let seeds = [DEFAULT_SEED, derive_seed(DEFAULT_SEED, 1)];
+    for hg in [generate(&GeneratorConfig::new(60, 70, 3)), two_triangles()] {
+        let routes: Vec<_> = seeds
+            .iter()
+            .flat_map(|&seed| {
+                let mut ig = IgMatchOptions::default();
+                ig.lanczos.seed = seed;
+                ig_match_routes(&hg, ig)
+            })
+            .collect();
+        for threads in THREADS {
+            let shared = Arc::new(OperatorCache::new());
+            let spends: Vec<u64> = routes
+                .iter()
+                .map(|(name, route)| {
+                    let (warm, spend) =
+                        run_on(&shared, threads, Meter::Unlimited, route, Outcome::clone);
+                    assert!(warm.is_ok() && spend > 0, "{name}: {warm:?}");
+                    spend
+                })
+                .collect();
+            for ((name, route), spend) in routes.iter().zip(spends) {
+                for meter in [
+                    Meter::Unlimited,
+                    Meter::Matvecs(spend - 1),
+                    Meter::ZeroClock,
+                    Meter::CancelAtFirstStart,
+                ] {
+                    let hits = shared.ig_match_hits();
+                    let memo = run_on(&shared, threads, meter, route, Outcome::clone);
+                    if matches!(meter, Meter::Unlimited | Meter::Matvecs(_)) {
+                        assert!(shared.ig_match_hits() > hits, "{name}: the memo answered");
+                    }
+                    let fresh = run_on(&Arc::default(), threads, meter, route, Outcome::clone);
+                    let what = format!("{name} from the memo at {threads} threads, {meter:?}");
+                    holds(identical(&fresh.0, &memo.0), &what);
+                    assert_eq!(fresh.1, memo.1, "{what}: spend");
+                }
+            }
+        }
     }
 }
 

@@ -3,15 +3,14 @@
 //! The determinism contract (`DESIGN.md` §10) promises that the
 //! `--threads` knob trades wall-clock only: operators, eigenpairs,
 //! orderings and metered spend are **bit-identical** for every thread
-//! count, and operators served from a shared [`OperatorCache`] are
-//! indistinguishable from fresh builds. This suite enforces the contract
-//! end-to-end at `threads ∈ {1, 2, 8}`, and property-checks the model
+//! count. This suite enforces the contract end-to-end at
+//! `threads ∈ {1, 2, 8}`, and property-checks the model
 //! builders on degenerate netlists (single-pin and duplicate-pin nets).
 //!
 //! CI runs this file in release mode with `RUST_TEST_THREADS=1` so the
 //! kernels' own thread pools are the only parallelism in play.
 
-use ig_match_repro::core::engine::{OperatorCache, RunContext};
+use ig_match_repro::core::engine::RunContext;
 use ig_match_repro::core::models::clique::bound_preserving_adjacency;
 use ig_match_repro::core::models::{clique_adjacency, intersection_adjacency};
 use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_ordering_ctx};
@@ -20,7 +19,6 @@ use ig_match_repro::eigen::{fiedler, LanczosOptions};
 use ig_match_repro::netlist::generate::mcnc_benchmark;
 use ig_match_repro::sparse::{shard_ranges, vecops, BudgetMeter, Laplacian, LinearOperator as _};
 use np_testkit::{check_cases, degenerate_hypergraph};
-use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -88,33 +86,6 @@ fn orderings_and_metered_spend_bit_identical_across_thread_counts() {
             }
         }
     }
-}
-
-#[test]
-fn shared_operator_cache_matches_fresh_builds() {
-    let hg = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
-    let opts = LanczosOptions::default();
-    let fresh =
-        spectral_module_ordering_ctx(&hg, &opts, &RunContext::unlimited()).expect("fresh ordering");
-    let cache = Arc::new(OperatorCache::new());
-    for threads in THREAD_COUNTS {
-        let ctx = RunContext::unlimited()
-            .with_operator_cache(Arc::clone(&cache))
-            .with_threads(threads);
-        let cached = spectral_module_ordering_ctx(&hg, &opts, &ctx).expect("cached ordering");
-        assert_eq!(
-            fresh, cached,
-            "cache changed the ordering at {threads} threads"
-        );
-    }
-    // Every context above was served the same operator instance.
-    let ctx = RunContext::unlimited()
-        .with_operator_cache(Arc::clone(&cache))
-        .with_threads(8);
-    assert!(Arc::ptr_eq(
-        &cache.clique_laplacian(&hg),
-        &ctx.clique_laplacian(&hg)
-    ));
 }
 
 /// Deterministic LCG-filled vector in `[-1, 1)`.
