@@ -1,15 +1,16 @@
 //! The V-cycle driver: build a coarsening hierarchy, partition the
 //! coarsest level with the existing flat machinery, then walk back up —
 //! projecting labels one level at a time and refining at each level
-//! under the shared cooperative budget.
+//! under the shared cooperative budget. Both routes take one walk; each
+//! brings its coarsest-level partitioner and its per-level step.
 //!
 //! # Level invariants
 //!
 //! Contraction retains duplicate nets and drops only cluster-internal
 //! ones (see [`crate::coarsen`]), so projecting a partition one level
 //! down *never changes its cut* — the projection step is exact, and the
-//! drivers `debug_assert` this at every level. Refinement can therefore
-//! only improve on the coarse solution:
+//! walk `debug_assert`s this at every level. Refinement can therefore
+//! only improve on the coarse solution, each route accepting it its way:
 //!
 //! * **bipartition route** — the ratio-cut denominator counts vertices,
 //!   which differ between levels, so a level-local ratio win is not
@@ -19,7 +20,8 @@
 //!   projection of the coarse partition;
 //! * **k-way route** — the objective is the net cut, which *is*
 //!   level-invariant, and `kway_refine` only makes strictly improving
-//!   feasible moves, so the final cut is ≤ the coarse cut directly.
+//!   feasible moves, so every level it finishes is accepted and the
+//!   final cut is ≤ the coarse cut directly.
 //!
 //! # Budget policy
 //!
@@ -28,7 +30,7 @@
 //! ordinary stage metering, and refinement one unit per pass per level.
 //! If the meter trips *before* a partition exists (coarsening, initial
 //! partition) the error propagates. If it trips *during uncoarsening*
-//! the driver degrades gracefully: remaining levels are pure projections
+//! the walk degrades gracefully: remaining levels are pure projections
 //! — exact, just unrefined — and the best-so-far partition is returned
 //! as a success with [`MultilevelOutcome::budget_degraded`] set.
 
@@ -48,6 +50,7 @@ use np_netlist::{
     ModuleId, Side,
 };
 use np_sparse::BudgetMeter;
+use std::cell::Cell;
 
 /// Options for the multilevel V-cycle.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -108,6 +111,12 @@ impl Hierarchy {
     /// `true` when no contraction step was taken.
     pub fn is_empty(&self) -> bool {
         self.levels.is_empty()
+    }
+
+    /// The netlist at `depth`: the input `hg` at 0, the coarse netlist
+    /// of `levels[depth - 1]` below it.
+    fn netlist<'h>(&'h self, hg: &'h Hypergraph, depth: usize) -> &'h Hypergraph {
+        depth.checked_sub(1).map_or(hg, |i| &self.levels[i].coarse)
     }
 }
 
@@ -227,99 +236,68 @@ pub fn multilevel_ctx(
     let areas = ModuleAreas::uniform(n);
     let fixed = FixedModules::free(n);
     let hierarchy = build_hierarchy(hg, &areas, &fixed, opts, f64::INFINITY, ctx.meter())?;
-
-    if hierarchy.is_empty() {
-        let result = initial_partition(hg, opts, ctx)?;
-        let projected_ratio = result.ratio();
-        let coarse_cut = result.stats.cut_nets;
-        return Ok(MultilevelOutcome {
-            result,
-            levels: 0,
-            coarsest_modules: n,
-            coarse_cut,
-            projected_ratio,
-            refined_levels: 0,
-            budget_degraded: false,
-        });
-    }
-
-    let last = hierarchy.levels.len() - 1;
-    let coarsest_modules = hierarchy.levels[last].coarse.num_modules();
-    // the coarsest level is another netlist: the caller's operator cache
-    // stays bound to `hg`
-    let coarse_ctx = ctx.for_other_hypergraph();
-    let coarse = initial_partition(&hierarchy.levels[last].coarse, opts, &coarse_ctx)?;
-    let coarse_cut = coarse.stats.cut_nets;
-
-    // quality floor: the pure projection of the coarsest partition
-    let mut labels: Vec<Side> = coarse.partition.sides().to_vec();
-    let flat_map = &hierarchy.flat_maps[last];
-    let baseline = Bipartition::from_sides((0..n).map(|v| labels[flat_map[v] as usize]).collect());
-    let projected_ratio = baseline.cut_stats(hg).ratio();
-    let mut best_ratio = projected_ratio;
-
-    let mut refined_levels = 0usize;
-    let mut budget_degraded = false;
-    let mut current_cut = coarse_cut;
-    for idx in (0..hierarchy.levels.len()).rev() {
-        let fine_hg = if idx == 0 {
-            hg
-        } else {
-            &hierarchy.levels[idx - 1].coarse
-        };
-        let map = &hierarchy.levels[idx].map;
-        let projected = Bipartition::from_sides(
-            (0..fine_hg.num_modules())
-                .map(|v| labels[map[v] as usize])
-                .collect(),
-        );
-        debug_assert_eq!(
-            projected.cut_stats(fine_hg).cut_nets,
-            current_cut,
-            "projection must preserve the cut exactly"
-        );
-        let mut accepted = projected;
-        if !budget_degraded {
-            match refine_ratio_cut_metered(fine_hg, &accepted, opts.refine_passes, ctx.meter()) {
-                Ok((refined, stats)) => {
-                    // the level-local ratio counts clusters, not flat
-                    // modules — accept only on a flat-projection win
-                    let flat_ratio = if idx == 0 {
-                        stats.ratio()
-                    } else {
-                        let fmap = &hierarchy.flat_maps[idx - 1];
-                        Bipartition::from_sides(
-                            (0..n).map(|v| refined.side(ModuleId(fmap[v]))).collect(),
-                        )
-                        .cut_stats(hg)
-                        .ratio()
-                    };
-                    if flat_ratio <= best_ratio {
-                        best_ratio = flat_ratio;
-                        current_cut = stats.cut_nets;
-                        accepted = refined;
-                        refined_levels += 1;
-                    }
-                }
-                Err(_) => budget_degraded = true,
+    // the flat ratio of labels on the netlist at `depth ≥ 1`
+    let flat_ratio = |depth: usize, labels: &[Side]| {
+        let flat_map = &hierarchy.flat_maps[depth - 1];
+        Bipartition::from_sides(flat_map.iter().map(|&c| labels[c as usize]).collect())
+            .cut_stats(hg)
+            .ratio()
+    };
+    // the pure projection's flat ratio and the best one accepted since
+    let (floor, best) = (Cell::new(None), Cell::new(f64::INFINITY));
+    let walk = walk(
+        hg,
+        &hierarchy,
+        ctx,
+        |coarsest, c| initial_partition(coarsest, opts, c),
+        |coarse: &PartitionResult| {
+            let labels = coarse.partition.sides().to_vec();
+            best.set(flat_ratio(hierarchy.len(), &labels));
+            floor.set(Some(best.get()));
+            (labels, coarse.stats.cut_nets)
+        },
+        |idx, fine, projected| {
+            let projected = Bipartition::from_sides(projected.to_vec());
+            // its only error is a tripped meter
+            let Ok((refined, stats)) =
+                refine_ratio_cut_metered(fine, &projected, opts.refine_passes, ctx.meter())
+            else {
+                return Ok(Step::Spent(None));
+            };
+            // the level-local ratio counts clusters, not flat modules —
+            // accept only on a flat-projection win
+            let ratio = if idx == 0 {
+                stats.ratio()
+            } else {
+                flat_ratio(idx, refined.sides())
+            };
+            if ratio > best.get() {
+                return Ok(Step::Kept);
             }
+            best.set(ratio);
+            Ok(Step::Accepted((refined.sides().to_vec(), stats.cut_nets)))
+        },
+    )?;
+    let coarse_cut = walk.coarse.stats.cut_nets;
+    let result = match walk.labels {
+        Some(labels) => {
+            PartitionResult::evaluate(hg, Bipartition::from_sides(labels), "multilevel", None)
         }
-        labels = accepted.sides().to_vec();
-    }
-
-    let result = PartitionResult::evaluate(hg, Bipartition::from_sides(labels), "multilevel", None);
+        None => walk.coarse,
+    };
+    let projected_ratio = floor.get().unwrap_or_else(|| result.ratio());
     debug_assert!(
         result.ratio() <= projected_ratio + 1e-9,
         "refined flat ratio must never exceed the pure-projection ratio"
     );
     Ok(MultilevelOutcome {
         result,
-        levels: hierarchy.levels.len(),
-        coarsest_modules,
+        levels: hierarchy.len(),
+        coarsest_modules: hierarchy.netlist(hg, hierarchy.len()).num_modules(),
         coarse_cut,
         projected_ratio,
-        refined_levels,
-        budget_degraded,
+        refined_levels: walk.refined_levels,
+        budget_degraded: walk.budget_degraded,
     })
 }
 
@@ -370,7 +348,8 @@ pub struct MultilevelKwayOutcome {
 /// Runs the k-way V-cycle: coarsen with areas and pins carried (merges
 /// are capped at a third of the balance bound so the coarsest level
 /// stays feasible), partition the coarsest level with the recursive
-/// k-way route, then project + `kway_refine` back up.
+/// k-way route, then project + `kway_refine` back up. The coarsest
+/// level's IG-Match options come from `mopts`; `k = 1` coarsens nothing.
 ///
 /// # Errors
 ///
@@ -392,143 +371,180 @@ pub fn multilevel_kway_ctx(
         ..
     } = prepare(hg, kopts)?;
     let k = kopts.k;
-    if k == 1 {
-        // one block holds everything: nothing to coarsen
-        let result = kway_partition_ctx(hg, kopts, KwayMethod::Recursive, ctx)?;
-        return Ok(MultilevelKwayOutcome {
-            coarsest_modules: hg.num_modules(),
-            coarse_cut: result.stats.cut_nets,
-            result,
-            levels: 0,
-            refined_levels: 0,
-            budget_degraded: false,
-        });
-    }
-
     let mut opts = *mopts;
-    opts.coarsen_target = mopts.coarsen_target.max(8 * k);
-    let hierarchy = build_hierarchy(hg, &areas, &fixed, &opts, bound / 3.0, ctx.meter())?;
-
-    let (coarsest_hg, coarse_areas, coarse_fixed) = match hierarchy.levels.last() {
-        Some(l) => (&l.coarse, l.areas.clone(), l.fixed.clone()),
-        None => (hg, areas.clone(), fixed.clone()),
-    };
-    let coarsest_modules = coarsest_hg.num_modules();
-    let coarse_opts = KwayOptions {
-        k,
-        epsilon: kopts.epsilon,
-        areas: Some(coarse_areas),
-        fixed: Some(coarse_fixed),
-        ig_match: mopts.ig_match,
-        max_refine_passes: kopts.max_refine_passes,
-    };
-    // a coarser netlist than `hg` runs on its own operator cache
-    let own;
-    let coarse_ctx = if hierarchy.is_empty() {
-        ctx
+    opts.coarsen_target = if k == 1 {
+        usize::MAX
     } else {
-        own = ctx.for_other_hypergraph();
-        &own
+        mopts.coarsen_target.max(8 * k)
     };
-    let coarse = kway_partition_ctx(coarsest_hg, &coarse_opts, KwayMethod::Recursive, coarse_ctx)?;
-    let coarse_cut = coarse.stats.cut_nets;
-    if hierarchy.is_empty() {
-        return Ok(MultilevelKwayOutcome {
-            result: coarse,
-            levels: 0,
-            coarsest_modules,
-            coarse_cut,
-            refined_levels: 0,
-            budget_degraded: false,
-        });
-    }
-
+    let hierarchy = build_hierarchy(hg, &areas, &fixed, &opts, bound / 3.0, ctx.meter())?;
+    // areas and pins of the netlist at `depth` (the input at 0)
+    let carried = |depth: usize| match depth.checked_sub(1) {
+        None => (&areas, &fixed),
+        Some(i) => (&hierarchy.levels[i].areas, &hierarchy.levels[i].fixed),
+    };
     let cap = area_cap(bound);
-    let mut labels: Vec<u32> = coarse.partition.labels().to_vec();
-    let mut refined_levels = 0usize;
-    let mut budget_degraded = false;
-    let mut current_cut = coarse_cut;
-    for idx in (0..hierarchy.levels.len()).rev() {
-        let fine_hg = if idx == 0 {
-            hg
-        } else {
-            &hierarchy.levels[idx - 1].coarse
-        };
-        let fine_areas = if idx == 0 {
-            &areas
-        } else {
-            &hierarchy.levels[idx - 1].areas
-        };
-        let fine_fixed = if idx == 0 {
-            &fixed
-        } else {
-            &hierarchy.levels[idx - 1].fixed
-        };
-        let map = &hierarchy.levels[idx].map;
-        let fine_n = fine_hg.num_modules();
-        let projected: Vec<u32> = (0..fine_n).map(|v| labels[map[v] as usize]).collect();
-        if budget_degraded {
-            labels = projected;
-            continue;
-        }
-        let p = KwayPartition::with_num_blocks(projected.clone(), k);
-        let mut tracker = KwayCutTracker::new(fine_hg, &p);
-        tracker.set_areas(fine_areas);
-        debug_assert_eq!(
-            tracker.cut_nets(),
-            current_cut,
-            "projection must preserve the k-way cut exactly"
-        );
-        let free: Vec<bool> = (0..fine_n)
-            .map(|v| !fine_fixed.is_pinned(ModuleId(v as u32)))
-            .collect();
-        let step = (|| -> Result<(), PartitionError> {
-            // projection preserves block areas and counts exactly, so
-            // repair only fires on a genuinely infeasible hand-off
-            let needs_repair = tracker.block_counts().contains(&0)
-                || tracker.block_areas().iter().any(|&a| a > cap);
-            if needs_repair {
-                enforce_balance(&mut tracker, &free, bound, ctx.meter())?;
-            }
-            kway_refine(&mut tracker, &free, bound, mopts.refine_passes, ctx.meter())?;
-            Ok(())
-        })();
-        match step {
-            Ok(()) => {
-                refined_levels += 1;
-                current_cut = tracker.cut_nets();
-                labels = tracker.to_partition().labels().to_vec();
-            }
-            Err(PartitionError::Budget(_)) => {
-                budget_degraded = true;
-                // keep the tracker's partial moves only if still feasible
-                let feasible = tracker.block_counts().iter().all(|&c| c > 0)
-                    && tracker.block_areas().iter().all(|&a| a <= cap);
-                if feasible {
-                    current_cut = tracker.cut_nets();
-                    labels = tracker.to_partition().labels().to_vec();
-                } else {
-                    labels = projected;
+    let feasible = |t: &KwayCutTracker<'_>| {
+        t.block_counts().iter().all(|&c| c > 0) && t.block_areas().iter().all(|&a| a <= cap)
+    };
+    let labeled = |t: &KwayCutTracker<'_>| (t.to_partition().labels().to_vec(), t.cut_nets());
+    let walk = walk(
+        hg,
+        &hierarchy,
+        ctx,
+        |coarsest, c| {
+            let (areas, fixed) = carried(hierarchy.len());
+            let opts = KwayOptions {
+                k,
+                epsilon: kopts.epsilon,
+                areas: Some(areas.clone()),
+                fixed: Some(fixed.clone()),
+                ig_match: mopts.ig_match,
+                max_refine_passes: kopts.max_refine_passes,
+            };
+            kway_partition_ctx(coarsest, &opts, KwayMethod::Recursive, c)
+        },
+        |coarse: &KwayResult| (coarse.partition.labels().to_vec(), coarse.stats.cut_nets),
+        |idx, fine, projected| {
+            let (areas, fixed) = carried(idx);
+            let p = KwayPartition::with_num_blocks(projected.to_vec(), k);
+            let mut tracker = KwayCutTracker::new(fine, &p);
+            tracker.set_areas(areas);
+            let free: Vec<bool> = (0..fine.num_modules())
+                .map(|v| !fixed.is_pinned(ModuleId(v as u32)))
+                .collect();
+            let step = (|| -> Result<(), PartitionError> {
+                // projection preserves block areas and counts exactly, so
+                // repair only fires on a genuinely infeasible hand-off
+                if !feasible(&tracker) {
+                    enforce_balance(&mut tracker, &free, bound, ctx.meter())?;
                 }
+                kway_refine(&mut tracker, &free, bound, mopts.refine_passes, ctx.meter())?;
+                Ok(())
+            })();
+            match step {
+                Ok(()) => Ok(Step::Accepted(labeled(&tracker))),
+                // keep the tracker's partial moves only if still feasible
+                Err(PartitionError::Budget(_)) => {
+                    Ok(Step::Spent(feasible(&tracker).then(|| labeled(&tracker))))
+                }
+                Err(e) => Err(e),
             }
-            Err(e) => return Err(e),
+        },
+    )?;
+    let coarse_cut = walk.coarse.stats.cut_nets;
+    let result = match walk.labels {
+        Some(labels) => {
+            let partition = KwayPartition::with_num_blocks(labels, k);
+            KwayResult::evaluate(hg, partition, "multilevel-kway")
         }
-    }
-
-    let partition = KwayPartition::with_num_blocks(labels, k);
-    let result = KwayResult::evaluate(hg, partition, "multilevel-kway");
+        None => walk.coarse,
+    };
     debug_assert!(
         result.stats.cut_nets <= coarse_cut,
         "k-way refinement must never worsen the cut"
     );
     Ok(MultilevelKwayOutcome {
         result,
-        levels: hierarchy.levels.len(),
-        coarsest_modules,
+        levels: hierarchy.len(),
+        coarsest_modules: hierarchy.netlist(hg, hierarchy.len()).num_modules(),
         coarse_cut,
-        refined_levels,
-        budget_degraded,
+        refined_levels: walk.refined_levels,
+        budget_degraded: walk.budget_degraded,
     })
+}
+
+/// Labels on one level's netlist and their net cut.
+type Labeled<L> = (Vec<L>, usize);
+
+/// What a route's refinement made of one level's projected labels.
+enum Step<L> {
+    /// These labels replace the projection.
+    Accepted(Labeled<L>),
+    /// The projection stands.
+    Kept,
+    /// The budget ran out: these labels stand (the projection when
+    /// `None`), and every remaining level is a pure projection.
+    Spent(Option<Labeled<L>>),
+}
+
+/// What [`walk`] hands back to its caller.
+struct Walk<C, L> {
+    /// The coarsest level's partition; at zero levels, the answer.
+    coarse: C,
+    /// The input's labels after uncoarsening; `None` at zero levels.
+    labels: Option<Vec<L>>,
+    refined_levels: usize,
+    budget_degraded: bool,
+}
+
+/// The V-cycle walk of both routes (see the module docs). `partition`
+/// runs on the caller's context at zero levels, where its partition is
+/// the answer, and otherwise on [`RunContext::for_other_hypergraph`], so
+/// the caller's operator cache stays bound to `hg`. The labels `start`
+/// takes from it are projected down one level at a time and `refine`d
+/// at each — given the level, the netlist it contracts (the input at 0)
+/// and the projected labels — until a [`Step::Spent`].
+fn walk<C, L: Copy + PartialEq>(
+    hg: &Hypergraph,
+    hierarchy: &Hierarchy,
+    ctx: &RunContext<'_>,
+    partition: impl FnOnce(&Hypergraph, &RunContext<'_>) -> Result<C, PartitionError>,
+    start: impl FnOnce(&C) -> Labeled<L>,
+    mut refine: impl FnMut(usize, &Hypergraph, &[L]) -> Result<Step<L>, PartitionError>,
+) -> Result<Walk<C, L>, PartitionError> {
+    let coarse = match hierarchy.levels.last() {
+        None => partition(hg, ctx)?,
+        Some(coarsest) => partition(&coarsest.coarse, &ctx.for_other_hypergraph())?,
+    };
+    let mut walk = Walk {
+        coarse,
+        labels: None,
+        refined_levels: 0,
+        budget_degraded: false,
+    };
+    if hierarchy.is_empty() {
+        return Ok(walk);
+    }
+    let (mut labels, mut cut) = start(&walk.coarse);
+    for idx in (0..hierarchy.len()).rev() {
+        let fine = hierarchy.netlist(hg, idx);
+        let map = &hierarchy.levels[idx].map;
+        labels = map.iter().map(|&c| labels[c as usize]).collect();
+        debug_assert_eq!(
+            cut_nets(fine, &labels),
+            cut,
+            "projection must preserve the cut exactly"
+        );
+        if walk.budget_degraded {
+            continue;
+        }
+        match refine(idx, fine, &labels)? {
+            Step::Accepted(refined) => {
+                walk.refined_levels += 1;
+                (labels, cut) = refined;
+            }
+            Step::Kept => {}
+            Step::Spent(kept) => {
+                walk.budget_degraded = true;
+                (labels, cut) = kept.unwrap_or((labels, cut));
+            }
+        }
+    }
+    walk.labels = Some(labels);
+    Ok(walk)
+}
+
+/// Nets of `hg` whose pins carry more than one label; shares no code
+/// with the routes' trackers.
+fn cut_nets<L: PartialEq>(hg: &Hypergraph, labels: &[L]) -> usize {
+    hg.nets()
+        .filter(|&e| {
+            let pins = hg.pins(e);
+            pins.iter()
+                .any(|m| labels[m.index()] != labels[pins[0].index()])
+        })
+        .count()
 }
 
 /// The V-cycle as an engine stage, composable in `Pipeline`s,

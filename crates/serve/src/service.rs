@@ -446,7 +446,7 @@ impl Service {
         // `multilevel:false`). A declined or failed V-cycle falls
         // through to the ordinary tier ladder below. ----
         if self.wants_multilevel(request, cached) {
-            if let Some(terminal) = self.try_multilevel(&job) {
+            if let Some(terminal) = self.try_multilevel(&job, None) {
                 return terminal;
             }
         }
@@ -567,7 +567,7 @@ impl Service {
     fn execute_kway(&self, job: &Job<'_>, k: usize) -> Terminal {
         let request = job.request;
         if self.wants_multilevel(request, job.cached) {
-            if let Some(terminal) = self.try_multilevel_kway(job, k) {
+            if let Some(terminal) = self.try_multilevel(job, Some(k)) {
                 return terminal;
             }
         }
@@ -578,9 +578,7 @@ impl Service {
             );
         };
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
-        let ctx = RunContext::with_meter(&meter)
-            .with_seed(request.seed.unwrap_or(DEFAULT_SEED))
-            .with_operator_cache(Arc::clone(&job.cached.operators));
+        let ctx = job_context(job, &meter);
         let opts = kway_options(request, k);
         match kway_partition_ctx(&job.cached.hypergraph, &opts, KwayMethod::Recursive, &ctx) {
             Ok(out) => result_frame(
@@ -607,54 +605,39 @@ impl Service {
         })
     }
 
-    /// The multilevel V-cycle tier for bipartition requests.
-    /// `Some(frame)` is terminal; `None` means no wall remained or the
-    /// V-cycle failed, and the ordinary ladder should run instead.
-    fn try_multilevel(&self, job: &Job<'_>) -> Option<Terminal> {
+    /// The multilevel V-cycle tier: the bipartition V-cycle, or the
+    /// k-way one for `Some(k)`. `Some(frame)` is terminal; `None` means
+    /// no wall remained or the V-cycle failed, and the request's ordinary
+    /// route should run instead.
+    fn try_multilevel(&self, job: &Job<'_>, k: Option<usize>) -> Option<Terminal> {
         let wall = self.remaining_wall(job).0?;
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
-        let ctx = RunContext::with_meter(&meter);
-        let opts = multilevel_options(job.request);
-        let out = multilevel_ctx(&job.cached.hypergraph, &opts, &ctx).ok()?;
+        let ctx = job_context(job, &meter);
+        let hg = &job.cached.hypergraph;
+        // the coarsest eigensolve runs on the request's seed
+        let mut mopts = MultilevelOptions::default();
+        mopts.ig_match.lanczos.seed = job.request.seed.unwrap_or(DEFAULT_SEED);
+        let extras = |levels: usize, coarsest: usize, degraded: bool| Extras {
+            reason: degraded.then_some(Degradation::ProjectionFallback),
+            k,
+            levels: Some((levels, coarsest)),
+            ..Extras::default()
+        };
+        let frame = match k {
+            None => {
+                let out = multilevel_ctx(hg, &mopts, &ctx).ok()?;
+                let extras = extras(out.levels, out.coarsest_modules, out.budget_degraded);
+                result_frame(job, "multilevel", Answer::Bipartition(&out.result), extras)
+            }
+            Some(k) => {
+                let kopts = kway_options(job.request, k);
+                let out = multilevel_kway_ctx(hg, &kopts, &mopts, &ctx).ok()?;
+                let extras = extras(out.levels, out.coarsest_modules, out.budget_degraded);
+                result_frame(job, "multilevel-kway", Answer::Kway(&out.result), extras)
+            }
+        };
         self.metrics.bump(&self.metrics.multilevel);
-        Some(result_frame(
-            job,
-            "multilevel",
-            Answer::Bipartition(&out.result),
-            Extras {
-                reason: out
-                    .budget_degraded
-                    .then_some(Degradation::ProjectionFallback),
-                levels: Some((out.levels, out.coarsest_modules)),
-                ..Extras::default()
-            },
-        ))
-    }
-
-    /// The multilevel V-cycle tier for `k > 2` requests; same contract
-    /// as [`try_multilevel`](Self::try_multilevel) but the frame carries
-    /// the k-way `blocks` array.
-    fn try_multilevel_kway(&self, job: &Job<'_>, k: usize) -> Option<Terminal> {
-        let wall = self.remaining_wall(job).0?;
-        let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
-        let ctx = RunContext::with_meter(&meter);
-        let kopts = kway_options(job.request, k);
-        let mopts = multilevel_options(job.request);
-        let out = multilevel_kway_ctx(&job.cached.hypergraph, &kopts, &mopts, &ctx).ok()?;
-        self.metrics.bump(&self.metrics.multilevel);
-        Some(result_frame(
-            job,
-            "multilevel-kway",
-            Answer::Kway(&out.result),
-            Extras {
-                reason: out
-                    .budget_degraded
-                    .then_some(Degradation::ProjectionFallback),
-                k: Some(k),
-                levels: Some((out.levels, out.coarsest_modules)),
-                ..Extras::default()
-            },
-        ))
+        Some(frame)
     }
 
     /// Tier 0: one random-start FM run under a tiny private budget.
@@ -907,6 +890,14 @@ fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -
     }
 }
 
+/// A main-tier context on `meter`: the request's seed and the netlist's
+/// operator cache.
+fn job_context<'m>(job: &Job<'_>, meter: &'m BudgetMeter) -> RunContext<'m> {
+    RunContext::with_meter(meter)
+        .with_seed(job.request.seed.unwrap_or(DEFAULT_SEED))
+        .with_operator_cache(Arc::clone(&job.cached.operators))
+}
+
 /// The k-way route's options: `k` blocks, the request's `epsilon` over
 /// the default slack.
 fn kway_options(request: &Request, k: usize) -> KwayOptions {
@@ -917,14 +908,6 @@ fn kway_options(request: &Request, k: usize) -> KwayOptions {
     if let Some(eps) = request.epsilon {
         opts.epsilon = eps;
     }
-    opts
-}
-
-/// The V-cycle's options: defaults, with the coarsest eigensolve on the
-/// request's seed.
-fn multilevel_options(request: &Request) -> MultilevelOptions {
-    let mut opts = MultilevelOptions::default();
-    opts.ig_match.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
     opts
 }
 

@@ -348,25 +348,50 @@ fn netlist_cache_is_shared_across_requests() {
 fn a_repeated_request_answers_from_the_ig_match_memo() {
     let svc = Service::new(ServeConfig::default());
     let line = request_line("memo", 64, r#","restarts":2"#);
-    let answer = |svc: &Service| {
-        let frames = collect(svc, &line);
-        assert_eq!(frames.len(), 1, "{frames:?}");
-        let hits = counter(&metrics_doc(svc), "ig_match_hits");
-        match json::parse(&frames[0]).unwrap() {
-            Value::Object(pairs) => {
-                let timing = ["queue_ms", "compute_ms", "cache_hit"];
-                let kept = pairs
-                    .into_iter()
-                    .filter(|(k, _)| !timing.contains(&k.as_str()));
-                (kept.collect::<Vec<_>>(), hits)
-            }
-            other => panic!("a frame is an object: {other:?}"),
-        }
-    };
-    let (first, before) = answer(&svc);
-    let (second, after) = answer(&svc);
+    let (first, before) = timeless_answer(&svc, &line);
+    let (second, after) = timeless_answer(&svc, &line);
     assert_eq!(first, second);
     assert_eq!(after - before, 2, "one hit per attempt");
+}
+
+/// Both V-cycle tiers run on the netlist's operator cache: on a netlist
+/// under `coarsen_target` they partition the input itself, so a repeat
+/// answers from the IG-Match memo with the same frame apart from its
+/// timings and `cache_hit`.
+#[test]
+fn a_repeated_vcycle_request_answers_from_the_ig_match_memo() {
+    let svc = Service::new(ServeConfig::default());
+    for (tier, extra) in [
+        ("multilevel", r#","multilevel":true"#),
+        ("multilevel-kway", r#","multilevel":true,"k":4"#),
+    ] {
+        let line = request_line(tier, 64, extra);
+        let (first, before) = timeless_answer(&svc, &line);
+        let served = Value::String(tier.to_string());
+        assert!(first.contains(&("tier".to_string(), served)), "{first:?}");
+        let (second, after) = timeless_answer(&svc, &line);
+        assert_eq!(first, second);
+        assert!(after > before, "{tier}: the repeat answered from the memo");
+    }
+}
+
+/// Runs one request that answers with a single frame; returns the
+/// frame's keys less `queue_ms`, `compute_ms` and `cache_hit`, and the
+/// `/metrics` frame's `ig_match_hits` after it.
+fn timeless_answer(svc: &Service, line: &str) -> (Vec<(String, Value)>, u64) {
+    let frames = collect(svc, line);
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    let hits = counter(&metrics_doc(svc), "ig_match_hits");
+    match json::parse(&frames[0]).unwrap() {
+        Value::Object(pairs) => {
+            let timing = ["queue_ms", "compute_ms", "cache_hit"];
+            let kept = pairs
+                .into_iter()
+                .filter(|(k, _)| !timing.contains(&k.as_str()));
+            (kept.collect(), hits)
+        }
+        other => panic!("a frame is an object: {other:?}"),
+    }
 }
 
 /// Parses the current `/metrics` frame of a service.

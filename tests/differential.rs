@@ -6,12 +6,13 @@
 //! pairs two cells under one contract and is one `#[test]`:
 //!
 //! * [`identical`] — the same labels, the same reported statistics and
-//!   the same metered spend, or the same error variant;
+//!   the same metered spend, or the same error variant at the same spend;
 //! * [`no_worse`] — an objective no worse than the oracle's.
 //!
 //! This file holds the rows no other root suite checks: portfolio and
-//! served-request equivalence, the budget edges of every route, and
-//! the operator cache with its IG-Match memo. The table in DESIGN.md names the suite
+//! served-request equivalence, the k-way V-cycle's flat oracle, the
+//! budget edges of every route, and the operator cache with its
+//! IG-Match memo. The table in DESIGN.md names the suite
 //! test that checks each other pair (thread invariance, plain vs context
 //! vs stage forms, the sweep, k = 2, the flat V-cycle, the brute-force
 //! recount), so every pair is checked once. The
@@ -29,6 +30,7 @@ use ig_match_repro::netlist::generate::{generate, mcnc_benchmark, GeneratorConfi
 use ig_match_repro::netlist::hypergraph_from_nets;
 use ig_match_repro::netlist::io::to_hgr_string;
 use ig_match_repro::netlist::rng::derive_seed;
+use ig_match_repro::netlist::FixedModules;
 use ig_match_repro::runner::{Algorithm, PortfolioEvent};
 use ig_match_repro::{
     multilevel_ctx, multilevel_kway_ctx, run_portfolio, Bipartition, Budget, BudgetMeter,
@@ -65,8 +67,20 @@ struct Outcome {
     spend: Option<u64>,
 }
 
-/// A cell's result: an outcome, or the error it failed with.
-type Run = Result<Outcome, PartitionError>;
+/// A cell's failure: the error and the matvec-equivalents its meter
+/// recorded.
+#[derive(Clone, Debug)]
+struct Failure {
+    error: PartitionError,
+    spend: Option<u64>,
+}
+
+/// A cell's result: an outcome, or the failure it ended in.
+type Run = Result<Outcome, Failure>;
+
+/// A route's result as the budget rows drive it, before its spend is
+/// attached.
+type Routed = Result<Outcome, PartitionError>;
 
 impl Outcome {
     fn new(labels: Vec<u32>, report: String) -> Self {
@@ -129,6 +143,24 @@ fn cell_on<T>(
     (route(&ctx), m.clone())
 }
 
+/// `result` under `view`, carrying `spend` on either side.
+fn metered<T>(
+    result: Result<T, PartitionError>,
+    spend: u64,
+    view: impl FnOnce(&T) -> Outcome,
+) -> Run {
+    match result {
+        Ok(r) => Ok(Outcome {
+            spend: Some(spend),
+            ..view(&r)
+        }),
+        Err(error) => Err(Failure {
+            error,
+            spend: Some(spend),
+        }),
+    }
+}
+
 /// [`cell`] under `view`, with its metered spend.
 fn run<T>(
     threads: usize,
@@ -136,25 +168,19 @@ fn run<T>(
     route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
     view: impl FnOnce(&T) -> Outcome,
 ) -> Run {
-    run_on(&Arc::default(), threads, meter, route, view).0
+    run_on(&Arc::default(), threads, meter, route, view)
 }
 
-/// [`run`] on a caller's operator cache; also returns the metered
-/// spend, which an error carries too.
+/// [`run`] on a caller's operator cache.
 fn run_on<T>(
     operators: &Arc<OperatorCache>,
     threads: usize,
     meter: Meter,
     route: impl FnOnce(&RunContext<'_>) -> Result<T, PartitionError>,
     view: impl FnOnce(&T) -> Outcome,
-) -> (Run, u64) {
+) -> Run {
     let (result, m) = cell_on(operators, threads, meter, route);
-    let spend = m.matvecs_used();
-    let run = result.map(|r| Outcome {
-        spend: Some(spend),
-        ..view(&r)
-    });
-    (run, spend)
+    metered(result, m.matvecs_used(), view)
 }
 
 /// Runs `portfolio` as a route: the context's thread count, the
@@ -220,6 +246,12 @@ fn bisection_cut(r: &PartitionResult) -> Outcome {
     cut_view(sides(&r.partition), s.cut_nets, &sizes, &[s.cut_nets; 2])
 }
 
+/// A k-way result: labels, statistics and producer.
+fn kway(r: &KwayResult) -> Outcome {
+    let report = format!("{:?} {}", r.stats, r.algorithm);
+    Outcome::new(r.partition.labels().to_vec(), report)
+}
+
 /// A k-way result's reported cut.
 fn kway_cut(r: &KwayResult) -> Outcome {
     let s = &r.stats;
@@ -251,11 +283,11 @@ fn recounted(hg: &Hypergraph, o: &Outcome) -> Result<(), String> {
 
 // ------------------------------------------------------------ contracts
 
-/// The "identical" contract: the same labels, report and spend (when
-/// both cells were metered), or the same error variant. `Err` names the
-/// first mismatch.
+/// The "identical" contract: the same labels and report, or the same
+/// error variant, each at the same spend (when both cells were metered).
+/// `Err` names the first mismatch.
 fn identical(a: &Run, b: &Run) -> Result<(), String> {
-    match (a, b) {
+    let (p, q) = match (a, b) {
         (Ok(x), Ok(y)) => {
             let len = x.labels.len().max(y.labels.len());
             if let Some(i) = (0..len).find(|&i| x.labels.get(i) != y.labels.get(i)) {
@@ -264,17 +296,20 @@ fn identical(a: &Run, b: &Run) -> Result<(), String> {
             if x.report != y.report {
                 return Err(format!("reports differ: {} | {}", x.report, y.report));
             }
-            match (x.spend, y.spend) {
-                (Some(p), Some(q)) if p != q => Err(format!("spend differs: {p} vs {q}")),
-                _ => Ok(()),
-            }
+            (x.spend, y.spend)
         }
-        (Err(x), Err(y)) if discriminant(x) == discriminant(y) => Ok(()),
-        (x, y) => Err(format!(
-            "{:?} vs {:?}",
-            x.as_ref().map(|o| &o.report),
-            y.as_ref().map(|o| &o.report)
-        )),
+        (Err(x), Err(y)) if discriminant(&x.error) == discriminant(&y.error) => (x.spend, y.spend),
+        (x, y) => {
+            return Err(format!(
+                "{:?} vs {:?}",
+                x.as_ref().map(|o| &o.report),
+                y.as_ref().map(|o| &o.report)
+            ))
+        }
+    };
+    match (p, q) {
+        (Some(p), Some(q)) if p != q => Err(format!("spend differs: {p} vs {q}")),
+        _ => Ok(()),
     }
 }
 
@@ -416,10 +451,59 @@ fn a_served_request_answers_the_library_portfolio() {
     assert!(oracle_positive, "every library ratio was zero");
 }
 
+// ------------------------------------------------------ the flat oracle
+
+/// With `coarsen_target ≥ n` the k-way V-cycle builds no level and
+/// partitions the input with the flat k-way route, on the caller's
+/// context: the same labels, report and spend at every thread count,
+/// with and without pins. The coarsest level takes its IG-Match options
+/// from `MultilevelOptions::ig_match`, so both sides get the same ones
+/// (on a seed other than the default).
+#[test]
+fn a_kway_vcycle_with_no_levels_is_the_flat_kway_route() {
+    let hg = generate(&GeneratorConfig::new(150, 160, 5));
+    let mut ig = IgMatchOptions::default();
+    ig.lanczos.seed = derive_seed(DEFAULT_SEED, 1);
+    for k in [3, 4] {
+        let mut pins = FixedModules::free(hg.num_modules());
+        for b in 0..k {
+            pins.pin(ModuleId(7 * b as u32), k - 1 - b);
+        }
+        for fixed in [None, Some(pins)] {
+            let pinned = fixed.is_some();
+            let kopts = KwayOptions {
+                fixed,
+                ig_match: ig,
+                ..kway_opts(k, 0.5)
+            };
+            let mopts = MultilevelOptions {
+                coarsen_target: hg.num_modules(),
+                ig_match: ig,
+                ..Default::default()
+            };
+            let flat =
+                |c: &RunContext<'_>| kway_partition_ctx(&hg, &kopts, KwayMethod::Recursive, c);
+            let oracle = run(1, Meter::Unlimited, flat, kway);
+            assert!(oracle.is_ok(), "k = {k}: {oracle:?}");
+            let vcycle = |c: &RunContext<'_>| multilevel_kway_ctx(&hg, &kopts, &mopts, c);
+            let view = |o: &MultilevelKwayOutcome| {
+                assert_eq!(o.levels, 0, "a target of n builds no level");
+                kway(&o.result)
+            };
+            for threads in THREADS {
+                holds(
+                    identical(&oracle, &run(threads, Meter::Unlimited, vcycle, view)),
+                    format!("k = {k}, pinned {pinned}, at {threads} threads"),
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------- budget edges
 
 /// A route as the budget rows drive it.
-type Route<'a> = Box<dyn Fn(&RunContext<'_>) -> Run + 'a>;
+type Route<'a> = Box<dyn Fn(&RunContext<'_>) -> Routed + 'a>;
 
 /// Every route of the workspace on `hg`, viewed as the recount sees it:
 /// the algorithm table's stages, the k-way route, both V-cycles and a
@@ -459,7 +543,7 @@ fn every_route(hg: &Hypergraph) -> Vec<(&'static str, Route<'_>)> {
 
 /// A budget edge ends in `Err(Budget)` before any partition exists, or
 /// in a best-so-far result the recount confirms.
-fn stops_cleanly(hg: &Hypergraph, name: &str, run: &Run) {
+fn stops_cleanly(hg: &Hypergraph, name: &str, run: &Routed) {
     match run {
         Err(PartitionError::Budget(_)) => {}
         Ok(o) => holds(recounted(hg, o), name),
@@ -588,10 +672,9 @@ fn a_reused_context_answers_as_a_fresh_one_after_a_vcycle() {
     let shared = RunContext::unlimited();
     for (name, route) in vcycles.chain(&routes) {
         let before = shared.meter().matvecs_used();
-        let reused = route(&shared).map(|o| Outcome {
-            spend: Some(shared.meter().matvecs_used() - before),
-            ..o
-        });
+        let result = route(&shared);
+        let spend = shared.meter().matvecs_used() - before;
+        let reused = metered(result, spend, Outcome::clone);
         let fresh = run(1, Meter::Unlimited, route, Outcome::clone);
         holds(
             identical(&fresh, &reused),
@@ -615,7 +698,7 @@ fn a_shared_operator_cache_orders_like_fresh_builds() {
     let fresh = run(1, Meter::Unlimited, route, view);
     let shared = Arc::new(OperatorCache::new());
     for threads in THREADS {
-        let cached = run_on(&shared, threads, Meter::Unlimited, route, view).0;
+        let cached = run_on(&shared, threads, Meter::Unlimited, route, view);
         holds(
             identical(&fresh, &cached),
             format!("a shared cache at {threads} threads"),
@@ -675,9 +758,9 @@ fn a_memoized_ig_match_answers_and_spends_like_a_fresh_solve() {
             let spends: Vec<u64> = routes
                 .iter()
                 .map(|(name, route)| {
-                    let (warm, spend) =
-                        run_on(&shared, threads, Meter::Unlimited, route, Outcome::clone);
-                    assert!(warm.is_ok() && spend > 0, "{name}: {warm:?}");
+                    let warm = run_on(&shared, threads, Meter::Unlimited, route, Outcome::clone);
+                    let spend = warm.as_ref().map_or(0, |o| o.spend.unwrap_or(0));
+                    assert!(spend > 0, "{name}: {warm:?}");
                     spend
                 })
                 .collect();
@@ -695,8 +778,7 @@ fn a_memoized_ig_match_answers_and_spends_like_a_fresh_solve() {
                     }
                     let fresh = run_on(&Arc::default(), threads, meter, route, Outcome::clone);
                     let what = format!("{name} from the memo at {threads} threads, {meter:?}");
-                    holds(identical(&fresh.0, &memo.0), &what);
-                    assert_eq!(fresh.1, memo.1, "{what}: spend");
+                    holds(identical(&fresh, &memo), &what);
                 }
             }
         }
@@ -721,20 +803,29 @@ fn every_contract_checker_reports_a_perturbed_result() {
     let mut misreported = good.clone();
     misreported.report.push('!');
     let budget = run(1, Meter::ZeroClock, route, bisection);
+    let Err(spent) = budget.clone() else {
+        panic!("a spent clock partitioned: {budget:?}");
+    };
     assert!(
-        matches!(budget, Err(PartitionError::Budget(_))),
-        "{budget:?}"
+        matches!(spent.error, PartitionError::Budget(_)),
+        "{spent:?}"
     );
+    holds(identical(&budget, &budget.clone()), "an error vs itself");
+    let swapped = Failure {
+        error: PartitionError::Degenerate,
+        ..spent.clone()
+    };
+    let error_overspent = Failure {
+        spend: spent.spend.map(|s| s + 1),
+        ..spent
+    };
     for (what, perturbed, against) in [
         ("one label flipped", Ok(flipped.clone()), &base),
         ("spend + 1", Ok(overspent), &base),
         ("report edited", Ok(misreported), &base),
         ("result vs error", budget.clone(), &base),
-        (
-            "error variant swapped",
-            Err(PartitionError::Degenerate),
-            &budget,
-        ),
+        ("error variant swapped", Err(swapped), &budget),
+        ("error spend + 1", Err(error_overspent), &budget),
     ] {
         assert!(
             identical(&perturbed, against).is_err(),
