@@ -21,7 +21,7 @@
 
 use crate::models::clique::bound_preserving_laplacian;
 use crate::PartitionError;
-use np_eigen::{fiedler, LanczosOptions};
+use np_eigen::{smallest_deflated, LanczosOptions};
 use np_netlist::Hypergraph;
 
 /// A lower bound on the optimal hypergraph ratio cut, with the spectral
@@ -85,7 +85,11 @@ pub fn ratio_cut_lower_bound(
         });
     }
     let q = bound_preserving_laplacian(hg);
-    let pair = fiedler(&q, opts)?;
+    // solved to `opts.tol`, not only as far as an ordering needs
+    // (`np_eigen::fiedler`): a Ritz value lies above λ₂, so a looser
+    // solve would raise the bound
+    let ones = vec![1.0 / (n as f64).sqrt(); n];
+    let pair = smallest_deflated(&q, &[ones], opts)?;
     // numerical noise can push λ₂ microscopically negative on
     // disconnected graphs; clamp so the bound stays valid
     let lambda2 = pair.value.max(0.0);

@@ -20,8 +20,9 @@
 //!   most of the vector (the Daniel–Gragg–Kaufman–Stewart criterion),
 //!   which keeps the basis orthonormal to working precision;
 //! * **one Ritz pair per check**: the iteration needs only the smallest Ritz
-//!   pair, so it extracts it with [`smallest_tridiagonal`] in `O(k²)`
-//!   rather than decomposing `T_k` fully in `O(k³)`;
+//!   pair and the next Ritz value, so it extracts them as
+//!   [`smallest_tridiagonal`](crate::tridiag::smallest_tridiagonal) does,
+//!   in `O(k²)`, rather than decomposing `T_k` fully in `O(k³)`;
 //! * **thick restarting** (Wu and Simon, 2000; TRLan): if the basis hits
 //!   its size cap without converging, the iteration keeps the lowest
 //!   quarter of its Ritz vectors plus the residual direction, so the
@@ -34,10 +35,15 @@
 //! `‖M x − θ x‖ ≤ tol · max(1, |θ|)`, measured with a fresh matvec — not
 //! just the cheap `β·|y_k|` estimate. A check assembles the Ritz vector
 //! and spends that matvec only when the estimate is within 10× of the
-//! tolerance.
+//! threshold. A Fiedler solve ([`fiedler`](crate::fiedler)) also stops
+//! once the vector is accurate enough to order by: when the verified
+//! residual is at most [`ORDERING_ANGLE`] times the guarded gap `g`
+//! between the smallest Ritz value and the rest of the spectrum, so that
+//! its angle to the eigenvector is at most about `ORDERING_ANGLE`
+//! (Davis–Kahan).
 
 use crate::dense::{materialize_metered, try_jacobi_eigen};
-use crate::tridiag::{eigh_tridiagonal, smallest_tridiagonal};
+use crate::tridiag::{eigh_tridiagonal, lowest_ritz};
 use crate::EigenError;
 use np_sparse::vecops::{
     accumulate_scaled, axpy, axpy2, dot, norm2, normalize, orthogonalize_classical,
@@ -54,6 +60,33 @@ pub struct EigenPair {
     pub vector: Vec<f64>,
     /// Matvec-equivalents the solve charged its meter.
     pub matvecs: u64,
+    /// Distance from `value` to the rest of the spectrum on the deflated
+    /// space. Exact on the dense path (`∞` when that space has one
+    /// dimension). On the Lanczos path it is the guarded gap of the check
+    /// that converged, `θ₂ − β·|y₂,last| − θ₁` (the second Ritz value
+    /// less its residual, minus the first), or 0 where that is not
+    /// positive: the solve could not tell the eigenvalue apart from the
+    /// next one.
+    pub gap: f64,
+}
+
+/// The angle to the eigenvector a Fiedler vector needs, in radians: a
+/// [`fiedler`](crate::fiedler) solve stops once its verified residual is
+/// at most `ORDERING_ANGLE·g` for a positive guarded gap `g` (see
+/// [`EigenPair::gap`]), which bounds that angle by about `ORDERING_ANGLE`
+/// (Davis–Kahan, `sin ∠ ≤ ‖r‖/g`). The sweeps use the vector only to
+/// order its components, and an angle of `1e-3` moves only components
+/// that nearly tie; `1e-2` changed k-way answers for the worse.
+pub const ORDERING_ANGLE: f64 = 1e-3;
+
+/// What, besides the residual tolerance, ends a solve.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// `‖r‖ ≤ tol·max(1, |θ|)` alone: the accuracy the caller asked for.
+    Residual,
+    /// Also `‖r‖ ≤ ORDERING_ANGLE·g` for a positive guarded gap `g`: the
+    /// accuracy an ordering needs.
+    Ordering,
 }
 
 /// Options controlling the Lanczos iteration.
@@ -223,6 +256,17 @@ pub fn smallest_deflated_metered(
     opts: &LanczosOptions,
     meter: &BudgetMeter,
 ) -> Result<EigenPair, EigenError> {
+    solve(op, deflate, opts, meter, Stop::Residual)
+}
+
+/// [`smallest_deflated_metered`] under the stop rule `stop`.
+pub(crate) fn solve(
+    op: &impl LinearOperator,
+    deflate: &[Vec<f64>],
+    opts: &LanczosOptions,
+    meter: &BudgetMeter,
+    stop: Stop,
+) -> Result<EigenPair, EigenError> {
     let n = op.dim();
     let deflate = orthonormalize(deflate);
     if n == 0 || deflate.len() >= n {
@@ -271,8 +315,20 @@ pub fn smallest_deflated_metered(
             let last_step = j + 1 == max_basis;
             let check = invariant || last_step || (j >= 4 && (j + 1).is_multiple_of(5));
             if check {
-                let (theta, y) = smallest_tridiagonal(&k.alphas, &k.betas)?;
-                let tol = opts.tol * theta.abs().max(1.0);
+                let ritz = lowest_ritz(&k.alphas, &k.betas)?;
+                let (theta, y) = (ritz.theta, ritz.y);
+                // the second Ritz value less its own three-term residual:
+                // an eigenvalue lies within that residual of θ₂, and the
+                // guard keeps a θ₂ that has not converged yet from
+                // posing as the gap
+                let gap = ritz
+                    .second
+                    .map_or(0.0, |(theta2, last)| theta2 - beta * last - theta)
+                    .max(0.0);
+                let mut tol = opts.tol * theta.abs().max(1.0);
+                if stop == Stop::Ordering {
+                    tol = tol.max(ORDERING_ANGLE * gap);
+                }
                 // the three-term estimate ‖Mx − θx‖ = β_j·|y_j| gates the
                 // Ritz vector's assembly and its verification matvec
                 let estimate = beta * y[j].abs();
@@ -297,6 +353,7 @@ pub fn smallest_deflated_metered(
                                 value: theta,
                                 vector: x,
                                 matvecs: matvecs as u64,
+                                gap,
                             });
                         }
                         best_residual = best_residual.min(resid);
@@ -505,14 +562,21 @@ fn dense_smallest_deflated(
         }
     }
     let eig = try_jacobi_eigen(&a, n, meter)?;
-    // smallest eigenpair of the shifted matrix lives in the complement
+    // smallest eigenpair of the shifted matrix lives in the complement,
+    // and so does the next one unless the complement is a line
     let mut vector = eig.vectors[0].clone();
     project_out(deflate, &mut vector);
     normalize(&mut vector);
+    let gap = if n - deflate.len() >= 2 {
+        eig.values[1] - eig.values[0]
+    } else {
+        f64::INFINITY
+    };
     Ok(EigenPair {
         value: eig.values[0],
         vector,
         matvecs: n as u64,
+        gap,
     })
 }
 

@@ -205,6 +205,24 @@ pub fn eigh_tridiagonal(diag: &[f64], off: &[f64]) -> Result<TridiagEigen, Eigen
 /// # Ok::<(), np_eigen::EigenError>(())
 /// ```
 pub fn smallest_tridiagonal(diag: &[f64], off: &[f64]) -> Result<(f64, Vec<f64>), EigenError> {
+    lowest_ritz(diag, off).map(|r| (r.theta, r.y))
+}
+
+/// The smallest eigenpair of a tridiagonal `T`, as [`smallest_tridiagonal`]
+/// returns it, and the next eigenvalue up.
+pub(crate) struct LowestRitz {
+    /// The smallest eigenvalue.
+    pub theta: f64,
+    /// Its unit eigenvector.
+    pub y: Vec<f64>,
+    /// The second-smallest eigenvalue `θ₂` and the magnitude of the last
+    /// entry of its unit eigenvector; `None` for a 1×1 matrix.
+    pub second: Option<(f64, f64)>,
+}
+
+/// [`smallest_tridiagonal`] plus the second-smallest eigenvalue, whose
+/// eigenvector's last entry costs one more `O(n)` inverse iteration.
+pub(crate) fn lowest_ritz(diag: &[f64], off: &[f64]) -> Result<LowestRitz, EigenError> {
     let n = diag.len();
     // row 0 of the eigenvector matrix eigh_tridiagonal accumulates
     let mut z0 = vec![0.0f64; n];
@@ -225,7 +243,11 @@ pub fn smallest_tridiagonal(diag: &[f64], off: &[f64]) -> Result<(f64, Vec<f64>)
             *v = -*v;
         }
     }
-    Ok((theta, y))
+    let second = (0..n)
+        .filter(|&i| i != j)
+        .min_by(|&a, &b| d[a].total_cmp(&d[b]))
+        .map(|i| (d[i], inverse_iteration(diag, off, d[i])[n - 1].abs()));
+    Ok(LowestRitz { theta, y, second })
 }
 
 /// A unit vector in the (near-)null space of `T − θI` for an eigenvalue

@@ -562,8 +562,9 @@ impl Service {
 
     /// Runs a `k > 2` request through recursive bisection under the
     /// request's wall-clock meter and renders its terminal frame. The
-    /// route is seed-independent, so `restarts` does not apply; the outer
-    /// `catch_unwind` in [`Service::handle_line`] isolates panics.
+    /// route runs once, its eigensolves on the request's seed, so
+    /// `restarts` does not apply; the outer `catch_unwind` in
+    /// [`Service::handle_line`] isolates panics.
     fn execute_kway(&self, job: &Job<'_>, k: usize) -> Terminal {
         let request = job.request;
         if self.wants_multilevel(request, job.cached) {
@@ -614,9 +615,10 @@ impl Service {
         let meter = BudgetMeter::new(&Budget::default().with_wall_clock(wall));
         let ctx = job_context(job, &meter);
         let hg = &job.cached.hypergraph;
-        // the coarsest eigensolve runs on the request's seed
-        let mut mopts = MultilevelOptions::default();
-        mopts.ig_match.lanczos.seed = job.request.seed.unwrap_or(DEFAULT_SEED);
+        let mopts = MultilevelOptions {
+            ig_match: request_ig_match(job.request),
+            ..MultilevelOptions::default()
+        };
         let extras = |levels: usize, coarsest: usize, degraded: bool| Extras {
             reason: degraded.then_some(Degradation::ProjectionFallback),
             k,
@@ -899,16 +901,25 @@ fn job_context<'m>(job: &Job<'_>, meter: &'m BudgetMeter) -> RunContext<'m> {
 }
 
 /// The k-way route's options: `k` blocks, the request's `epsilon` over
-/// the default slack.
+/// the default slack, eigensolves on the request's seed.
 fn kway_options(request: &Request, k: usize) -> KwayOptions {
     let mut opts = KwayOptions {
         k,
+        ig_match: request_ig_match(request),
         ..Default::default()
     };
     if let Some(eps) = request.epsilon {
         opts.epsilon = eps;
     }
     opts
+}
+
+/// The IG-Match options of the k-way and V-cycle tiers: the defaults,
+/// with Lanczos started from the request's seed.
+fn request_ig_match(request: &Request) -> IgMatchOptions {
+    let mut ig = IgMatchOptions::default();
+    ig.lanczos.seed = request.seed.unwrap_or(DEFAULT_SEED);
+    ig
 }
 
 #[cfg(test)]

@@ -375,6 +375,26 @@ fn a_repeated_vcycle_request_answers_from_the_ig_match_memo() {
     }
 }
 
+/// The flat k-way tier runs on the request's seed: a repeat with the
+/// same seed answers its top node from the IG-Match memo, the same
+/// request with another seed solves afresh.
+#[test]
+fn a_flat_kway_request_is_memoized_under_its_seed() {
+    let svc = Service::new(ServeConfig::default());
+    let with_seed = |seed: u64| {
+        let extra = format!(r#","k":4,"multilevel":false,"seed":{seed}"#);
+        request_line("kway-seed", 64, &extra)
+    };
+    let (first, before) = timeless_answer(&svc, &with_seed(5));
+    let served = Value::String("kway".to_string());
+    assert!(first.contains(&("tier".to_string(), served)), "{first:?}");
+    let (second, after) = timeless_answer(&svc, &with_seed(5));
+    assert_eq!(first, second);
+    assert!(after > before, "the same seed answered from the memo");
+    let (_, reseeded) = timeless_answer(&svc, &with_seed(6));
+    assert_eq!(reseeded, after, "another seed solved afresh");
+}
+
 /// Runs one request that answers with a single frame; returns the
 /// frame's keys less `queue_ms`, `compute_ms` and `cache_hit`, and the
 /// `/metrics` frame's `ig_match_hits` after it.
