@@ -1,16 +1,22 @@
-//! Sweep benchmark: from-scratch vs incremental IG-Match sweep on the
-//! banded instance family, emitting a JSON record (`BENCH_sweep.json` by
-//! default) with both wall times and the speedup per instance. CI runs
-//! this to track the delta-maintenance win (DESIGN.md §11); the
-//! determinism contract is asserted inline — both sweeps must agree
-//! bit-for-bit on the best ratio, the winning split rank, the matching
-//! size and the loser count at the winner.
+//! Sweep benchmark: from-scratch vs incremental IG-Match sweep, emitting
+//! a JSON record (`BENCH_sweep.json` by default) with both wall times and
+//! the speedup per instance. CI runs this to track the delta-maintenance
+//! win (DESIGN.md §11); the determinism contract is asserted inline —
+//! both sweeps must agree bit-for-bit on the best ratio, the winning
+//! split rank, the matching size and the loser count at the winner.
 //!
-//! The instances come from `np_testkit::banded_hypergraph`, whose natural
-//! net order keeps every move local: the incremental sweep pays `O(band)`
-//! per split while the from-scratch sweep re-runs the full alternating
-//! BFS plus an `O(pins)` completion, so the asymptotic gap grows with the
-//! instance — exactly what the record tracks.
+//! Two instance families:
+//!
+//! * `np_testkit::banded_hypergraph` in its natural net order, which
+//!   keeps every move local: the incremental sweep pays `O(band)` per
+//!   split while the from-scratch sweep re-runs the full alternating BFS
+//!   plus an `O(pins)` completion, so the asymptotic gap grows with the
+//!   instance. Every band row's best ratio is 0 (the band is
+//!   disconnected), so its winner comparison compares zeros;
+//! * the nine paper-suite circuits in the spectral net order the
+//!   IG-Match route sweeps them in. Their best ratios are non-zero, so
+//!   the winner comparison checks real winners, and their sweep times
+//!   are the ones np-part pays.
 //!
 //! ```text
 //! cargo run --release -p bench --bin sweep [-- OUT.json]
@@ -18,7 +24,10 @@
 
 use bench::{best_of, per_sec};
 use np_core::igmatch::{CompletionOracle, SplitClassification, SplitMatcher, SweepState};
-use np_core::models::intersection_neighbors;
+use np_core::models::{intersection_neighbors, IgWeighting};
+use np_core::ordering::spectral_net_ordering;
+use np_eigen::LanczosOptions;
+use np_netlist::generate::{generate, mcnc_specs};
 use np_netlist::Hypergraph;
 use np_runner::json::Obj;
 use np_testkit::banded_hypergraph;
@@ -46,12 +55,12 @@ struct Winner {
 
 /// The seed implementation: full alternating-BFS classification plus an
 /// `O(pins)` oracle evaluation at every split.
-fn from_scratch_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Winner {
+fn from_scratch_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>], order: &[u32]) -> Winner {
     let mut matcher = SplitMatcher::new(neighbors);
     let mut class = SplitClassification::default();
     let mut oracle = CompletionOracle::new(hg);
     let mut best: Option<Winner> = None;
-    for v in 0..hg.num_nets() as u32 - 1 {
+    for (k, &v) in order[..order.len() - 1].iter().enumerate() {
         matcher.move_to_r(v);
         matcher.classify_into(&mut class);
         let cand = oracle.evaluate(hg, &class).candidate();
@@ -63,20 +72,20 @@ fn from_scratch_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Winner {
         {
             best = Some(Winner {
                 ratio_bits: ratio.to_bits(),
-                split_rank: v as usize,
+                split_rank: k,
                 matching_size: matcher.matching_size(),
                 loser_count: cand.losers,
             });
         }
     }
-    best.expect("banded instances are non-degenerate")
+    best.expect("benchmark instances are non-degenerate")
 }
 
 /// The delta-maintained sweep engine.
-fn incremental_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Winner {
+fn incremental_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>], order: &[u32]) -> Winner {
     let mut state = SweepState::new(hg, neighbors);
     let mut best: Option<Winner> = None;
-    for v in 0..hg.num_nets() as u32 - 1 {
+    for (k, &v) in order[..order.len() - 1].iter().enumerate() {
         let cand = state.advance(hg, v).candidate();
         let ratio = cand.stats.ratio();
         if ratio.is_finite()
@@ -86,13 +95,53 @@ fn incremental_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Winner {
         {
             best = Some(Winner {
                 ratio_bits: ratio.to_bits(),
-                split_rank: v as usize,
+                split_rank: k,
                 matching_size: state.matching_size(),
                 loser_count: cand.losers,
             });
         }
     }
-    best.expect("banded instances are non-degenerate")
+    best.expect("benchmark instances are non-degenerate")
+}
+
+/// One benchmark instance: the hypergraph, its sweep order and the row
+/// fields that describe where both came from.
+struct Instance {
+    name: &'static str,
+    hg: Hypergraph,
+    order: Vec<u32>,
+    /// `"natural"` (the band's net order) or `"spectral"`.
+    order_kind: &'static str,
+    /// The band width, for band rows.
+    band: Option<usize>,
+}
+
+fn instances() -> Vec<Instance> {
+    let bands = INSTANCES
+        .into_iter()
+        .map(|(name, seed, modules, nets, band)| Instance {
+            name,
+            hg: banded_hypergraph(seed, modules, nets, band),
+            order: (0..nets as u32).collect(),
+            order_kind: "natural",
+            band: Some(band),
+        });
+    let suite = mcnc_specs().into_iter().map(|spec| {
+        let hg = generate(&spec.config);
+        let order = spectral_net_ordering(&hg, IgWeighting::default(), &LanczosOptions::default())
+            .expect("suite circuits have a spectral ordering")
+            .iter()
+            .map(|n| n.0)
+            .collect();
+        Instance {
+            name: spec.name,
+            hg,
+            order,
+            order_kind: "spectral",
+            band: None,
+        }
+    });
+    bands.chain(suite).collect()
 }
 
 fn main() {
@@ -100,11 +149,19 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_sweep.json".to_string());
     let mut rows = Vec::new();
-    for (name, seed, modules, nets, band) in INSTANCES {
-        let hg = banded_hypergraph(seed, modules, nets, band);
+    for Instance {
+        name,
+        hg,
+        order,
+        order_kind,
+        band,
+    } in instances()
+    {
+        let (modules, nets) = (hg.num_modules(), hg.num_nets());
         let neighbors = intersection_neighbors(&hg);
-        let (scratch_winner, scratch) = best_of(RUNS, || from_scratch_sweep(&hg, &neighbors));
-        let (inc_winner, inc) = best_of(RUNS, || incremental_sweep(&hg, &neighbors));
+        let (scratch_winner, scratch) =
+            best_of(RUNS, || from_scratch_sweep(&hg, &neighbors, &order));
+        let (inc_winner, inc) = best_of(RUNS, || incremental_sweep(&hg, &neighbors, &order));
         // Determinism contract: same bits from both sweeps.
         assert_eq!(
             scratch_winner, inc_winner,
@@ -121,13 +178,17 @@ fn main() {
             "{name:<8} {modules:>6} modules {nets:>6} nets: from-scratch {scratch_ms:>9.1} ms  \
              incremental {inc_ms:>9.1} ms  speedup {speedup:>6.1}x  {rate:>9.0} moves/s"
         );
+        let row = Obj::new()
+            .str("name", name)
+            .str("order", order_kind)
+            .int("modules", modules as u64)
+            .int("nets", nets as u64);
+        let row = match band {
+            Some(band) => row.int("band", band as u64),
+            None => row.null("band"),
+        };
         rows.push(
-            Obj::new()
-                .str("name", name)
-                .int("modules", modules as u64)
-                .int("nets", nets as u64)
-                .int("band", band as u64)
-                .int("best_split", inc_winner.split_rank as u64)
+            row.int("best_split", inc_winner.split_rank as u64)
                 .int("matching_size", inc_winner.matching_size as u64)
                 .int("loser_count", inc_winner.loser_count as u64)
                 .num("best_ratio", f64::from_bits(inc_winner.ratio_bits))

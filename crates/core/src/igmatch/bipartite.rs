@@ -7,8 +7,13 @@
 //! only locally per move, so a maximum matching can be *maintained* rather
 //! than recomputed: unmatch the moving net, try one augmenting path from
 //! its exposed ex-partner, then one from the moved net itself. Each repair
-//! is a single `O(|V| + |E|)` alternating BFS, giving the paper's
-//! `O(|V|·(|V|+|E|))` bound over all splits (Theorem 6).
+//! is a single alternating BFS over `E_B`, `O(|V| + |E_B|)`, giving the
+//! paper's `O(|V|·(|V|+|E|))` bound over all splits (Theorem 6).
+//!
+//! Every adjacency row is kept split by side, `R` neighbours first, so
+//! each scan walks exactly a net's `B` edges (its neighbours across the
+//! split) and never tests and skips a same-side entry. A move re-sorts
+//! only its neighbours' rows, one swap each (`DESIGN.md` §11).
 //!
 //! The winner/loser classification is maintained incrementally as well:
 //! every move reports a [`MoveDelta`], and [`NetClassifier::refresh`]
@@ -26,10 +31,10 @@ const NONE: u32 = u32::MAX;
 
 /// One-bit-per-net side mask of the sliding split (bit set = `R` side).
 ///
-/// The alternating BFS tests a vertex's side on every edge it scans;
-/// packing sides 64-per-word keeps the whole mask in a few cache lines
-/// (band-L's 8000 nets fit in 1 KiB) where a byte-per-net `Vec<Side>`
-/// would stream 8× the data through L1.
+/// Scans never test a neighbour's side (the side-split rows already
+/// hold only crossing edges); the mask answers the point tests — which
+/// slice of a row to walk, roots, classes — in a few cache lines
+/// (band-L's 8000 nets fit in 1 KiB).
 #[derive(Clone, Debug)]
 struct SideBits {
     words: Vec<u64>,
@@ -237,11 +242,18 @@ impl MoveDelta {
 #[derive(Clone, Debug)]
 pub struct SplitMatcher {
     /// Flattened CSR adjacency of the intersection graph: the neighbors
-    /// of net `v` are `adj[adj_off[v]..adj_off[v + 1]]`. One contiguous
-    /// array instead of a `Vec<Vec<u32>>`, so edge scans never chase a
-    /// per-row heap pointer.
+    /// of net `v` are `adj[adj_off[v]..adj_off[v + 1]]`, its `R`-side
+    /// neighbors first: `adj[adj_off[v]..r_end[v]]` are on `R`,
+    /// `adj[r_end[v]..adj_off[v + 1]]` on `L`. A net's `B` edges are the
+    /// one slice across from its own side ([`cross`](Self::cross)).
     adj_off: Vec<u32>,
     adj: Vec<u32>,
+    /// End of each row's `R` part.
+    r_end: Vec<u32>,
+    /// The reverse of every entry: if `adj[i]` is `w` in `v`'s row, then
+    /// `adj[mirror[i]]` is `v` in `w`'s row, and `mirror[mirror[i]] == i`.
+    /// It lets a move find its entry in each neighbour's row in `O(1)`.
+    mirror: Vec<u32>,
     n: usize,
     side: SideBits,
     mate: Vec<u32>,
@@ -255,13 +267,13 @@ impl SplitMatcher {
     /// `neighbors[v]` must list the intersection-graph neighbors of net
     /// `v` (symmetric, no self-loops) — see
     /// [`intersection_neighbors`](crate::models::intersection_neighbors).
-    /// The adjacency is flattened into an owned CSR layout, so the
-    /// matcher does not borrow `neighbors`.
+    /// The adjacency is flattened into an owned CSR layout with sorted
+    /// rows, so the matcher does not borrow `neighbors`.
     ///
     /// # Panics
     ///
     /// Panics if the net count or total edge-endpoint count reaches
-    /// `u32::MAX`.
+    /// `u32::MAX`, or if `neighbors` is not symmetric or has a self-loop.
     pub fn new(neighbors: &[Vec<u32>]) -> Self {
         let n = neighbors.len();
         assert!(n < u32::MAX as usize, "net count overflows u32 indices");
@@ -274,12 +286,46 @@ impl SplitMatcher {
         let mut adj = Vec::with_capacity(total);
         adj_off.push(0u32);
         for nb in neighbors {
+            let start = adj.len();
             adj.extend_from_slice(nb);
+            adj[start..].sort_unstable();
             adj_off.push(adj.len() as u32);
         }
+        // Pair every entry with its reverse. With sorted rows, the
+        // entries of row `w` above `w` are met in order as `u` ascends.
+        let mut mirror = vec![NONE; total];
+        let mut next: Vec<u32> = (0..n)
+            .map(|w| {
+                let (lo, hi) = (adj_off[w] as usize, adj_off[w + 1] as usize);
+                (lo + adj[lo..hi].partition_point(|&x| (x as usize) <= w)) as u32
+            })
+            .collect();
+        for u in 0..n {
+            for i in adj_off[u] as usize..adj_off[u + 1] as usize {
+                let w = adj[i] as usize;
+                assert_ne!(w, u, "self-loop at net {u}");
+                if w > u {
+                    continue;
+                }
+                let j = next[w] as usize;
+                assert!(
+                    j < adj_off[w + 1] as usize && adj[j] as usize == u,
+                    "adjacency is not symmetric at nets {u} and {w}"
+                );
+                mirror[i] = j as u32;
+                mirror[j] = i as u32;
+                next[w] += 1;
+            }
+        }
+        assert!(
+            (0..n).all(|w| next[w] == adj_off[w + 1]),
+            "adjacency is not symmetric"
+        );
         SplitMatcher {
+            r_end: adj_off[..n].to_vec(),
             adj_off,
             adj,
+            mirror,
             n,
             side: SideBits::all_left(n),
             mate: vec![NONE; n],
@@ -304,14 +350,30 @@ impl SplitMatcher {
         &self.adj[self.adj_off[v as usize] as usize..self.adj_off[v as usize + 1] as usize]
     }
 
+    /// The neighbors of net `v` on the `R` side if `right`, else on `L`.
+    #[inline]
+    fn nbrs_on(&self, v: u32, right: bool) -> &[u32] {
+        let mid = self.r_end[v as usize] as usize;
+        if right {
+            &self.adj[self.adj_off[v as usize] as usize..mid]
+        } else {
+            &self.adj[mid..self.adj_off[v as usize + 1] as usize]
+        }
+    }
+
+    /// Net `v`'s edges in `B`: its neighbors across the split.
+    #[inline]
+    fn cross(&self, v: u32) -> &[u32] {
+        self.nbrs_on(v, !self.side.is_right(v))
+    }
+
     /// The arcs out of net `u` in the alternating-reachability graph whose
     /// roots are the unmatched nets on the `right` side: a root-side net
-    /// points at all its neighbours, any other net at its mate. Callers
-    /// skip same-side neighbours (no crossing edge).
+    /// points at all its `B` neighbours, any other net at its mate.
     #[inline]
     fn arcs_out(&self, u: u32, right: bool) -> &[u32] {
         if self.side.is_right(u) == right {
-            self.nbrs(u)
+            self.cross(u)
         } else {
             self.mate_arc(u)
         }
@@ -323,7 +385,7 @@ impl SplitMatcher {
         if self.side.is_right(u) == right {
             self.mate_arc(u)
         } else {
-            self.nbrs(u)
+            self.cross(u)
         }
     }
 
@@ -386,6 +448,30 @@ impl SplitMatcher {
             delta.mates_changed.push(exposed);
         }
         self.side.set_right(v);
+        // v's entry in every neighbour's row moves into that row's R part
+        let Self {
+            adj_off,
+            adj,
+            r_end,
+            mirror,
+            ..
+        } = self;
+        for i in adj_off[v as usize] as usize..adj_off[v as usize + 1] as usize {
+            let w = adj[i] as usize;
+            let j = mirror[i] as usize;
+            let p = r_end[w] as usize;
+            debug_assert!(p <= j, "net {v} was already in the R part of row {w}");
+            if j != p {
+                // entry p (some L-side x) trades places with entry j (v)
+                let q = mirror[p] as usize;
+                adj.swap(j, p);
+                mirror[p] = i as u32;
+                mirror[i] = p as u32;
+                mirror[j] = q as u32;
+                mirror[q] = j as u32;
+            }
+            r_end[w] += 1;
+        }
         // the exposed ex-partner may re-match through another L vertex
         if exposed != NONE {
             let flipped_from = delta.mates_changed.len();
@@ -415,6 +501,7 @@ impl SplitMatcher {
         let Self {
             adj_off,
             adj,
+            r_end,
             side,
             mate,
             arena,
@@ -428,8 +515,10 @@ impl SplitMatcher {
         while head < arena.queue.len() {
             let y = arena.queue[head];
             head += 1;
-            for &x in &adj[adj_off[y as usize] as usize..adj_off[y as usize + 1] as usize] {
-                if side.is_right(x) || arena.seen[x as usize] == epoch {
+            // y is on R: its B edges are the L part of its row
+            for &x in &adj[r_end[y as usize] as usize..adj_off[y as usize + 1] as usize] {
+                debug_assert!(!side.is_right(x));
+                if arena.seen[x as usize] == epoch {
                     continue;
                 }
                 arena.seen[x as usize] = epoch;
@@ -459,7 +548,7 @@ impl SplitMatcher {
 
     /// Classifies all vertices into winners (`Even` sets), forced losers
     /// (`Odd` sets) and the residual `B'` (paper §3, Figure 3), writing
-    /// into `out` (cleared first). `O(|V| + |E|)`.
+    /// into `out` (cleared first). `O(|V| + |E_B|)`.
     ///
     /// The classification is independent of which maximum matching is
     /// maintained (Hasan–Liu \[17\], paper footnote 4).
@@ -483,10 +572,8 @@ impl SplitMatcher {
         while head < queue.len() {
             let x = queue[head];
             head += 1;
-            for &y in self.nbrs(x) {
-                if !self.side.is_right(y) {
-                    continue;
-                }
+            for &y in self.nbrs_on(x, true) {
+                debug_assert!(self.side.is_right(y));
                 if status[y as usize] != Status::Unreached {
                     continue;
                 }
@@ -517,10 +604,8 @@ impl SplitMatcher {
         while head < queue.len() {
             let y = queue[head];
             head += 1;
-            for &x in self.nbrs(y) {
-                if self.side.is_right(x) {
-                    continue;
-                }
+            for &x in self.nbrs_on(y, false) {
+                debug_assert!(!self.side.is_right(x));
                 if status[x as usize] != Status::Unreached {
                     debug_assert_ne!(
                         status[x as usize],
@@ -580,7 +665,7 @@ impl SplitMatcher {
             if self.side.is_right(v) == self.side.is_right(m) {
                 return false;
             }
-            if !self.nbrs(v).contains(&m) {
+            if !self.cross(v).contains(&m) {
                 return false;
             }
         }
@@ -604,8 +689,9 @@ const SEEN: u8 = 4;
 /// Marks a net of the fallback flood's region.
 const REGION: u8 = 8;
 
-/// Adjacency entries one refresh may scan before the local update gives
-/// up and the fallback flood re-derives the touched components instead.
+/// `B` adjacency entries one refresh may scan before the local update
+/// gives up and the fallback flood re-derives the touched components
+/// instead.
 const WORK_CAP: usize = 1 << 16;
 
 /// The class a net's reachability and side imply (paper Figure 3).
@@ -787,8 +873,7 @@ impl NetClassifier {
         self.worklist.push(v);
         self.worklist.extend_from_slice(&delta.mates_changed);
         if !right && self.reach[v as usize] & IN_DL != 0 {
-            self.worklist
-                .extend(m.nbrs(v).iter().filter(|&&u| m.side.is_right(u)));
+            self.worklist.extend_from_slice(m.nbrs_on(v, true));
         }
         let ok = self.verify(m, right, bit) && self.grow(m, delta, right, bit);
         for &u in &self.flagged {
@@ -828,9 +913,8 @@ impl NetClassifier {
                         let out = m.arcs_out(u, right);
                         self.work += out.len();
                         for &z in out {
-                            if m.side.is_right(z) != m.side.is_right(u)
-                                && self.reach[z as usize] & bit != 0
-                            {
+                            debug_assert_ne!(m.side.is_right(z), m.side.is_right(u));
+                            if self.reach[z as usize] & bit != 0 {
                                 self.worklist.push(z);
                             }
                         }
@@ -862,9 +946,8 @@ impl NetClassifier {
             let preds = m.arcs_in(u, right);
             self.work += preds.len();
             for &p in preds {
-                if m.side.is_right(p) == m.side.is_right(u)
-                    || self.flag[p as usize] & (SEEN | DEAD) != 0
-                {
+                debug_assert_ne!(m.side.is_right(p), m.side.is_right(u));
+                if self.flag[p as usize] & (SEEN | DEAD) != 0 {
                     continue;
                 }
                 if is_root(p) || self.flag[p as usize] & VERIFIED != 0 {
@@ -906,7 +989,8 @@ impl NetClassifier {
             let succs = m.arcs_out(u, right);
             self.work += succs.len();
             for &z in succs {
-                if m.side.is_right(z) == m.side.is_right(u) || self.reach[z as usize] & bit != 0 {
+                debug_assert_ne!(m.side.is_right(z), m.side.is_right(u));
+                if self.reach[z as usize] & bit != 0 {
                     continue;
                 }
                 debug_assert_eq!(self.flag[z as usize] & DEAD, 0, "grew into a dead net");
@@ -944,9 +1028,8 @@ impl NetClassifier {
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            let u_right = m.side.is_right(u);
-            for &w in m.nbrs(u) {
-                if m.side.is_right(w) != u_right && self.flag[w as usize] & REGION == 0 {
+            for &w in m.cross(u) {
+                if self.flag[w as usize] & REGION == 0 {
                     self.flag[w as usize] |= REGION;
                     self.queue.push(w);
                 }
@@ -974,8 +1057,8 @@ impl NetClassifier {
             while head < self.worklist.len() {
                 let x = self.worklist[head];
                 head += 1;
-                for &y in m.nbrs(x) {
-                    if m.side.is_right(y) == right || self.reach[y as usize] != 0 {
+                for &y in m.nbrs_on(x, !right) {
+                    if self.reach[y as usize] != 0 {
                         continue;
                     }
                     self.reach[y as usize] = bit;
@@ -1012,6 +1095,7 @@ impl NetClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_testkit::{check_cases, Gen};
 
     /// Brute-force maximum matching size over the crossing edges, for
     /// validating the incremental maintenance.
@@ -1275,5 +1359,163 @@ mod tests {
         assert_eq!(m.matching_size(), 0); // everything on R, B empty
         let c = m.classify();
         assert_eq!(c.winners_r.len(), 6);
+    }
+
+    /// A random symmetric graph: a core of sparse random edges, one hub
+    /// net adjacent to most of the core, a star whose leaves touch only
+    /// its centre, and isolated nets. Rows are listed in random order.
+    fn random_graph(g: &mut Gen) -> Vec<Vec<u32>> {
+        let core = g.usize_in(2, 30);
+        let leaves = g.usize_in(0, 6);
+        let isolated = g.usize_in(0, 3);
+        let n = core + 1 + leaves + isolated;
+        let mut nb = vec![Vec::new(); n];
+        let mut link = |a: usize, b: usize| {
+            nb[a].push(b as u32);
+            nb[b].push(a as u32);
+        };
+        for a in 0..core {
+            for b in a + 1..core {
+                let p = if a == 0 { 0.7 } else { 0.1 };
+                if g.with_probability(p) {
+                    link(a, b);
+                }
+            }
+        }
+        for leaf in core + 1..core + 1 + leaves {
+            link(core, leaf);
+        }
+        for row in &mut nb {
+            g.rng().shuffle(row);
+        }
+        nb
+    }
+
+    /// Asserts the side-split row invariants against the plain lists:
+    /// each row's prefix holds exactly its `R`-side neighbours and its
+    /// suffix its `L`-side ones, and `mirror` pairs every entry with its
+    /// reverse.
+    fn assert_rows_split(m: &SplitMatcher, nb: &[Vec<u32>]) {
+        for (v, row) in nb.iter().enumerate() {
+            let (lo, mid, hi) = (
+                m.adj_off[v] as usize,
+                m.r_end[v] as usize,
+                m.adj_off[v + 1] as usize,
+            );
+            for (part, right) in [(lo..mid, true), (mid..hi, false)] {
+                let mut got = m.adj[part].to_vec();
+                got.sort_unstable();
+                let mut want: Vec<u32> = row
+                    .iter()
+                    .copied()
+                    .filter(|&w| m.side.is_right(w) == right)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "row {v}, R part {right}");
+            }
+            for i in lo..hi {
+                let j = m.mirror[i] as usize;
+                let w = m.adj[i] as usize;
+                assert!((m.adj_off[w] as usize..m.adj_off[w + 1] as usize).contains(&j));
+                assert_eq!(m.adj[j] as usize, v, "mirror of entry {i} of row {v}");
+                assert_eq!(m.mirror[j] as usize, i);
+            }
+        }
+    }
+
+    #[test]
+    fn side_split_rows_track_every_move() {
+        check_cases(128, 0xB1_5EC7, |g| {
+            let nb = random_graph(g);
+            let mut order: Vec<u32> = (0..nb.len() as u32).collect();
+            g.rng().shuffle(&mut order);
+            let mut m = SplitMatcher::new(&nb);
+            let mut in_r = vec![false; nb.len()];
+            assert_rows_split(&m, &nb);
+            for &v in &order {
+                m.move_to_r(v);
+                in_r[v as usize] = true;
+                assert_rows_split(&m, &nb);
+                assert!(m.matching_is_valid());
+                assert_eq!(m.matching_size(), brute_force_mm(&nb, &in_r));
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "not symmetric")]
+    fn asymmetric_adjacency_is_rejected() {
+        SplitMatcher::new(&[vec![1], vec![]]);
+    }
+
+    /// Two move orders that reach the same `R` set hold different
+    /// matchings but give the same classes, completions and sweep
+    /// outcome: the property the side-split rows' new scan order rests
+    /// on (Hasan–Liu, paper footnote 4).
+    #[test]
+    fn classes_do_not_depend_on_the_held_matching() {
+        use crate::igmatch::{ig_match_with_ordering, SweepState};
+        use crate::models::intersection_neighbors;
+        use np_netlist::NetId;
+        use np_testkit::small_hypergraph;
+
+        let (mut mates_differ, mut outcomes_compared) = (0, 0);
+        check_cases(256, 0x4A7C_0001, |g| {
+            let hg = small_hypergraph(g);
+            let nb = intersection_neighbors(&hg);
+            let m = hg.num_nets();
+            let mut a: Vec<u32> = (0..m as u32).collect();
+            g.rng().shuffle(&mut a);
+            // b permutes a's first k nets, so both orders hold the same R
+            // set from the split that has moved k nets on
+            let k = g.usize_in(1, m - 1);
+            let mut b = a.clone();
+            g.rng().shuffle(&mut b[..k]);
+
+            let (mut ma, mut mb) = (SplitMatcher::new(&nb), SplitMatcher::new(&nb));
+            let (mut ca, mut cb) = (NetClassifier::new(m), NetClassifier::new(m));
+            let (mut sa, mut sb) = (SweepState::new(&hg, &nb), SweepState::new(&hg, &nb));
+            let mut changes = Vec::new();
+            for step in 0..m - 1 {
+                let (va, vb) = (a[step], b[step]);
+                let delta = ma.move_to_r(va);
+                ca.refresh(&ma, &delta, &mut changes);
+                let delta = mb.move_to_r(vb);
+                cb.refresh(&mb, &delta, &mut changes);
+                let (ea, eb) = (sa.advance(&hg, va), sb.advance(&hg, vb));
+                if step + 1 < k {
+                    continue;
+                }
+                assert_eq!(ma.classify(), mb.classify(), "split {step}");
+                assert_eq!(ca.classes(), cb.classes(), "split {step}");
+                assert_eq!(ea, eb, "split {step}");
+                assert_eq!(ma.matching_size(), mb.matching_size());
+                assert_eq!(sa.matching_size(), sb.matching_size());
+                if ma.mate != mb.mate {
+                    mates_differ += 1;
+                }
+            }
+
+            // Every split from k − 1 on is the same in both orders, so two
+            // winners there must be the same winner.
+            let ids = |o: &[u32]| o.iter().map(|&v| NetId(v)).collect::<Vec<_>>();
+            let (oa, ob) = (
+                ig_match_with_ordering(&hg, &ids(&a), false),
+                ig_match_with_ordering(&hg, &ids(&b), false),
+            );
+            if let (Ok(oa), Ok(ob)) = (oa, ob) {
+                let (ra, rb) = (oa.result.split_rank, ob.result.split_rank);
+                if ra >= Some(k - 1) && rb >= Some(k - 1) {
+                    outcomes_compared += 1;
+                    assert_eq!(ra, rb);
+                    assert_eq!(oa.result.partition, ob.result.partition);
+                    assert_eq!(oa.result.ratio().to_bits(), ob.result.ratio().to_bits());
+                    assert_eq!(oa.matching_size, ob.matching_size);
+                    assert_eq!(oa.loser_count, ob.loser_count);
+                }
+            }
+        });
+        assert!(mates_differ > 0, "no case held two different matchings");
+        assert!(outcomes_compared > 0, "no case compared two sweep outcomes");
     }
 }

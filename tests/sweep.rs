@@ -1,20 +1,26 @@
 //! Equivalence suite for the incremental IG-Match sweep (DESIGN.md §11).
 //!
-//! The sweep engine maintains the net classification and the Phase II
-//! completion under O(Δ) updates; these properties pin it to the
-//! from-scratch reference pipeline (`SplitMatcher::classify` +
-//! `CompletionOracle`) at **every** split — classes, both-orientation
-//! `CutStats`, `put_free_left`, loser counts, matching size, partitions
-//! and free masks — across random hypergraphs, random orderings, the
-//! degenerate-hypergraph distribution, the banded benchmark family and
-//! two of the paper-suite circuits in their spectral net order.
+//! The sweep engine maintains the matching, the net classification and
+//! the Phase II completion under O(Δ) updates; these properties pin it
+//! to an independent from-scratch reference at **every** split —
+//! classes, both-orientation `CutStats`, `put_free_left`, loser counts,
+//! matching size, partitions and free masks — across random
+//! hypergraphs, random orderings, the degenerate-hypergraph
+//! distribution, the banded benchmark family and two of the
+//! paper-suite circuits in their spectral net order.
+//!
+//! The reference ([`reference_split`]) shares no code with
+//! `SplitMatcher`: it re-derives a maximum matching and the two
+//! alternating BFS from the plain neighbour lists and a side mask, so a
+//! fault in the matcher's side-split rows cannot corrupt both sides of
+//! a comparison. `CompletionOracle` then scores its classes.
 //!
 //! The same checks run as `debug_assert`s inside `SweepState::advance`;
 //! this suite keeps them alive in release builds (CI runs it with
 //! `cargo test --release --test sweep`).
 
 use ig_match_repro::core::igmatch::{
-    ig_match_with_ordering, CompletionOracle, OrientedEval, SplitMatcher, SweepState,
+    ig_match_with_ordering, CompletionOracle, OrientedEval, SplitClassification, SweepState,
 };
 use ig_match_repro::core::models::{intersection_neighbors, IgWeighting};
 use ig_match_repro::core::ordering::spectral_net_ordering;
@@ -23,17 +29,120 @@ use ig_match_repro::netlist::generate::{generate, mcnc_specs};
 use ig_match_repro::netlist::{Hypergraph, NetId};
 use np_testkit::{banded_hypergraph, check_cases, degenerate_hypergraph, small_hypergraph, Gen};
 
+/// The classes and maximum-matching size of one split, computed from
+/// scratch from the neighbour lists and `in_r` (the `R`-side mask).
+///
+/// The matching comes from augmenting-path passes: each pass searches
+/// from every unmatched `L` net over the crossing edges, sharing one
+/// visited set, and the passes repeat until one augments nothing, which
+/// proves the matching maximum (Berge). The classes come from the two
+/// alternating BFS of paper Figure 3.
+fn reference_split(neighbors: &[Vec<u32>], in_r: &[bool]) -> (SplitClassification, usize) {
+    let n = neighbors.len();
+    let mut mate: Vec<Option<usize>> = vec![None; n];
+    let mut size = 0;
+    loop {
+        let mut visited = vec![false; n];
+        let mut parent = vec![0usize; n];
+        let mut augmented = false;
+        for root in (0..n).filter(|&x| !in_r[x]) {
+            if mate[root].is_some() {
+                continue;
+            }
+            let mut queue = vec![root];
+            let mut head = 0;
+            'search: while head < queue.len() {
+                let x = queue[head];
+                head += 1;
+                for &y in &neighbors[x] {
+                    let y = y as usize;
+                    if !in_r[y] || visited[y] {
+                        continue;
+                    }
+                    visited[y] = true;
+                    parent[y] = x;
+                    match mate[y] {
+                        Some(next) => queue.push(next),
+                        None => {
+                            // flip the path root .. x - y
+                            let mut y = y;
+                            loop {
+                                let x = parent[y];
+                                let prev = mate[x];
+                                mate[x] = Some(y);
+                                mate[y] = Some(x);
+                                match prev {
+                                    Some(p) => y = p,
+                                    None => break,
+                                }
+                            }
+                            size += 1;
+                            augmented = true;
+                            break 'search;
+                        }
+                    }
+                }
+            }
+        }
+        if !augmented {
+            break;
+        }
+    }
+
+    // reached[v]: Some(true) from an unmatched R net, Some(false) from an
+    // unmatched L net, None unreached (B')
+    let mut reached: Vec<Option<bool>> = vec![None; n];
+    for root_side in [false, true] {
+        let mut queue: Vec<usize> = (0..n)
+            .filter(|&v| in_r[v] == root_side && mate[v].is_none())
+            .collect();
+        for &v in &queue {
+            reached[v] = Some(root_side);
+        }
+        let mut head = 0;
+        while head < queue.len() {
+            let x = queue[head];
+            head += 1;
+            for &y in &neighbors[x] {
+                let y = y as usize;
+                if in_r[y] == root_side || reached[y].is_some() {
+                    continue;
+                }
+                reached[y] = Some(root_side);
+                let x2 = mate[y].expect("an unmatched net on each side of a crossing edge");
+                assert_ne!(reached[x2], Some(!root_side), "matching is not maximum");
+                if reached[x2].is_none() {
+                    reached[x2] = Some(root_side);
+                    queue.push(x2);
+                }
+            }
+        }
+    }
+    let mut class = SplitClassification::default();
+    for v in 0..n {
+        let list = match (reached[v], in_r[v]) {
+            (Some(false), false) => &mut class.winners_l,
+            (Some(true), true) => &mut class.winners_r,
+            (Some(_), _) => &mut class.losers,
+            (None, false) => &mut class.bprime_l,
+            (None, true) => &mut class.bprime_r,
+        };
+        list.push(v as u32);
+    }
+    (class, size)
+}
+
 /// Runs the incremental sweep over `order` and asserts it agrees with the
 /// from-scratch reference at every split.
 fn assert_sweep_matches_oracle(hg: &Hypergraph, order: &[u32]) {
     let neighbors = intersection_neighbors(hg);
     let mut sweep = SweepState::new(hg, &neighbors);
-    let mut matcher = SplitMatcher::new(&neighbors);
+    let mut in_r = vec![false; hg.num_nets()];
     let mut oracle = CompletionOracle::new(hg);
     for (k, &net) in order[..order.len() - 1].iter().enumerate() {
         let eval = sweep.advance(hg, net);
-        matcher.move_to_r(net);
-        let class = matcher.classify();
+        in_r[net as usize] = true;
+        let (class, matching_size) = reference_split(&neighbors, &in_r);
         let reference: OrientedEval = oracle.evaluate(hg, &class);
 
         assert_eq!(eval, reference, "orientation eval diverged at split {k}");
@@ -50,7 +159,7 @@ fn assert_sweep_matches_oracle(hg: &Hypergraph, order: &[u32]) {
         );
         assert_eq!(
             sweep.matching_size(),
-            matcher.matching_size(),
+            matching_size,
             "matching size diverged at split {k}"
         );
         let classes = class.net_classes(hg.num_nets());
@@ -152,12 +261,12 @@ fn full_sweep_agrees_with_from_scratch_best_search() {
         let order_ids: Vec<NetId> = order.iter().map(|&v| NetId(v)).collect();
 
         let neighbors = intersection_neighbors(&hg);
-        let mut matcher = SplitMatcher::new(&neighbors);
+        let mut in_r = vec![false; hg.num_nets()];
         let mut oracle = CompletionOracle::new(&hg);
         let mut best: Option<(f64, usize, _, usize, usize)> = None;
         for (k, &net) in order[..order.len() - 1].iter().enumerate() {
-            matcher.move_to_r(net);
-            let class = matcher.classify();
+            in_r[net as usize] = true;
+            let (class, matching_size) = reference_split(&neighbors, &in_r);
             let cand = oracle.evaluate(&hg, &class).candidate();
             let ratio = cand.stats.ratio();
             if ratio.is_finite() && best.as_ref().is_none_or(|b| ratio < b.0) {
@@ -165,7 +274,7 @@ fn full_sweep_agrees_with_from_scratch_best_search() {
                     ratio,
                     k,
                     oracle.materialize(&hg, cand.put_free_left),
-                    matcher.matching_size(),
+                    matching_size,
                     cand.losers,
                 ));
             }
