@@ -10,9 +10,7 @@
 //!   description of the program the paper compares against;
 //! * [`kl`](mod@kl) — Kernighan–Lin pairwise-exchange bisection on a weighted
 //!   graph (the clique model of a netlist), the historical baseline of
-//!   §1.1;
-//! * [`anneal`](mod@anneal) — a simulated-annealing ratio-cut optimizer, the
-//!   stochastic baseline family of §1.1 (Kirkpatrick et al., Sechen).
+//!   §1.1.
 //!
 //! All randomness flows through the deterministic
 //! [`Rng64`](np_netlist::rng::Rng64), so a fixed seed reproduces the
@@ -21,12 +19,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod anneal;
 pub mod fm;
 pub mod kl;
 pub mod rcut;
 
-pub use anneal::{anneal, AnnealOptions, AnnealResult};
 pub use fm::{fm_bisect, fm_bisect_anytime, fm_bisect_metered, FmOptions, FmResult};
 pub use kl::{kl_bisect, kl_bisect_metered, KlOptions, KlResult};
 pub use rcut::{rcut, rcut_metered, refine_ratio_cut_metered, RcutOptions, RcutResult};

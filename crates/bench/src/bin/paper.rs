@@ -1,17 +1,19 @@
-//! Regenerates the paper's quality claims — E1–E5, E10–E12, E18 and E19
-//! of `EXPERIMENTS.md` — in one pass over the nine-circuit suite.
+//! Regenerates the paper's claims — E1–E6, E10–E14, E18 and E19 of
+//! `EXPERIMENTS.md` — in one pass over the nine-circuit suite.
 //!
 //! Each circuit is built once and each method runs once per circuit.
 //! Default IG-Match's run is shared by every experiment that reports it:
 //! the contender of Tables 2 and 3 and of the EIG1 comparison, the
 //! weighting ablation's paper column, the
 //! baseline of the free-module and FM-polish rows (the polish refines it
-//! instead of rerunning it), the ratio Theorem 1 certifies and the
-//! area-oblivious side of the module-area ablation. Both best-of-10 RCut
+//! instead of rerunning it), the ratio Theorem 1 certifies, the
+//! area-oblivious side of the module-area ablation and the flat ratio of
+//! the condensation ablation. Both best-of-10 RCut
 //! baselines run as `np-runner` portfolios, reduced deterministically by
-//! `(score, attempt index)`.
+//! `(score, attempt index)`; the plain one's per-attempt walls are also
+//! the "10 RCut runs" of the §4 CPU-time claim.
 //!
-//! Prints the ten tables, writes one `bench/paper/v1` record
+//! Prints the thirteen tables, writes one `bench/paper/v1` record
 //! (`BENCH_paper.json` by default) and exits non-zero when a floor of
 //! [`bench::paper_floors`] fails.
 //!
@@ -23,17 +25,24 @@ use bench::{fmt_ratio, improvement_percent, paper_floors, suite, timed};
 use np_baselines::rcut::{rcut, rcut_with_areas, refine_ratio_cut_metered, RcutOptions};
 use np_core::bounds::{ratio_cut_lower_bound, RatioCutBound};
 use np_core::hybrid::HybridOptions;
-use np_core::models::{clique_adjacency, intersection_adjacency};
+use np_core::igmatch::ig_match_with_ordering;
+use np_core::models::{clique_adjacency, clique_laplacian};
+use np_core::models::{intersection_adjacency, intersection_laplacian};
+use np_core::ordering::spectral_net_ordering_thresholded;
 use np_core::{eig1, ig_match, ig_vote, IgMatchOptions, IgWeighting, PartitionError};
 use np_core::{PartitionResult, Partitioner, RunContext};
+use np_eigen::{fiedler, LanczosOptions};
+use np_multilevel::{build_hierarchy, multilevel_ctx, MultilevelOptions};
 use np_netlist::areas::{area_cut_stats, AreaCutStats, ModuleAreas};
 use np_netlist::generate::Benchmark;
+use np_netlist::kway::FixedModules;
 use np_netlist::rng::{derive_seed, Rng64};
 use np_netlist::stats::CutBySize;
 use np_netlist::{CutStats, Hypergraph};
 use np_runner::json::{parse, Obj};
 use np_runner::{run_portfolio_scored, Algorithm, Portfolio, PortfolioOptions};
-use np_sparse::BudgetMeter;
+use np_sparse::{BudgetMeter, Laplacian};
+use std::time::Duration;
 
 /// Paper-faithful restart count of both RCut baselines.
 const RCUT_RESTARTS: usize = 10;
@@ -55,6 +64,12 @@ struct Runs {
     bound: RatioCutBound,
     igm_area: AreaCutStats,
     rcut_area: AreaCutStats,
+    /// Laplacian build plus Fiedler solve on the intersection graph and
+    /// on the clique model, best of 3.
+    ig_eig: Duration,
+    clique_eig: Duration,
+    /// The best-of-10 RCut portfolio's per-attempt walls, summed.
+    rcut_x10: Duration,
 }
 
 impl Runs {
@@ -66,24 +81,31 @@ impl Runs {
         let ig_match_with = |opts| ok(ig_match(hg, &opts).map(|o| o.result));
         let igm = ig_match_with(IgMatchOptions::default());
         let rcut_seed = RcutOptions::default().seed;
-        let best_of = |portfolio: &Portfolio, score: &(dyn Fn(&PartitionResult) -> f64 + Sync)| {
-            let opts = PortfolioOptions::default().with_seed(rcut_seed);
-            run_portfolio_scored(hg, portfolio, &opts, &BudgetMeter::unlimited(), None, score)
-                .unwrap_or_else(|e| panic!("RCut portfolio failed on {name}: {e}"))
-                .best
-        };
-        let rcut = best_of(
+        let best_of_rcut =
+            |portfolio: &Portfolio, score: &(dyn Fn(&PartitionResult) -> f64 + Sync)| {
+                let opts = PortfolioOptions::default().with_seed(rcut_seed);
+                run_portfolio_scored(hg, portfolio, &opts, &BudgetMeter::unlimited(), None, score)
+                    .unwrap_or_else(|e| panic!("RCut portfolio failed on {name}: {e}"))
+            };
+        let rcut = best_of_rcut(
             &Algorithm::Rcut.portfolio(IgMatchOptions::default(), RCUT_RESTARTS, rcut_seed),
             &|r: &PartitionResult| r.ratio(),
         );
         let areas = synth_areas(hg, 0xA1EA ^ hg.num_modules() as u64);
-        let rcut_area = best_of(
+        let rcut_area = best_of_rcut(
             &Portfolio::new().restarts("RCut-area", RCUT_RESTARTS, |i| {
                 let seed = derive_seed(rcut_seed, i as u64);
                 Box::new(AreaRcutStage(areas.clone(), seed))
             }),
             &|r: &PartitionResult| area_cut_stats(hg, &r.partition, &areas).ratio(),
-        );
+        )
+        .best;
+        let eigensolve = |laplacian: &dyn Fn(&Hypergraph) -> Laplacian| {
+            let solve = || fiedler(&laplacian(hg), &LanczosOptions::default());
+            let (pair, wall) = bench::best_of(3, solve);
+            pair.unwrap_or_else(|e| panic!("eigensolve failed on {name}: {e}"));
+            wall
+        };
         let weightings = IgWeighting::ALL
             .into_iter()
             .map(|weighting| {
@@ -101,7 +123,10 @@ impl Runs {
         let polish = HybridOptions::default().max_refine_passes;
         let unlimited = BudgetMeter::unlimited();
         Runs {
-            rcut: rcut.stats,
+            ig_eig: eigensolve(&|hg| intersection_laplacian(hg, IgWeighting::Paper)),
+            clique_eig: eigensolve(&clique_laplacian),
+            rcut_x10: rcut.report.attempts.iter().map(|a| a.wall).sum(),
+            rcut: rcut.best.stats,
             igvote: ok(ig_vote(hg, &Default::default())).stats,
             eig1: ok(eig1(hg, &Default::default())).stats,
             weightings,
@@ -133,7 +158,7 @@ impl Runs {
     }
 
     /// The record row: every method's cut and ratio, the two nonzero
-    /// counts and the bound.
+    /// counts, the bound and the E6 times.
     fn row(&self) -> Obj {
         let mut row = Obj::new()
             .str("name", self.name())
@@ -163,7 +188,15 @@ impl Runs {
             .int("clique_nnz", self.clique_nnz as u64)
             .int("ig_nnz", self.ig_nnz as u64)
             .num("bound", self.bound.bound)
+            .num("ig_eig_ms", ms(self.ig_eig))
+            .num("clique_eig_ms", ms(self.clique_eig))
+            .num("rcut_x10_ms", ms(self.rcut_x10))
     }
+}
+
+/// A duration in milliseconds, the record's time unit.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Heterogeneous module areas: 5% macro blocks of area 8–24, standard
@@ -303,6 +336,32 @@ fn sparsity(runs: &[Runs]) {
     );
 }
 
+fn cpu_time(runs: &[Runs]) {
+    println!(
+        "{:<8} {:>12} {:>12} {:>12} {:>9} {:>10}",
+        "Test", "IG eig", "clique eig", "RCut x10", "IG/RCut", "clique/IG"
+    );
+    for r in runs {
+        println!(
+            "{:<8} {:>12.2?} {:>12.2?} {:>12.2?} {:>8.3}x {:>9.2}x",
+            r.name(),
+            r.ig_eig,
+            r.clique_eig,
+            r.rcut_x10,
+            r.ig_eig.as_secs_f64() / r.rcut_x10.as_secs_f64(),
+            r.clique_eig.as_secs_f64() / r.ig_eig.as_secs_f64()
+        );
+    }
+    println!(
+        "\n(eig = Laplacian build + Fiedler solve, best of 3; RCut x10 = the \
+         best-of-10 portfolio's attempt walls summed)"
+    );
+    println!(
+        "paper: one spectral solve costs less than 10 FM-style runs \
+         (83 s vs 204 s on PrimSC2/Sun4, 0.41x)"
+    );
+}
+
 fn weightings(runs: &[Runs]) {
     print!("{:<8}", "Test");
     for w in IgWeighting::ALL {
@@ -321,6 +380,136 @@ fn weightings(runs: &[Runs]) {
         let mean_ln = runs.iter().map(|r| r.weightings[i].ln()).sum::<f64>() / runs.len() as f64;
         println!("  {:<14} {}", w.name(), fmt_ratio(mean_ln.exp()));
     }
+}
+
+/// E13: drops the intersection graph's edges lighter than a quantile of
+/// its weights before the eigensolve, on Prim2 and Test05.
+fn thresholding(runs: &[Runs]) {
+    println!(
+        "{:<8} {:>6} {:>10} {:>10} {:>12} {:>10}",
+        "Test", "thresh", "nnz kept", "dropped", "eig time", "ratio cut"
+    );
+    for r in runs
+        .iter()
+        .filter(|r| matches!(r.name(), "Prim2" | "Test05"))
+    {
+        let (hg, name) = (r.hg(), r.name());
+        let adj = intersection_adjacency(hg, IgWeighting::Paper);
+        let mut weights: Vec<f64> = (0..hg.num_nets())
+            .flat_map(|net| adj.row(net).1.iter().copied())
+            .collect();
+        weights.sort_by(f64::total_cmp);
+        for q in [0.0, 0.25, 0.5, 0.75] {
+            let label = format!("q{:.0}", q * 100.0);
+            let threshold = weights[((weights.len() - 1) as f64 * q) as usize];
+            let ((order, dropped), wall) = bench::best_of(3, || {
+                spectral_net_ordering_thresholded(
+                    hg,
+                    IgWeighting::Paper,
+                    threshold,
+                    &Default::default(),
+                )
+                .unwrap_or_else(|e| panic!("eigensolve failed on {name}@{label}: {e}"))
+            });
+            let out = ig_match_with_ordering(hg, &order, false)
+                .unwrap_or_else(|e| panic!("IG-Match failed on {name}@{label}: {e}"));
+            println!(
+                "{:<8} {:>6} {:>10} {:>10} {:>12.2?} {:>10}",
+                name,
+                label,
+                adj.nnz() - dropped,
+                dropped,
+                wall,
+                fmt_ratio(out.result.ratio())
+            );
+        }
+    }
+    println!("\n(eig time = thresholded Laplacian build + Fiedler solve, best of 3)");
+}
+
+/// E14's §5 flow: coarsen `levels` times, run plain IG-Match on the
+/// condensed netlist, project back with no refinement. The 64-module
+/// target is below every suite circuit's two-level size, so it only sets
+/// the absorption area cap (4× the average cluster area at 64 clusters),
+/// which keeps hub modules from swallowing the netlist.
+fn condensed(levels: usize) -> MultilevelOptions {
+    MultilevelOptions {
+        coarsen_target: 64,
+        max_levels: levels,
+        refine_passes: 0,
+        flat_refine_passes: 0,
+        ..Default::default()
+    }
+}
+
+/// E14: flat IG-Match against its one- and two-level condensations, then
+/// what two levels keep of the netlist and its intersection graph.
+fn condensation(runs: &[Runs]) {
+    println!(
+        "{:<8} {:>10} {:>9} | {:>10} {:>5} {:>9} | {:>10} {:>5} {:>9}",
+        "Test", "flat ratio", "time", "1-lvl", "mods", "time", "2-lvl", "mods", "time"
+    );
+    for r in runs {
+        let (hg, name) = (r.hg(), r.name());
+        // the flat ratio is the shared run's; only its time is new
+        let (_, t_flat) = bench::best_of(3, || ig_match(hg, &IgMatchOptions::default()));
+        let condense = |levels| {
+            let solve = || multilevel_ctx(hg, &condensed(levels), &RunContext::unlimited());
+            let (out, wall) = bench::best_of(3, solve);
+            let out = out.unwrap_or_else(|e| panic!("{levels}-level failed on {name}: {e}"));
+            (out, wall)
+        };
+        let ((one, t_one), (two, t_two)) = (condense(1), condense(2));
+        println!(
+            "{:<8} {:>10} {:>9.2?} | {:>10} {:>5} {:>9.2?} | {:>10} {:>5} {:>9.2?}",
+            name,
+            fmt_ratio(r.igm.ratio()),
+            t_flat,
+            fmt_ratio(one.result.ratio()),
+            one.coarsest_modules,
+            t_one,
+            fmt_ratio(two.result.ratio()),
+            two.coarsest_modules,
+            t_two
+        );
+    }
+    println!(
+        "\n{:<8} {:>7} {:>7} {:>10} {:>10} {:>7}",
+        "Test", "mods %", "nets %", "IG nnz", "2-lvl nnz", "growth"
+    );
+    for r in runs {
+        let hg = r.hg();
+        let n = hg.num_modules();
+        let hierarchy = build_hierarchy(
+            hg,
+            &ModuleAreas::uniform(n),
+            &FixedModules::free(n),
+            &condensed(2),
+            f64::INFINITY,
+            &BudgetMeter::unlimited(),
+        )
+        .expect("an unlimited meter never trips");
+        let coarse = &hierarchy
+            .levels
+            .last()
+            .expect("every suite circuit coarsens")
+            .coarse;
+        let nnz = intersection_adjacency(coarse, IgWeighting::Paper).nnz();
+        let share = |part: usize, whole: usize| 100.0 * part as f64 / whole as f64;
+        println!(
+            "{:<8} {:>6.1}% {:>6.1}% {:>10} {:>10} {:>6.2}x",
+            r.name(),
+            share(coarse.num_modules(), n),
+            share(coarse.num_nets(), hg.num_nets()),
+            r.ig_nnz,
+            nnz,
+            nnz as f64 / r.ig_nnz as f64
+        );
+    }
+    println!(
+        "\n(times are best of 3; the second table is the two-level netlist \
+         against the flat one)"
+    );
 }
 
 fn bounds(runs: &[Runs]) {
@@ -406,6 +595,8 @@ fn main() {
     compare(&runs, title, ["EIG1", "IG-Match"], |r| r.eig1, |r| r.igm);
     section("E5 — §1.2: clique vs intersection-graph nonzeros");
     sparsity(&runs);
+    section("E6 — §4: CPU time, one eigensolve vs 10 RCut runs");
+    cpu_time(&runs);
     section("E10 — §2.2: IG weighting robustness");
     weightings(&runs);
     section("E11 — §3: free-module component refinement");
@@ -422,6 +613,10 @@ fn main() {
         |r| r.hybrid,
     );
     println!("(the refinement stage is deterministic and can only improve the cut)");
+    section("E13 — §5: thresholding the intersection graph");
+    thresholding(&runs);
+    section("E14 — §5: clustering condensation");
+    condensation(&runs);
     section("E18 — Theorem 1: optimality certificates");
     bounds(&runs);
     section("E19 — §4: area-oblivious IG-Match vs area-aware RCut");

@@ -1,16 +1,11 @@
 //! Shared machinery for the table-regeneration binaries.
 //!
-//! One binary regenerates the paper's quality claims against the
-//! synthetic MCNC stand-in suite, and a few more regenerate what needs
-//! wall-clock time or a special setup (see `DESIGN.md` §3 for the
-//! experiment index):
+//! One binary regenerates the paper's claims against the synthetic MCNC
+//! stand-in suite (see `DESIGN.md` §3 for the experiment index):
 //!
 //! | binary | paper artifact |
 //! |---|---|
-//! | `paper` | Tables 1–3, the EIG1 and sparsity claims, the weighting, free-module, FM-polish and module-area ablations and the Theorem-1 certificates in one pass (`BENCH_paper.json`, checked by [`paper_floors`]) |
-//! | `timing` | §4 text — spectral vs multi-start FM CPU time |
-//! | `ablation_threshold` | §5 — input sparsification by thresholding |
-//! | `ablation_cluster` | §5 — clustering condensation hybrid |
+//! | `paper` | Tables 1–3, the EIG1 and sparsity claims, the §4 CPU-time claim, the weighting, free-module, FM-polish, thresholding, condensation and module-area ablations and the Theorem-1 certificates in one pass (`BENCH_paper.json`, checked by [`paper_floors`]) |
 //! | `suite_explore` | developer harness for calibrating the suite |
 //!
 //! Three more binaries gate what the end-to-end benchmark in
@@ -70,7 +65,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 
 /// Runs `f` `iters` times and returns the last result together with the
 /// **minimum** elapsed wall-clock time — the noise-robust point estimate
-/// `sweep` reports.
+/// `sweep` and `paper` report.
 pub fn best_of<T>(iters: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
     let (mut out, mut best) = timed(&mut f);
     for _ in 1..iters.max(1) {
@@ -141,13 +136,13 @@ type Floor = (&'static str, &'static str, Measured, fn(f64) -> bool);
 
 /// Checks a `bench/paper/v1` record against the floors of the claims
 /// `EXPERIMENTS.md` marks reproduced (✅), set at the paper's figure
-/// where the paper states one (E2's 28.8%, E5's 10×).
+/// where the paper states one (E2's 28.8%, E5's 10×, E6a's 0.41×).
 ///
 /// Every floor first checks that its baselines are positive (the RCut,
-/// IG-Vote and EIG1 ratios, the bound, the nonzero counts), so none
-/// holds vacuously on zeros. Returns one message per failed floor,
-/// prefixed with its experiment id; an empty list means every floor
-/// holds.
+/// IG-Vote and EIG1 ratios, the bound, the nonzero counts, the
+/// eigensolve and RCut times), so none holds vacuously on zeros.
+/// Returns one message per failed floor, prefixed with its experiment
+/// id; an empty list means every floor holds.
 pub fn paper_floors(record: &Value) -> Vec<String> {
     let rows = match record.get("benchmarks") {
         Some(Value::Array(rows)) if rows.len() == PAPER_CIRCUITS => rows,
@@ -170,6 +165,12 @@ pub fn paper_floors(record: &Value) -> Vec<String> {
         Ok(improvement_percent(rcut, positive(r, "igmatch_ratio")?))
     });
     let e5 = named("Test05").and_then(|r| Ok(positive(r, "clique_nnz")? / positive(r, "ig_nnz")?));
+    // the largest share of 10 RCut runs one eigensolve costs
+    let e6a = rows.iter().try_fold(0.0f64, |worst, r| {
+        Ok(worst.max(positive(r, "ig_eig_ms")? / positive(r, "rcut_x10_ms")?))
+    });
+    let e6b =
+        named("Test05").and_then(|r| Ok(positive(r, "clique_eig_ms")? / positive(r, "ig_eig_ms")?));
     // the largest relative distance of a weighting's geo-mean from the paper's
     let e10 = ln_geo("weighting_ratio.paper").and_then(|paper| {
         IgWeighting::ALL.into_iter().try_fold(0.0f64, |spread, w| {
@@ -185,12 +186,14 @@ pub fn paper_floors(record: &Value) -> Vec<String> {
     let (e11, e12) = (at_most_igm("refined_ratio"), at_most_igm("hybrid_ratio"));
     let e18 = no_worse(rows, "bound", "igmatch_ratio", 1e-12);
     let all: fn(f64) -> bool = |x| x == PAPER_CIRCUITS as f64;
-    let floors: [Floor; 10] = [
+    let floors: [Floor; 12] = [
         ("E1", "Table 1 is not monotone", e1, |x| x == 0.0),
         ("E2", "mean gain over RCut >= 28.8%", e2, |x| x >= 28.8),
         ("E3", "IG-Match <= IG-Vote on 9/9", e3, all),
         ("E4", "IG-Match <= EIG1 on 9/9", e4, all),
         ("E5", "Test05 clique/IG nnz >= 10x", e5, |x| x >= 10.0),
+        ("E6a", "IG eig <= 0.41x RCut x10, 9/9", e6a, |x| x <= 0.41),
+        ("E6b", "Test05 clique/IG eig time >= 2x", e6b, |x| x >= 2.0),
         ("E10", "weightings within 5% of paper", e10, |x| x <= 0.05),
         ("E11", "refined <= IG-Match on 9/9", e11, all),
         ("E12", "IG-Match+FM <= IG-Match on 9/9", e12, all),
@@ -337,6 +340,13 @@ mod tests {
             ("E4", "Test06", "eig1_ratio", "eig1_ratio", 0.0),
             ("E5", "Test05", "clique_nnz", "ig_nnz", 9.9),
             ("E5", "Test05", "ig_nnz", "ig_nnz", 0.0),
+            ("E6a", "Prim2", "ig_eig_ms", "rcut_x10_ms", 0.42),
+            ("E6a", "Prim2", "rcut_x10_ms", "rcut_x10_ms", 0.0),
+            // a zero IG time would hold vacuously without the positivity check
+            ("E6a", "Prim2", "ig_eig_ms", "ig_eig_ms", 0.0),
+            ("E6b", "Test05", "clique_eig_ms", "ig_eig_ms", 1.9),
+            // zeroing Test05's IG time would trip E6a too
+            ("E6b", "Test05", "clique_eig_ms", "clique_eig_ms", 0.0),
             (
                 "E10",
                 "*",

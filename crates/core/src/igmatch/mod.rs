@@ -27,9 +27,9 @@
 //! statistics, so each split costs work proportional to what changed
 //! rather than the size of the instance. The winning partition is
 //! materialized once, after the sweep, by replaying the winning prefix
-//! through a bare [`SplitMatcher`] and completing it with the
-//! from-scratch [`CompletionOracle`]. In debug builds every split is
-//! cross-checked against the from-scratch
+//! through a fresh copy of the sweep's [`SplitMatcher`] and completing
+//! it with the from-scratch [`CompletionOracle`]. In debug builds every
+//! split is cross-checked against the from-scratch
 //! [`classify`](SplitMatcher::classify) + [`CompletionOracle`] pipeline.
 //!
 //! The optional [`IgMatchOptions::refine_free_modules`] implements the
@@ -193,8 +193,9 @@ pub fn ig_match_with_ordering_ctx(
         });
     }
 
-    let neighbors = ctx.intersection_neighbors(hg);
-    let mut state = SweepState::new(hg, &neighbors);
+    // one matcher build serves the sweep and, cloned fresh, the replay
+    let fresh = SplitMatcher::new(&ctx.intersection_neighbors(hg));
+    let mut state = SweepState::from_matcher(hg, fresh.clone());
 
     let mut best: Option<Best> = None;
 
@@ -231,10 +232,10 @@ pub fn ig_match_with_ordering_ctx(
 
     let best = best.ok_or(PartitionError::Degenerate)?;
     // Materialize the winner once, after the sweep: replay the winning
-    // prefix through a bare matcher and classify and complete it from
+    // prefix through the fresh matcher and classify and complete it from
     // scratch, instead of cloning a partition (and free mask) on every
     // improvement mid-sweep.
-    let mut matcher = SplitMatcher::new(&neighbors);
+    let mut matcher = fresh;
     let mut delta = MoveDelta::default();
     for &net in &order[..=best.split_rank] {
         matcher.move_to_r_into(net.0, &mut delta);

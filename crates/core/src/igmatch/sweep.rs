@@ -457,13 +457,20 @@ impl SweepState {
     ///
     /// Panics if `neighbors.len() != hg.num_nets()`.
     pub fn new(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Self {
+        Self::from_matcher(hg, SplitMatcher::new(neighbors))
+    }
+
+    /// A sweep over `matcher`, which must be a fresh all-`L` matcher of
+    /// `hg`'s intersection graph (a clone of one saves rebuilding it).
+    pub(crate) fn from_matcher(hg: &Hypergraph, matcher: SplitMatcher) -> Self {
         assert_eq!(
-            neighbors.len(),
+            matcher.len(),
             hg.num_nets(),
             "adjacency does not match the hypergraph"
         );
+        debug_assert_eq!(matcher.matching_size(), 0, "matcher is not fresh");
         SweepState {
-            matcher: SplitMatcher::new(neighbors),
+            matcher,
             classifier: NetClassifier::new(hg.num_nets()),
             completion: IncrementalCompletion::new(hg),
             delta: MoveDelta::default(),

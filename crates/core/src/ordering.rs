@@ -177,8 +177,8 @@ impl SolveCharge {
 /// conclusions ("The eigenvector computation can be sped up further by
 /// additionally sparsifying the input through thresholding"). Note the
 /// paper's own caveat (§2.2 footnote 2) that discarding connectivity can
-/// also discard partitioning information; the ablation binary
-/// `ablation_threshold` quantifies the trade-off.
+/// also discard partitioning information; `bench --bin paper`'s E13
+/// section quantifies the trade-off.
 ///
 /// Returns the ordering and the number of nonzeros dropped.
 ///

@@ -100,7 +100,7 @@ fn bisection_is_balanced() {
     });
 }
 
-/// The §5 clustering flow of E14 (`ablation_cluster`): condense one or
+/// The §5 clustering flow of E14 (`bench --bin paper`): condense one or
 /// two levels, run IG-Match on the condensed netlist, project back with
 /// refinement off — the answer is exactly the pure projection.
 #[test]
