@@ -2,9 +2,7 @@
 
 use crate::igmatch::{IgMatchOptions, IgMatchOutcome};
 use crate::models::clique::bound_preserving_laplacian;
-use crate::models::{
-    clique_laplacian, intersection_laplacian, intersection_neighbors, IgWeighting,
-};
+use crate::models::{clique_laplacian, intersection_laplacian, IgWeighting};
 use crate::ordering::SolveCharge;
 use np_netlist::{Hypergraph, Side};
 use np_sparse::Laplacian;
@@ -62,7 +60,6 @@ pub struct OperatorCache {
     clique: OnceLock<Arc<Laplacian>>,
     bound_preserving: OnceLock<Arc<Laplacian>>,
     intersection: [OnceLock<Arc<Laplacian>>; IgWeighting::ALL.len()],
-    neighbors: OnceLock<Arc<Vec<Vec<u32>>>>,
     ig_match: Mutex<VecDeque<SolvedIgMatch>>,
     ig_match_hits: AtomicU64,
 }
@@ -139,21 +136,26 @@ impl OperatorCache {
         q
     }
 
-    /// The unweighted intersection-graph adjacency lists of `hg` — the
-    /// conflict-graph structure every IG-Match sweep walks — built on
-    /// first call and shared thereafter, so a portfolio of IG-Match
-    /// attempts stops rebuilding the same lists per attempt.
-    pub fn intersection_neighbors(&self, hg: &Hypergraph) -> Arc<Vec<Vec<u32>>> {
-        let q = self
-            .neighbors
-            .get_or_init(|| Arc::new(intersection_neighbors(hg)))
-            .clone();
-        debug_assert_eq!(
-            q.len(),
-            hg.num_nets(),
-            "OperatorCache reused across different hypergraphs"
-        );
-        q
+    /// The intersection-graph neighbours of `hg` — the conflict-graph
+    /// structure every IG-Match sweep walks — as an intersection-graph
+    /// Laplacian whose [`adjacency`](Laplacian::adjacency) pattern they
+    /// are. Every weighting has the same pattern (see
+    /// [`intersection_adjacency`](crate::models::intersection_adjacency)),
+    /// so this is whichever IG operator the cache already holds, and
+    /// only a cache that holds none builds one: the default
+    /// [`IgWeighting`]'s.
+    pub fn intersection_neighbors(&self, hg: &Hypergraph) -> Arc<Laplacian> {
+        match self.intersection.iter().find_map(|slot| slot.get()) {
+            Some(q) => {
+                debug_assert_eq!(
+                    np_sparse::LinearOperator::dim(&**q),
+                    hg.num_nets(),
+                    "OperatorCache reused across different hypergraphs"
+                );
+                q.clone()
+            }
+            None => self.intersection_laplacian(hg, IgWeighting::default()),
+        }
     }
 
     /// The remembered IG-Match run of `hg` under exactly `opts`, if any:
@@ -263,11 +265,24 @@ mod tests {
     #[test]
     fn neighbors_cached_and_match_direct_build() {
         let hg = hg();
+        for w in IgWeighting::ALL {
+            // after a Laplacian build, the neighbours are that operator:
+            // no second build
+            let cache = OperatorCache::new();
+            let q = cache.intersection_laplacian(&hg, w);
+            assert!(Arc::ptr_eq(&q, &cache.intersection_neighbors(&hg)), "{w:?}");
+        }
+        // a cold cache builds the default weighting's operator once
         let cache = OperatorCache::new();
         let a = cache.intersection_neighbors(&hg);
-        let b = cache.intersection_neighbors(&hg);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(*a, crate::models::intersection_neighbors(&hg));
+        assert!(Arc::ptr_eq(&a, &cache.intersection_neighbors(&hg)));
+        assert!(Arc::ptr_eq(
+            &a,
+            &cache.intersection_laplacian(&hg, IgWeighting::default())
+        ));
+        let adj = a.adjacency();
+        let lists: Vec<Vec<u32>> = (0..hg.num_nets()).map(|r| adj.row(r).0.to_vec()).collect();
+        assert_eq!(lists, crate::models::intersection_neighbors(&hg));
     }
 
     #[test]

@@ -250,11 +250,11 @@ impl<'a> RunContext<'a> {
         self.operators.intersection_laplacian(hg, weighting)
     }
 
-    /// The unweighted intersection-graph adjacency lists of `hg` from
-    /// this run's operator cache — built on first request, shared by
-    /// every later request (see
-    /// [`clique_laplacian`](RunContext::clique_laplacian)).
-    pub fn intersection_neighbors(&self, hg: &Hypergraph) -> Arc<Vec<Vec<u32>>> {
+    /// The intersection-graph neighbours of `hg` from this run's operator
+    /// cache: an intersection-graph Laplacian the cache already holds,
+    /// whose adjacency pattern they are (see
+    /// [`OperatorCache::intersection_neighbors`]).
+    pub fn intersection_neighbors(&self, hg: &Hypergraph) -> Arc<Laplacian> {
         self.operators.intersection_neighbors(hg)
     }
 

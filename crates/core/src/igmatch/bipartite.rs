@@ -26,6 +26,7 @@
 //! incremental path is cross-checked against in debug builds.
 
 use np_netlist::Side;
+use np_sparse::{CsrMatrix, LinearOperator};
 
 const NONE: u32 = u32::MAX;
 
@@ -275,15 +276,8 @@ impl SplitMatcher {
     /// Panics if the net count or total edge-endpoint count reaches
     /// `u32::MAX`, or if `neighbors` is not symmetric or has a self-loop.
     pub fn new(neighbors: &[Vec<u32>]) -> Self {
-        let n = neighbors.len();
-        assert!(n < u32::MAX as usize, "net count overflows u32 indices");
-        let total: usize = neighbors.iter().map(Vec::len).sum();
-        assert!(
-            total < u32::MAX as usize,
-            "edge count overflows u32 offsets"
-        );
-        let mut adj_off = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(total);
+        let mut adj_off = Vec::with_capacity(neighbors.len() + 1);
+        let mut adj = Vec::with_capacity(neighbors.iter().map(Vec::len).sum());
         adj_off.push(0u32);
         for nb in neighbors {
             let start = adj.len();
@@ -291,6 +285,40 @@ impl SplitMatcher {
             adj[start..].sort_unstable();
             adj_off.push(adj.len() as u32);
         }
+        Self::from_sorted_rows(adj_off, adj)
+    }
+
+    /// Creates a matcher with every net on the `L` side over the
+    /// sparsity pattern of an intersection-graph adjacency matrix (any
+    /// weighting: see
+    /// [`intersection_adjacency`](crate::models::intersection_adjacency)),
+    /// whose rows are already sorted.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn from_adjacency(adjacency: &CsrMatrix) -> Self {
+        let n = adjacency.dim();
+        let mut adj_off = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(adjacency.nnz());
+        adj_off.push(0u32);
+        for v in 0..n {
+            adj.extend_from_slice(adjacency.row(v).0);
+            adj_off.push(adj.len() as u32);
+        }
+        Self::from_sorted_rows(adj_off, adj)
+    }
+
+    /// The matcher over the CSR adjacency `adj_off`/`adj`, whose rows are
+    /// sorted.
+    fn from_sorted_rows(adj_off: Vec<u32>, adj: Vec<u32>) -> Self {
+        let n = adj_off.len() - 1;
+        assert!(n < u32::MAX as usize, "net count overflows u32 indices");
+        let total = adj.len();
+        assert!(
+            total < u32::MAX as usize,
+            "edge count overflows u32 offsets"
+        );
         // Pair every entry with its reverse. With sorted rows, the
         // entries of row `w` above `w` are met in order as `u` ascends.
         let mut mirror = vec![NONE; total];

@@ -18,62 +18,7 @@
 //! the claim can be tested (ablation experiment E10 in `DESIGN.md`).
 
 use np_netlist::Hypergraph;
-use np_sparse::{CsrMatrix, Laplacian, TripletBuilder};
-
-/// Pushes, for every module, its `C(d,2)` net pairs into `b` under the
-/// Paper/SizeScaled weighting. Modules of degree `< 2` span no pair (and
-/// under [`IgWeighting::Paper`] a `1/(d−1)` factor would be non-finite for
-/// them), so they contribute nothing.
-fn weighted_pair_triplets(hg: &Hypergraph, weighting: IgWeighting, b: &mut TripletBuilder) {
-    for module in hg.modules() {
-        let nets = hg.nets_of(module);
-        let d = nets.len();
-        if d < 2 {
-            continue;
-        }
-        let degree_factor = match weighting {
-            IgWeighting::Paper => 1.0 / (d as f64 - 1.0),
-            _ => 1.0,
-        };
-        for i in 0..d {
-            let size_i = hg.net_size(nets[i]) as f64;
-            for j in i + 1..d {
-                let size_j = hg.net_size(nets[j]) as f64;
-                let w = degree_factor * (1.0 / size_i + 1.0 / size_j);
-                b.push_sym(nets[i].index(), nets[j].index(), w);
-            }
-        }
-    }
-}
-
-/// Pushes a unit count for every net pair meeting at a module (the
-/// accumulation pass shared by Uniform and SharedCount).
-fn count_pair_triplets(hg: &Hypergraph, b: &mut TripletBuilder) {
-    for module in hg.modules() {
-        let nets = hg.nets_of(module);
-        for i in 0..nets.len() {
-            for j in i + 1..nets.len() {
-                b.push_sym(nets[i].index(), nets[j].index(), 1.0);
-            }
-        }
-    }
-}
-
-/// Debug-time check of the intersection graph's structural invariant: a
-/// net never intersects itself, so `A'` must have an empty diagonal.
-/// `HypergraphBuilder` dedupes each net's pin list, which is what makes
-/// every `nets_of` list duplicate-free and this assertion hold; it would
-/// catch a regression that reintroduces duplicate pins.
-fn debug_assert_no_self_loops(a: &CsrMatrix, num_nets: usize) {
-    if cfg!(debug_assertions) {
-        for r in 0..num_nets {
-            debug_assert!(
-                a.get(r, r) == 0.0,
-                "intersection graph has a self-loop at net {r}"
-            );
-        }
-    }
-}
+use np_sparse::{CsrMatrix, Laplacian};
 
 /// Edge-weighting scheme for the intersection graph.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -114,14 +59,29 @@ impl IgWeighting {
 
 /// Builds the weighted adjacency matrix `A'` of the intersection graph.
 ///
-/// The matrix is `m × m` for `m = hg.num_nets()`. Construction enumerates,
-/// for every module of degree `d ≥ 2`, the `C(d,2)` pairs of nets meeting
-/// at that module — `O(Σ_v d_v²)` total, which is small because module
-/// degrees are bounded by technology fanout limits.
+/// The matrix is `m × m` for `m = hg.num_nets()`, built one row at a
+/// time straight into CSR: for each pin module `v` of net `a` with
+/// degree `d_v ≥ 2`, `v`'s term is added into a dense accumulator for
+/// every other net of `v`, and the row's touched columns are then
+/// emitted in sorted order. That is `O(Σ_v d_v²)` total, which is small
+/// because module degrees are bounded by technology fanout limits.
+/// Modules of degree `< 2` span no pair (and under
+/// [`IgWeighting::Paper`] a `1/(d−1)` factor would be non-finite for
+/// them), so they contribute nothing.
+///
+/// Each entry sums its shared modules' terms in module order, so
+/// `A'_ab` and `A'_ba` are the same sum, bit for bit. Every weight is
+/// positive, so the sparsity pattern — which nets meet at a module — is
+/// the same under every [`IgWeighting`], and it is the neighbour
+/// structure the IG-Match sweep walks.
 ///
 /// Note that for [`IgWeighting::Uniform`] the entry for a pair sharing
 /// several modules is still `1.0` (the weight is per *pair*, not per
 /// shared module).
+///
+/// # Panics
+///
+/// Panics if the graph has `u32::MAX` or more nonzeros.
 ///
 /// # Example
 ///
@@ -137,29 +97,53 @@ impl IgWeighting {
 /// ```
 pub fn intersection_adjacency(hg: &Hypergraph, weighting: IgWeighting) -> CsrMatrix {
     let m = hg.num_nets();
-    let mut b = TripletBuilder::new(m);
-    match weighting {
-        IgWeighting::Paper | IgWeighting::SizeScaled => {
-            weighted_pair_triplets(hg, weighting, &mut b)
-        }
-        IgWeighting::Uniform | IgWeighting::SharedCount => count_pair_triplets(hg, &mut b),
-    }
-    let mut a = b.into_csr();
-    if weighting == IgWeighting::Uniform {
-        // collapse accumulated shared-module counts back to 1.0 per pair
-        let mut b2 = TripletBuilder::new(m);
-        for r in 0..m {
-            let (cols, _) = a.row(r);
-            for &c in cols {
-                if (c as usize) > r {
-                    b2.push_sym(r, c as usize, 1.0);
+    let inv_size: Vec<f64> = hg.nets().map(|e| 1.0 / hg.net_size(e) as f64).collect();
+    let mut row_offsets = Vec::with_capacity(m + 1);
+    row_offsets.push(0u32);
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    // a touched column's sum is positive, so 0.0 marks an untouched one
+    let mut acc = vec![0.0f64; m];
+    let mut touched: Vec<u32> = Vec::new();
+    for a in hg.nets() {
+        for &v in hg.pins(a) {
+            let nets = hg.nets_of(v);
+            let d = nets.len();
+            if d < 2 {
+                continue;
+            }
+            let degree_factor = match weighting {
+                IgWeighting::Paper => 1.0 / (d as f64 - 1.0),
+                _ => 1.0,
+            };
+            for &b in nets {
+                if b == a {
+                    continue;
                 }
+                let sum = &mut acc[b.index()];
+                if *sum == 0.0 {
+                    touched.push(b.0);
+                }
+                *sum = match weighting {
+                    IgWeighting::Uniform => 1.0,
+                    IgWeighting::SharedCount => *sum + 1.0,
+                    IgWeighting::Paper | IgWeighting::SizeScaled => {
+                        *sum + degree_factor * (inv_size[a.index()] + inv_size[b.index()])
+                    }
+                };
             }
         }
-        a = b2.into_csr();
+        touched.sort_unstable();
+        for &b in &touched {
+            col_idx.push(b);
+            values.push(std::mem::take(&mut acc[b as usize]));
+        }
+        touched.clear();
+        row_offsets.push(
+            u32::try_from(col_idx.len()).expect("intersection graph nonzeros overflow u32 offsets"),
+        );
     }
-    debug_assert_no_self_loops(&a, m);
-    a
+    CsrMatrix::from_parts(m, row_offsets, col_idx, values)
 }
 
 /// The Laplacian `Q' = D' − A'` of the intersection graph; its Fiedler
@@ -169,27 +153,17 @@ pub fn intersection_laplacian(hg: &Hypergraph, weighting: IgWeighting) -> Laplac
 }
 
 /// Unweighted adjacency lists of the intersection graph: for each net, the
-/// sorted list of other nets sharing at least one module with it.
+/// sorted list of other nets sharing at least one module with it — the
+/// rows of [`intersection_adjacency`]'s sparsity pattern.
 ///
 /// This is the structure the IG-Match bipartite machinery works on — the
 /// conflict edges of a split are exactly the intersection-graph edges that
-/// cross it, independent of any weighting (paper §3).
+/// cross it, independent of any weighting (paper §3). The pipeline reads
+/// it from the cached operator instead
+/// ([`OperatorCache::intersection_neighbors`](crate::engine::OperatorCache::intersection_neighbors)).
 pub fn intersection_neighbors(hg: &Hypergraph) -> Vec<Vec<u32>> {
-    let mut neighbors: Vec<Vec<u32>> = vec![Vec::new(); hg.num_nets()];
-    for module in hg.modules() {
-        let nets = hg.nets_of(module);
-        for i in 0..nets.len() {
-            for j in i + 1..nets.len() {
-                neighbors[nets[i].index()].push(nets[j].0);
-                neighbors[nets[j].index()].push(nets[i].0);
-            }
-        }
-    }
-    for list in &mut neighbors {
-        list.sort_unstable();
-        list.dedup();
-    }
-    neighbors
+    let a = intersection_adjacency(hg, IgWeighting::Uniform);
+    (0..hg.num_nets()).map(|r| a.row(r).0.to_vec()).collect()
 }
 
 #[cfg(test)]

@@ -162,18 +162,22 @@ impl TripletBuilder {
             vals_sorted[slot] = self.vals[k];
             cursor[r] += 1;
         }
-        // per-row: sort by column, merge duplicates
+        // per-row: sort by column, merge duplicates; one buffer serves
+        // every row
         let mut row_offsets = vec![0u32; n + 1];
         let mut col_idx = Vec::with_capacity(self.cols.len());
         let mut values = Vec::with_capacity(self.vals.len());
+        let mut entries: Vec<(u32, f64)> = Vec::new();
         for r in 0..n {
             let lo = row_counts[r] as usize;
             let hi = row_counts[r + 1] as usize;
-            let mut entries: Vec<(u32, f64)> = cols_sorted[lo..hi]
-                .iter()
-                .copied()
-                .zip(vals_sorted[lo..hi].iter().copied())
-                .collect();
+            entries.clear();
+            entries.extend(
+                cols_sorted[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(vals_sorted[lo..hi].iter().copied()),
+            );
             entries.sort_unstable_by_key(|&(c, _)| c);
             let mut i = 0;
             while i < entries.len() {
@@ -215,6 +219,51 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
+    /// Assembles an `n × n` matrix from its CSR arrays: row `r`'s entries
+    /// are `col_idx[row_offsets[r]..row_offsets[r + 1]]` and the same
+    /// range of `values`. For builders that emit rows in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `n` fits the `u32` index space, `row_offsets` has
+    /// `n + 1` non-decreasing entries from `0` to `col_idx.len()`,
+    /// `values` is as long as `col_idx`, and every row's columns are
+    /// strictly increasing and below `n`.
+    pub fn from_parts(
+        n: usize,
+        row_offsets: Vec<u32>,
+        col_idx: Vec<u32>,
+        values: Vec<f64>,
+    ) -> Self {
+        assert!(n <= u32::MAX as usize, "matrix dimension overflows u32");
+        assert_eq!(row_offsets.len(), n + 1, "row_offsets needs n + 1 entries");
+        assert_eq!(
+            col_idx.len(),
+            values.len(),
+            "col_idx and values differ in length"
+        );
+        assert!(
+            row_offsets[0] == 0 && row_offsets[n] as usize == col_idx.len(),
+            "row_offsets must run from 0 to nnz"
+        );
+        for r in 0..n {
+            let (lo, hi) = (row_offsets[r] as usize, row_offsets[r + 1] as usize);
+            assert!(lo <= hi, "row_offsets decrease at row {r}");
+            let cols = &col_idx[lo..hi];
+            assert!(
+                cols.windows(2).all(|w| w[0] < w[1])
+                    && cols.last().is_none_or(|&c| (c as usize) < n),
+                "row {r} columns are not strictly increasing and in range"
+            );
+        }
+        CsrMatrix {
+            n,
+            row_offsets,
+            col_idx,
+            values,
+        }
+    }
+
     /// The `n × n` zero matrix.
     pub fn zero(n: usize) -> Self {
         CsrMatrix {
@@ -477,6 +526,26 @@ mod tests {
         let m = CsrMatrix::zero(3);
         let mut y = vec![0.0; 3];
         m.apply(&[1.0, 2.0], &mut y);
+    }
+
+    #[test]
+    fn from_parts_round_trips() {
+        let mut b = TripletBuilder::new(3);
+        b.push_sym(0, 1, 1.5);
+        b.push_sym(1, 2, -2.0);
+        let parts = CsrMatrix::from_parts(
+            3,
+            vec![0, 1, 3, 4],
+            vec![1, 0, 2, 1],
+            vec![1.5, 1.5, -2.0, -2.0],
+        );
+        assert_eq!(parts, b.into_csr());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    fn from_parts_rejects_unsorted_rows() {
+        let _ = CsrMatrix::from_parts(3, vec![0, 2, 2, 2], vec![2, 1], vec![1.0, 1.0]);
     }
 
     #[test]

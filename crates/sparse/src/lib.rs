@@ -9,7 +9,8 @@
 //!   duplicated) triplets;
 //! * [`Laplacian`] — the operator `Q = D − A` kept in factored form
 //!   (adjacency + degree vector), so building it never materializes the
-//!   diagonal into the sparsity pattern;
+//!   diagonal into the sparsity pattern, and applied four length-sorted
+//!   rows at a time, bit-identically to a per-row CSR sum;
 //! * [`LinearOperator`] — the abstraction the eigensolver works against;
 //! * [`parallel`] — row-sharded multi-threaded matvec
 //!   ([`ThreadedLaplacian`]) whose output is bit-identical to the serial

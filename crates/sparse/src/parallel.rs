@@ -2,10 +2,12 @@
 //!
 //! The Lanczos inner loop is a chain of operator–vector products; on large
 //! netlists the SpMV dominates wall-clock, and it parallelizes trivially
-//! because output rows are independent. This module shards the row range
-//! `0..n` into contiguous blocks, computes each block on its own OS thread
-//! (`std::thread::scope`, no pool, no global state), and writes each block
-//! into a disjoint `split_at_mut` slice of the output vector.
+//! because output rows are independent. This module shards the
+//! [`Laplacian`]'s row windows (the fixed row ranges its matvec layout
+//! reorders rows inside) into contiguous blocks, computes each block on
+//! its own OS thread (`std::thread::scope`, no pool, no global state),
+//! and writes each block into a disjoint `split_at_mut` slice of the
+//! output vector.
 //!
 //! # Determinism contract
 //!
@@ -27,6 +29,7 @@
 //! shards would both over-report (k shards ≠ k matvecs) and multiply the
 //! atomic traffic by the thread count.
 
+use crate::laplacian::WINDOW;
 use crate::{Laplacian, LinearOperator};
 
 /// Resolves a user-facing thread-count knob: `0` means "all available
@@ -52,8 +55,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// Splits `0..n` into at most `shards` contiguous, non-empty, disjoint
 /// ranges covering the whole interval, as `(lo, hi)` pairs in order.
 ///
-/// Used by the threaded matvec (row blocks). The first `n % shards`
-/// blocks get one extra element, so block sizes differ by at most one.
+/// Used by the threaded matvec (blocks of row windows). The first
+/// `n % shards` blocks get one extra element, so block sizes differ by
+/// at most one.
 pub fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let shards = shards.clamp(1, n.max(1));
     let base = n / shards;
@@ -140,14 +144,15 @@ impl LinearOperator for ThreadedLaplacian<'_> {
             self.inner.apply(x, y);
             return;
         }
-        let blocks = shard_ranges(n, self.threads);
+        let blocks = shard_ranges(self.inner.windows(), self.threads);
         std::thread::scope(|scope| {
             let mut rest = y;
             for &(lo, hi) in &blocks {
-                let (block, tail) = rest.split_at_mut(hi - lo);
+                let rows = (hi * WINDOW).min(n) - lo * WINDOW;
+                let (block, tail) = rest.split_at_mut(rows);
                 rest = tail;
                 let q = self.inner;
-                scope.spawn(move || q.apply_rows(lo, x, block));
+                scope.spawn(move || q.apply_windows(lo..hi, x, block));
             }
         });
     }

@@ -12,7 +12,10 @@
 //! this down). Every reduction sums sequentially, left to right, so no
 //! kernel changes the reduction order. [`orthogonalize_classical`] runs
 //! four such reductions side by side, each with its own accumulator, so
-//! its dots overlap in time but each equals [`dot`] bit for bit.
+//! its dots overlap in time but each equals [`dot`] bit for bit, and
+//! [`accumulate_scaled`] adds four vectors per pass over its output,
+//! each element taking its terms in the same left-to-right order as a
+//! loop of [`axpy`]s.
 
 /// Dot product `xᵀy`.
 ///
@@ -157,7 +160,7 @@ pub fn orthogonalize_fused(sets: &[&[Vec<f64>]], x: &mut [f64]) {
 /// sequential accumulator, so four independent reductions overlap instead
 /// of each waiting on the one before — the modified Gram–Schmidt chain of
 /// [`orthogonalize_fused`] has to finish each update before the next dot
-/// can start. The update is one [`accumulate_scaled`] pass per pair of
+/// can start. The update is one [`accumulate_scaled`] pass per four
 /// vectors. Classical Gram–Schmidt loses more orthogonality than the
 /// modified chain when a pass cancels most of `x`; a second pass repairs
 /// it.
@@ -198,10 +201,13 @@ fn dot4(u: [&[f64]; 4], x: &[f64]) -> [f64; 4] {
     s
 }
 
-/// Accumulates `y ← y + Σᵢ coeffs[i] · vecs[i]`, fusing consecutive pairs
-/// of terms with [`axpy2`] — the Ritz-vector assembly kernel.
+/// Accumulates `y ← y + Σᵢ coeffs[i] · vecs[i]`, four terms per pass
+/// over `y` (then a pair with [`axpy2`] and a last [`axpy`]) — the
+/// Gram–Schmidt update and the Ritz-vector assembly kernel.
 ///
-/// Bit-identical to `for (c, v) in coeffs.zip(vecs) { axpy(*c, v, y) }`.
+/// Bit-identical to `for (c, v) in coeffs.zip(vecs) { axpy(*c, v, y) }`:
+/// each element takes its terms in the same left-to-right order, and
+/// elements are independent.
 ///
 /// # Panics
 ///
@@ -213,13 +219,21 @@ pub fn accumulate_scaled(coeffs: &[f64], vecs: &[Vec<f64>], y: &mut [f64]) {
         vecs.len(),
         "accumulate_scaled length mismatch"
     );
-    let mut i = 0;
-    while i + 1 < coeffs.len() {
-        axpy2(coeffs[i], &vecs[i], coeffs[i + 1], &vecs[i + 1], y);
-        i += 2;
+    let (quads, rest) = coeffs.as_chunks::<4>();
+    for (c, v) in quads.iter().zip(vecs.chunks_exact(4)) {
+        for u in v {
+            assert_eq!(u.len(), y.len(), "accumulate_scaled length mismatch");
+        }
+        for ((((yi, v0), v1), v2), v3) in y.iter_mut().zip(&v[0]).zip(&v[1]).zip(&v[2]).zip(&v[3]) {
+            *yi = (((*yi + c[0] * v0) + c[1] * v1) + c[2] * v2) + c[3] * v3;
+        }
     }
-    if i < coeffs.len() {
-        axpy(coeffs[i], &vecs[i], y);
+    let vecs = &vecs[coeffs.len() - rest.len()..];
+    if rest.len() >= 2 {
+        axpy2(rest[0], &vecs[0], rest[1], &vecs[1], y);
+    }
+    if rest.len() % 2 == 1 {
+        axpy(rest[rest.len() - 1], &vecs[rest.len() - 1], y);
     }
 }
 
@@ -361,7 +375,7 @@ mod tests {
     #[test]
     fn accumulate_scaled_matches_axpy_loop() {
         let n = 61;
-        for m in [0usize, 1, 2, 5, 8] {
+        for m in 0usize..=9 {
             let vecs: Vec<Vec<f64>> = (0..m).map(|i| rand_vec(40 + i as u64, n)).collect();
             let coeffs = rand_vec(50, m);
             let mut fused = rand_vec(60, n);

@@ -4,21 +4,30 @@
 //! `--threads` knob trades wall-clock only: operators, eigenpairs,
 //! orderings and metered spend are **bit-identical** for every thread
 //! count. This suite enforces the contract end-to-end at
-//! `threads ∈ {1, 2, 8}`, and property-checks the model
-//! builders on degenerate netlists (single-pin and duplicate-pin nets).
+//! `threads ∈ {1, 2, 8}`, holds the Laplacian's windowed four-row matvec
+//! to a plain per-row kernel bit for bit, holds the one-pass
+//! intersection-graph builder to a pair-enumerating reference, and
+//! property-checks the model builders on degenerate netlists
+//! (single-pin and duplicate-pin nets).
 //!
 //! CI runs this file in release mode with `RUST_TEST_THREADS=1` so the
 //! kernels' own thread pools are the only parallelism in play.
 
 use ig_match_repro::core::engine::RunContext;
 use ig_match_repro::core::models::clique::bound_preserving_adjacency;
-use ig_match_repro::core::models::{clique_adjacency, intersection_adjacency};
+use ig_match_repro::core::models::{
+    clique_adjacency, intersection_adjacency, intersection_neighbors,
+};
 use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_ordering_ctx};
 use ig_match_repro::core::IgWeighting;
 use ig_match_repro::eigen::{fiedler, LanczosOptions};
-use ig_match_repro::netlist::generate::mcnc_benchmark;
-use ig_match_repro::sparse::{shard_ranges, vecops, BudgetMeter, Laplacian, LinearOperator as _};
+use ig_match_repro::netlist::generate::{mcnc_benchmark, mcnc_suite};
+use ig_match_repro::netlist::{hypergraph_from_nets, Hypergraph};
+use ig_match_repro::sparse::{
+    shard_ranges, vecops, BudgetMeter, CsrMatrix, Laplacian, LinearOperator as _,
+};
 use np_testkit::{check_cases, degenerate_hypergraph};
+use std::collections::BTreeMap;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -30,14 +39,14 @@ fn model_builders_bit_identical_across_thread_counts() {
     // A context at any thread count serves the serial builds.
     for threads in THREAD_COUNTS {
         let ctx = RunContext::unlimited().with_threads(threads);
-        assert_eq!(&clique, ctx.clique_laplacian(&hg).adjacency());
+        assert_eq!(clique, ctx.clique_laplacian(&hg).adjacency());
         assert_eq!(
-            &bound,
+            bound,
             ctx.operators().bound_preserving_laplacian(&hg).adjacency()
         );
         for weighting in IgWeighting::ALL {
             assert_eq!(
-                &intersection_adjacency(&hg, weighting),
+                intersection_adjacency(&hg, weighting),
                 ctx.intersection_laplacian(&hg, weighting).adjacency(),
                 "intersection graph differs at {threads} threads ({weighting:?})"
             );
@@ -223,5 +232,197 @@ fn model_builders_finite_and_symmetric_on_degenerate_netlists() {
                 }
             }
         }
+    });
+}
+
+/// `d[r]·x[r] − Σ a·x` for every row, each summed from `0.0` in CSR
+/// column order: the plain kernel the Laplacian's windowed four-row
+/// layout must reproduce.
+fn per_row_reference(a: &CsrMatrix, x: &[f64]) -> Vec<f64> {
+    let d = a.row_sums();
+    (0..a.dim())
+        .map(|r| {
+            let (cols, vals) = a.row(r);
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * x[c as usize];
+            }
+            d[r] * x[r] - acc
+        })
+        .collect()
+}
+
+/// `Laplacian::apply` and the threaded operator at 1/2/8 threads against
+/// [`per_row_reference`]: bit for bit where the reference is finite, and
+/// non-finite in exactly the reference's non-finite rows.
+fn assert_kernel_matches_reference(case: &str, a: &CsrMatrix, x: &[f64]) {
+    let want = per_row_reference(a, x);
+    let q = Laplacian::from_adjacency(a.clone());
+    let mut outputs = vec![("serial".to_string(), vec![f64::NAN; x.len()])];
+    q.apply(x, &mut outputs[0].1);
+    for threads in THREAD_COUNTS {
+        let mut y = vec![f64::NAN; x.len()];
+        q.threaded(threads).apply(x, &mut y);
+        outputs.push((format!("{threads} threads"), y));
+    }
+    for (how, got) in &outputs {
+        for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.is_finite(),
+                w.is_finite(),
+                "{case}, {how}: row {r} is {g}, reference {w}"
+            );
+            if w.is_finite() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{case}, {how}: row {r} is {g}, reference {w}"
+                );
+            }
+        }
+    }
+}
+
+/// The input vectors every kernel case runs: random, random with ±0.0
+/// spliced in, and random with one +∞, −∞ or NaN at an entry of the
+/// longest row.
+fn kernel_inputs(a: &CsrMatrix, seed: u64) -> Vec<(String, Vec<f64>)> {
+    let n = a.dim();
+    let random = rand_vec(seed, n);
+    let mut zeros = random.clone();
+    for (i, v) in zeros.iter_mut().enumerate() {
+        match i % 3 {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            _ => {}
+        }
+    }
+    let mut inputs = vec![
+        ("random".to_string(), random.clone()),
+        ("±0.0".to_string(), zeros),
+        ("all −0.0".to_string(), vec![-0.0; n]),
+    ];
+    let longest = (0..n).max_by_key(|&r| a.row(r).0.len());
+    if let Some(at) = longest.and_then(|r| a.row(r).0.first().copied()) {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut x = random.clone();
+            x[at as usize] = bad;
+            inputs.push((format!("{bad} at {at}"), x));
+        }
+    }
+    inputs
+}
+
+#[test]
+fn windowed_kernel_bit_identical_to_per_row_reference() {
+    let mut cases: Vec<(String, CsrMatrix)> = Vec::new();
+    let bm1 = mcnc_benchmark("bm1").expect("suite benchmark").hypergraph;
+    cases.push((
+        "bm1 intersection graph".into(),
+        intersection_adjacency(&bm1, IgWeighting::Paper),
+    ));
+    // fewer rows than one group of four, and an empty row
+    for nets in [
+        vec![vec![0, 1]],
+        vec![vec![0, 1], vec![1, 2]],
+        vec![vec![0, 1], vec![1, 2], vec![3]],
+    ] {
+        let hg = hypergraph_from_nets(4, &nets);
+        cases.push((
+            format!("{} nets", nets.len()),
+            intersection_adjacency(&hg, IgWeighting::Paper),
+        ));
+    }
+    // one hub net meeting every other net: its row is far longer than a
+    // window, beside 2-pin rows; 301 rows is no multiple of 4 or 64
+    let mut nets: Vec<Vec<u32>> = (0..300u32).map(|i| vec![i, i + 1]).collect();
+    nets.push((0..301).collect());
+    let hub = hypergraph_from_nets(301, &nets);
+    cases.push((
+        "hub".into(),
+        intersection_adjacency(&hub, IgWeighting::Paper),
+    ));
+    for (case, a) in &cases {
+        for (input, x) in kernel_inputs(a, 0x5E11) {
+            assert_kernel_matches_reference(&format!("{case}, {input}"), a, &x);
+        }
+    }
+    // degenerate netlists: empty rows (single-pin nets), dimensions
+    // below and off multiples of 4, every weighting and the clique model
+    check_cases(48, 0x4B1D, |g| {
+        let hg = degenerate_hypergraph(g);
+        let mut graphs = vec![clique_adjacency(&hg)];
+        graphs.extend(IgWeighting::ALL.map(|w| intersection_adjacency(&hg, w)));
+        for a in &graphs {
+            for (input, x) in kernel_inputs(a, 0xD6) {
+                assert_kernel_matches_reference(&format!("degenerate, {input}"), a, &x);
+            }
+        }
+    });
+}
+
+/// The intersection graph by enumeration: every module's `C(d,2)` net
+/// pairs, each entry's terms summed in module order — the pair
+/// enumeration the one-pass row builder replaced.
+fn enumerated_intersection(hg: &Hypergraph, weighting: IgWeighting) -> Vec<BTreeMap<u32, f64>> {
+    let mut rows: Vec<BTreeMap<u32, f64>> = vec![BTreeMap::new(); hg.num_nets()];
+    for module in hg.modules() {
+        let nets = hg.nets_of(module);
+        let d = nets.len();
+        for i in 0..d {
+            for j in i + 1..d {
+                let (a, b) = (nets[i], nets[j]);
+                let sizes = 1.0 / hg.net_size(a) as f64 + 1.0 / hg.net_size(b) as f64;
+                let w = match weighting {
+                    IgWeighting::Paper => 1.0 / (d as f64 - 1.0) * sizes,
+                    IgWeighting::SizeScaled => sizes,
+                    _ => 1.0,
+                };
+                for (r, c) in [(a, b), (b, a)] {
+                    let sum = rows[r.index()].entry(c.0).or_insert(0.0);
+                    *sum = if weighting == IgWeighting::Uniform {
+                        1.0
+                    } else {
+                        *sum + w
+                    };
+                }
+            }
+        }
+    }
+    rows
+}
+
+fn assert_builder_matches_enumeration(name: &str, hg: &Hypergraph) {
+    let neighbors = intersection_neighbors(hg);
+    for weighting in IgWeighting::ALL {
+        let a = intersection_adjacency(hg, weighting);
+        let reference = enumerated_intersection(hg, weighting);
+        for (r, want) in reference.iter().enumerate() {
+            let (cols, vals) = a.row(r);
+            let want_cols: Vec<u32> = want.keys().copied().collect();
+            assert_eq!(
+                cols,
+                &want_cols[..],
+                "{name} {weighting:?}: row {r} pattern"
+            );
+            assert_eq!(neighbors[r], want_cols, "{name}: neighbours of {r}");
+            for (c, (v, w)) in cols.iter().zip(vals.iter().zip(want.values())) {
+                assert_eq!(
+                    v.to_bits(),
+                    w.to_bits(),
+                    "{name} {weighting:?}: A'[{r},{c}] = {v}, enumeration {w}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn intersection_builder_matches_pair_enumeration() {
+    for bench in mcnc_suite() {
+        assert_builder_matches_enumeration(&bench.name, &bench.hypergraph);
+    }
+    check_cases(48, 0x16B0, |g| {
+        assert_builder_matches_enumeration("degenerate", &degenerate_hypergraph(g));
     });
 }
