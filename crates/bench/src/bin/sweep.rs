@@ -24,12 +24,13 @@
 
 use bench::{best_of, per_sec};
 use np_core::igmatch::{CompletionOracle, SplitClassification, SplitMatcher, SweepState};
-use np_core::models::{intersection_neighbors, IgWeighting};
+use np_core::models::{intersection_laplacian, IgWeighting};
 use np_core::ordering::spectral_net_ordering;
 use np_eigen::LanczosOptions;
 use np_netlist::generate::{generate, mcnc_specs};
 use np_netlist::Hypergraph;
 use np_runner::json::Obj;
+use np_sparse::Laplacian;
 use np_testkit::banded_hypergraph;
 
 /// Timed repetitions per configuration; the minimum is reported.
@@ -55,8 +56,8 @@ struct Winner {
 
 /// The seed implementation: full alternating-BFS classification plus an
 /// `O(pins)` oracle evaluation at every split.
-fn from_scratch_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>], order: &[u32]) -> Winner {
-    let mut matcher = SplitMatcher::new(neighbors);
+fn from_scratch_sweep(hg: &Hypergraph, ig: &Laplacian, order: &[u32]) -> Winner {
+    let mut matcher = SplitMatcher::new(ig);
     let mut class = SplitClassification::default();
     let mut oracle = CompletionOracle::new(hg);
     let mut best: Option<Winner> = None;
@@ -82,8 +83,8 @@ fn from_scratch_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>], order: &[u32]) ->
 }
 
 /// The delta-maintained sweep engine.
-fn incremental_sweep(hg: &Hypergraph, neighbors: &[Vec<u32>], order: &[u32]) -> Winner {
-    let mut state = SweepState::new(hg, neighbors);
+fn incremental_sweep(hg: &Hypergraph, ig: &Laplacian, order: &[u32]) -> Winner {
+    let mut state = SweepState::new(hg, SplitMatcher::new(ig));
     let mut best: Option<Winner> = None;
     for (k, &v) in order[..order.len() - 1].iter().enumerate() {
         let cand = state.advance(hg, v).candidate();
@@ -158,10 +159,9 @@ fn main() {
     } in instances()
     {
         let (modules, nets) = (hg.num_modules(), hg.num_nets());
-        let neighbors = intersection_neighbors(&hg);
-        let (scratch_winner, scratch) =
-            best_of(RUNS, || from_scratch_sweep(&hg, &neighbors, &order));
-        let (inc_winner, inc) = best_of(RUNS, || incremental_sweep(&hg, &neighbors, &order));
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
+        let (scratch_winner, scratch) = best_of(RUNS, || from_scratch_sweep(&hg, &ig, &order));
+        let (inc_winner, inc) = best_of(RUNS, || incremental_sweep(&hg, &ig, &order));
         // Determinism contract: same bits from both sweeps.
         assert_eq!(
             scratch_winner, inc_winner,

@@ -138,8 +138,9 @@ impl OperatorCache {
 
     /// The intersection-graph neighbours of `hg` — the conflict-graph
     /// structure every IG-Match sweep walks — as an intersection-graph
-    /// Laplacian whose [`adjacency`](Laplacian::adjacency) pattern they
-    /// are. Every weighting has the same pattern (see
+    /// Laplacian whose [`pattern`](Laplacian::pattern) they are, what
+    /// [`SplitMatcher::new`](crate::igmatch::SplitMatcher::new) reads.
+    /// Every weighting has the same pattern (see
     /// [`intersection_adjacency`](crate::models::intersection_adjacency)),
     /// so this is whichever IG operator the cache already holds, and
     /// only a cache that holds none builds one: the default
@@ -280,9 +281,11 @@ mod tests {
             &a,
             &cache.intersection_laplacian(&hg, IgWeighting::default())
         ));
-        let adj = a.adjacency();
-        let lists: Vec<Vec<u32>> = (0..hg.num_nets()).map(|r| adj.row(r).0.to_vec()).collect();
-        assert_eq!(lists, crate::models::intersection_neighbors(&hg));
+        // every weighting's pattern is the one the cached operator holds
+        for w in IgWeighting::ALL {
+            let direct = intersection_laplacian(&hg, w);
+            assert_eq!(a.pattern(), direct.pattern(), "{w:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::engine::OperatorCache;
 use crate::models::IgWeighting;
 use crate::{PartitionError, PartitionResult};
-use np_netlist::rng::{derive_seed, Rng64};
 use np_netlist::Hypergraph;
 use np_sparse::{Budget, BudgetMeter, Laplacian};
 use std::sync::Arc;
@@ -12,8 +11,9 @@ use std::sync::Arc;
 ///
 /// Stage adapters that already carry a seed in their option structs (the
 /// Lanczos seed, the RCut/KL restart seeds) keep using those, so existing
-/// results stay bit-identical; this seed only feeds [`RunContext::rng`]
-/// for stages with no per-algorithm seed of their own.
+/// results stay bit-identical; [`RunContext::seed`] serves stages with no
+/// per-algorithm seed of their own (the portfolio's random-start FM
+/// attempt) and is passed on to the contexts k-way recursion derives.
 pub const DEFAULT_SEED: u64 = 0x0DAC_1992;
 
 /// An instrumentation event emitted while a stage graph executes.
@@ -209,17 +209,6 @@ impl<'a> RunContext<'a> {
         self.seed
     }
 
-    /// A fresh generator seeded with the base seed (stream 0).
-    pub fn rng(&self) -> Rng64 {
-        Rng64::new(self.seed)
-    }
-
-    /// The seed of the `stream`-th decorrelated sub-stream (golden-ratio
-    /// stride; see [`derive_seed`]). Stream 0 is the base seed itself.
-    pub fn derived_seed(&self, stream: u64) -> u64 {
-        derive_seed(self.seed, stream)
-    }
-
     /// Thread count of the sharded SpMV (`0` = all available cores,
     /// default `1`).
     pub fn threads(&self) -> usize {
@@ -252,7 +241,7 @@ impl<'a> RunContext<'a> {
 
     /// The intersection-graph neighbours of `hg` from this run's operator
     /// cache: an intersection-graph Laplacian the cache already holds,
-    /// whose adjacency pattern they are (see
+    /// whose [`pattern`](Laplacian::pattern) they are (see
     /// [`OperatorCache::intersection_neighbors`]).
     pub fn intersection_neighbors(&self, hg: &Hypergraph) -> Arc<Laplacian> {
         self.operators.intersection_neighbors(hg)
@@ -302,14 +291,6 @@ mod tests {
         let ctx = RunContext::with_meter(&meter);
         ctx.meter().charge(5).unwrap();
         assert_eq!(meter.matvecs_used(), 5);
-    }
-
-    #[test]
-    fn rng_streams_deterministic_and_decorrelated() {
-        let ctx = RunContext::unlimited().with_seed(42);
-        assert_eq!(ctx.rng().next_u64(), Rng64::new(42).next_u64());
-        assert_eq!(ctx.derived_seed(0), 42);
-        assert_ne!(ctx.derived_seed(1), ctx.derived_seed(2));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! incremental path is cross-checked against in debug builds.
 
 use np_netlist::Side;
-use np_sparse::{CsrMatrix, LinearOperator};
+use np_sparse::Laplacian;
 
 const NONE: u32 = u32::MAX;
 
@@ -229,10 +229,12 @@ impl MoveDelta {
 ///
 /// ```
 /// use np_core::igmatch::SplitMatcher;
+/// use np_core::models::{intersection_laplacian, IgWeighting};
+/// use np_netlist::hypergraph_from_nets;
 ///
-/// // intersection graph: 0-1, 1-2 (a path of three nets)
-/// let neighbors = vec![vec![1], vec![0, 2], vec![1]];
-/// let mut m = SplitMatcher::new(&neighbors);
+/// // nets {0,1}, {1,2}, {2,3}: the intersection graph is the path 0-1-2
+/// let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
+/// let mut m = SplitMatcher::new(&intersection_laplacian(&hg, IgWeighting::default()));
 /// assert_eq!(m.matching_size(), 0); // R empty, B empty
 /// m.move_to_r(1);
 /// assert_eq!(m.matching_size(), 1); // net 1 conflicts with 0 and 2
@@ -263,55 +265,20 @@ pub struct SplitMatcher {
 }
 
 impl SplitMatcher {
-    /// Creates a matcher with every net on the `L` side.
-    ///
-    /// `neighbors[v]` must list the intersection-graph neighbors of net
-    /// `v` (symmetric, no self-loops) — see
-    /// [`intersection_neighbors`](crate::models::intersection_neighbors).
-    /// The adjacency is flattened into an owned CSR layout with sorted
-    /// rows, so the matcher does not borrow `neighbors`.
+    /// Creates a matcher with every net on the `L` side over the sparsity
+    /// pattern of an intersection-graph Laplacian: under any weighting
+    /// (see [`intersection_laplacian`](crate::models::intersection_laplacian)),
+    /// a split's conflict edges are exactly the intersection-graph edges
+    /// that cross it. The pattern is read once from the operator's layout
+    /// ([`Laplacian::pattern`]) into an owned CSR layout, so the matcher
+    /// does not borrow `ig`.
     ///
     /// # Panics
     ///
     /// Panics if the net count or total edge-endpoint count reaches
-    /// `u32::MAX`, or if `neighbors` is not symmetric or has a self-loop.
-    pub fn new(neighbors: &[Vec<u32>]) -> Self {
-        let mut adj_off = Vec::with_capacity(neighbors.len() + 1);
-        let mut adj = Vec::with_capacity(neighbors.iter().map(Vec::len).sum());
-        adj_off.push(0u32);
-        for nb in neighbors {
-            let start = adj.len();
-            adj.extend_from_slice(nb);
-            adj[start..].sort_unstable();
-            adj_off.push(adj.len() as u32);
-        }
-        Self::from_sorted_rows(adj_off, adj)
-    }
-
-    /// Creates a matcher with every net on the `L` side over the
-    /// sparsity pattern of an intersection-graph adjacency matrix (any
-    /// weighting: see
-    /// [`intersection_adjacency`](crate::models::intersection_adjacency)),
-    /// whose rows are already sorted.
-    ///
-    /// # Panics
-    ///
-    /// As [`new`](Self::new).
-    pub fn from_adjacency(adjacency: &CsrMatrix) -> Self {
-        let n = adjacency.dim();
-        let mut adj_off = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(adjacency.nnz());
-        adj_off.push(0u32);
-        for v in 0..n {
-            adj.extend_from_slice(adjacency.row(v).0);
-            adj_off.push(adj.len() as u32);
-        }
-        Self::from_sorted_rows(adj_off, adj)
-    }
-
-    /// The matcher over the CSR adjacency `adj_off`/`adj`, whose rows are
-    /// sorted.
-    fn from_sorted_rows(adj_off: Vec<u32>, adj: Vec<u32>) -> Self {
+    /// `u32::MAX`, or if the pattern is not symmetric or has a self-loop.
+    pub fn new(ig: &Laplacian) -> Self {
+        let (adj_off, adj) = ig.pattern();
         let n = adj_off.len() - 1;
         assert!(n < u32::MAX as usize, "net count overflows u32 indices");
         let total = adj.len();
@@ -782,9 +749,12 @@ enum Search {
 ///
 /// ```
 /// use np_core::igmatch::{NetClass, NetClassifier, SplitMatcher};
+/// use np_core::models::{intersection_laplacian, IgWeighting};
+/// use np_netlist::hypergraph_from_nets;
 ///
-/// let neighbors = vec![vec![1], vec![0, 2], vec![1]];
-/// let mut m = SplitMatcher::new(&neighbors);
+/// // nets {0,1}, {1,2}, {2,3}: the intersection graph is the path 0-1-2
+/// let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
+/// let mut m = SplitMatcher::new(&intersection_laplacian(&hg, IgWeighting::default()));
 /// let mut c = NetClassifier::new(m.len());
 /// let mut changes = Vec::new();
 /// let delta = m.move_to_r(1);
@@ -1123,7 +1093,20 @@ impl NetClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use np_sparse::{CsrMatrix, TripletBuilder};
     use np_testkit::{check_cases, Gen};
+
+    /// The matcher over the graph whose adjacency lists are `nb`
+    /// (symmetric, rows in any order).
+    fn matcher(nb: &[Vec<u32>]) -> SplitMatcher {
+        let mut b = TripletBuilder::new(nb.len());
+        for (v, row) in nb.iter().enumerate() {
+            for &w in row {
+                b.push(v, w as usize, 1.0);
+            }
+        }
+        SplitMatcher::new(&Laplacian::from_adjacency(b.into_csr()))
+    }
 
     /// Brute-force maximum matching size over the crossing edges, for
     /// validating the incremental maintenance.
@@ -1182,7 +1165,7 @@ mod tests {
     #[test]
     fn empty_r_side_no_matching() {
         let nb = path_graph(4);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         assert_eq!(m.matching_size(), 0);
         let c = m.classify();
         assert_eq!(c.winners_l.len(), 4);
@@ -1192,7 +1175,7 @@ mod tests {
     #[test]
     fn single_move_matches_crossing_edge() {
         let nb = path_graph(3);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         m.move_to_r(1);
         assert_eq!(m.matching_size(), 1);
         assert!(m.matching_is_valid());
@@ -1205,7 +1188,7 @@ mod tests {
     #[test]
     fn incremental_matches_brute_force_on_path() {
         let nb = path_graph(9);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         let mut in_r = vec![false; 9];
         for v in [4u32, 1, 7, 0, 8, 3] {
             m.move_to_r(v);
@@ -1226,7 +1209,7 @@ mod tests {
         let nb: Vec<Vec<u32>> = (0..n)
             .map(|i| (0..n as u32).filter(|&j| j != i as u32).collect())
             .collect();
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         let mut in_r = vec![false; n];
         for v in 0..n as u32 - 1 {
             m.move_to_r(v);
@@ -1243,7 +1226,7 @@ mod tests {
         for _ in 0..5 {
             nb.push(vec![0]);
         }
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         m.move_to_r(0);
         assert_eq!(m.matching_size(), 1);
         let c = m.classify();
@@ -1258,7 +1241,7 @@ mod tests {
         // two disjoint crossing edges, all four vertices matched, no free
         // vertices anywhere: everything matched lands in B'
         let nb = vec![vec![1], vec![0], vec![3], vec![2]];
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         m.move_to_r(1);
         m.move_to_r(3);
         assert_eq!(m.matching_size(), 2);
@@ -1273,7 +1256,7 @@ mod tests {
     #[test]
     fn losers_bounded_by_matching() {
         let nb = path_graph(12);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         for v in [5u32, 2, 9, 0, 7, 11, 4] {
             m.move_to_r(v);
             let c = m.classify();
@@ -1291,7 +1274,7 @@ mod tests {
     #[test]
     fn classification_partitions_all_vertices() {
         let nb = path_graph(10);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         for v in [3u32, 6, 1, 8] {
             m.move_to_r(v);
             let c = m.classify();
@@ -1308,7 +1291,7 @@ mod tests {
     #[should_panic(expected = "already on the R side")]
     fn double_move_panics() {
         let nb = path_graph(3);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         m.move_to_r(1);
         m.move_to_r(1);
     }
@@ -1317,7 +1300,7 @@ mod tests {
     /// maintained classes equal the from-scratch ones at every split;
     /// returns how many refreshes fell back to the flood.
     fn sweep_against_classify(nb: &[Vec<u32>], order: &[u32]) -> usize {
-        let mut m = SplitMatcher::new(nb);
+        let mut m = matcher(nb);
         let mut c = NetClassifier::new(nb.len());
         let mut changes = Vec::new();
         for &v in order {
@@ -1380,7 +1363,7 @@ mod tests {
     #[test]
     fn full_sweep_ends_with_empty_l() {
         let nb = path_graph(6);
-        let mut m = SplitMatcher::new(&nb);
+        let mut m = matcher(&nb);
         for v in 0..6u32 {
             m.move_to_r(v);
         }
@@ -1457,7 +1440,7 @@ mod tests {
             let nb = random_graph(g);
             let mut order: Vec<u32> = (0..nb.len() as u32).collect();
             g.rng().shuffle(&mut order);
-            let mut m = SplitMatcher::new(&nb);
+            let mut m = matcher(&nb);
             let mut in_r = vec![false; nb.len()];
             assert_rows_split(&m, &nb);
             for &v in &order {
@@ -1473,7 +1456,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "not symmetric")]
     fn asymmetric_adjacency_is_rejected() {
-        SplitMatcher::new(&[vec![1], vec![]]);
+        // entry (0, 1) without (1, 0), its weight below the Laplacian's
+        // symmetry tolerance: only the pattern is asymmetric
+        let a = CsrMatrix::from_parts(2, vec![0, 1, 1], vec![1], vec![1e-12]);
+        SplitMatcher::new(&Laplacian::from_adjacency(a));
     }
 
     /// Two move orders that reach the same `R` set hold different
@@ -1483,14 +1469,14 @@ mod tests {
     #[test]
     fn classes_do_not_depend_on_the_held_matching() {
         use crate::igmatch::{ig_match_with_ordering, SweepState};
-        use crate::models::intersection_neighbors;
+        use crate::models::{intersection_laplacian, IgWeighting};
         use np_netlist::NetId;
         use np_testkit::small_hypergraph;
 
         let (mut mates_differ, mut outcomes_compared) = (0, 0);
         check_cases(256, 0x4A7C_0001, |g| {
             let hg = small_hypergraph(g);
-            let nb = intersection_neighbors(&hg);
+            let ig = intersection_laplacian(&hg, IgWeighting::default());
             let m = hg.num_nets();
             let mut a: Vec<u32> = (0..m as u32).collect();
             g.rng().shuffle(&mut a);
@@ -1500,9 +1486,12 @@ mod tests {
             let mut b = a.clone();
             g.rng().shuffle(&mut b[..k]);
 
-            let (mut ma, mut mb) = (SplitMatcher::new(&nb), SplitMatcher::new(&nb));
+            let (mut ma, mut mb) = (SplitMatcher::new(&ig), SplitMatcher::new(&ig));
             let (mut ca, mut cb) = (NetClassifier::new(m), NetClassifier::new(m));
-            let (mut sa, mut sb) = (SweepState::new(&hg, &nb), SweepState::new(&hg, &nb));
+            let (mut sa, mut sb) = (
+                SweepState::new(&hg, ma.clone()),
+                SweepState::new(&hg, mb.clone()),
+            );
             let mut changes = Vec::new();
             for step in 0..m - 1 {
                 let (va, vb) = (a[step], b[step]);

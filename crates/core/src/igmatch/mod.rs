@@ -194,8 +194,8 @@ pub fn ig_match_with_ordering_ctx(
     }
 
     // one matcher build serves the sweep and, cloned fresh, the replay
-    let fresh = SplitMatcher::from_adjacency(&ctx.intersection_neighbors(hg).adjacency());
-    let mut state = SweepState::from_matcher(hg, fresh.clone());
+    let fresh = SplitMatcher::new(&ctx.intersection_neighbors(hg));
+    let mut state = SweepState::new(hg, fresh.clone());
 
     let mut best: Option<Best> = None;
 

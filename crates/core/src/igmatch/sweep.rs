@@ -424,13 +424,13 @@ impl IncrementalCompletion {
 /// # Example
 ///
 /// ```
-/// use np_core::igmatch::SweepState;
-/// use np_core::models::intersection_neighbors;
+/// use np_core::igmatch::{SplitMatcher, SweepState};
+/// use np_core::models::{intersection_laplacian, IgWeighting};
 /// use np_netlist::hypergraph_from_nets;
 ///
 /// let hg = hypergraph_from_nets(4, &[vec![0, 1], vec![1, 2], vec![2, 3]]);
-/// let neighbors = intersection_neighbors(&hg);
-/// let mut sweep = SweepState::new(&hg, &neighbors);
+/// let ig = intersection_laplacian(&hg, IgWeighting::default());
+/// let mut sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
 /// let eval = sweep.advance(&hg, 0); // split {0} | {1, 2}
 /// assert_eq!(eval.candidate().stats.cut_nets, 1);
 /// assert_eq!(sweep.matching_size(), 1);
@@ -446,23 +446,14 @@ pub struct SweepState {
 }
 
 impl SweepState {
-    /// A sweep at the initial all-`L` split.
-    ///
-    /// `neighbors` must be the intersection-graph adjacency of `hg` (see
-    /// [`intersection_neighbors`](crate::models::intersection_neighbors)).
-    /// The adjacency is flattened into the matcher's owned CSR layout, so
-    /// the sweep does not borrow it.
+    /// A sweep at the initial all-`L` split, over `matcher`: a fresh
+    /// all-`L` matcher of `hg`'s intersection graph (a clone of one saves
+    /// rebuilding it).
     ///
     /// # Panics
     ///
-    /// Panics if `neighbors.len() != hg.num_nets()`.
-    pub fn new(hg: &Hypergraph, neighbors: &[Vec<u32>]) -> Self {
-        Self::from_matcher(hg, SplitMatcher::new(neighbors))
-    }
-
-    /// A sweep over `matcher`, which must be a fresh all-`L` matcher of
-    /// `hg`'s intersection graph (a clone of one saves rebuilding it).
-    pub(crate) fn from_matcher(hg: &Hypergraph, matcher: SplitMatcher) -> Self {
+    /// Panics if the matcher's net count is not `hg.num_nets()`.
+    pub fn new(hg: &Hypergraph, matcher: SplitMatcher) -> Self {
         assert_eq!(
             matcher.len(),
             hg.num_nets(),
@@ -564,8 +555,9 @@ impl SweepState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::intersection_neighbors;
+    use crate::models::{intersection_laplacian, IgWeighting};
     use np_netlist::hypergraph_from_nets;
+    use np_sparse::Laplacian;
 
     fn two_triangles() -> Hypergraph {
         hypergraph_from_nets(
@@ -583,8 +575,8 @@ mod tests {
     }
 
     /// Drives the from-scratch reference sweep one split at a time.
-    fn oracle_eval(hg: &Hypergraph, neighbors: &[Vec<u32>], prefix: &[u32]) -> OrientedEval {
-        let mut matcher = SplitMatcher::new(neighbors);
+    fn oracle_eval(hg: &Hypergraph, ig: &Laplacian, prefix: &[u32]) -> OrientedEval {
+        let mut matcher = SplitMatcher::new(ig);
         for &v in prefix {
             matcher.move_to_r(v);
         }
@@ -595,18 +587,18 @@ mod tests {
     #[test]
     fn incremental_matches_oracle_at_every_split() {
         let hg = two_triangles();
-        let neighbors = intersection_neighbors(&hg);
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
         for order in [
             vec![0u32, 1, 2, 6, 3, 4, 5],
             vec![0u32, 3, 1, 4, 2, 5, 6],
             vec![6u32, 5, 4, 3, 2, 1, 0],
         ] {
-            let mut sweep = SweepState::new(&hg, &neighbors);
+            let mut sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
             for k in 0..order.len() - 1 {
                 let eval = sweep.advance(&hg, order[k]);
                 assert_eq!(
                     eval,
-                    oracle_eval(&hg, &neighbors, &order[..=k]),
+                    oracle_eval(&hg, &ig, &order[..=k]),
                     "order {order:?} split {k}"
                 );
             }
@@ -616,19 +608,19 @@ mod tests {
     #[test]
     fn initial_state_matches_all_left_oracle() {
         let hg = two_triangles();
-        let neighbors = intersection_neighbors(&hg);
-        let sweep = SweepState::new(&hg, &neighbors);
-        assert_eq!(sweep.eval(&hg), oracle_eval(&hg, &neighbors, &[]));
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
+        let sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
+        assert_eq!(sweep.eval(&hg), oracle_eval(&hg, &ig, &[]));
         assert_eq!(sweep.matching_size(), 0);
     }
 
     #[test]
     fn materialize_matches_oracle_partition() {
         let hg = two_triangles();
-        let neighbors = intersection_neighbors(&hg);
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
         let order = [0u32, 1, 2, 6, 3, 4];
-        let mut sweep = SweepState::new(&hg, &neighbors);
-        let mut matcher = SplitMatcher::new(&neighbors);
+        let mut sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
+        let mut matcher = SplitMatcher::new(&ig);
         let mut oracle = CompletionOracle::new(&hg);
         for &v in &order {
             let eval = sweep.advance(&hg, v);
@@ -649,11 +641,12 @@ mod tests {
     fn isolated_net_is_an_o1_refresh() {
         // net 2 shares no module with anything else
         let hg = hypergraph_from_nets(6, &[vec![0, 1], vec![1, 2], vec![4, 5]]);
-        let neighbors = intersection_neighbors(&hg);
-        assert!(neighbors[2].is_empty());
-        let mut sweep = SweepState::new(&hg, &neighbors);
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
+        let (offsets, _) = ig.pattern();
+        assert_eq!(offsets[2], offsets[3]);
+        let mut sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
         let eval = sweep.advance(&hg, 2);
-        assert_eq!(eval, oracle_eval(&hg, &neighbors, &[2]));
+        assert_eq!(eval, oracle_eval(&hg, &ig, &[2]));
         assert_eq!(sweep.net_class(2), NetClass::WinnerR);
         assert_eq!(sweep.matching_size(), 0);
     }
@@ -661,8 +654,8 @@ mod tests {
     #[test]
     fn module_tags_track_winners() {
         let hg = two_triangles();
-        let neighbors = intersection_neighbors(&hg);
-        let mut sweep = SweepState::new(&hg, &neighbors);
+        let ig = intersection_laplacian(&hg, IgWeighting::default());
+        let mut sweep = SweepState::new(&hg, SplitMatcher::new(&ig));
         for &v in &[0u32, 1, 2, 6] {
             sweep.advance(&hg, v);
         }

@@ -133,9 +133,11 @@ pub fn vote_with_ordering_threshold_ctx(
     }
 
     // each pass returns (best ratio, best step index); the partition is
-    // rebuilt afterwards by replaying the winning pass
-    let forward = vote_pass(hg, order, &total_weight, threshold, false, meter)?;
-    let backward = vote_pass(hg, order, &total_weight, threshold, true, meter)?;
+    // rebuilt afterwards by replaying the winning pass up to its step
+    let pass =
+        |reverse, stop, meter| vote_pass(hg, order, &total_weight, threshold, reverse, stop, meter);
+    let (forward, _) = pass(false, None, Some(meter))?;
+    let (backward, _) = pass(true, None, Some(meter))?;
 
     let (reverse, step) = match (forward, backward) {
         (Some((fr, fs)), Some((br, bs))) => {
@@ -149,34 +151,41 @@ pub fn vote_with_ordering_threshold_ctx(
         (None, Some((_, bs))) => (true, bs),
         (None, None) => return Err(PartitionError::Degenerate),
     };
-    let partition = replay_vote(hg, order, &total_weight, threshold, reverse, step);
+    // the replay repeats what a metered pass already completed, so it
+    // checks no meter and cannot fail
+    let (_, tracker) = pass(reverse, Some(step), None)?;
     Ok(PartitionResult::evaluate(
         hg,
-        partition,
+        tracker.to_partition(),
         "IG-Vote",
         Some(step),
     ))
 }
 
-/// One voting pass. Returns the best `(ratio, step)` over all net moves,
-/// or `None` if every candidate had an empty side. `reverse = true` runs
-/// from the other end of the ordering (all modules start in `W`). The
-/// meter's wall clock is checked at every net step.
-fn vote_pass(
-    hg: &Hypergraph,
+/// One voting pass, through step `stop` (the whole ordering if `None`).
+/// Returns the best `(ratio, step)` over the steps run — `None` if every
+/// candidate had an empty side — and the tracker at the last step run.
+/// `reverse = true` runs from the other end of the ordering (all modules
+/// start in `W`). The wall clock of `meter`, if given, is checked at
+/// every net step.
+fn vote_pass<'a>(
+    hg: &'a Hypergraph,
     order: &[NetId],
     total_weight: &[f64],
     threshold: f64,
     reverse: bool,
-    meter: &BudgetMeter,
-) -> Result<Option<(f64, usize)>, PartitionError> {
+    stop: Option<usize>,
+    meter: Option<&BudgetMeter>,
+) -> Result<(Option<(f64, usize)>, CutTracker<'a>), PartitionError> {
     let start = if reverse { Side::Right } else { Side::Left };
     let dest = start.flip();
     let mut tracker = CutTracker::all_on(hg, start);
     let mut moved_weight = vec![0.0f64; hg.num_modules()];
     let mut best: Option<(f64, usize)> = None;
     for (step, &net) in iter_order(order, reverse).enumerate() {
-        meter.check()?;
+        if let Some(meter) = meter {
+            meter.check()?;
+        }
         let w = 1.0 / hg.net_size(net) as f64;
         for &m in hg.pins(net) {
             moved_weight[m.index()] += w;
@@ -190,40 +199,11 @@ fn vote_pass(
         if ratio.is_finite() && best.is_none_or(|(r, _)| ratio < r) {
             best = Some((ratio, step));
         }
-    }
-    Ok(best)
-}
-
-/// Re-runs a voting pass up to and including `stop_step` and returns the
-/// resulting partition. Replays only what a (metered) [`vote_pass`]
-/// already completed, so it needs no meter of its own.
-fn replay_vote(
-    hg: &Hypergraph,
-    order: &[NetId],
-    total_weight: &[f64],
-    threshold: f64,
-    reverse: bool,
-    stop_step: usize,
-) -> np_netlist::Bipartition {
-    let start = if reverse { Side::Right } else { Side::Left };
-    let dest = start.flip();
-    let mut tracker = CutTracker::all_on(hg, start);
-    let mut moved_weight = vec![0.0f64; hg.num_modules()];
-    for (step, &net) in iter_order(order, reverse).enumerate() {
-        let w = 1.0 / hg.net_size(net) as f64;
-        for &m in hg.pins(net) {
-            moved_weight[m.index()] += w;
-            if tracker.side(m) == start
-                && moved_weight[m.index()] >= total_weight[m.index()] * threshold
-            {
-                tracker.move_module(m, dest);
-            }
-        }
-        if step == stop_step {
+        if stop == Some(step) {
             break;
         }
     }
-    tracker.to_partition()
+    Ok((best, tracker))
 }
 
 fn iter_order(order: &[NetId], reverse: bool) -> Box<dyn Iterator<Item = &NetId> + '_> {

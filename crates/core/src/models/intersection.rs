@@ -147,23 +147,13 @@ pub fn intersection_adjacency(hg: &Hypergraph, weighting: IgWeighting) -> CsrMat
 }
 
 /// The Laplacian `Q' = D' − A'` of the intersection graph; its Fiedler
-/// vector gives the net ordering for IG-Vote and IG-Match.
+/// vector gives the net ordering for IG-Vote and IG-Match. Its sparsity
+/// pattern ([`Laplacian::pattern`], the same under every weighting) is
+/// the conflict structure every IG-Match sweep walks: a split's conflict
+/// edges are exactly the intersection-graph edges that cross it (paper
+/// §3).
 pub fn intersection_laplacian(hg: &Hypergraph, weighting: IgWeighting) -> Laplacian {
     Laplacian::from_adjacency(intersection_adjacency(hg, weighting))
-}
-
-/// Unweighted adjacency lists of the intersection graph: for each net, the
-/// sorted list of other nets sharing at least one module with it — the
-/// rows of [`intersection_adjacency`]'s sparsity pattern.
-///
-/// This is the structure the IG-Match bipartite machinery works on — the
-/// conflict edges of a split are exactly the intersection-graph edges that
-/// cross it, independent of any weighting (paper §3). The pipeline reads
-/// it from the cached operator instead
-/// ([`OperatorCache::intersection_neighbors`](crate::engine::OperatorCache::intersection_neighbors)).
-pub fn intersection_neighbors(hg: &Hypergraph) -> Vec<Vec<u32>> {
-    let a = intersection_adjacency(hg, IgWeighting::Uniform);
-    (0..hg.num_nets()).map(|r| a.row(r).0.to_vec()).collect()
 }
 
 #[cfg(test)]
@@ -249,18 +239,35 @@ mod tests {
         }
     }
 
+    /// Each row of the Laplacian's pattern — what the IG-Match matcher
+    /// reads — under every weighting.
+    fn pattern_rows(hg: &Hypergraph) -> Vec<Vec<Vec<u32>>> {
+        IgWeighting::ALL
+            .iter()
+            .map(|&w| {
+                let (offsets, cols) = intersection_laplacian(hg, w).pattern();
+                offsets
+                    .windows(2)
+                    .map(|r| cols[r[0] as usize..r[1] as usize].to_vec())
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn neighbors_match_shared_modules() {
         let hg = hand_example();
-        let nb = intersection_neighbors(&hg);
-        for a in hg.nets() {
-            for b_ in hg.nets() {
-                if a == b_ {
-                    continue;
+        for (nb, w) in pattern_rows(&hg).iter().zip(IgWeighting::ALL) {
+            assert_eq!(nb.len(), hg.num_nets(), "{w:?}");
+            for a in hg.nets() {
+                for b_ in hg.nets() {
+                    if a == b_ {
+                        continue;
+                    }
+                    let share = !hg.shared_modules(a, b_).is_empty();
+                    let adjacent = nb[a.index()].binary_search(&b_.0).is_ok();
+                    assert_eq!(share, adjacent, "{w:?}: nets {a},{b_}");
                 }
-                let share = !hg.shared_modules(a, b_).is_empty();
-                let adjacent = nb[a.index()].binary_search(&b_.0).is_ok();
-                assert_eq!(share, adjacent, "nets {a},{b_}");
             }
         }
     }
@@ -268,11 +275,19 @@ mod tests {
     #[test]
     fn neighbors_symmetric_and_deduped() {
         let hg = hypergraph_from_nets(4, &[vec![0, 1, 2], vec![0, 1, 3], vec![2, 3]]);
-        let nb = intersection_neighbors(&hg);
-        for (i, list) in nb.iter().enumerate() {
-            assert!(list.windows(2).all(|w| w[0] < w[1]), "not sorted/deduped");
-            for &j in list {
-                assert!(nb[j as usize].contains(&(i as u32)), "asymmetric {i}-{j}");
+        for (nb, w) in pattern_rows(&hg).iter().zip(IgWeighting::ALL) {
+            for (i, list) in nb.iter().enumerate() {
+                assert!(
+                    list.windows(2).all(|p| p[0] < p[1]),
+                    "{w:?}: not sorted/deduped"
+                );
+                assert!(!list.contains(&(i as u32)), "{w:?}: self-loop at {i}");
+                for &j in list {
+                    assert!(
+                        nb[j as usize].contains(&(i as u32)),
+                        "{w:?}: asymmetric {i}-{j}"
+                    );
+                }
             }
         }
     }

@@ -18,6 +18,4 @@ pub mod clique;
 pub mod intersection;
 
 pub use clique::{clique_adjacency, clique_laplacian};
-pub use intersection::{
-    intersection_adjacency, intersection_laplacian, intersection_neighbors, IgWeighting,
-};
+pub use intersection::{intersection_adjacency, intersection_laplacian, IgWeighting};

@@ -642,7 +642,7 @@ fn run_attempt(
 }
 
 /// Fiduccia–Mattheyses from a *random balanced* start drawn from the
-/// attempt's seed stream ([`RunContext::rng`]) — the portfolio
+/// attempt's seed stream ([`RunContext::seed`]) — the portfolio
 /// counterpart of [`FmStage`](np_core::engine::stages::FmStage), whose
 /// deterministic "first half left" seed partition would make every FM
 /// restart identical.

@@ -354,12 +354,14 @@ impl CsrMatrix {
 
     /// Computes rows `lo..lo + out.len()` of the product `A·x` into `out`.
     ///
-    /// This is the per-shard kernel of the row-sharded parallel matvec
-    /// (see [`crate::parallel`]): each row's dot product is accumulated
-    /// sequentially by exactly one caller, so covering `0..n` with any
-    /// disjoint set of ranges produces output bit-identical to a single
-    /// [`apply`](crate::LinearOperator::apply) — no reduction order is
-    /// introduced that serial execution would not also have.
+    /// Each row's dot product is accumulated sequentially, from `0.0`, in
+    /// column order, so covering `0..n` with any disjoint set of ranges
+    /// produces output bit-identical to a single
+    /// [`apply`](crate::LinearOperator::apply). No operator of the
+    /// pipeline runs this kernel: a [`Laplacian`](crate::Laplacian)
+    /// applies its own windowed layout, serially and per shard of a
+    /// [`ThreadedLaplacian`](crate::ThreadedLaplacian). It is the plain
+    /// per-row CSR kernel that layout is held to, bit for bit, in tests.
     ///
     /// # Panics
     ///

@@ -47,7 +47,7 @@ const NO_ROW: u32 = u32::MAX;
 /// inside their window, so a window's outputs are one contiguous range,
 /// and the [`ThreadedLaplacian`](crate::ThreadedLaplacian) shards on
 /// window boundaries. [`adjacency`](Self::adjacency) rebuilds the CSR
-/// form.
+/// form, and [`pattern`](Self::pattern) its values-free sparsity pattern.
 ///
 /// # Example
 ///
@@ -156,6 +156,29 @@ impl Laplacian {
     /// The adjacency matrix `A`, rebuilt in CSR form from the matvec
     /// layout (`O(n + nnz)`).
     pub fn adjacency(&self) -> CsrMatrix {
+        let mut col_idx = vec![0u32; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        let row_offsets = self.de_interleave(|k, i| {
+            col_idx[i] = self.cols[k];
+            values[i] = self.vals[k];
+        });
+        CsrMatrix::from_parts(self.dim(), row_offsets, col_idx, values)
+    }
+
+    /// The sparsity pattern of `A` without its values: the CSR row
+    /// offsets (`n + 1` of them) and each row's columns, ascending, read
+    /// straight from the matvec layout (`O(n + nnz)`). Row `r`'s
+    /// neighbours are `cols[offsets[r]..offsets[r + 1]]`.
+    pub fn pattern(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut cols = vec![0u32; self.nnz()];
+        let offsets = self.de_interleave(|k, i| cols[i] = self.cols[k]);
+        (offsets, cols)
+    }
+
+    /// Walks the layout back into CSR order: returns the CSR row offsets
+    /// and calls `put(k, i)` for every stored entry, `k` its position in
+    /// the layout and `i` its position in CSR order.
+    fn de_interleave(&self, mut put: impl FnMut(usize, usize)) -> Vec<u32> {
         let n = self.dim();
         let mut row_offsets = vec![0u32; n + 1];
         for (rows, lens) in self.group_rows.iter().zip(&self.group_lens) {
@@ -168,8 +191,6 @@ impl Laplacian {
         for r in 0..n {
             row_offsets[r + 1] += row_offsets[r];
         }
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
         for (g, (rows, lens)) in self.group_rows.iter().zip(&self.group_lens).enumerate() {
             let row_start = rows.map(|r| match r {
                 NO_ROW => 0,
@@ -177,12 +198,11 @@ impl Laplacian {
             });
             let mut k = self.group_start[g] as usize;
             for_each_slot(lens.map(|l| l as usize), |l, p| {
-                col_idx[row_start[l] + p] = self.cols[k];
-                values[row_start[l] + p] = self.vals[k];
+                put(k, row_start[l] + p);
                 k += 1;
             });
         }
-        CsrMatrix::from_parts(n, row_offsets, col_idx, values)
+        row_offsets
     }
 
     /// The degree vector `d` (diagonal of `D`).
@@ -373,14 +393,41 @@ mod tests {
         assert_eq!(y, vec![5.0, -5.0]);
     }
 
+    /// A graph whose rows `3i` are empty: each row `3i + 2` joins the
+    /// `1 + i % 5` rows `3j + 1` below it, so both other row
+    /// classes take many lengths.
+    fn gappy(n: usize) -> CsrMatrix {
+        let mut b = TripletBuilder::new(n);
+        for (i, r) in (2..n).step_by(3).enumerate() {
+            for j in i - i % 5..=i {
+                b.push_sym(3 * j + 1, r, 1.0 + j as f64 * 0.125);
+            }
+        }
+        b.into_csr()
+    }
+
     #[test]
     fn layout_round_trips_the_adjacency() {
         for n in [0usize, 1, 3, 4, 63, 64, 65, 130, 300] {
-            let a = ragged(n);
-            let q = Laplacian::from_adjacency(a.clone());
-            assert_eq!(q.adjacency(), a, "n={n}");
-            assert_eq!(q.nnz(), a.nnz(), "n={n}");
+            for a in [ragged(n), gappy(n)] {
+                let q = Laplacian::from_adjacency(a.clone());
+                assert_eq!(q.adjacency(), a, "n={n}");
+                assert_eq!(q.nnz(), a.nnz(), "n={n}");
+                // the values-free walk reads the same pattern
+                let (offsets, cols) = q.pattern();
+                assert_eq!(offsets.len(), n + 1, "n={n}");
+                assert_eq!(offsets[n] as usize, a.nnz(), "n={n}");
+                for r in 0..n {
+                    let row = offsets[r] as usize..offsets[r + 1] as usize;
+                    assert_eq!(&cols[row], a.row(r).0, "n={n} row {r}");
+                }
+            }
         }
+        // the gappy rows hold every length class the walk must restore,
+        // empty rows included
+        let a = gappy(130);
+        assert!((0..130).any(|r| a.row(r).0.is_empty()));
+        assert!((0..130).any(|r| a.row(r).0.len() >= 3));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! completion bound), completed cut, ratio cut.
 
 use ig_match_repro::core::igmatch::{SplitClassification, SplitMatcher};
-use ig_match_repro::core::models::intersection_neighbors;
+use ig_match_repro::core::models::intersection_laplacian;
 use ig_match_repro::core::ordering::spectral_net_ordering;
 use ig_match_repro::netlist::generate::mcnc_benchmark;
 use ig_match_repro::netlist::{Bipartition, ModuleId, NetId, Side};
@@ -24,8 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hg = &b.hypergraph;
 
     let order = spectral_net_ordering(hg, IgWeighting::Paper, &Default::default())?;
-    let neighbors = intersection_neighbors(hg);
-    let mut matcher = SplitMatcher::new(&neighbors);
+    let mut matcher = SplitMatcher::new(&intersection_laplacian(hg, IgWeighting::Paper));
     let mut class = SplitClassification::default();
 
     println!("rank\tmatching\tcut\tratio");

@@ -16,7 +16,7 @@
 use ig_match_repro::core::engine::RunContext;
 use ig_match_repro::core::models::clique::bound_preserving_adjacency;
 use ig_match_repro::core::models::{
-    clique_adjacency, intersection_adjacency, intersection_neighbors,
+    clique_adjacency, intersection_adjacency, intersection_laplacian,
 };
 use ig_match_repro::core::ordering::{spectral_module_ordering_ctx, spectral_net_ordering_ctx};
 use ig_match_repro::core::IgWeighting;
@@ -393,9 +393,10 @@ fn enumerated_intersection(hg: &Hypergraph, weighting: IgWeighting) -> Vec<BTree
 }
 
 fn assert_builder_matches_enumeration(name: &str, hg: &Hypergraph) {
-    let neighbors = intersection_neighbors(hg);
     for weighting in IgWeighting::ALL {
         let a = intersection_adjacency(hg, weighting);
+        // the pattern the IG-Match matcher reads
+        let (offsets, neighbors) = intersection_laplacian(hg, weighting).pattern();
         let reference = enumerated_intersection(hg, weighting);
         for (r, want) in reference.iter().enumerate() {
             let (cols, vals) = a.row(r);
@@ -405,7 +406,11 @@ fn assert_builder_matches_enumeration(name: &str, hg: &Hypergraph) {
                 &want_cols[..],
                 "{name} {weighting:?}: row {r} pattern"
             );
-            assert_eq!(neighbors[r], want_cols, "{name}: neighbours of {r}");
+            assert_eq!(
+                &neighbors[offsets[r] as usize..offsets[r + 1] as usize],
+                &want_cols[..],
+                "{name} {weighting:?}: neighbours of {r}"
+            );
             for (c, (v, w)) in cols.iter().zip(vals.iter().zip(want.values())) {
                 assert_eq!(
                     v.to_bits(),

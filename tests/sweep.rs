@@ -11,23 +11,32 @@
 //!
 //! The reference ([`reference_split`]) shares no code with
 //! `SplitMatcher`: it re-derives a maximum matching and the two
-//! alternating BFS from the plain neighbour lists and a side mask, so a
-//! fault in the matcher's side-split rows cannot corrupt both sides of
-//! a comparison. `CompletionOracle` then scores its classes.
+//! alternating BFS from plain neighbour lists (the intersection graph's
+//! adjacency rows) and a side mask, so a fault in the matcher's
+//! side-split rows cannot corrupt both sides of a comparison.
+//! `CompletionOracle` then scores its classes.
 //!
 //! The same checks run as `debug_assert`s inside `SweepState::advance`;
 //! this suite keeps them alive in release builds (CI runs it with
 //! `cargo test --release --test sweep`).
 
 use ig_match_repro::core::igmatch::{
-    ig_match_with_ordering, CompletionOracle, OrientedEval, SplitClassification, SweepState,
+    ig_match_with_ordering, CompletionOracle, OrientedEval, SplitClassification, SplitMatcher,
+    SweepState,
 };
-use ig_match_repro::core::models::{intersection_neighbors, IgWeighting};
+use ig_match_repro::core::models::{intersection_adjacency, intersection_laplacian, IgWeighting};
 use ig_match_repro::core::ordering::spectral_net_ordering;
 use ig_match_repro::eigen::LanczosOptions;
 use ig_match_repro::netlist::generate::{generate, mcnc_specs};
 use ig_match_repro::netlist::{Hypergraph, NetId};
 use np_testkit::{banded_hypergraph, check_cases, degenerate_hypergraph, small_hypergraph, Gen};
+
+/// The intersection graph's plain neighbour lists, one per net, read
+/// from the rows of its adjacency matrix.
+fn neighbour_lists(hg: &Hypergraph) -> Vec<Vec<u32>> {
+    let a = intersection_adjacency(hg, IgWeighting::Uniform);
+    (0..hg.num_nets()).map(|r| a.row(r).0.to_vec()).collect()
+}
 
 /// The classes and maximum-matching size of one split, computed from
 /// scratch from the neighbour lists and `in_r` (the `R`-side mask).
@@ -135,8 +144,9 @@ fn reference_split(neighbors: &[Vec<u32>], in_r: &[bool]) -> (SplitClassificatio
 /// Runs the incremental sweep over `order` and asserts it agrees with the
 /// from-scratch reference at every split.
 fn assert_sweep_matches_oracle(hg: &Hypergraph, order: &[u32]) {
-    let neighbors = intersection_neighbors(hg);
-    let mut sweep = SweepState::new(hg, &neighbors);
+    let neighbors = neighbour_lists(hg);
+    let ig = intersection_laplacian(hg, IgWeighting::default());
+    let mut sweep = SweepState::new(hg, SplitMatcher::new(&ig));
     let mut in_r = vec![false; hg.num_nets()];
     let mut oracle = CompletionOracle::new(hg);
     for (k, &net) in order[..order.len() - 1].iter().enumerate() {
@@ -260,7 +270,7 @@ fn full_sweep_agrees_with_from_scratch_best_search() {
         let order = shuffled_order(g, &hg);
         let order_ids: Vec<NetId> = order.iter().map(|&v| NetId(v)).collect();
 
-        let neighbors = intersection_neighbors(&hg);
+        let neighbors = neighbour_lists(&hg);
         let mut in_r = vec![false; hg.num_nets()];
         let mut oracle = CompletionOracle::new(&hg);
         let mut best: Option<(f64, usize, _, usize, usize)> = None;

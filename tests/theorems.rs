@@ -12,13 +12,22 @@
 
 use ig_match_repro::core::igmatch::ig_match_with_ordering;
 use ig_match_repro::core::igmatch::SplitMatcher;
-use ig_match_repro::core::models::{clique_laplacian, intersection_neighbors};
+use ig_match_repro::core::models::{
+    clique_laplacian, intersection_adjacency, intersection_laplacian, IgWeighting,
+};
 use ig_match_repro::core::PartitionError;
 use ig_match_repro::eigen::{fiedler, LanczosOptions};
 use ig_match_repro::netlist::partition::CutTracker;
-use ig_match_repro::netlist::{ModuleId, NetId};
+use ig_match_repro::netlist::{Hypergraph, ModuleId, NetId};
 use ig_match_repro::{ig_match, Bipartition, IgMatchOptions, Side};
 use np_testkit::{check_cases, small_hypergraph};
+
+/// The intersection graph's plain neighbour lists, one per net, read
+/// from the rows of its adjacency matrix.
+fn neighbour_lists(hg: &Hypergraph) -> Vec<Vec<u32>> {
+    let a = intersection_adjacency(hg, IgWeighting::Uniform);
+    (0..hg.num_nets()).map(|r| a.row(r).0.to_vec()).collect()
+}
 
 /// Kuhn's algorithm: reference maximum matching over crossing edges.
 fn brute_force_mm(neighbors: &[Vec<u32>], in_r: &[bool]) -> usize {
@@ -61,12 +70,12 @@ fn brute_force_mm(neighbors: &[Vec<u32>], in_r: &[bool]) -> usize {
 fn incremental_matching_is_maximum() {
     check_cases(64, 0x7E01, |g| {
         let hg = small_hypergraph(g);
-        let neighbors = intersection_neighbors(&hg);
+        let neighbors = neighbour_lists(&hg);
         let m = hg.num_nets();
         // pseudo-random move order derived from the case seed
         let mut order: Vec<u32> = (0..m as u32).collect();
         g.rng().shuffle(&mut order);
-        let mut matcher = SplitMatcher::new(&neighbors);
+        let mut matcher = SplitMatcher::new(&intersection_laplacian(&hg, IgWeighting::default()));
         let mut in_r = vec![false; m];
         for &v in &order[..m - 1] {
             matcher.move_to_r(v);
@@ -81,11 +90,11 @@ fn incremental_matching_is_maximum() {
 fn konig_duality_holds() {
     check_cases(64, 0x7E02, |g| {
         let hg = small_hypergraph(g);
-        let neighbors = intersection_neighbors(&hg);
+        let neighbors = neighbour_lists(&hg);
         let m = hg.num_nets();
         let mut order: Vec<u32> = (0..m as u32).collect();
         g.rng().shuffle(&mut order);
-        let mut matcher = SplitMatcher::new(&neighbors);
+        let mut matcher = SplitMatcher::new(&intersection_laplacian(&hg, IgWeighting::default()));
         for &v in &order[..m / 2 + 1] {
             matcher.move_to_r(v);
         }
