@@ -83,7 +83,7 @@ impl Runs {
         let rcut_seed = RcutOptions::default().seed;
         let best_of_rcut =
             |portfolio: &Portfolio, score: &(dyn Fn(&PartitionResult) -> f64 + Sync)| {
-                let opts = PortfolioOptions::default().with_seed(rcut_seed);
+                let opts = PortfolioOptions::default();
                 run_portfolio_scored(hg, portfolio, &opts, &BudgetMeter::unlimited(), None, score)
                     .unwrap_or_else(|e| panic!("RCut portfolio failed on {name}: {e}"))
             };

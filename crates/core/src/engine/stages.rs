@@ -17,6 +17,7 @@ use crate::{PartitionError, PartitionResult};
 use np_baselines::{
     fm_bisect_metered, kl_bisect_metered, rcut_metered, FmOptions, KlOptions, RcutOptions,
 };
+use np_netlist::rng::Rng64;
 use np_netlist::{Bipartition, Hypergraph, ModuleId, Side};
 
 /// The Hagen–Kahng EIG1 baseline as a stage: spectral module ordering on
@@ -127,25 +128,55 @@ impl Partitioner for IgMatchStage {
     }
 }
 
-/// Fiduccia–Mattheyses from the deterministic "first half left" seed
-/// partition, as a stage. Purely combinatorial — no eigensolve — so it
-/// serves as the last line of defense in fallback chains.
+/// Fiduccia–Mattheyses as a stage. Purely combinatorial — no
+/// eigensolve — so it serves as the last line of defense in fallback
+/// chains.
+///
+/// [`FmStage::default`] starts from the deterministic "first half left"
+/// partition; [`FmStage::seeded`] starts from a random balanced one drawn
+/// from its seed, so the attempts of a best-of-N portfolio each start
+/// somewhere else.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FmStage {
     /// Algorithm options.
     pub opts: FmOptions,
+    /// Seed of the random balanced start; `None` starts from the first
+    /// half.
+    pub seed: Option<u64>,
 }
 
 impl FmStage {
-    /// A stage with the given options.
+    /// A stage with the given options, from the first-half start.
     pub fn new(opts: FmOptions) -> Self {
-        FmStage { opts }
+        FmStage { opts, seed: None }
+    }
+
+    /// A stage with default options from the random balanced start of
+    /// `seed`.
+    pub fn seeded(seed: u64) -> Self {
+        FmStage {
+            opts: FmOptions::default(),
+            seed: Some(seed),
+        }
+    }
+
+    /// The start partition on `n` modules: the first `n / 2` modules on
+    /// the left, or with a seed, the first half of a shuffle of them.
+    pub fn start(&self, n: usize) -> Bipartition {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        if let Some(seed) = self.seed {
+            Rng64::new(seed).shuffle(&mut order);
+        }
+        Bipartition::from_left_set(n, order[..n / 2].iter().copied().map(ModuleId))
     }
 }
 
 impl Partitioner for FmStage {
     fn name(&self) -> &'static str {
-        "FM"
+        match self.seed {
+            None => "FM",
+            Some(_) => "FM-restart",
+        }
     }
 
     fn partition(
@@ -160,8 +191,7 @@ impl Partitioner for FmStage {
                 nets: hg.num_nets(),
             });
         }
-        let start = Bipartition::from_left_set(n, (0..n as u32 / 2).map(ModuleId));
-        let improved = fm_bisect_metered(hg, &start, &self.opts, ctx.meter())?;
+        let improved = fm_bisect_metered(hg, &self.start(n), &self.opts, ctx.meter())?;
         let stats = improved.partition.cut_stats(hg);
         if stats.left == 0 || stats.right == 0 {
             return Err(PartitionError::Degenerate);
@@ -169,7 +199,7 @@ impl Partitioner for FmStage {
         Ok(PartitionResult::evaluate(
             hg,
             improved.partition,
-            "FM",
+            Partitioner::name(self),
             None,
         ))
     }
@@ -362,11 +392,27 @@ mod tests {
     #[test]
     fn fm_stage_improves_the_seed() {
         let hg = two_triangles();
-        let r = FmStage::default()
-            .partition(&hg, &RunContext::unlimited())
-            .unwrap();
-        assert!(r.stats.left > 0 && r.stats.right > 0);
-        assert_eq!(r.algorithm, "FM");
+        for (stage, name) in [
+            (FmStage::default(), "FM"),
+            (FmStage::seeded(7), "FM-restart"),
+        ] {
+            let r = stage.partition(&hg, &RunContext::unlimited()).unwrap();
+            assert!(r.stats.left > 0 && r.stats.right > 0);
+            assert_eq!(r.algorithm, name);
+        }
+        // the first half, or a balanced shuffle that moves with the seed
+        let left = |p: Bipartition| {
+            p.sides()
+                .iter()
+                .map(|&s| s == Side::Left)
+                .collect::<Vec<_>>()
+        };
+        let first = left(FmStage::default().start(10));
+        assert_eq!(first, (0..10).map(|m| m < 5).collect::<Vec<_>>());
+        let shuffled = left(FmStage::seeded(7).start(10));
+        assert_eq!(shuffled.iter().filter(|&&l| l).count(), 5);
+        assert_ne!(shuffled, first);
+        assert_ne!(shuffled, left(FmStage::seeded(8).start(10)));
     }
 
     #[test]

@@ -94,9 +94,7 @@ fn split(
         (hg, pipeline.run(hg, None, ctx))
     } else {
         storage = induced_subhypergraph(hg, modules);
-        let child = RunContext::with_meter(ctx.meter())
-            .with_seed(ctx.seed())
-            .with_threads(ctx.threads());
+        let child = RunContext::with_meter(ctx.meter()).with_threads(ctx.threads());
         let r = pipeline.run(&storage.hypergraph, None, &child);
         (&storage.hypergraph, r)
     };

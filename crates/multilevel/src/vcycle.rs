@@ -46,8 +46,8 @@ use np_core::{
     PartitionResult, Partitioner,
 };
 use np_netlist::{
-    areas::ModuleAreas, Bipartition, FixedModules, Hypergraph, KwayCutTracker, KwayPartition,
-    ModuleId, Side,
+    areas::{area_cut_stats, ModuleAreas},
+    Bipartition, FixedModules, Hypergraph, KwayCutTracker, KwayPartition, ModuleId,
 };
 use np_sparse::BudgetMeter;
 use std::cell::Cell;
@@ -96,10 +96,6 @@ const MIN_SHRINK: f64 = 0.95;
 pub struct Hierarchy {
     /// The contraction steps, finest first.
     pub levels: Vec<Level>,
-    /// `flat_maps[i][flat_module]` = module index at level `i` — the
-    /// composed projection map, maintained so any level's partition can
-    /// be evaluated on the flat hypergraph in O(n).
-    pub flat_maps: Vec<Vec<u32>>,
 }
 
 impl Hierarchy {
@@ -143,7 +139,6 @@ pub fn build_hierarchy(
     // earlier (finer) levels.
     let max_cluster_area = max_cluster_area.min(4.0 * areas.total() / target as f64);
     let mut levels: Vec<Level> = Vec::new();
-    let mut flat_maps: Vec<Vec<u32>> = Vec::new();
     let mut cur_areas = areas.clone();
     let mut cur_fixed = fixed.clone();
     loop {
@@ -160,14 +155,9 @@ pub fn build_hierarchy(
         }
         cur_areas = level.areas.clone();
         cur_fixed = level.fixed.clone();
-        let composed = match flat_maps.last() {
-            None => level.map.clone(),
-            Some(prev) => prev.iter().map(|&c| level.map[c as usize]).collect(),
-        };
-        flat_maps.push(composed);
         levels.push(level);
     }
-    Ok(Hierarchy { levels, flat_maps })
+    Ok(Hierarchy { levels })
 }
 
 /// Outcome of a bipartition V-cycle.
@@ -236,12 +226,12 @@ pub fn multilevel_ctx(
     let areas = ModuleAreas::uniform(n);
     let fixed = FixedModules::free(n);
     let hierarchy = build_hierarchy(hg, &areas, &fixed, opts, f64::INFINITY, ctx.meter())?;
-    // the flat ratio of labels on the netlist at `depth ≥ 1`
-    let flat_ratio = |depth: usize, labels: &[Side]| {
-        let flat_map = &hierarchy.flat_maps[depth - 1];
-        Bipartition::from_sides(flat_map.iter().map(|&c| labels[c as usize]).collect())
-            .cut_stats(hg)
-            .ratio()
+    // the flat ratio of a partition of the netlist at `depth ≥ 1`: its
+    // cut is the flat cut (the projection identity) and its carried areas
+    // add up to the flat side sizes, whole numbers summed exactly
+    let flat_ratio = |depth: usize, partition: &Bipartition| {
+        let level = &hierarchy.levels[depth - 1];
+        area_cut_stats(&level.coarse, partition, &level.areas).ratio()
     };
     // the pure projection's flat ratio and the best one accepted since
     let (floor, best) = (Cell::new(None), Cell::new(f64::INFINITY));
@@ -251,10 +241,9 @@ pub fn multilevel_ctx(
         ctx,
         |coarsest, c| initial_partition(coarsest, opts, c),
         |coarse: &PartitionResult| {
-            let labels = coarse.partition.sides().to_vec();
-            best.set(flat_ratio(hierarchy.len(), &labels));
+            best.set(flat_ratio(hierarchy.len(), &coarse.partition));
             floor.set(Some(best.get()));
-            (labels, coarse.stats.cut_nets)
+            (coarse.partition.sides().to_vec(), coarse.stats.cut_nets)
         },
         |idx, fine, projected| {
             let projected = Bipartition::from_sides(projected.to_vec());
@@ -269,7 +258,7 @@ pub fn multilevel_ctx(
             let ratio = if idx == 0 {
                 stats.ratio()
             } else {
-                flat_ratio(idx, refined.sides())
+                flat_ratio(idx, &refined)
             };
             if ratio > best.get() {
                 return Ok(Step::Kept);

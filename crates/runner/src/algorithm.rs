@@ -9,17 +9,13 @@
 //! the default. IG-Vote takes its weighting from it; EIG1 and the
 //! combinatorial baselines ignore it.
 
-use crate::{Portfolio, RandomStartFmStage};
+use crate::Portfolio;
 use np_baselines::{KlOptions, RcutOptions};
 use np_core::engine::stages::{Eig1Stage, FmStage, IgMatchStage, IgVoteStage, KlStage, RcutStage};
-use np_core::engine::{BoxedStage, RunContext};
+use np_core::engine::BoxedStage;
 use np_core::hybrid::{hybrid_pipeline, HybridOptions};
-use np_core::{
-    Eig1Options, IgMatchOptions, IgVoteOptions, PartitionError, PartitionResult, Partitioner,
-    RobustOptions, RobustStage,
-};
+use np_core::{Eig1Options, IgMatchOptions, IgVoteOptions, RobustOptions, RobustStage};
 use np_netlist::rng::derive_seed;
-use np_netlist::Hypergraph;
 
 /// A bipartitioning algorithm of the workspace, by its front-end name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +117,7 @@ impl Algorithm {
             })),
             (Algorithm::Robust, _) => Box::new(RobustStage::new(RobustOptions::new(ig))),
             (Algorithm::Fm, None) => Box::new(FmStage::default()),
-            (Algorithm::Fm, Some(seed)) => Box::new(StreamFmStage(seed)),
+            (Algorithm::Fm, Some(seed)) => Box::new(FmStage::seeded(seed)),
             (Algorithm::Rcut, None) => Box::new(RcutStage::default()),
             (Algorithm::Rcut, Some(seed)) => Box::new(RcutStage::new(RcutOptions {
                 runs: 1,
@@ -138,30 +134,11 @@ impl Algorithm {
     }
 }
 
-/// An FM attempt: [`RandomStartFmStage`] from the start of its own seed
-/// stream rather than the context's, so reseeded attempts on one
-/// context draw different starts.
-struct StreamFmStage(u64);
-
-impl Partitioner for StreamFmStage {
-    fn name(&self) -> &'static str {
-        "FM-restart"
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        RandomStartFmStage::default().run_from(hg, self.0, ctx.meter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{run_portfolio, PortfolioOptions};
-    use np_core::engine::run_stage;
+    use np_core::engine::{run_stage, RunContext};
     use np_netlist::generate::{generate, GeneratorConfig};
     use np_sparse::BudgetMeter;
 
@@ -169,7 +146,7 @@ mod tests {
     fn every_entry_runs_as_a_stage_and_as_a_portfolio() {
         let hg = generate(&GeneratorConfig::new(60, 66, 3));
         let ig = IgMatchOptions::default();
-        let opts = PortfolioOptions::default().with_threads(2).with_seed(5);
+        let opts = PortfolioOptions::default().with_threads(2);
         for a in Algorithm::ALL {
             assert_eq!(Algorithm::from_name(a.name()), Some(a));
             let single = run_stage(a.stage(ig).as_ref(), &hg, None, &RunContext::unlimited());

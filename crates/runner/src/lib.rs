@@ -12,10 +12,11 @@
 //!
 //! # Determinism contract
 //!
-//! * Attempt `i` runs against a [`RunContext`] whose seed is
-//!   `derive_seed(opts.seed, i)` ([`np_netlist::rng::derive_seed`]), so
-//!   every attempt owns an independent, decorrelated PRNG stream that
-//!   does not depend on which worker thread picks it up.
+//! * An attempt's randomness is the seed its stage was built with: the
+//!   [`algorithm`] table gives attempt `i` the seed
+//!   `derive_seed(seed, i)` ([`np_netlist::rng::derive_seed`]), so what
+//!   an attempt computes does not depend on which worker thread picks it
+//!   up. The runner adds no seed of its own.
 //! * The reduction orders candidates by `(score, attempt_index)` —
 //!   strictly smaller score wins, ties go to the smaller index — so for a
 //!   fixed seed the winner is **bit-identical for any `threads` value,
@@ -51,8 +52,8 @@
 //! # Example
 //!
 //! ```
-//! use np_core::engine::stages::{IgMatchStage, RcutStage};
-//! use np_runner::{run_portfolio, Portfolio, PortfolioOptions, RandomStartFmStage};
+//! use np_core::engine::stages::{FmStage, IgMatchStage};
+//! use np_runner::{run_portfolio, Portfolio, PortfolioOptions};
 //! use np_netlist::hypergraph_from_nets;
 //! use np_sparse::BudgetMeter;
 //!
@@ -62,8 +63,8 @@
 //! );
 //! let portfolio = Portfolio::new()
 //!     .attempt("IG-Match", IgMatchStage::default())
-//!     .attempt("FM#0", RandomStartFmStage::default())
-//!     .attempt("FM#1", RandomStartFmStage::default());
+//!     .attempt("FM#0", FmStage::seeded(1))
+//!     .attempt("FM#1", FmStage::seeded(2));
 //! let opts = PortfolioOptions::default().with_threads(2);
 //! let out = run_portfolio(&hg, &portfolio, &opts, &BudgetMeter::unlimited(), None).unwrap();
 //! assert_eq!(out.best.stats.cut_nets, 1);
@@ -82,16 +83,12 @@ pub use algorithm::Algorithm;
 pub use report::{AttemptReport, AttemptStatus, PortfolioReport, REPORT_SCHEMA};
 pub use trace::{record_attempt_spans, SpanFanIn};
 
-use np_baselines::{fm_bisect_metered, FmOptions};
-use np_core::engine::{
-    run_stage, BoxedStage, EventSink, OperatorCache, RunContext, StageEvent, DEFAULT_SEED,
-};
-use np_core::{PartitionError, PartitionResult, Partitioner, Stage};
-use np_netlist::rng::{derive_seed, Rng64};
-use np_netlist::{Bipartition, Hypergraph, ModuleId};
+use np_core::engine::{run_stage, BoxedStage, EventSink, OperatorCache, RunContext, StageEvent};
+use np_core::{PartitionError, PartitionResult, Stage};
+use np_netlist::Hypergraph;
 use np_sparse::{BudgetMeter, BudgetResource};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -118,7 +115,7 @@ impl fmt::Debug for Attempt {
 }
 
 /// An ordered list of labelled attempts. Order matters: the attempt
-/// index determines both the seed stream and the reduction tie-break.
+/// index breaks ties in the reduction.
 #[derive(Debug, Default)]
 pub struct Portfolio {
     attempts: Vec<Attempt>,
@@ -180,26 +177,14 @@ impl Portfolio {
 }
 
 /// Options for [`run_portfolio`].
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PortfolioOptions {
     /// Worker-thread count; `0` means one worker per available CPU.
     /// The effective count never exceeds the number of attempts.
     pub threads: usize,
-    /// Base seed; attempt `i` runs on stream `derive_seed(seed, i)`.
-    pub seed: u64,
     /// Stop the whole portfolio as soon as an attempt scores `<=` this
     /// value (cooperative cancellation of the remaining attempts).
     pub target_ratio: Option<f64>,
-}
-
-impl Default for PortfolioOptions {
-    fn default() -> Self {
-        PortfolioOptions {
-            threads: 0,
-            seed: DEFAULT_SEED,
-            target_ratio: None,
-        }
-    }
 }
 
 impl PortfolioOptions {
@@ -207,13 +192,6 @@ impl PortfolioOptions {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the base seed (builder style).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -308,44 +286,6 @@ impl fmt::Display for PortfolioError {
 }
 
 impl std::error::Error for PortfolioError {}
-
-/// Monotonic-minimum cell over `f64` scores — the shared best-cost cell
-/// attempts consult-free publish into (lock-free; stores the bit pattern
-/// in an `AtomicU64`).
-struct BestCell {
-    bits: AtomicU64,
-}
-
-impl BestCell {
-    fn new() -> Self {
-        BestCell {
-            bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
-
-    /// Lowers the cell to `score` if smaller; returns the new minimum.
-    fn offer(&self, score: f64) -> f64 {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            if score >= f64::from_bits(current) {
-                return f64::from_bits(current);
-            }
-            match self.bits.compare_exchange_weak(
-                current,
-                score.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return score,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
 
 /// What one attempt produced, gathered by the worker that ran it.
 pub(crate) struct Slot {
@@ -483,7 +423,6 @@ pub fn run_portfolio_cached(
     }
     let threads = effective_threads(opts.threads, n);
     let next = AtomicUsize::new(0);
-    let best = BestCell::new();
     let slots: Vec<Mutex<Option<Slot>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
@@ -500,7 +439,7 @@ pub fn run_portfolio_cached(
                     let slot = if meter.check().is_err() {
                         Slot::skipped()
                     } else {
-                        run_attempt(hg, attempt, idx, opts, meter, sink, score, &best, operators)
+                        run_attempt(hg, attempt, idx, opts, meter, sink, score, operators)
                     };
                     *slots[idx].lock().expect("slot lock") = Some(slot);
                 }
@@ -532,7 +471,7 @@ pub fn run_portfolio_cached(
     if let Some(w) = winner {
         records[w].status = AttemptStatus::Won;
     }
-    let best_score = winner.map(|_| best.get()).filter(|s| s.is_finite());
+    let best_score = winner.map(|w| records[w].score).filter(|s| s.is_finite());
     let wall = started.elapsed();
     let cancelled = meter.is_cancelled();
     let reports = records
@@ -572,7 +511,6 @@ fn run_attempt(
     meter: &BudgetMeter,
     sink: Option<&dyn PortfolioSink>,
     score: &(dyn Fn(&PartitionResult) -> f64 + Sync),
-    best: &BestCell,
     operators: &Arc<OperatorCache>,
 ) -> Slot {
     let tributary = meter.tributary();
@@ -585,9 +523,7 @@ fn run_attempt(
     // sharded kernels serial (threads = 1): the worker pool already uses
     // every requested core, so per-attempt SpMV sharding would only
     // oversubscribe it.
-    let mut ctx = RunContext::with_meter(&tributary)
-        .with_seed(derive_seed(opts.seed, idx as u64))
-        .with_operator_cache(Arc::clone(operators));
+    let mut ctx = RunContext::with_meter(&tributary).with_operator_cache(Arc::clone(operators));
     if let Some(fwd) = &forward {
         ctx = ctx.with_events(fwd);
     }
@@ -596,8 +532,8 @@ fn run_attempt(
     // scoped pool and abort the whole portfolio (and its caller — in a
     // server, the process). `AssertUnwindSafe` is justified because a
     // panicked attempt's partial state is confined to the attempt: the
-    // stage is an immutable options struct, and the shared meter /
-    // best-cell are atomics that stay consistent under abandonment.
+    // stage is an immutable options struct, and the shared meter's
+    // atomics stay consistent under abandonment.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_stage(attempt.stage.as_ref(), hg, None, &ctx)
     }))
@@ -607,7 +543,6 @@ fn run_attempt(
     match outcome {
         Ok(result) => {
             let s = (score)(&result);
-            best.offer(reduction_score(s));
             if opts.target_ratio.is_some_and(|t| s <= t) {
                 meter.cancel();
             }
@@ -641,79 +576,14 @@ fn run_attempt(
     }
 }
 
-/// Fiduccia–Mattheyses from a *random balanced* start drawn from the
-/// attempt's seed stream ([`RunContext::seed`]) — the portfolio
-/// counterpart of [`FmStage`](np_core::engine::stages::FmStage), whose
-/// deterministic "first half left" seed partition would make every FM
-/// restart identical.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct RandomStartFmStage {
-    /// Algorithm options.
-    pub opts: FmOptions,
-}
-
-impl RandomStartFmStage {
-    /// A stage with the given options.
-    pub fn new(opts: FmOptions) -> Self {
-        RandomStartFmStage { opts }
-    }
-
-    /// The random balanced start of an attempt seeded with `seed`: a
-    /// shuffle of the `n` modules, the first half on the left.
-    pub fn start(n: usize, seed: u64) -> Bipartition {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        Rng64::new(seed).shuffle(&mut order);
-        Bipartition::from_left_set(n, order[..n / 2].iter().copied().map(ModuleId))
-    }
-
-    /// FM from the random balanced start of `seed`, charged to `meter`.
-    pub(crate) fn run_from(
-        &self,
-        hg: &Hypergraph,
-        seed: u64,
-        meter: &BudgetMeter,
-    ) -> Result<PartitionResult, PartitionError> {
-        let n = hg.num_modules();
-        if n < 2 {
-            return Err(PartitionError::TooSmall {
-                modules: n,
-                nets: hg.num_nets(),
-            });
-        }
-        let start = Self::start(n, seed);
-        let improved = fm_bisect_metered(hg, &start, &self.opts, meter)?;
-        let stats = improved.partition.cut_stats(hg);
-        if stats.left == 0 || stats.right == 0 {
-            return Err(PartitionError::Degenerate);
-        }
-        Ok(PartitionResult::evaluate(
-            hg,
-            improved.partition,
-            "FM-restart",
-            None,
-        ))
-    }
-}
-
-impl Partitioner for RandomStartFmStage {
-    fn name(&self) -> &'static str {
-        "FM-restart"
-    }
-
-    fn partition(
-        &self,
-        hg: &Hypergraph,
-        ctx: &RunContext<'_>,
-    ) -> Result<PartitionResult, PartitionError> {
-        self.run_from(hg, ctx.seed(), ctx.meter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use np_core::engine::stages::IgMatchStage;
+    use np_core::engine::stages::{FmStage, IgMatchStage};
+    use np_core::engine::DEFAULT_SEED;
+    use np_core::Partitioner;
     use np_netlist::hypergraph_from_nets;
+    use np_netlist::rng::derive_seed;
     use np_sparse::Budget;
 
     fn two_triangles() -> Hypergraph {
@@ -789,13 +659,13 @@ mod tests {
         // instance) explore different random starts; both must be
         // reported and the reduction must pick the better one
         let hg = two_triangles();
-        let portfolio = Portfolio::new().restarts("FM", 4, |_| {
-            Box::new(RandomStartFmStage::default()) as BoxedStage
+        let portfolio = Portfolio::new().restarts("FM", 4, |i| {
+            Box::new(FmStage::seeded(derive_seed(7, i as u64))) as BoxedStage
         });
         let out = run_portfolio(
             &hg,
             &portfolio,
-            &PortfolioOptions::default().with_threads(1).with_seed(7),
+            &PortfolioOptions::default().with_threads(1),
             &BudgetMeter::unlimited(),
             None,
         )
@@ -866,7 +736,7 @@ mod tests {
         };
         let portfolio = Portfolio::new()
             .attempt("a", IgMatchStage::default())
-            .attempt("b", RandomStartFmStage::default());
+            .attempt("b", FmStage::seeded(derive_seed(DEFAULT_SEED, 1)));
         run_portfolio(
             &two_triangles(),
             &portfolio,
@@ -966,12 +836,34 @@ mod tests {
     }
 
     #[test]
-    fn best_cell_is_monotonic() {
-        let cell = BestCell::new();
-        assert_eq!(cell.offer(5.0), 5.0);
-        assert_eq!(cell.offer(7.0), 5.0);
-        assert_eq!(cell.offer(2.0), 2.0);
-        assert_eq!(cell.get(), 2.0);
+    fn best_score_is_the_winners_score() {
+        let portfolio = Portfolio::new().restarts("FM", 4, |i| {
+            Box::new(FmStage::seeded(derive_seed(3, i as u64))) as BoxedStage
+        });
+        let hg = two_triangles();
+        let run = |score: &(dyn Fn(&PartitionResult) -> f64 + Sync)| {
+            let opts = PortfolioOptions::default().with_threads(2);
+            run_portfolio_scored(
+                &hg,
+                &portfolio,
+                &opts,
+                &BudgetMeter::unlimited(),
+                None,
+                score,
+            )
+            .unwrap()
+        };
+        let out = run(&|r: &PartitionResult| r.ratio());
+        let winner = out.report.attempts[out.winner].score.unwrap();
+        assert_eq!(
+            out.report.best_score.map(f64::to_bits),
+            Some(winner.to_bits())
+        );
+        // every attempt completes, none with a finite score: a winner
+        // but no best score
+        let out = run(&|_: &PartitionResult| f64::INFINITY);
+        assert_eq!(out.winner, 0);
+        assert_eq!(out.report.best_score, None);
     }
 
     #[test]

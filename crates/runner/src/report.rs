@@ -7,7 +7,7 @@ use std::time::Duration;
 
 /// Schema tag embedded in every serialized report, so downstream tooling
 /// can detect format drift.
-pub const REPORT_SCHEMA: &str = "np-runner/portfolio-report/v1";
+pub const REPORT_SCHEMA: &str = "np-runner/portfolio-report/v2";
 
 /// What happened to one portfolio attempt.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +58,7 @@ impl fmt::Display for AttemptStatus {
 /// Record of a single attempt: outcome, quality, cost.
 #[derive(Clone, Debug)]
 pub struct AttemptReport {
-    /// Attempt index (also the seed stream and the reduction tie-break).
+    /// Attempt index (also the reduction tie-break).
     pub index: usize,
     /// The attempt's label.
     pub label: String,
@@ -86,8 +86,6 @@ pub struct AttemptReport {
 /// [`PortfolioReport::to_json`].
 #[derive(Clone, Debug)]
 pub struct PortfolioReport {
-    /// Base seed the portfolio ran with.
-    pub seed: u64,
     /// Effective worker-thread count.
     pub threads: usize,
     /// The early-stop target, if one was set.
@@ -125,7 +123,6 @@ impl PortfolioReport {
         });
         let obj = Obj::new()
             .str("schema", REPORT_SCHEMA)
-            .int("seed", self.seed)
             .int("threads", self.threads as u64);
         let obj = opt(obj, "target_ratio", self.target_ratio, Obj::num)
             .num("wall_ms", self.wall.as_secs_f64() * 1e3)
@@ -180,7 +177,6 @@ pub(crate) fn assemble(
         .find(|a| a.status == AttemptStatus::Won)
         .map(|a| a.index);
     PortfolioReport {
-        seed: opts.seed,
         threads,
         target_ratio: opts.target_ratio,
         wall,
@@ -198,7 +194,6 @@ mod tests {
 
     fn sample_report() -> PortfolioReport {
         PortfolioReport {
-            seed: 7,
             threads: 2,
             target_ratio: Some(0.1 + 0.2),
             wall: Duration::from_nanos(12_345_678_901),
@@ -276,8 +271,18 @@ mod tests {
         assert!(!json.contains('\n'), "one line: {json}");
         let doc = parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
         let ms = |d: Duration| (d.as_secs_f64() * 1e3).to_bits();
+        let keys = [
+            "schema",
+            "threads",
+            "target_ratio",
+            "wall_ms",
+            "cancelled",
+            "winner",
+            "best_score",
+            "attempts",
+        ];
+        assert_eq!(doc.keys().unwrap(), keys);
         field(&doc, "schema", Some(REPORT_SCHEMA.to_string()), text);
-        field(&doc, "seed", Some(r.seed), Value::as_u64);
         field(&doc, "threads", Some(r.threads as u64), Value::as_u64);
         field(&doc, "target_ratio", r.target_ratio.map(f64::to_bits), bits);
         field(&doc, "wall_ms", Some(ms(r.wall)), bits);

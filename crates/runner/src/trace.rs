@@ -108,10 +108,11 @@ pub fn record_attempt_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_portfolio, Portfolio, PortfolioOptions, RandomStartFmStage};
-    use np_core::engine::stages::IgMatchStage;
-    use np_core::engine::StageEvent;
+    use crate::{run_portfolio, Portfolio, PortfolioOptions};
+    use np_core::engine::stages::{FmStage, IgMatchStage};
+    use np_core::engine::{StageEvent, DEFAULT_SEED};
     use np_netlist::hypergraph_from_nets;
+    use np_netlist::rng::derive_seed;
     use np_sparse::BudgetMeter;
 
     fn hg() -> np_netlist::Hypergraph {
@@ -135,7 +136,7 @@ mod tests {
         let fan_in = SpanFanIn::new(&ring, 42);
         let portfolio = Portfolio::new()
             .attempt("IG-Match", IgMatchStage::default())
-            .attempt("FM", RandomStartFmStage::default());
+            .attempt("FM", FmStage::seeded(derive_seed(DEFAULT_SEED, 1)));
         let started = Instant::now();
         let out = run_portfolio(
             &hg(),
@@ -175,7 +176,7 @@ mod tests {
         let ring = SpanRing::new(16);
         let portfolio = Portfolio::new()
             .attempt("IG-Match", IgMatchStage::default())
-            .attempt("FM", RandomStartFmStage::default());
+            .attempt("FM", FmStage::seeded(derive_seed(DEFAULT_SEED, 1)));
         let meter = BudgetMeter::unlimited();
         meter.cancel();
         let started = Instant::now();

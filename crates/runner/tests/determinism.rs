@@ -2,20 +2,19 @@
 //! invariance of the winner and the report is a row of the root
 //! package's differential matrix (`tests/differential.rs`).
 //!
-//! * **Seeding**: attempt `i` runs on seed stream `derive_seed(seed, i)`,
-//!   whatever the worker that picks it up.
+//! * **Seeding**: attempt `i` of an algorithm-table portfolio runs on
+//!   seed stream `derive_seed(seed, i)`, whatever the worker that picks
+//!   it up.
 //! * **Cancellation**: once the shared deadline passes, in-flight
 //!   attempts stop at their next budget check and the whole portfolio
 //!   returns promptly with every attempt's fate recorded.
 
-use np_core::engine::stages::IgMatchStage;
+use np_core::engine::stages::{FmStage, IgMatchStage};
 use np_core::{IgMatchOptions, PartitionError, PartitionResult, Partitioner, RunContext};
 use np_netlist::rng::derive_seed;
 use np_netlist::Hypergraph;
 use np_runner::json::Value;
-use np_runner::{
-    run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions, RandomStartFmStage,
-};
+use np_runner::{run_portfolio, Algorithm, AttemptStatus, Portfolio, PortfolioOptions};
 use np_sparse::{Budget, BudgetMeter};
 use np_testkit::{small_hypergraph, Gen};
 use std::time::{Duration, Instant};
@@ -37,15 +36,14 @@ fn attempt_seeds_follow_the_derive_seed_streams() {
     let out = run_portfolio(
         &hg,
         &portfolio,
-        &PortfolioOptions::default().with_threads(1).with_seed(base),
+        &PortfolioOptions::default().with_threads(1),
         &BudgetMeter::unlimited(),
         None,
     )
     .unwrap();
     for i in 0..4u64 {
-        let stage = RandomStartFmStage::default();
-        let ctx = RunContext::unlimited().with_seed(derive_seed(base, i));
-        let standalone = stage.partition(&hg, &ctx);
+        let stage = FmStage::seeded(derive_seed(base, i));
+        let standalone = stage.partition(&hg, &RunContext::unlimited());
         let reported = &out.report.attempts[i as usize];
         match standalone {
             Ok(r) => assert_eq!(Some(r.ratio()), reported.ratio, "attempt {i}"),

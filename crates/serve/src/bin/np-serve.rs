@@ -133,7 +133,7 @@ fn main() -> ExitCode {
         }
         None => {
             np_serve::server::serve_stdio(&service);
-            eprintln!("np-serve: stdin closed; {}", service.metrics().to_json());
+            eprintln!("np-serve: stdin closed; {}", service.metrics_frame());
         }
     }
     ExitCode::SUCCESS

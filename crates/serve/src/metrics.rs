@@ -139,28 +139,18 @@ impl HistogramSnapshot {
 }
 
 /// Result-frame tiers tracked by the per-tier wall histograms: index 0
-/// is a clean result, 1..=4 are the [`Degradation`] reasons in
-/// [`TIER_NAMES`] order.
-pub const RESULT_TIERS: usize = 5;
-
-/// Wire names of the per-tier histograms, indexed by [`tier_index`].
-pub const TIER_NAMES: [&str; RESULT_TIERS] = [
-    "clean",
-    "deadline-best-so-far",
-    "fm-fallback",
-    "expired-in-queue",
-    "projection-fallback",
-];
+/// is a clean result, then one per [`Degradation`] reason in
+/// [`Degradation::ALL`] order.
+pub const RESULT_TIERS: usize = Degradation::ALL.len() + 1;
 
 /// Histogram index of a result frame's degradation (None = clean).
 pub fn tier_index(degradation: Option<Degradation>) -> usize {
-    match degradation {
-        None => 0,
-        Some(Degradation::DeadlineBestSoFar) => 1,
-        Some(Degradation::FmFallback) => 2,
-        Some(Degradation::ExpiredInQueue) => 3,
-        Some(Degradation::ProjectionFallback) => 4,
-    }
+    degradation.map_or(0, |d| d as usize + 1)
+}
+
+/// Wire names of the per-tier histograms, in [`tier_index`] order.
+pub fn tier_names() -> impl Iterator<Item = &'static str> {
+    std::iter::once("clean").chain(Degradation::ALL.map(Degradation::name))
 }
 
 /// Monotonic service counters and latency histograms. See the module
@@ -200,7 +190,7 @@ pub struct Metrics {
     /// Enroll → permit, per admission class.
     pub queue_wait_by_priority: [Histogram; PRIORITY_CLASSES],
     /// Permit → terminal frame (compute wall), result frames only, per
-    /// degradation tier ([`TIER_NAMES`]).
+    /// degradation tier ([`tier_names`]).
     pub wall_by_tier: [Histogram; RESULT_TIERS],
 }
 
@@ -221,27 +211,6 @@ impl Metrics {
     pub fn observe_queue_wait(&self, priority: Priority, wait: Duration) {
         self.queue_wait.observe(wait);
         self.queue_wait_by_priority[priority.index()].observe(wait);
-    }
-
-    /// Renders the counters as a one-line JSON object (no histograms —
-    /// the full snapshot is the service's `/metrics` frame).
-    pub fn to_json(&self) -> String {
-        Obj::new()
-            .int("requests", self.requests.load(Ordering::Relaxed))
-            .int("admitted", self.admitted.load(Ordering::Relaxed))
-            .int("results", self.results.load(Ordering::Relaxed))
-            .int("degraded", self.degraded.load(Ordering::Relaxed))
-            .int("shed", self.shed.load(Ordering::Relaxed))
-            .int("errors", self.errors.load(Ordering::Relaxed))
-            .int("retries", self.retries.load(Ordering::Relaxed))
-            .int("fm_fallbacks", self.fm_fallbacks.load(Ordering::Relaxed))
-            .int("multilevel", self.multilevel.load(Ordering::Relaxed))
-            .int(
-                "panics_contained",
-                self.panics_contained.load(Ordering::Relaxed),
-            )
-            .int("ig_match_hits", self.ig_match_hits.load(Ordering::Relaxed))
-            .render()
     }
 }
 
@@ -343,16 +312,14 @@ mod tests {
     #[test]
     fn tier_indices_cover_every_degradation() {
         assert_eq!(tier_index(None), 0);
+        let names: Vec<&str> = tier_names().collect();
+        assert_eq!(names.len(), RESULT_TIERS);
+        assert_eq!(names[0], "clean");
         let mut seen = [false; RESULT_TIERS];
         seen[0] = true;
-        for d in [
-            Degradation::DeadlineBestSoFar,
-            Degradation::FmFallback,
-            Degradation::ExpiredInQueue,
-            Degradation::ProjectionFallback,
-        ] {
+        for d in Degradation::ALL {
             let i = tier_index(Some(d));
-            assert_eq!(TIER_NAMES[i], d.name(), "name table must match");
+            assert_eq!(names[i], d.name(), "name table must match");
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));

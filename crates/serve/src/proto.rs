@@ -282,6 +282,14 @@ pub enum Degradation {
 }
 
 impl Degradation {
+    /// Every reason, in declaration order.
+    pub const ALL: [Degradation; 4] = [
+        Degradation::DeadlineBestSoFar,
+        Degradation::FmFallback,
+        Degradation::ExpiredInQueue,
+        Degradation::ProjectionFallback,
+    ];
+
     /// Wire name.
     pub fn name(self) -> &'static str {
         match self {

@@ -45,14 +45,16 @@
 use crate::admit::{Admission, Enrollment, Priority, PRIORITY_CLASSES};
 use crate::cache::{CachedNetlist, Lookup, NetlistCache};
 use crate::json::Obj;
-use crate::metrics::{tier_index, Metrics, TIER_NAMES};
+use crate::metrics::{tier_index, tier_names, Metrics};
 use crate::proto::{self, Degradation, Request};
-use np_baselines::{fm_bisect_anytime, FmOptions};
+use np_baselines::fm_bisect_anytime;
+use np_core::engine::stages::FmStage;
 use np_core::engine::trace::{SpanKind, SpanRing};
 use np_core::engine::{BoxedStage, RunContext, StageEvent, DEFAULT_SEED};
 use np_core::robust::{fallback_chain, FallbackStage, RobustStage};
 use np_core::{
     kway_partition_ctx, IgMatchOptions, KwayMethod, KwayOptions, KwayResult, PartitionResult,
+    Partitioner,
 };
 use np_multilevel::{multilevel_ctx, multilevel_kway_ctx, MultilevelOptions};
 use np_netlist::rng::derive_seed;
@@ -60,7 +62,6 @@ use np_netlist::Side;
 use np_runner::trace::{record_attempt_spans, SpanFanIn};
 use np_runner::{
     run_portfolio_cached, Algorithm, AttemptStatus, Portfolio, PortfolioEvent, PortfolioOptions,
-    RandomStartFmStage,
 };
 use np_sparse::{Budget, BudgetMeter, BudgetResource};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,10 +81,8 @@ pub struct ServeConfig {
     /// Hard wall-clock cap on any request's compute, whatever the client
     /// asked for — this is what guarantees queue progress.
     pub max_wall: Duration,
-    /// Wall-clock slice of the insurance FM tier.
+    /// Wall-clock slice of the insurance FM tier, its only budget.
     pub insurance_wall: Duration,
-    /// Matvec-equivalent cap of the insurance FM tier.
-    pub insurance_matvecs: u64,
     /// Netlist cache entry bound.
     pub cache_entries: usize,
     /// Netlist cache byte bound.
@@ -106,7 +105,6 @@ impl Default for ServeConfig {
             default_restarts: 4,
             max_wall: Duration::from_secs(5),
             insurance_wall: Duration::from_millis(25),
-            insurance_matvecs: 200_000,
             cache_entries: 32,
             cache_bytes: 64 << 20,
             multilevel_threshold: 20_000,
@@ -178,7 +176,7 @@ impl Service {
         };
         let tiers = {
             let mut obj = Obj::new();
-            for (name, hist) in TIER_NAMES.iter().zip(m.wall_by_tier.iter()) {
+            for (name, hist) in tier_names().zip(m.wall_by_tier.iter()) {
                 obj = obj.raw(name, hist.snapshot().to_json());
             }
             obj.render()
@@ -472,7 +470,6 @@ impl Service {
         let (portfolio, ladders) = self.build_portfolio(request, portfolio_seed);
         let opts = PortfolioOptions {
             threads: 1,
-            seed: portfolio_seed,
             target_ratio: request.target_ratio,
         };
         let id = request.id.as_str();
@@ -642,12 +639,12 @@ impl Service {
         Some(frame)
     }
 
-    /// Tier 0: one random-start FM run under a tiny private budget.
-    /// Never counts against the main tier's wall (the slice is part of
-    /// the occupancy bound instead) and never carries injected faults —
-    /// it exists precisely to survive them. A slice that runs out keeps
-    /// FM's best partition so far, at worst its seeded start, so only an
-    /// unpartitionable netlist comes back `None`.
+    /// Tier 0: one random-start FM run under a tiny private wall-clock
+    /// slice. Never counts against the main tier's wall (the slice is
+    /// part of the occupancy bound instead) and never carries injected
+    /// faults — it exists precisely to survive them. A slice that runs
+    /// out keeps FM's best partition so far, at worst its seeded start,
+    /// so only an unpartitionable netlist comes back `None`.
     fn insurance(&self, cached: &CachedNetlist, seed: u64) -> Option<PartitionResult> {
         let hg = &cached.hypergraph;
         let n = hg.num_modules();
@@ -655,15 +652,13 @@ impl Service {
             return None;
         }
         let meter = BudgetMeter::new(
-            &Budget::default()
-                .with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall))
-                .with_matvecs(self.cfg.insurance_matvecs),
+            &Budget::default().with_wall_clock(self.cfg.insurance_wall.min(self.cfg.max_wall)),
         );
-        let start = RandomStartFmStage::start(n, derive_seed(seed, 0x1A5E_CE00));
-        let (fm, _) = fm_bisect_anytime(hg, &start, &FmOptions::default(), &meter);
+        let stage = FmStage::seeded(derive_seed(seed, 0x1A5E_CE00));
+        let (fm, _) = fm_bisect_anytime(hg, &stage.start(n), &stage.opts, &meter);
         let stats = fm.partition.cut_stats(hg);
         (stats.left > 0 && stats.right > 0)
-            .then(|| PartitionResult::evaluate(hg, fm.partition, "FM-restart", None))
+            .then(|| PartitionResult::evaluate(hg, fm.partition, stage.name(), None))
     }
 
     /// Wall-clock room left for main-tier work,
@@ -892,12 +887,9 @@ fn result_frame(job: &Job<'_>, tier: &str, answer: Answer<'_>, extras: Extras) -
     }
 }
 
-/// A main-tier context on `meter`: the request's seed and the netlist's
-/// operator cache.
+/// A main-tier context on `meter` with the netlist's operator cache.
 fn job_context<'m>(job: &Job<'_>, meter: &'m BudgetMeter) -> RunContext<'m> {
-    RunContext::with_meter(meter)
-        .with_seed(job.request.seed.unwrap_or(DEFAULT_SEED))
-        .with_operator_cache(Arc::clone(&job.cached.operators))
+    RunContext::with_meter(meter).with_operator_cache(Arc::clone(&job.cached.operators))
 }
 
 /// The k-way route's options: `k` blocks, the request's `epsilon` over
@@ -1127,7 +1119,7 @@ mod tests {
             let line = request_line("ladder", &format!(r#"{extra},"restarts":2"#));
             let request = Request::parse(&line).unwrap();
             let (portfolio, ladders) = svc.build_portfolio(&request, 7);
-            let opts = PortfolioOptions::default().with_threads(1).with_seed(7);
+            let opts = PortfolioOptions::default().with_threads(1);
             let meter = BudgetMeter::unlimited();
             let run = np_runner::run_portfolio(hg, &portfolio, &opts, &meter, None);
             assert_eq!(run.is_ok(), answered, "{extra}: {run:?}");

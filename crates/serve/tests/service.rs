@@ -116,14 +116,24 @@ fn overload_16_concurrent_requests_on_2_workers_all_get_terminal_answers() {
     let degraded = m.degraded.load(std::sync::atomic::Ordering::Relaxed);
     let shed = m.shed.load(std::sync::atomic::Ordering::Relaxed);
     let errors = m.errors.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(results + degraded + shed + errors, 16, "{}", m.to_json());
+    assert_eq!(
+        results + degraded + shed + errors,
+        16,
+        "{}",
+        svc.metrics_frame()
+    );
     assert!(shed >= 1, "16 requests into capacity 8 must shed some");
     assert!(
         results + degraded >= 8,
         "everything admitted must be answered: {}",
-        m.to_json()
+        svc.metrics_frame()
     );
-    assert_eq!(errors, 0, "no request should error: {}", m.to_json());
+    assert_eq!(
+        errors,
+        0,
+        "no request should error: {}",
+        svc.metrics_frame()
+    );
 }
 
 /// Deadline-exceeded requests return best-so-far with `degraded: true`.

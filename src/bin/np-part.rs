@@ -347,7 +347,6 @@ fn run_portfolio_mode(
     };
     let opts = PortfolioOptions {
         threads: args.threads.unwrap_or(0),
-        seed: args.seed,
         target_ratio: args.target_ratio,
     };
     // an `[attempt:label]` tag keeps interleaved streams from concurrent
@@ -456,9 +455,7 @@ fn run_kway_mode(
     meter: &BudgetMeter,
 ) -> Result<(), String> {
     let opts = kway_options_for(args, hg.num_modules())?;
-    let ctx = RunContext::with_meter(meter)
-        .with_seed(args.seed)
-        .with_threads(args.threads.unwrap_or(1));
+    let ctx = RunContext::with_meter(meter).with_threads(args.threads.unwrap_or(1));
     let (label, result) = if args.multilevel {
         let mopts = multilevel_options_for(args);
         let out = multilevel_kway_ctx(hg, &opts, &mopts, &ctx).map_err(|e| e.to_string())?;
@@ -510,7 +507,6 @@ fn run() -> Result<(), String> {
     }
     let sink = |e: &StageEvent<'_>| print_event("", args.trace, e);
     let ctx = RunContext::with_meter(&meter)
-        .with_seed(args.seed)
         .with_threads(args.threads.unwrap_or(1))
         .with_events(&sink);
 

@@ -189,7 +189,6 @@ fn run_on<T>(
 fn portfolio_route(
     hg: &Hypergraph,
     portfolio: &Portfolio,
-    seed: u64,
     ctx: &RunContext<'_>,
 ) -> Result<PortfolioOutcome, PartitionError> {
     let forward = |e: &PortfolioEvent<'_>| {
@@ -197,9 +196,7 @@ fn portfolio_route(
             ctx.emit(StageEvent::Started { stage });
         }
     };
-    let opts = PortfolioOptions::default()
-        .with_threads(ctx.threads())
-        .with_seed(seed);
+    let opts = PortfolioOptions::default().with_threads(ctx.threads());
     run_portfolio(hg, portfolio, &opts, ctx.meter(), Some(&forward)).map_err(|e| e.error)
 }
 
@@ -387,13 +384,13 @@ fn the_portfolio_winner_and_report_at_1_thread_match_2_and_8() {
             };
             mixed = mixed.attempt(format!("RCut#{i}"), RcutStage::new(rc));
         }
-        let route = |c: &RunContext<'_>| portfolio_route(&hg, &mixed, seed, c);
+        let route = |c: &RunContext<'_>| portfolio_route(&hg, &mixed, c);
         thread_invariant("mixed portfolio", route, portfolio);
     });
     check_cases(16, 0xF00D_F00D, |g| {
         let hg = small_hypergraph(g);
         let restarts = Algorithm::Fm.portfolio(IgMatchOptions::default(), 6, 11);
-        let route = |c: &RunContext<'_>| portfolio_route(&hg, &restarts, 11, c);
+        let route = |c: &RunContext<'_>| portfolio_route(&hg, &restarts, c);
         thread_invariant("FM restarts", route, portfolio);
     });
 }
@@ -410,9 +407,7 @@ fn a_served_request_answers_the_library_portfolio() {
     for name in ["auto", "igmatch", "igvote", "eig1", "rcut", "fm", "kl"] {
         let algorithm = Algorithm::from_name(name).unwrap_or(Algorithm::IgMatch);
         let attempts = algorithm.portfolio(IgMatchOptions::default(), 3, seed);
-        let (library, _) = cell(1, Meter::Unlimited, |c| {
-            portfolio_route(&hg, &attempts, seed, c)
-        });
+        let (library, _) = cell(1, Meter::Unlimited, |c| portfolio_route(&hg, &attempts, c));
         let best = library.expect("the library portfolio partitions").best;
         oracle_positive |= best.ratio() > 0.0;
 
@@ -532,7 +527,7 @@ fn every_route(hg: &Hypergraph) -> Vec<(&'static str, Route<'_>)> {
         Box::new(move |c| kway_vcycle(c).map(kway_vcycle_view)),
     ));
     let attempts = Algorithm::IgMatch.portfolio(ig, 3, DEFAULT_SEED);
-    let portfolio = move |c: &RunContext<'_>| portfolio_route(hg, &attempts, DEFAULT_SEED, c);
+    let portfolio = move |c: &RunContext<'_>| portfolio_route(hg, &attempts, c);
     let portfolio_view = |o: PortfolioOutcome| bisection_cut(&o.best);
     routes.push((
         "portfolio",
